@@ -32,7 +32,6 @@ from .laplace import (
     QuadratureError,
     build_quadrature,
     phi_eval,
-    moment_check,
     project,
     kernel_from_spec,
 )

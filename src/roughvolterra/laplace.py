@@ -20,7 +20,6 @@ __all__ = [
     "QuadratureError",
     "build_quadrature",
     "phi_eval",
-    "moment_check",
     "project",
     "DENSITY_CATALOG",
     "kernel_from_spec",
@@ -89,10 +88,6 @@ def phi_eval(measure: KernelMeasure, v):
         raise ValueError("kernel argument must be >= 0")
     out = np.exp(-np.multiply.outer(v, measure.xis)) @ measure.weights
     return out if out.ndim else float(out)
-
-
-def moment_check(measure: KernelMeasure, beta: float) -> float:
-    return measure.moment(beta)
 
 
 def project(values_per_atom, measure: KernelMeasure, axis: int = 0):

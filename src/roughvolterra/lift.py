@@ -7,9 +7,11 @@ per cell, so the first-order lift, the weighted Levy-area analogue and
 the third-order Chen defect are computed exactly (to round-off) and
 reassembled on arbitrary pairs through the twisted Chasles relation.
 
-fBm is sampled exactly in law by dense Cholesky factorisation of the
-covariance, capped at desk scale.  Sampling uses counter-based Philox
-streams keyed by the seed, so a fixed seed reproduces paths bit for bit.
+fBm is sampled exactly in law through a Cholesky factor of the covariance,
+capped at desk scale: on uniform grids the O(n^2) Schur factor of the
+Toeplitz increment covariance, on other grids the dense factor.  Sampling
+uses counter-based Philox streams keyed by the seed, so a fixed seed
+reproduces paths bit for bit.
 """
 
 from __future__ import annotations
@@ -101,37 +103,124 @@ def fbm_covariance(hurst: float, times: np.ndarray) -> np.ndarray:
 _chol_cache: dict = {}
 
 
+def _uniform_step(times: np.ndarray) -> float | None:
+    """Common width h when ``times`` is h, 2h, ..., nh to ~1e-9, else None.
+
+    ``TimeGrid.uniform`` comes from ``linspace``, whose widths differ from
+    horizon/n by round-off only (below 1e-12 relative at 4095 cells).
+    """
+    h = float(times[-1]) / times.size
+    widths = np.diff(times, prepend=0.0)
+    return h if np.all(np.abs(widths - h) <= 1e-9 * h) else None
+
+
+def _fgn_autocovariance(hurst: float, n: int, h: float) -> np.ndarray:
+    """Increment autocovariance of fBm on step h at lags k = 0..n-1.
+
+    gamma(k) = h^2H/2 (|k+1|^2H - 2|k|^2H + |k-1|^2H).  For k >= 2 the
+    second difference is evaluated as 2 k^2H (expm1(S) cosh D + 2
+    sinh^2(D/2)), S = H log1p(-1/k^2), D = 2H atanh(1/k), which avoids its
+    cancellation: the path covariance sums each lag up to n times.
+    """
+    a = 2.0 * hurst
+    gamma = np.empty(n)
+    gamma[0] = 1.0
+    gamma[1:2] = 2.0 ** (a - 1.0) - 1.0
+    k = np.arange(2, n, dtype=float)
+    s = hurst * np.log1p(-1.0 / k**2)
+    d = a * np.arctanh(1.0 / k)
+    gamma[2:] = k**a * (np.expm1(s) * np.cosh(d) + 2.0 * np.sinh(0.5 * d) ** 2)
+    return h**a * gamma
+
+
+def _schur_cholesky(gamma: np.ndarray) -> np.ndarray | None:
+    """Upper factor U (Toeplitz(gamma) = U^T U) by the Schur algorithm.
+
+    O(n^2): row k of U is the first generator after k hyperbolic
+    rotations, applied in the mixed form whose stability for SPD Toeplitz
+    matrices is shown by Bojanczyk, Brent, de Hoog & Sweet (1995).
+    Returns None on breakdown (|rho| >= 1 or a non-finite value), i.e.
+    when the matrix is not numerically positive definite.
+    """
+    n = gamma.size
+    if not (np.all(np.isfinite(gamma)) and gamma[0] > 0.0):
+        return None
+    upper = np.zeros((n, n))
+    upper[0] = gamma / np.sqrt(gamma[0])
+    v = upper[0].copy()
+    v[0] = 0.0
+    for k in range(1, n):
+        u = upper[k - 1, k - 1 : n - 1]      # previous generator, shifted down
+        rho = v[k] / u[0]
+        if not abs(rho) < 1.0:
+            return None
+        s = np.sqrt((1.0 - rho) * (1.0 + rho))
+        upper[k, k:] = (u - rho * v[k:]) / s
+        v[k:] = s * v[k:] - rho * upper[k, k:]
+    return upper
+
+
+def _uniform_path_factor(hurst: float, n: int, h: float) -> np.ndarray | None:
+    """Path factor C L on h, 2h, ..., nh, or None on Schur breakdown.
+
+    The path covariance is C Gamma C^T, with Gamma the Toeplitz increment
+    covariance, L its Cholesky factor and C the cumulative-sum matrix.
+    C L is lower triangular with L's positive diagonal, so by uniqueness
+    it is the Cholesky factor of the path covariance.
+    """
+    upper = _schur_cholesky(_fgn_autocovariance(hurst, n, h))
+    if upper is None:
+        return None
+    np.cumsum(upper, axis=1, out=upper)
+    # a non-finite entry makes its row's total non-finite
+    return upper.T if np.all(np.isfinite(upper[:, -1])) else None
+
+
 def _fbm_cholesky(hurst: float, times: np.ndarray) -> np.ndarray:
-    """Cholesky factor of the fBm covariance, cached across seeds."""
-    key = (float(hurst), times.shape[0], hash(times.tobytes()))
+    """Lower Cholesky factor of the fBm covariance on ``times``, cached.
+
+    Uniform grids take the O(n^2) Schur route; other grids, and a Schur
+    breakdown, take the dense O(n^3) factorisation of ``fbm_covariance``.
+    The cache key holds the times' bytes, so it is exact, and a hit skips
+    the uniformity test.
+    """
+    key = (float(hurst), times.tobytes())
     cached = _chol_cache.get(key)
     if cached is not None:
         return cached
-    cov = fbm_covariance(hurst, times)
-    chol = None
-    for attempt in range(4):
-        jitter = 0.0 if attempt == 0 else 1e-13 * float(np.max(np.diag(cov))) * 10**attempt
-        try:
-            chol = np.linalg.cholesky(
-                cov + jitter * np.eye(cov.shape[0]) if jitter else cov
-            )
-            break
-        except np.linalg.LinAlgError:
-            continue
+    h = _uniform_step(times)
+    chol = None if h is None else _uniform_path_factor(hurst, times.size, h)
     if chol is None:
-        raise np.linalg.LinAlgError("fBm covariance not factorisable even with jitter")
+        chol = _dense_cholesky(fbm_covariance(hurst, times))
     if len(_chol_cache) > 8:
         _chol_cache.clear()
     _chol_cache[key] = chol
     return chol
 
 
-def sample_fbm(hurst: float, grid, n_dims: int = 1, seed: int = 0) -> DriverPath:
-    """Exact-in-law fBm sample on the grid via dense Cholesky.
+def _dense_cholesky(cov: np.ndarray) -> np.ndarray:
+    """LAPACK Cholesky, retried with escalating diagonal jitter."""
+    for attempt in range(4):
+        jitter = 0.0 if attempt == 0 else 1e-13 * float(np.max(np.diag(cov))) * 10**attempt
+        try:
+            return np.linalg.cholesky(
+                cov + jitter * np.eye(cov.shape[0]) if jitter else cov
+            )
+        except np.linalg.LinAlgError:
+            continue
+    raise np.linalg.LinAlgError("fBm covariance not factorisable even with jitter")
 
-    Components are independent; H = 0.5 reduces to Brownian motion.  A
-    failed factorisation (round-off non-PSD) is retried with escalating
-    diagonal jitter before giving up.  The factor is cached across seeds.
+
+def sample_fbm(hurst: float, grid, n_dims: int = 1, seed: int = 0) -> DriverPath:
+    """Exact-in-law fBm sample on the grid via a Cholesky factor.
+
+    Uniform grids use the O(n^2) Schur factor of the Toeplitz increment
+    covariance, cumulatively summed into the path factor; other grids use
+    the dense factor of the path covariance, retried with escalating
+    diagonal jitter when round-off makes it non-PSD.  Either way the
+    sample is the factor applied to the seed's Philox normals, and grids
+    are capped at MAX_CHOLESKY_POINTS.  Components are independent; H =
+    0.5 reduces to Brownian motion.  The factor is cached across seeds.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("Hurst parameter must be in (0, 1)")

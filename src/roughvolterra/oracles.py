@@ -20,11 +20,9 @@ import numpy as np
 __all__ = [
     "subdivide",
     "x1_tilde_riemann",
-    "x1_riemann",
     "x2_tilde_riemann",
     "x3_tilde_riemann",
     "x3_tilde_riemann_fast",
-    "x4_double_riemann",
     "young_integral_simpson",
 ]
 
@@ -51,13 +49,6 @@ def x1_tilde_riemann(driver, xi, s, t, n_sub=4096):
     mid = 0.5 * (mesh[:-1] + mesh[1:])
     dx = driver.at(mesh[1:]) - driver.at(mesh[:-1])
     return np.einsum("p,pn->n", np.exp(-np.asarray(xi) * (t - mid)), dx)
-
-
-def x1_riemann(driver, measure, s, t, n_sub=4096):
-    vals = np.stack(
-        [x1_tilde_riemann(driver, float(x), s, t, n_sub) for x in measure.xis]
-    )
-    return measure.weights @ vals
 
 
 def _x1_scan(mesh, dx, xis, init, max_exponent=30.0):
@@ -188,23 +179,6 @@ def x3_tilde_riemann_fast(driver, measure, xi, s, u, t, n_sub=65536):
     w_out = np.exp(-np.multiply.outer(xi_arr, t - mid))
     out = np.einsum("Kp,pj,pd->Kjd", w_out, dx, inner)
     return out if np.ndim(xi) else out[0]
-
-
-def x4_double_riemann(driver, xi, eta, s, t, n_sub=16384, mesh=None):
-    """Midpoint sum for the doubly indexed increment
-    int_s^t e^{-xi(t-v)} (e^{-eta(v-s)} - 1) dx_v, shape (n,).
-
-    An explicit ``mesh`` (as produced by :func:`subdivide`) may be passed
-    so that several evaluations share identical sub-steps.
-    """
-    if t <= s:
-        return np.zeros(driver.n_dims)
-    if mesh is None:
-        mesh = subdivide(driver.grid.points, s, t, n_sub)
-    mid = 0.5 * (mesh[:-1] + mesh[1:])
-    dx = driver.at(mesh[1:]) - driver.at(mesh[:-1])
-    w = np.exp(-xi * (t - mid)) * np.expm1(-eta * (mid - s))
-    return np.einsum("p,pn->n", w, dx)
 
 
 def young_integral_simpson(driver, z_fn, xi, s, t, n_sub=8192):

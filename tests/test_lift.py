@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import roughvolterra as rv
+from roughvolterra import lift as lift_mod
 from roughvolterra import oracles
 from roughvolterra.algebra import TimeGrid
 from roughvolterra.laplace import KernelMeasure
@@ -90,6 +91,63 @@ class TestSampleFbm:
         r = fbm_covariance(0.7, np.array([0.5, 1.0]))
         assert r[1, 1] == pytest.approx(1.0)
         assert r[0, 1] == pytest.approx(0.5 * (0.5**1.4 + 1.0 - 0.5**1.4) , rel=1e-12)
+
+
+class TestFbmFactorRoutes:
+    """Schur route on uniform grids against the dense LAPACK route."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self, monkeypatch):
+        monkeypatch.setattr(lift_mod, "_chol_cache", {})
+
+    @pytest.mark.parametrize("n", [8, 257, 1024, 4095])
+    @pytest.mark.parametrize("hurst", [0.01, 0.4, 0.5, 0.7, 0.99])
+    def test_schur_factor_reproduces_covariance(self, n, hurst):
+        times = TimeGrid.uniform(n, 1.0).points[1:]
+        chol = lift_mod._fbm_cholesky(hurst, times)
+        cov = fbm_covariance(hurst, times)
+        # every 16th row (and the last) of P P^T on the largest grid
+        rows = np.arange(n) if n <= 1024 else np.r_[0:n:16, n - 1]
+        assert not np.triu(chol, 1).any()
+        err = np.max(np.abs(chol[rows] @ chol.T - cov[rows])) / np.max(np.abs(cov))
+        assert err <= 1e-12
+
+    @pytest.mark.parametrize("hurst", [0.4, 0.7])
+    def test_uniform_sample_matches_dense_factor(self, hurst):
+        grid = TimeGrid.uniform(4095, 1.0)
+        dense = np.linalg.cholesky(fbm_covariance(hurst, grid.points[1:]))
+        gauss = lift_mod._rng(7).standard_normal((4095, 2))
+        drv = sample_fbm(hurst, grid, n_dims=2, seed=7)
+        assert np.max(np.abs(drv.values[1:] - dense @ gauss)) <= 1e-9
+
+    def test_non_uniform_grid_takes_dense_route(self, monkeypatch):
+        def no_schur(*args):
+            raise AssertionError("Schur route used on a non-uniform grid")
+
+        monkeypatch.setattr(lift_mod, "_schur_cholesky", no_schur)
+        grid = TimeGrid(np.linspace(0.0, 1.0, 65) ** 1.5)
+        drv = sample_fbm(0.4, grid, seed=3)
+        dense = np.linalg.cholesky(fbm_covariance(0.4, grid.points[1:]))
+        gauss = lift_mod._rng(3).standard_normal((64, 1))
+        assert np.array_equal(drv.values[1:], dense @ gauss)
+
+    def test_uniform_detection(self):
+        times = TimeGrid.uniform(4095, 0.3).points[1:]
+        assert lift_mod._uniform_step(times) == pytest.approx(0.3 / 4095, rel=1e-15)
+        bent = times.copy()
+        bent[100] += 1e-6 * (0.3 / 4095)
+        assert lift_mod._uniform_step(bent) is None
+
+    def test_breakdown_falls_back_to_dense(self, monkeypatch):
+        # lag-1 correlation 1.5 is not a covariance: rho = 1.5 at step 1
+        assert lift_mod._schur_cholesky(np.array([1.0, 1.5, 0.0])) is None
+        monkeypatch.setattr(
+            lift_mod, "_fgn_autocovariance",
+            lambda hurst, n, h: np.r_[1.0, 1.5, np.zeros(n - 2)],
+        )
+        times = TimeGrid.uniform(16, 1.0).points[1:]
+        chol = lift_mod._fbm_cholesky(0.4, times)
+        assert np.array_equal(chol, np.linalg.cholesky(fbm_covariance(0.4, times)))
 
 
 class TestX1:
