@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import os
@@ -177,6 +178,10 @@ class ExperimentConfig:
             "seed" not in drv and "seeds" not in drv
         ):
             raise ValueError("stochastic drivers need an explicit seed (no entropy defaults)")
+        if drv.get("kind") == "fbm" and "hurst" not in drv:
+            raise ValueError("fbm driver requires field 'hurst'")
+        if "solver" in raw:
+            self.solver_config()        # reject a bad solver block before running
 
     def measure(self) -> KernelMeasure:
         return kernel_from_spec(self.raw["kernel"])
@@ -209,7 +214,24 @@ class ExperimentConfig:
         return sigma_catalog(sg["name"], n=n_dims, d=d, params=sg.get("params"))
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(**self.raw["solver"])
+        return _solver_config(self.raw["solver"], "solver")
+
+
+def _solver_config(block, where) -> SolverConfig:
+    """SolverConfig from a JSON block; bad key sets raise ValueError naming ``where``."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{where!r} must be a JSON object")
+    fields = dataclasses.fields(SolverConfig)
+    unknown = sorted(set(block) - {f.name for f in fields})
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where!r}: {unknown}")
+    missing = [
+        f.name for f in fields
+        if f.default is dataclasses.MISSING and f.name not in block
+    ]
+    if missing:
+        raise ValueError(f"{where!r} requires key(s) {missing}")
+    return SolverConfig(**block)
 
 
 class RunManifest:
@@ -456,7 +478,10 @@ def _check_a8(params, manifest):
     fld = sigma_catalog(
         params.get("sigma", "tanh"), n=1, d=1, params=params.get("sigma_params")
     )
-    solver_cfg = SolverConfig(**params.get("solver", {"gamma": 0.38, "kappa": 0.35}))
+    solver_cfg = _solver_config(
+        params.get("solver", {"gamma": 0.38, "kappa": 0.35}),
+        "A8_diffusion_degeneration.solver",
+    )
     a = np.asarray(params.get("initial", [0.1]), dtype=float)
     measure = KernelMeasure.from_atoms([(0.0, 1.0)])
     lift = RoughLift(driver, measure, gamma=solver_cfg.gamma)

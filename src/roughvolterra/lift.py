@@ -441,23 +441,25 @@ class RoughLift:
         """Closed-form lift data for every grid cell at uniform sub-refinement.
 
         All ``refine`` equal sub-cells of one cell share the same slope and
-        width, hence the same closed forms; tables therefore stay per-cell:
-        returns (x1t, x2t, decay, sub_widths) with shapes
+        width, hence the same closed forms, in which the slope is a rank-one
+        factor; the rest depends on the width alone and is evaluated once per
+        distinct width.  Returns (x1t, x2t, decay, sub_widths) with shapes
         (C, K, n), (C, K, n, n), (C, K), (C,).
         """
         if refine < 1:
             raise ValueError("refine must be >= 1")
         widths = self.driver.grid.widths / refine
+        uniq, inv = np.unique(widths, return_inverse=True)
         xis = self.xis
         ws = self.measure.weights
         m = self.driver.slopes
-        x1t = e0(xis[None, :], widths[:, None])[:, :, None] * m[:, None, :]
+        x1t = e0(xis[None, :], uniq[:, None])[inv][:, :, None] * m[:, None, :]
         ramp = ramp_int(
-            xis[None, :, None], xis[None, None, :], widths[:, None, None]
-        )                                                    # (C, Kout, Kin)
+            xis[None, :, None], xis[None, None, :], uniq[:, None, None]
+        )                                                    # (U, Kout, Kin)
         mm = np.einsum("cj,cd->cjd", m, m)
-        x2t = (ramp @ ws)[:, :, None, None] * mm[:, None, :, :]
-        decay = np.exp(-xis[None, :] * widths[:, None])
+        x2t = (ramp @ ws)[inv][:, :, None, None] * mm[:, None, :, :]
+        decay = np.exp(-xis[None, :] * uniq[:, None])[inv]
         return x1t, x2t, decay, widths
 
     # -- diagnostics -------------------------------------------------------

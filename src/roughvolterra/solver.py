@@ -11,10 +11,12 @@ through the twisted Chasles relation.  Contraction is detected
 empirically from the first two sweeps; on failure the interval shrinks
 (constant scheme halves, harmonic scheme doubles N) and is re-run.
 
-Within a sweep everything is vectorised over the interval mesh; only the
-forward propagation of ytilde is sequential.  Picard sweeps are
-independent across atoms and could be parallelised; a single solve is
-sequential over intervals by data dependency.
+The per-cell closed forms of the lift (``RoughLift.cell_tables``) are
+built once per solve and sliced per interval attempt.  Within a sweep
+everything is vectorised over the interval mesh; only the forward
+propagation of ytilde is sequential.  Picard sweeps are independent
+across atoms and could be parallelised; a single solve is sequential
+over intervals by data dependency.
 """
 
 from __future__ import annotations
@@ -275,6 +277,11 @@ class SolverConfig:
             raise ValueError("sewing_level must be >= 0")
         if self.interval_scheme not in ("harmonic", "constant", "explicit"):
             raise ValueError("unknown interval scheme")
+        for name in ("n_start", "max_picard", "n_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not self.contraction_limit > 0:
+            raise ValueError("contraction_limit must be > 0")
 
     @property
     def beta_resolved(self) -> float:
@@ -332,28 +339,22 @@ def _lbeta_rows(vals, measure, beta):
     return norms @ w
 
 
-def _sigma_zeta(fld: SigmaField, y_row: np.ndarray) -> np.ndarray:
-    return fld.batch(y_row[None, :])[0]
-
-
 class _IntervalWorkspace:
-    """Mesh and lift tables for one Picard interval [grid index lo, hi]."""
+    """Mesh and lift tables for one Picard interval [grid index lo, hi].
 
-    def __init__(self, lift, lo, hi, refine):
-        pts = lift.driver.grid.points
-        cells = np.arange(lo, hi)
-        self.lo, self.hi = lo, hi
-        x1t, x2t, decay, subw = lift.cell_tables(refine)
-        rep = np.repeat(cells, refine)
-        offs = np.tile(np.arange(refine), cells.size)
-        self.fine_t = np.append(
-            pts[rep] + subw[rep] * offs, pts[hi]
-        )
+    ``tables`` is ``lift.cell_tables(refine)``, built once per solve; the
+    workspace gathers the interval's rows from it, one per sub-cell.
+    """
+
+    def __init__(self, pts, tables, lo, hi, refine):
+        x1t, x2t, decay, subw = tables
+        rep = np.repeat(np.arange(lo, hi), refine)
+        offs = np.tile(np.arange(refine), hi - lo)
+        self.fine_t = np.append(pts[rep] + subw[rep] * offs, pts[hi])
         self.x1t = x1t[rep]            # (P-1, K, n)
         self.x2t = x2t[rep]            # (P-1, K, n, n)
         self.decay = decay[rep]        # (P-1, K)
-        self.grid_slots = np.arange(0, cells.size * refine + 1, refine)
-        self.refine = refine
+        self.grid_slots = np.arange(0, (hi - lo) * refine + 1, refine)
 
 
 def _sweep(ws, fld, a, measure, ytilde, htilde, rough):
@@ -419,6 +420,7 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
     moment = measure.moment(beta)
     n_pts, k_atoms, d = len(grid), measure.n_atoms, fld.d
     refine = 2**config.sewing_level
+    tables = lift.cell_tables(refine)
     expo = config.gamma if not rough else config.kappa
 
     ytilde_grid = np.zeros((n_pts, k_atoms, d))
@@ -434,8 +436,8 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
 
     lo = 0
     n_done = 0
-    n_value = max(1, config.n_start)
-    const_eps = grid.horizon / max(1, config.n_start)
+    n_value = config.n_start
+    const_eps = grid.horizon / config.n_start
     htilde = np.zeros((k_atoms, d))
     failures: list = []
 
@@ -452,8 +454,7 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
             hi = int(np.searchsorted(pts, pts[lo] + eps * (1 + 1e-12), side="right")) - 1
             hi = min(max(hi, lo + 1), n_pts - 1)
 
-        ws = _IntervalWorkspace(lift, lo, hi, refine)
-        p_fine = ws.fine_t.size
+        ws = _IntervalWorkspace(pts, tables, lo, hi, refine)
         yt = np.exp(
             -np.outer(lift.xis, ws.fine_t - pts[lo])
         ).T[:, :, None] * htilde[None, :, :]

@@ -121,6 +121,34 @@ class TestRunFlows:
         cfg = write_config(tmp_path, doc)
         assert run(cfg, out_dir=str(tmp_path)) == 2
 
+    @pytest.mark.parametrize(
+        "block, edit, named",
+        [
+            ("solver", {"sewing_levle": 3}, "sewing_levle"),
+            ("solver", {"gamma": None}, "gamma"),
+            ("solver", {"n_start": 0}, "n_start"),
+            ("solver", {"contraction_limit": 0.0}, "contraction_limit"),
+            ("driver", {"kind": "fbm", "hurts": 0.4, "seed": 1}, "hurst"),
+        ],
+    )
+    def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):
+        doc = solve_config()
+        doc["checks"] = {}
+        for key, value in edit.items():
+            if value is None:
+                del doc[block][key]
+            else:
+                doc[block][key] = value
+        assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    def test_verify_solver_block_typo_exit_2(self, tmp_path, capsys):
+        doc = {"kind": "verify", "checks": {"A8_diffusion_degeneration": {
+            "cells": 16, "solver": {"gamma": 0.38, "kappa": 0.35, "sewing_levle": 3}}}}
+        assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "o")) == 2
+        assert "sewing_levle" in capsys.readouterr().err
+
     def test_successful_solve_writes_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, solve_config())
         out = tmp_path / "out"

@@ -5,6 +5,7 @@ import roughvolterra as rv
 from roughvolterra import lift as lift_mod
 from roughvolterra import oracles
 from roughvolterra.algebra import TimeGrid
+from roughvolterra.expkernels import e0, ramp_int
 from roughvolterra.laplace import KernelMeasure
 from roughvolterra.lift import (
     MAX_CHOLESKY_POINTS,
@@ -441,3 +442,47 @@ class TestDriverCsv:
         back = driver_from_csv(path, kind="fbm", hurst=0.4, seed=3)
         assert np.array_equal(back.values, drv.values)
         assert np.array_equal(back.grid.points, drv.grid.points)
+
+
+def cell_tables_per_cell(lift, refine):
+    """The closed forms of ``RoughLift.cell_tables`` evaluated on every cell."""
+    widths = lift.driver.grid.widths / refine
+    xis, ws, m = lift.xis, lift.measure.weights, lift.driver.slopes
+    x1t = e0(xis[None, :], widths[:, None])[:, :, None] * m[:, None, :]
+    ramp = ramp_int(xis[None, :, None], xis[None, None, :], widths[:, None, None])
+    mm = np.einsum("cj,cd->cjd", m, m)
+    x2t = (ramp @ ws)[:, :, None, None] * mm[:, None, :, :]
+    decay = np.exp(-xis[None, :] * widths[:, None])
+    return x1t, x2t, decay, widths
+
+
+# dyadic grids, so every sub-cell endpoint t_c + w is exact
+CELL_TABLE_GRIDS = {
+    "uniform": TimeGrid.uniform(64, 1.0),
+    "distinct": TimeGrid(np.r_[0.0, np.cumsum(np.arange(1, 33) * 2.0**-9)]),
+    "repeating": TimeGrid(np.r_[0.0, np.cumsum(np.tile([3, 5, 3, 2, 5], 6) * 2.0**-6)]),
+}
+# xi = 0, the ramp_int series (eta dt < 1e-4), the exp_int series
+# (|lam - mu| dt < 3e-5) and a fast atom
+CELL_TABLE_ATOMS = [(0.0, 0.4), (1e-3, 0.3), (2.0, 0.2), (2.0 + 1e-4, 0.1), (500.0, 0.05)]
+
+
+class TestCellTables:
+    @pytest.mark.parametrize("grid_name", sorted(CELL_TABLE_GRIDS))
+    @pytest.mark.parametrize("refine", [1, 4])
+    def test_per_width_tables_equal_per_cell_formula(self, grid_name, refine):
+        grid = CELL_TABLE_GRIDS[grid_name]
+        values = np.random.default_rng(4).standard_normal((len(grid), 2))
+        lift = RoughLift(DriverPath(grid, values), KernelMeasure.from_atoms(CELL_TABLE_ATOMS),
+                         gamma=1.0)
+        got = lift.cell_tables(refine)
+        for a, b in zip(got, cell_tables_per_cell(lift, refine)):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+        x1t, _, decay, sub_w = got
+        pts = grid.points
+        for c in range(len(grid) - 1):
+            ref = lift.x1_tilde(pts[c], pts[c] + sub_w[c])
+            np.testing.assert_allclose(x1t[c], ref, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(decay[c], np.exp(-lift.xis * sub_w[c]),
+                                       rtol=1e-14, atol=0)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import roughvolterra as rv
+from roughvolterra import solver as solver_mod
 from roughvolterra.algebra import TimeGrid
 from roughvolterra.cli import rk4_augmented
-from roughvolterra.laplace import KernelMeasure
+from roughvolterra.laplace import KernelMeasure, kernel_from_spec
 from roughvolterra.lift import DriverPath, RoughLift, deterministic_driver, sample_fbm
 from roughvolterra.sigma import SigmaField, sigma_catalog
 from roughvolterra.solver import (
@@ -53,6 +54,16 @@ class TestConfig:
     def test_beta_defaults(self):
         assert SolverConfig(gamma=0.8, kappa=0.45, young=True).beta_resolved == 0.8
         assert SolverConfig(gamma=0.38, kappa=0.35).beta_resolved == 1.0
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [("n_start", 0), ("max_picard", 0), ("n_cap", 0),
+         ("contraction_limit", 0.0), ("contraction_limit", -0.5)],
+    )
+    def test_counts_and_contraction_limit_validated(self, key, bad):
+        with pytest.raises(ValueError, match=key):
+            SolverConfig(gamma=0.38, kappa=0.35, **{key: bad})
+        SolverConfig(gamma=0.38, kappa=0.35, **{key: 1})
 
 
 class TestYoungIntegral:
@@ -371,3 +382,68 @@ class TestControlledPathDiagnostics:
         # ytilde = x1~ with zeta = 1: twisted remainder vanishes identically
         for i, j in [(0, 16), (8, 24)]:
             assert np.max(np.abs(lp.remainder_tilde(i, j))) < 1e-13
+
+
+class TestCellTablesPerSolve:
+    """The lift's cell tables are built once per solve, retries included."""
+
+    @pytest.mark.parametrize("solve", [solve_young, solve_rough])
+    def test_one_call_per_solve_with_a_retried_interval(self, solve, monkeypatch):
+        calls, attempts = [], []
+        tables = RoughLift.cell_tables
+        monkeypatch.setattr(
+            RoughLift, "cell_tables",
+            lambda self, refine=1: calls.append(refine) or tables(self, refine),
+        )
+
+        class CountingWorkspace(solver_mod._IntervalWorkspace):
+            def __init__(self, *args):
+                attempts.append(args[2:4])
+                super().__init__(*args)
+
+        monkeypatch.setattr(solver_mod, "_IntervalWorkspace", CountingWorkspace)
+        # one interval over [0, 1] does not contract for sigma(y) = 3y, so
+        # the constant scheme rejects it and halves the interval
+        lift = identity_lift(cells=64)
+        fld = sigma_catalog("linear", n=1, d=1, params={"scale": 3.0})
+        sol = solve(lift, fld, np.array([1.0]), base_config(n_start=1, sewing_level=2))
+        assert calls == [4]
+        assert attempts[0] == (0, 64)
+        assert len(attempts) > len(sol.diagnostics)
+
+
+def explicit_solve_from_lift(lift, fld, a, refine):
+    """y on the grid from ytilde_{p+1} = e^{-xi h} ytilde_p + G_p(ytilde_p),
+    with G_p built from RoughLift.x1_tilde / x2_tilde on each sub-cell."""
+    pts = lift.driver.grid.points
+    w = lift.measure.weights
+    yt = np.zeros((lift.xis.size, a.size))
+    ys = [a]
+    for c in range(pts.size - 1):
+        h = (pts[c + 1] - pts[c]) / refine
+        for j in range(refine):
+            s = pts[c] + j * h
+            t = pts[c + 1] if j == refine - 1 else s + h
+            y = a + w @ yt
+            z = fld.batch(y[None])[0]                              # (n, d)
+            ds = fld.dsigma_batch(y[None])[0]                      # (n, d, d)
+            germ = np.einsum("kn,nd->kd", lift.x1_tilde(s, t), z)
+            germ += np.einsum("kmj,jq,miq->ki", lift.x2_tilde(s, t), z, ds)
+            yt = np.exp(-lift.xis * (t - s))[:, None] * yt + germ
+        ys.append(a + w @ yt)
+    return np.array(ys)
+
+
+class TestManyAtomSolve:
+    def test_exp_density_solve_matches_explicit_recursion(self):
+        measure = kernel_from_spec({"density": {"name": "exp"}})
+        assert measure.n_atoms == 64
+        drv = sample_fbm(0.4, TimeGrid.uniform(64, 1.0), seed=5)
+        lift = RoughLift(drv, measure, gamma=0.38)
+        fld = sigma_catalog("tanh", n=1, d=1)
+        a = np.array([0.3])
+        cfg = SolverConfig(gamma=0.38, kappa=0.35, sewing_level=2, picard_tol=1e-11,
+                           interval_scheme="harmonic", n_start=4)
+        sol = solve_rough(lift, fld, a, cfg)
+        ref = explicit_solve_from_lift(lift, fld, a, refine=4)
+        assert np.max(np.abs(sol.y - ref)) <= 1e-9
