@@ -9,20 +9,9 @@ convolutional Young and rough Volterra equations.
 from .algebra import (
     TimeGrid,
     Increment1,
-    Increment2,
-    Increment3,
-    LaplaceIncrement1,
-    LaplaceIncrement2,
-    LaplaceIncrement3,
-    DoubleLaplaceIncrement2,
-    delta1,
-    delta2,
     delta_tilde,
-    delta_double_tilde,
     twist,
     trace_pair,
-    holder_norm2,
-    holder_norm3,
     lbeta_norm,
     estimate_holder_exponent,
 )

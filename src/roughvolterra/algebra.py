@@ -1,39 +1,27 @@
 """Discrete increment calculus on a time grid.
 
-k-increments (functions of 1, 2 or 3 ordered grid times that vanish when
-consecutive arguments coincide), the coboundary operator ``delta``, its
-exponentially twisted variants, and the Holder / L_beta norms that the
-sewing and solver layers are built on.
+Paths sampled on a grid, the exponentially twisted coboundary ``delta~``
+(the plain coboundary ``delta`` at frequency 0) with its twist factor, the
+trace pairing, the L_beta norm and an empirical Holder-exponent estimator,
+which the sewing and solver layers are built on.
 
-Everything here is a pure function of immutable inputs.  Two- and
-three-index increments are never materialised as dense tables; they are
-evaluated lazily through index-based accessors.
+Everything here is a pure function of immutable inputs.  Increments are
+arrays: a path is indexed by grid point, a 1-increment by a pair of grid
+points, and ``delta_tilde`` is evaluated on arrays of grid indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "TimeGrid",
     "Increment1",
-    "Increment2",
-    "Increment3",
-    "LaplaceIncrement1",
-    "LaplaceIncrement2",
-    "LaplaceIncrement3",
-    "DoubleLaplaceIncrement2",
     "twist",
-    "delta1",
-    "delta2",
     "delta_tilde",
-    "delta_double_tilde",
     "trace_pair",
-    "holder_norm2",
-    "holder_norm3",
     "lbeta_norm",
     "estimate_holder_exponent",
 ]
@@ -81,11 +69,6 @@ class TimeGrid:
         raise ValueError(f"t={t} is not a grid point")
 
 
-def _check_same_grid(a, b):
-    if a.grid is not b.grid and not np.array_equal(a.grid.points, b.grid.points):
-        raise ValueError("increments live on different grids")
-
-
 @dataclass(frozen=True)
 class Increment1:
     """A path on the grid: values[i] is the state at grid point i."""
@@ -98,90 +81,6 @@ class Increment1:
         object.__setattr__(self, "values", vals)
         if vals.shape[0] != len(self.grid):
             raise ValueError("values must have one entry per grid point")
-
-
-@dataclass(frozen=True)
-class Increment2:
-    """1-increment: lazily evaluated on ordered index pairs i <= j."""
-
-    grid: TimeGrid
-    pair_fn: Callable[[int, int], np.ndarray]
-
-    def at(self, i: int, j: int) -> np.ndarray:
-        if i > j:
-            raise ValueError("pair must be ordered i <= j")
-        return self.pair_fn(i, j)
-
-
-@dataclass(frozen=True)
-class Increment3:
-    """2-increment: lazily evaluated on ordered index triples i <= j <= k."""
-
-    grid: TimeGrid
-    triple_fn: Callable[[int, int, int], np.ndarray]
-
-    def at(self, i: int, j: int, k: int) -> np.ndarray:
-        if not i <= j <= k:
-            raise ValueError("triple must be ordered i <= j <= k")
-        return self.triple_fn(i, j, k)
-
-
-@dataclass(frozen=True)
-class LaplaceIncrement1:
-    """Per-atom path: values[i, k] is the state at grid point i, atom k."""
-
-    grid: TimeGrid
-    xis: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        xis = np.asarray(self.xis, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "xis", xis)
-        object.__setattr__(self, "values", vals)
-        if np.any(xis < 0):
-            raise ValueError("Laplace frequencies must be >= 0")
-        if vals.shape[0] != len(self.grid) or vals.shape[1] != xis.size:
-            raise ValueError("values must be indexed (time, atom, ...)")
-
-
-@dataclass(frozen=True)
-class LaplaceIncrement2:
-    grid: TimeGrid
-    xis: np.ndarray
-    pair_fn: Callable[[int, int], np.ndarray]
-
-    def at(self, i: int, j: int) -> np.ndarray:
-        if i > j:
-            raise ValueError("pair must be ordered i <= j")
-        return self.pair_fn(i, j)
-
-
-@dataclass(frozen=True)
-class LaplaceIncrement3:
-    grid: TimeGrid
-    xis: np.ndarray
-    triple_fn: Callable[[int, int, int], np.ndarray]
-
-    def at(self, i: int, j: int, k: int) -> np.ndarray:
-        if not i <= j <= k:
-            raise ValueError("triple must be ordered i <= j <= k")
-        return self.triple_fn(i, j, k)
-
-
-@dataclass(frozen=True)
-class DoubleLaplaceIncrement2:
-    """1-increment indexed by two Laplace atom sets (xi rows, eta columns)."""
-
-    grid: TimeGrid
-    xis: np.ndarray
-    etas: np.ndarray
-    pair_fn: Callable[[int, int], np.ndarray]
-
-    def at(self, i: int, j: int) -> np.ndarray:
-        if i > j:
-            raise ValueError("pair must be ordered i <= j")
-        return self.pair_fn(i, j)
 
 
 def twist(xi, s, t):
@@ -199,76 +98,38 @@ def twist(xi, s, t):
     return out if out.ndim else float(out)
 
 
-def delta1(g: Increment1) -> Increment2:
-    """(delta g)_{ts} = g_t - g_s on every ordered grid pair."""
-    vals = g.values
-    return Increment2(g.grid, lambda i, j: vals[j] - vals[i])
+def _decay(points, xis, i, j, extra_ndim):
+    # exp(-xi (t_j - t_i)) shaped (index..., atom, 1...) to broadcast over value axes
+    fac = np.exp(-np.multiply.outer(points[j] - points[i], xis))
+    return fac.reshape(fac.shape + (1,) * extra_ndim)
 
 
-def delta2(h: Increment2) -> Increment3:
-    """(delta h)_{tus} = h_{ts} - h_{tu} - h_{us}; exact increments map to 0."""
-    return Increment3(h.grid, lambda i, j, k: h.at(i, k) - h.at(j, k) - h.at(i, j))
-
-
-def _atom_factor(xis: np.ndarray, dt: float, extra_ndim: int) -> np.ndarray:
-    # exp(-xi dt) shaped to broadcast over trailing value axes
-    return np.exp(-xis * dt).reshape(xis.shape + (1,) * extra_ndim)
-
-
-def delta_tilde(h):
+def delta_tilde(points, xis, h, *idx):
     """Twisted coboundary: delta minus multiplication by the twist factor.
 
-    On a per-atom path g: (delta~ g)_{ts}(xi) = g_t(xi) - exp(-xi(t-s)) g_s(xi).
-    On a per-atom 1-increment B: (delta~ B)_{tus}(xi)
-      = B_{ts}(xi) - B_{tu}(xi) - exp(-xi(t-u)) B_{us}(xi).
-    Atoms with xi = 0 reduce to the plain delta.
+    With two index arrays (i, j), ``h`` is a per-atom path indexed
+    (grid point, atom, ...) and the result is, at s = points[i],
+    t = points[j]:  (delta~ h)_{ts}(xi) = h_t(xi) - exp(-xi(t-s)) h_s(xi).
+    With three index arrays (i, j, k), ``h`` is a per-atom 1-increment
+    tabulated as h[a, b] = h_{points[b] points[a]} (indexed (grid point,
+    grid point, atom, ...)) and the result is, at s, u, t = points[i],
+    points[j], points[k]:
+      (delta~ h)_{tus}(xi) = h_{ts}(xi) - h_{tu}(xi) - exp(-xi(t-u)) h_{us}(xi).
+    Index arrays broadcast against each other; the result is indexed
+    (index..., atom, ...).  Atoms with xi = 0 give the plain delta.
     """
-    if isinstance(h, LaplaceIncrement1):
-        grid, xis, vals = h.grid, h.xis, h.values
-        extra = vals.ndim - 2
-
-        def pair(i, j):
-            fac = _atom_factor(xis, grid.points[j] - grid.points[i], extra)
-            return vals[j] - fac * vals[i]
-
-        return LaplaceIncrement2(grid, xis, pair)
-    if isinstance(h, LaplaceIncrement2):
-        grid, xis = h.grid, h.xis
-
-        def triple(i, j, k):
-            b_us = h.at(i, j)
-            fac = _atom_factor(xis, grid.points[k] - grid.points[j], b_us.ndim - 1)
-            return h.at(i, k) - h.at(j, k) - fac * b_us
-
-        return LaplaceIncrement3(grid, xis, triple)
-    raise TypeError("delta_tilde expects a LaplaceIncrement1 or LaplaceIncrement2")
-
-
-def delta_double_tilde(r: DoubleLaplaceIncrement2):
-    """Doubly twisted coboundary on two-atom-indexed 1-increments.
-
-    (delta~~ R)_{tus}(xi, eta) = (delta R)_{tus}(xi, eta)
-        - a_tu(xi) R_{us}(xi, eta) - R_{tu}(xi, eta) a_us(eta),
-    which collapses to R_{ts} - exp(-xi(t-u)) R_{us} - R_{tu} exp(-eta(u-s)).
-    """
-    grid, xis, etas = r.grid, r.xis, r.etas
-
-    def triple(i, j, k):
-        r_us = r.at(i, j)
-        r_tu = r.at(j, k)
-        extra = r_us.ndim - 2
-        fac_xi = np.exp(-xis * (grid.points[k] - grid.points[j]))
-        fac_eta = np.exp(-etas * (grid.points[j] - grid.points[i]))
-        fac_xi = fac_xi.reshape(xis.shape + (1,) * (extra + 1))
-        fac_eta = fac_eta.reshape((1,) + etas.shape + (1,) * extra)
-        return r.at(i, k) - fac_xi * r_us - fac_eta * r_tu
-
-    def wrapped(i, j, k):
-        if not i <= j <= k:
-            raise ValueError("triple must be ordered i <= j <= k")
-        return triple(i, j, k)
-
-    return wrapped
+    points = np.asarray(points, dtype=float)
+    xis = np.asarray(xis, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if np.any(xis < 0):
+        raise ValueError("Laplace frequencies must be >= 0")
+    if len(idx) == 2:
+        i, j = idx
+        return h[j] - _decay(points, xis, i, j, h.ndim - 2) * h[i]
+    if len(idx) == 3:
+        i, j, k = idx
+        return h[i, k] - h[j, k] - _decay(points, xis, j, k, h.ndim - 3) * h[i, j]
+    raise TypeError("delta_tilde takes two index arrays (a path) or three (a 1-increment)")
 
 
 def trace_pair(a: np.ndarray, b: np.ndarray) -> float:
@@ -278,47 +139,6 @@ def trace_pair(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError("trace_pair needs matrices of identical shape")
     return float(np.sum(a * b))
-
-
-def holder_norm2(f: Increment2, mu: float):
-    """mu-Holder norm of a 1-increment over all ordered grid pairs.
-
-    Returns (norm, (i, j)) where (i, j) is the attaining index pair.
-    Degenerate pairs contribute 0 and are skipped.
-    """
-    if mu <= 0:
-        raise ValueError("mu must be > 0")
-    pts = f.grid.points
-    best, arg = 0.0, (0, 0)
-    n = len(f.grid)
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = np.linalg.norm(np.asarray(f.at(i, j), dtype=float).ravel())
-            ratio = val / (pts[j] - pts[i]) ** mu
-            if ratio > best:
-                best, arg = ratio, (i, j)
-    return best, arg
-
-
-def holder_norm3(h: Increment3, gamma: float, rho: float) -> float:
-    """Two-exponent Holder norm sup |h_tus| / ((u-s)^gamma (t-u)^rho).
-
-    Triples with a zero gap are skipped (they contribute 0 by the vanishing
-    convention).  This dominates the infimum-over-decompositions norm, so
-    bound checks made with it are conservative.
-    """
-    if gamma <= 0 or rho <= 0:
-        raise ValueError("gamma and rho must be > 0")
-    pts = h.grid.points
-    best = 0.0
-    n = len(h.grid)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                val = np.linalg.norm(np.asarray(h.at(i, j, k), dtype=float).ravel())
-                denom = (pts[j] - pts[i]) ** gamma * (pts[k] - pts[j]) ** rho
-                best = max(best, val / denom)
-    return best
 
 
 def lbeta_norm(values_per_atom: np.ndarray, measure, beta: float) -> float:

@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -23,28 +25,19 @@ import time
 
 import numpy as np
 
-from . import __version__
-from .algebra import Increment1, TimeGrid, estimate_holder_exponent
-from .expkernels import e0
+from . import __version__, checks
+from .algebra import TimeGrid
 from .laplace import KernelMeasure, kernel_from_spec
 from .lift import (
+    DETERMINISTIC_FUNCTIONS,
     DriverPath,
     RoughLift,
     deterministic_driver,
     sample_fbm,
-    wiener_cov_x1,
 )
-from .oracles import x3_tilde_riemann_fast, young_integral_simpson
-from .sewing import c_mu, sewing_bound_check
+from .oracles import rk4_augmented
 from .sigma import sigma_catalog
-from .solver import (
-    SolverConfig,
-    SolverFailure,
-    solve_rough,
-    solve_rough_ode,
-    solve_young,
-    young_integral,
-)
+from .solver import SolverConfig, SolverFailure, solve_rough, solve_young
 
 __all__ = [
     "ExperimentConfig",
@@ -52,7 +45,6 @@ __all__ = [
     "run",
     "emit_csv",
     "seed_expand",
-    "rk4_augmented",
     "main",
     "OUT_DIR_ENV",
 ]
@@ -68,16 +60,19 @@ KINDS = (
     "covariance-check",
 )
 
+# the verify kind's criteria, in manifest order; config keys are their parameters
+VERIFY_CHECKS = {
+    "A1_algebraic_exactness": checks.a1_algebraic_exactness,
+    "A2_sewing_bound": checks.a2_sewing_bound,
+    "A3_chen_relation": checks.a3_chen_relation,
+    "A4_young_exactness": checks.a4_young_exactness,
+    "A8_diffusion_degeneration": checks.a8_diffusion_degeneration,
+    "A9_holder_estimator": checks.a9_holder_estimator,
+}
+
 # acceptance-criterion identifiers each kind can enable
 KIND_CHECKS = {
-    "verify": (
-        "A1_algebraic_exactness",
-        "A2_sewing_bound",
-        "A3_chen_relation",
-        "A4_young_exactness",
-        "A8_diffusion_degeneration",
-        "A9_holder_estimator",
-    ),
+    "verify": tuple(VERIFY_CHECKS),
     "solve-young": ("A5_solver_vs_ode",),
     "solve-rough": ("A5_solver_vs_ode",),
     "convergence": ("A7_rough_self_convergence",),
@@ -85,11 +80,7 @@ KIND_CHECKS = {
     "covariance-check": ("A6_fbm_young_covariance",),
 }
 
-DETERMINISTIC_FUNCTIONS = {
-    "identity": lambda t: t,
-    "sin": np.sin,
-    "zero": lambda t: 0.0 * t,
-}
+STAT_KEYS = ("name", "hurst", "cells", "xi", "seeds", "horizon")     # horizon optional
 
 
 def seed_expand(spec):
@@ -173,6 +164,9 @@ class ExperimentConfig:
         if kind in ("ensemble", "covariance-check"):
             if "stat" not in raw:
                 raise ValueError(f"kind {kind!r} requires a 'stat' block")
+            _check_keys(raw["stat"], "stat", STAT_KEYS, STAT_KEYS[:-1])
+            if raw["stat"]["name"] != "x1_tilde_value":
+                raise ValueError(f"unknown ensemble statistic {raw['stat']['name']!r}")
         drv = raw.get("driver", {})
         if drv.get("kind") in ("fbm", "brownian") and (
             "seed" not in drv and "seeds" not in drv
@@ -217,20 +211,31 @@ class ExperimentConfig:
         return _solver_config(self.raw["solver"], "solver")
 
 
-def _solver_config(block, where) -> SolverConfig:
-    """SolverConfig from a JSON block; bad key sets raise ValueError naming ``where``."""
+def _check_keys(block, where, allowed, required):
+    """Raise ValueError naming ``where`` unless ``block`` is an object with the right keys."""
     if not isinstance(block, dict):
         raise ValueError(f"{where!r} must be a JSON object")
-    fields = dataclasses.fields(SolverConfig)
-    unknown = sorted(set(block) - {f.name for f in fields})
+    unknown = sorted(set(block) - set(allowed))
     if unknown:
         raise ValueError(f"unknown key(s) in {where!r}: {unknown}")
-    missing = [
-        f.name for f in fields
-        if f.default is dataclasses.MISSING and f.name not in block
-    ]
+    missing = [key for key in required if key not in block]
     if missing:
         raise ValueError(f"{where!r} requires key(s) {missing}")
+
+
+def _solver_config(block, where) -> SolverConfig:
+    """SolverConfig from a JSON block; bad keys or numbers raise ValueError naming them."""
+    fields = dataclasses.fields(SolverConfig)
+    _check_keys(
+        block, where, [f.name for f in fields],
+        [f.name for f in fields if f.default is dataclasses.MISSING],
+    )
+    for f in fields:
+        if f.name in block and f.type.split(" | ")[0] in ("int", "float"):
+            value = block[f.name]
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number or (value is None and f.type.endswith("| None"))):
+                raise ValueError(f"{where}.{f.name} must be a number, got {value!r}")
     return SolverConfig(**block)
 
 
@@ -270,47 +275,6 @@ class RunManifest:
         with open(path, "w", newline="") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def rk4_augmented(driver: DriverPath, measure: KernelMeasure, fld, a, dt_max=1e-4):
-    """RK4 oracle for smooth drivers, in (ytilde(xi_k))_k coordinates.
-
-    Integrates ytilde' = -xi ytilde + x'(t) sigma(a + <w, ytilde>) cell by
-    cell (the slope is constant within a cell, so RK4 keeps its order) and
-    returns (y, ytilde) at the driver's grid points.
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    pts = driver.grid.points
-    xis = measure.xis
-    w = measure.weights
-    slopes = driver.slopes
-    k_atoms, d = xis.size, a.size
-    yt = np.zeros((k_atoms, d))
-    out_y = np.empty((len(pts), d))
-    out_yt = np.empty((len(pts), k_atoms, d))
-    out_y[0] = a + w @ yt
-    out_yt[0] = yt
-
-    def rhs(yt_state, slope):
-        y = a + w @ yt_state
-        sig = fld.batch(y[None, :])[0]             # (n, d)
-        drive = slope @ sig                        # (d,)
-        return -xis[:, None] * yt_state + drive[None, :]
-
-    for c in range(len(pts) - 1):
-        width = pts[c + 1] - pts[c]
-        n_sub = max(1, int(np.ceil(width / dt_max)))
-        h = width / n_sub
-        slope = slopes[c]
-        for _ in range(n_sub):
-            k1 = rhs(yt, slope)
-            k2 = rhs(yt + 0.5 * h * k1, slope)
-            k3 = rhs(yt + 0.5 * h * k2, slope)
-            k4 = rhs(yt + h * k3, slope)
-            yt = yt + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out_y[c + 1] = a + w @ yt
-        out_yt[c + 1] = yt
-    return out_y, out_yt
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +327,10 @@ def _run_solve(cfg: ExperimentConfig, manifest, out_dir, enabled):
 
     if "A5_solver_vs_ode" in enabled:
         params = cfg.checks["A5_solver_vs_ode"]
-        tol = float(params["tol"])
-        dt = float(params.get("dt", 1e-4))
         if driver.kind != "deterministic":
             raise ValueError("the RK4 oracle check needs a deterministic driver")
-        y_ref, _ = rk4_augmented(driver, measure, fld, a, dt_max=dt)
-        err = float(np.max(np.abs(sol.y - y_ref)))
-        manifest.add_check("A5_solver_vs_ode", err <= tol, err, tol)
+        y_ref, _ = rk4_augmented(driver, measure, fld, a, dt_max=float(params.get("dt", 1e-4)))
+        manifest.add_check(*checks.a5_solver_vs_ode([sol], y_ref, params["tol"]))
         emit_csv(
             os.path.join(out_dir, "oracle.csv"),
             [("t", sol.grid.points)]
@@ -378,190 +339,26 @@ def _run_solve(cfg: ExperimentConfig, manifest, out_dir, enabled):
     return sol
 
 
-def _check_a1(params, manifest):
-    tol = float(params["tol"])
-    trials = int(params.get("trials", 100))
-    n_pts = int(params.get("grid_points", 16))
-    n_atoms = int(params.get("atoms", 3))
-    rng = np.random.default_rng(int(params.get("seed", 0)))
-    worst_dd = worst_tt = worst_tw = 0.0
-    for _ in range(trials):
-        pts = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 1.0, n_pts - 1))])
-        pts = np.unique(pts)
-        grid = TimeGrid(pts)
-        xis = np.sort(rng.uniform(0.0, 5.0, n_atoms))
-        vals = rng.standard_normal((len(grid), 2))
-        lvals = rng.standard_normal((len(grid), n_atoms, 2))
-        from .algebra import (
-            LaplaceIncrement1,
-            delta1,
-            delta2,
-            delta_tilde,
-            twist,
-        )
-
-        scale = max(np.max(np.abs(vals)), np.max(np.abs(lvals)))
-        dd = delta2(delta1(Increment1(grid, vals)))
-        dt2 = delta_tilde(delta_tilde(LaplaceIncrement1(grid, xis, lvals)))
-        n = len(grid)
-        for _ in range(20):
-            i, j, k = sorted(int(x) for x in rng.integers(0, n, 3))
-            worst_dd = max(worst_dd, float(np.max(np.abs(dd.at(i, j, k)))) / scale)
-            worst_tt = max(worst_tt, float(np.max(np.abs(dt2.at(i, j, k)))) / scale)
-            tus = pts[i], pts[j], pts[k]
-            lhs = (
-                twist(xis, tus[0], tus[2])
-                - twist(xis, tus[1], tus[2])
-                - twist(xis, tus[0], tus[1])
-            )
-            rhs = twist(xis, tus[1], tus[2]) * twist(xis, tus[0], tus[1])
-            worst_tw = max(worst_tw, float(np.max(np.abs(lhs - rhs))))
-    worst = max(worst_dd, worst_tt, worst_tw)
-    manifest.add_check(
-        "A1_algebraic_exactness", worst <= tol, worst, tol,
-        details={"delta_delta": worst_dd, "twisted": worst_tt, "twist_cocycle": worst_tw},
-    )
-
-
-def _check_a2(params, manifest):
-    mu = float(params.get("mu", 1.5))
-    rho = float(params.get("rho", 0.75))
-    trials = int(params.get("trials", 100))
-    level = int(params.get("level", 8))
-    xi = float(params.get("xi", 1.0))
-    rng = np.random.default_rng(int(params.get("seed", 0)))
-    violations = 0
-    margins = []
-    for _ in range(trials):
-        c0, c1, c2 = rng.uniform(-1, 1, 3)
-        om1, om2 = rng.uniform(1.0, 6.0, 2)
-
-        def b_pair(u, v, c0=c0, c1=c1, c2=c2, om1=om1, om2=om2):
-            return (v - u) ** 1.6 * (c0 + c1 * np.cos(om1 * u) + c2 * np.sin(om2 * v))
-
-        report = sewing_bound_check(b_pair, mu, rho, xi=xi, level=level, n_probe=7)
-        margins.append(report.lhs_norm / max(report.c_mu * report.rhs_norm, 1e-300))
-        if not report.satisfied:
-            violations += 1
-    manifest.add_check(
-        "A2_sewing_bound", violations == 0, violations, 0,
-        details={"worst_margin": max(margins), "c_mu": c_mu(mu)},
-    )
-
-
-def _check_a9(params, manifest):
-    tol = float(params["tol"])
-    seeds = seed_expand(params.get("seeds", "0..100"))
-    hursts = params.get("hursts", [0.4, 0.7])
-    n_points = int(params.get("points", 4096))
-    grid = TimeGrid.uniform(n_points - 1, 1.0)
-    worst = 0.0
-    details = {}
-    for hurst in hursts:
-        ests = []
-        for seed in seeds:
-            path = sample_fbm(float(hurst), grid, n_dims=1, seed=seed)
-            est, _ = estimate_holder_exponent(Increment1(grid, path.values))
-            ests.append(est)
-        med = float(np.median(ests))
-        details[str(hurst)] = med
-        worst = max(worst, abs(med - float(hurst)))
-    manifest.add_check("A9_holder_estimator", worst <= tol, worst, tol, details=details)
-
-
-def _check_a8(params, manifest):
-    cells = int(params.get("cells", 128))
-    seed = int(params.get("seed", 1))
-    hurst = float(params.get("hurst", 0.4))
-    grid = TimeGrid.uniform(cells, 1.0)
-    driver = sample_fbm(hurst, grid, n_dims=1, seed=seed)
-    fld = sigma_catalog(
-        params.get("sigma", "tanh"), n=1, d=1, params=params.get("sigma_params")
-    )
-    solver_cfg = _solver_config(
-        params.get("solver", {"gamma": 0.38, "kappa": 0.35}),
-        "A8_diffusion_degeneration.solver",
-    )
-    a = np.asarray(params.get("initial", [0.1]), dtype=float)
-    measure = KernelMeasure.from_atoms([(0.0, 1.0)])
-    lift = RoughLift(driver, measure, gamma=solver_cfg.gamma)
-    sol_a = solve_rough(lift, fld, a, solver_cfg)
-    sol_b = solve_rough_ode(driver, fld, a, solver_cfg)
-    identical = np.array_equal(sol_a.y, sol_b.y) and np.array_equal(
-        sol_a.ytilde, sol_b.ytilde
-    )
-    diff = float(np.max(np.abs(sol_a.y - sol_b.y)))
-    manifest.add_check("A8_diffusion_degeneration", identical, diff, 0.0)
-
-
-def _z_linear(ts):
-    # integrand z_v = v as an (npts, n=1) array
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    return ts[:, None]
-
-
-def _check_a4(params, manifest):
-    tol = float(params["tol"])
-    level = int(params.get("level", 12))
-    xis_req = sorted({float(x) for x in params.get("xis", [0.0, 1.0, 5.0])})
-    cells = int(params.get("cells", 4096))
-    grid = TimeGrid.uniform(cells, 1.0)
-    measure = KernelMeasure.from_atoms([(x, 1.0) for x in xis_req])
-    worst = 0.0
-    details = {}
-    for fn_name in params.get("functions", ["identity", "sin"]):
-        driver = deterministic_driver(grid, DETERMINISTIC_FUNCTIONS[fn_name])
-        lift = RoughLift(driver, measure, gamma=1.0)
-        for k, xi in enumerate(measure.xis):
-            res = young_integral(lift, _z_linear, 0.0, 1.0, atom=int(k), level=level)
-            ref = young_integral_simpson(driver, lambda v: v, float(xi), 0.0, 1.0)
-            err = abs(float(res.extrapolated) - ref) / abs(ref)
-            details[f"{fn_name}/xi={xi:g}"] = err
-            worst = max(worst, err)
-    manifest.add_check("A4_young_exactness", worst <= tol, worst, tol, details=details)
-
-
-def _check_a3(params, manifest):
-    tol = float(params["tol"])
-    hursts = [float(h) for h in params.get("hursts", [0.4, 0.7])]
-    cells = int(params.get("cells", 256))
-    seeds = seed_expand(params.get("seeds", "0..3"))
-    n_triples = int(params.get("triples", 10))
-    n_sub = int(params.get("sub_mesh", 65536))
-    atoms = params.get("atoms", [[0.5, 0.6], [2.0, 0.3], [8.0, 0.1]])
-    measure = KernelMeasure.from_atoms(atoms)
-    grid = TimeGrid.uniform(cells, 1.0)
-    worst = 0.0
-    for hurst in hursts:
-        for seed in seeds:
-            driver = sample_fbm(hurst, grid, n_dims=1, seed=seed)
-            lift = RoughLift(driver, measure, gamma=min(0.95, hurst))
-            rng = np.random.default_rng(seed + 7)
-            scale = lift.scale**2
-            for _ in range(n_triples):
-                i, j, k = np.sort(rng.choice(cells + 1, size=3, replace=False))
-                s, u, t = grid.points[[i, j, k]]
-                chen = lift.x3_tilde(s, u, t)
-                ref = x3_tilde_riemann_fast(driver, measure, measure.xis, s, u, t, n_sub)
-                err = float(np.max(np.abs(chen - ref))) / scale
-                worst = max(worst, err)
-    manifest.add_check("A3_chen_relation", worst <= tol, worst, tol)
+def _verify_kwargs(name, params):
+    """Keyword arguments of a verify criterion from its config block."""
+    sig = inspect.signature(VERIFY_CHECKS[name]).parameters.values()
+    _check_keys(params, name, [p.name for p in sig], [p.name for p in sig if p.default is p.empty])
+    kwargs = dict(params)
+    if "seeds" in kwargs:
+        kwargs["seeds"] = seed_expand(kwargs["seeds"])
+    if "solver" in kwargs:
+        kwargs["solver"] = _solver_config(kwargs["solver"], f"{name}.solver")
+    return kwargs
 
 
 def _run_verify(cfg: ExperimentConfig, manifest, out_dir, enabled):
-    checks = cfg.checks
-    if "A1_algebraic_exactness" in checks:
-        _check_a1(checks["A1_algebraic_exactness"], manifest)
-    if "A2_sewing_bound" in checks:
-        _check_a2(checks["A2_sewing_bound"], manifest)
-    if "A3_chen_relation" in checks:
-        _check_a3(checks["A3_chen_relation"], manifest)
-    if "A4_young_exactness" in checks:
-        _check_a4(checks["A4_young_exactness"], manifest)
-    if "A8_diffusion_degeneration" in checks:
-        _check_a8(checks["A8_diffusion_degeneration"], manifest)
-    if "A9_holder_estimator" in checks:
-        _check_a9(checks["A9_holder_estimator"], manifest)
+    calls = [
+        (fn, _verify_kwargs(name, cfg.checks[name]))
+        for name, fn in VERIFY_CHECKS.items()
+        if name in cfg.checks
+    ]
+    for fn, kwargs in calls:
+        manifest.add_check(*fn(**kwargs))
     emit_csv(
         os.path.join(out_dir, "verify_checks.csv"),
         [
@@ -572,51 +369,36 @@ def _run_verify(cfg: ExperimentConfig, manifest, out_dir, enabled):
     )
 
 
-def _one_convergence_seed(args):
-    (seed, raw, levels) = args
-    cfg = ExperimentConfig(raw)
-    solver_cfg = cfg.solver_config()
-    measure = cfg.measure()
-    top = max(levels)
-    fine_grid = TimeGrid.uniform(2**top, float(raw["driver"].get("horizon", 1.0)))
-    fine = cfg.driver(seed=seed, grid=fine_grid)
-    a = np.asarray(raw["initial"], dtype=float)
-    sols = {}
-    for lev in levels:
-        step = 2 ** (top - lev)
-        sub = TimeGrid(fine_grid.points[::step])
-        drv = DriverPath(
-            sub, fine.values[::step], kind=fine.kind, hurst=fine.hurst, seed=seed
-        )
-        lift = RoughLift(drv, measure, gamma=solver_cfg.gamma)
-        fld = cfg.sigma_field(drv.n_dims)
-        solve = solve_young if raw.get("mode") == "young" else solve_rough
-        sols[lev] = solve(lift, fld, a, solver_cfg)
-    diffs = []
-    for lev in levels[:-1]:
-        step = 2
-        d = float(np.max(np.abs(sols[lev].y - sols[lev + 1].y[::step])))
-        diffs.append(d)
-    rate = float(-np.polyfit(levels[:-1], np.log2(diffs), 1)[0])
-    return seed, diffs, rate
+def _map(fn, items, jobs, chunksize=1):
+    """``fn`` over ``items``, in a pool of ``jobs`` worker processes when jobs > 1."""
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items, chunksize=chunksize))
+    return [fn(item) for item in items]
 
 
 def _run_convergence(cfg: ExperimentConfig, manifest, out_dir, enabled, jobs):
-    levels = [int(x) for x in cfg.raw["levels"]]
+    raw = cfg.raw
+    levels = [int(x) for x in raw["levels"]]
     if levels != list(range(levels[0], levels[0] + len(levels))) or len(levels) < 3:
         raise ValueError("levels must be consecutive integers, at least 3 of them")
-    seeds = seed_expand(cfg.raw["driver"].get("seeds", cfg.raw["driver"].get("seed")))
-    tasks = [(seed, cfg.raw, levels) for seed in seeds]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_one_convergence_seed, tasks))
-    else:
-        results = [_one_convergence_seed(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
+    seeds = seed_expand(raw["driver"].get("seeds", raw["driver"].get("seed")))
+    fine_grid = TimeGrid.uniform(2 ** max(levels), float(raw["driver"].get("horizon", 1.0)))
+    one_seed = functools.partial(
+        checks.self_convergence,
+        measure=cfg.measure(),
+        sigma=raw["sigma"]["name"],
+        a=np.asarray(raw["initial"], dtype=float),
+        solver=cfg.solver_config(),
+        levels=levels,
+        sigma_params=raw["sigma"].get("params"),
+        young=raw.get("mode") == "young",
+    )
+    drivers = [cfg.driver(seed=seed, grid=fine_grid) for seed in seeds]
+    results = sorted(zip(seeds, _map(one_seed, drivers, jobs)), key=lambda r: r[0])
+    rates = [rate for _, (_, rate) in results]
     rows_seed, rows_level, rows_diff = [], [], []
-    rates = []
-    for seed, diffs, rate in results:
-        rates.append(rate)
+    for seed, (diffs, _) in results:
         for lev, d in zip(levels[:-1], diffs):
             rows_seed.append(seed)
             rows_level.append(lev)
@@ -631,84 +413,31 @@ def _run_convergence(cfg: ExperimentConfig, manifest, out_dir, enabled, jobs):
     )
     if "A7_rough_self_convergence" in cfg.checks:
         params = cfg.checks["A7_rough_self_convergence"]
-        threshold = float(params["rate_threshold"])
-        min_pass = int(params["min_passing"])
-        n_pass = int(np.sum(np.asarray(rates) > threshold))
-        manifest.add_check(
-            "A7_rough_self_convergence",
-            n_pass >= min_pass,
-            n_pass,
-            min_pass,
-            details={"rates": rates},
-        )
-
-
-def _x1_variance_stat(args):
-    # closed-form first-order lift over [0, T], unrolled over cells
-    seed, hurst, cells, xi, horizon = args
-    grid = TimeGrid.uniform(cells, horizon)
-    driver = sample_fbm(hurst, grid, n_dims=1, seed=seed)
-    w_cells = np.exp(-xi * (horizon - grid.points[1:])) * e0(xi, grid.widths)
-    return seed, float(w_cells @ driver.slopes[:, 0])
-
-
-def _run_ensemble_values(cfg, jobs):
-    stat = cfg.raw["stat"]
-    if stat.get("name") != "x1_tilde_value":
-        raise ValueError(f"unknown ensemble statistic {stat.get('name')!r}")
-    seeds = seed_expand(stat["seeds"])
-    tasks = [
-        (
-            seed,
-            float(stat["hurst"]),
-            int(stat["cells"]),
-            float(stat["xi"]),
-            float(stat.get("horizon", 1.0)),
-        )
-        for seed in seeds
-    ]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_x1_variance_stat, tasks, chunksize=64))
-    else:
-        results = [_x1_variance_stat(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-    return results
+        manifest.add_check(*checks.a7_rough_self_convergence(
+            rates, params["rate_threshold"], params["min_passing"]
+        ))
 
 
 def _run_ensemble(cfg: ExperimentConfig, manifest, out_dir, enabled, jobs):
-    results = _run_ensemble_values(cfg, jobs)
-    emit_csv(
-        os.path.join(out_dir, "ensemble.csv"),
-        [("seed", [r[0] for r in results]), ("value", [r[1] for r in results])],
-    )
-
-
-def _run_covariance_check(cfg: ExperimentConfig, manifest, out_dir, enabled, jobs):
-    results = _run_ensemble_values(cfg, jobs)
-    vals = np.asarray([r[1] for r in results])
+    """Both ensemble kinds: ensemble.csv, then A6 where the config enables it."""
     stat = cfg.raw["stat"]
-    hurst = float(stat["hurst"])
-    xi = float(stat["xi"])
+    hurst, xi = float(stat["hurst"]), float(stat["xi"])
     horizon = float(stat.get("horizon", 1.0))
-    mc_var = float(np.var(vals, ddof=1))
-    se = mc_var * np.sqrt(2.0 / (vals.size - 1))
-    ref = wiener_cov_x1(hurst, xi, xi, (0.0, horizon), (0.0, horizon))
+    seeds = seed_expand(stat["seeds"])
+    value = functools.partial(
+        checks.x1_tilde_value, hurst=hurst, cells=int(stat["cells"]), xi=xi, horizon=horizon
+    )
+    results = sorted(zip(seeds, _map(value, seeds, jobs, chunksize=64)), key=lambda r: r[0])
+    values = [r[1] for r in results]
     emit_csv(
         os.path.join(out_dir, "ensemble.csv"),
-        [("seed", [r[0] for r in results]), ("value", [r[1] for r in results])],
+        [("seed", [r[0] for r in results]), ("value", values)],
     )
     if "A6_fbm_young_covariance" in cfg.checks:
         params = cfg.checks["A6_fbm_young_covariance"]
-        factor = float(params.get("se_factor", 3.0))
-        err = abs(mc_var - ref)
-        manifest.add_check(
-            "A6_fbm_young_covariance",
-            err <= factor * se,
-            err,
-            factor * se,
-            details={"mc_variance": mc_var, "quadrature": ref, "std_error": se},
-        )
+        manifest.add_check(*checks.a6_fbm_young_covariance(
+            values, hurst, xi, horizon, params.get("se_factor", 3.0)
+        ))
 
 
 def run(config_path, out_dir=None, jobs=1, checks_filter=None) -> int:
@@ -747,10 +476,8 @@ def run(config_path, out_dir=None, jobs=1, checks_filter=None) -> int:
             _run_verify(cfg, manifest, target, enabled)
         elif cfg.kind == "convergence":
             _run_convergence(cfg, manifest, target, enabled, jobs)
-        elif cfg.kind == "ensemble":
+        elif cfg.kind in ("ensemble", "covariance-check"):
             _run_ensemble(cfg, manifest, target, enabled, jobs)
-        elif cfg.kind == "covariance-check":
-            _run_covariance_check(cfg, manifest, target, enabled, jobs)
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         manifest.wall_clock = time.time() - start

@@ -31,6 +31,7 @@ __all__ = [
     "sample_fbm",
     "sample_brownian",
     "deterministic_driver",
+    "DETERMINISTIC_FUNCTIONS",
     "fbm_covariance",
     "lift_ito_x2",
     "wiener_cov_x1",
@@ -245,6 +246,14 @@ def deterministic_driver(grid, fn) -> DriverPath:
     """Sample a deterministic function onto the grid (piecewise-linear)."""
     vals = np.asarray([fn(t) for t in grid.points], dtype=float)
     return DriverPath(grid, vals, kind="deterministic")
+
+
+# deterministic driver functions by the names configs use
+DETERMINISTIC_FUNCTIONS = {
+    "identity": lambda t: t,
+    "sin": np.sin,
+    "zero": lambda t: 0.0 * t,
+}
 
 
 class RoughLift:

@@ -5,7 +5,8 @@ are built from midpoint Riemann / Simpson sums over fine sub-meshes using
 only driver samples and exponentials.  They are the independent side of
 the dual-route checks (closed form vs. brute force) used by the
 verification harness and the test suite, and converge at the rate of the
-sub-mesh rather than being exact.
+sub-mesh rather than being exact.  ``rk4_augmented`` integrates the
+solver's ODE in Laplace coordinates for smooth drivers instead.
 
 The running first-order integrals inside the double-integral oracles are
 plain linear recurrences; they are evaluated with a blocked prefix scan
@@ -24,6 +25,7 @@ __all__ = [
     "x3_tilde_riemann",
     "x3_tilde_riemann_fast",
     "young_integral_simpson",
+    "rk4_augmented",
 ]
 
 
@@ -199,3 +201,44 @@ def young_integral_simpson(driver, z_fn, xi, s, t, n_sub=8192):
         return np.exp(-xi * (t - v)) * z_fn(v)
 
     return float(np.sum((b - a) / 6.0 * slopes * (f(a) + 4.0 * f(mid) + f(b))))
+
+
+def rk4_augmented(driver, measure, fld, a, dt_max=1e-4):
+    """RK4 oracle for smooth drivers, in (ytilde(xi_k))_k coordinates.
+
+    Integrates ytilde' = -xi ytilde + x'(t) sigma(a + <w, ytilde>) cell by
+    cell (the slope is constant within a cell, so RK4 keeps its order) and
+    returns (y, ytilde) at the driver's grid points.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    pts = driver.grid.points
+    xis = measure.xis
+    w = measure.weights
+    slopes = driver.slopes
+    k_atoms, d = xis.size, a.size
+    yt = np.zeros((k_atoms, d))
+    out_y = np.empty((len(pts), d))
+    out_yt = np.empty((len(pts), k_atoms, d))
+    out_y[0] = a + w @ yt
+    out_yt[0] = yt
+
+    def rhs(yt_state, slope):
+        y = a + w @ yt_state
+        sig = fld.batch(y[None, :])[0]             # (n, d)
+        drive = slope @ sig                        # (d,)
+        return -xis[:, None] * yt_state + drive[None, :]
+
+    for c in range(len(pts) - 1):
+        width = pts[c + 1] - pts[c]
+        n_sub = max(1, int(np.ceil(width / dt_max)))
+        h = width / n_sub
+        slope = slopes[c]
+        for _ in range(n_sub):
+            k1 = rhs(yt, slope)
+            k2 = rhs(yt + 0.5 * h * k1, slope)
+            k3 = rhs(yt + 0.5 * h * k2, slope)
+            k4 = rhs(yt + h * k3, slope)
+            yt = yt + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out_y[c + 1] = a + w @ yt
+        out_yt[c + 1] = yt
+    return out_y, out_yt

@@ -1,7 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
-Each test prints one PASS/FAIL line (visible with `pytest -s` or in the
-captured-output section) and asserts the same condition, so the suite
+Each test runs one criterion from ``roughvolterra.checks`` (the functions
+the CLI's runs call) with this suite's parameters, prints one PASS/FAIL
+line (visible with `pytest -s` or in the captured-output section) and
+asserts on the returned record and the runtime budget, so the suite
 doubles as the acceptance report.
 """
 
@@ -10,22 +12,13 @@ import time
 import numpy as np
 import pytest
 
-import roughvolterra as rv
-from roughvolterra import oracles
-from roughvolterra.algebra import Increment1, TimeGrid, estimate_holder_exponent, twist
-from roughvolterra.cli import rk4_augmented
-from roughvolterra.expkernels import e0
+from roughvolterra import checks
+from roughvolterra.algebra import TimeGrid
 from roughvolterra.laplace import KernelMeasure
-from roughvolterra.lift import DriverPath, RoughLift, deterministic_driver, sample_fbm
-from roughvolterra.sewing import c_mu, sewing_bound_check
+from roughvolterra.lift import RoughLift, deterministic_driver, sample_fbm
+from roughvolterra.oracles import rk4_augmented
 from roughvolterra.sigma import sigma_catalog
-from roughvolterra.solver import (
-    SolverConfig,
-    solve_rough,
-    solve_rough_ode,
-    solve_young,
-    young_integral,
-)
+from roughvolterra.solver import SolverConfig, solve_rough, solve_young
 
 
 def report(cid, passed, detail, started):
@@ -34,75 +27,27 @@ def report(cid, passed, detail, started):
     assert passed, line
 
 
-def ordered_triples(n):
-    idx = np.arange(n)
-    i, j, k = np.meshgrid(idx, idx, idx, indexing="ij")
-    mask = (i < j) & (j < k)
-    return i[mask], j[mask], k[mask]
-
-
 def test_criterion_1_algebraic_exactness():
     started = time.time()
-    tol = 1e-12
-    rng = np.random.default_rng(2024)
-    n_pts, n_atoms = 16, 3
-    ii, jj, kk = ordered_triples(n_pts)
-    worst_dd = worst_tt = worst_tw = 0.0
-    for _ in range(100):
-        pts = np.unique(np.concatenate([[0.0], np.sort(rng.uniform(0.02, 1.0, n_pts - 1))]))
-        if pts.size != n_pts:
-            continue
-        xis = np.sort(rng.uniform(0.0, 6.0, n_atoms))
-        g = rng.standard_normal((n_pts, 2))
-        gt = rng.standard_normal((n_pts, n_atoms, 2))
-        scale = max(np.max(np.abs(g)), np.max(np.abs(gt)))
-        # delta delta g over all ordered triples, vectorised
-        dd = (
-            (g[kk] - g[ii]) - (g[kk] - g[jj]) - (g[jj] - g[ii])
-        )
-        worst_dd = max(worst_dd, np.max(np.abs(dd)) / scale)
-        # twisted: (delta~ delta~ g~) over all triples, per atom
-        dec = lambda a, b: np.exp(-xis[None, :] * (pts[b] - pts[a])[:, None])[..., None]
-        d_ts = gt[kk] - dec(ii, kk) * gt[ii]
-        d_us = gt[jj] - dec(ii, jj) * gt[ii]
-        d_tu = gt[kk] - dec(jj, kk) * gt[jj]
-        ddt = d_ts - d_tu - dec(jj, kk) * d_us
-        worst_tt = max(worst_tt, np.max(np.abs(ddt)) / scale)
-        # twist cocycle (delta a)_{tus} = a_{tu} a_{us}
-        a_ts = np.expm1(-np.outer(pts[kk] - pts[ii], xis))
-        a_tu = np.expm1(-np.outer(pts[kk] - pts[jj], xis))
-        a_us = np.expm1(-np.outer(pts[jj] - pts[ii], xis))
-        worst_tw = max(worst_tw, np.max(np.abs(a_ts - a_tu - a_us - a_tu * a_us)))
-    worst = max(worst_dd, worst_tt, worst_tw)
+    rec = checks.a1_algebraic_exactness(tol=1e-12, trials=100, grid_points=16, atoms=3, seed=2024)
     report(
         "A1",
-        worst <= tol and time.time() - started < 1.0,
-        f"max residual {worst:.2e} (tol {tol:.0e}, runtime < 1 s)",
+        rec.passed and time.time() - started < 1.0,
+        f"max residual {rec.value:.2e} over all ordered triples "
+        f"(tol {rec.tolerance:.0e}, runtime < 1 s)",
         started,
     )
 
 
 def test_criterion_2_sewing_bound():
     started = time.time()
-    mu, rho = 1.5, 0.75
-    c_val = c_mu(mu)
+    rec = checks.a2_sewing_bound(mu=1.5, rho=0.75, trials=100, level=8, xi=1.0, seed=77)
+    c_val = rec.details["c_mu"]
     assert c_val == pytest.approx(9.389, abs=5e-4)
-    rng = np.random.default_rng(77)
-    violations = 0
-    for _ in range(100):
-        c0, c1, c2 = rng.uniform(-1, 1, 3)
-        om1, om2 = rng.uniform(1.0, 6.0, 2)
-
-        def b_pair(u, v, c0=c0, c1=c1, c2=c2, om1=om1, om2=om2):
-            return (v - u) ** 1.6 * (c0 + c1 * np.cos(om1 * u) + c2 * np.sin(om2 * v))
-
-        rep = sewing_bound_check(b_pair, mu, rho, xi=1.0, level=8, n_probe=7)
-        if not rep.satisfied:
-            violations += 1
     report(
         "A2",
-        violations == 0 and time.time() - started < 10.0,
-        f"0 violations required, got {violations}; c_mu = {c_val:.4f} (runtime < 10 s)",
+        rec.passed and time.time() - started < 10.0,
+        f"0 violations required, got {rec.value}; c_mu = {c_val:.4f} (runtime < 10 s)",
         started,
     )
 
@@ -110,50 +55,32 @@ def test_criterion_2_sewing_bound():
 def test_criterion_3_chen_relation():
     started = time.time()
     tol = 1e-6
-    mea = KernelMeasure.from_atoms([(0.5, 0.6), (2.0, 0.3), (8.0, 0.1)])
-    grid = TimeGrid.uniform(2**8, 1.0)
-    worst = 0.0
-    for hurst in (0.4, 0.7):
-        for seed in range(20):
-            drv = sample_fbm(hurst, grid, n_dims=1, seed=seed)
-            lift = RoughLift(drv, mea, gamma=min(0.95, hurst))
-            rng = np.random.default_rng(10_000 + seed)
-            for _ in range(50):
-                i, j, k = np.sort(rng.choice(len(grid), size=3, replace=False))
-                s, u, t = grid.points[[i, j, k]]
-                chen = lift.x3_tilde(s, u, t)
-                ref = oracles.x3_tilde_riemann_fast(drv, mea, mea.xis, s, u, t, 1 << 16)
-                rel = np.max(np.abs(chen - ref)) / max(np.max(np.abs(ref)), 1e-300)
-                worst = max(worst, rel)
+    rec = checks.a3_chen_relation(
+        tol=tol, seeds=range(20), hursts=(0.4, 0.7), cells=2**8, triples=50,
+        sub_mesh=1 << 16, atoms=[(0.5, 0.6), (2.0, 0.3), (8.0, 0.1)],
+    )
+    worst = rec.details["worst_relative"]
     elapsed = time.time() - started
     report(
         "A3",
-        worst <= tol and elapsed < 120.0,
-        f"worst per-triple relative {worst:.2e} (tol {tol:.0e}, runtime < 2 min)",
+        rec.passed and worst <= tol and elapsed < 120.0,
+        f"worst per-triple relative {worst:.2e}, scale-relative {rec.value:.2e} "
+        f"(tol {tol:.0e}, runtime < 2 min)",
         started,
     )
 
 
 def test_criterion_4_young_exactness():
     started = time.time()
-    tol = 1e-8
-    cells = 2**12
-    grid = TimeGrid.uniform(cells, 1.0)
-    mea = KernelMeasure.from_atoms([(0.0, 1.0), (1.0, 1.0), (5.0, 1.0)])
-    z_fn = lambda ts: np.atleast_1d(ts)[:, None]
-    worst = 0.0
-    for fn in (lambda t: t, np.sin):
-        driver = deterministic_driver(grid, fn)
-        lift = RoughLift(driver, mea, gamma=1.0)
-        for atom, xi in enumerate(mea.xis):
-            res = young_integral(lift, z_fn, 0.0, 1.0, atom=atom, level=12)
-            ref = oracles.young_integral_simpson(driver, lambda v: v, float(xi), 0.0, 1.0)
-            worst = max(worst, abs(float(res.extrapolated) - ref) / abs(ref))
+    rec = checks.a4_young_exactness(
+        tol=1e-8, level=12, xis=(0.0, 1.0, 5.0), cells=2**12, functions=("identity", "sin")
+    )
     elapsed = time.time() - started
     report(
         "A4",
-        worst <= tol and elapsed < 5.0,
-        f"worst relative {worst:.2e} vs quadrature oracles (tol {tol:.0e}, runtime < 5 s)",
+        rec.passed and elapsed < 5.0,
+        f"worst relative {rec.value:.2e} vs quadrature oracles "
+        f"(tol {rec.tolerance:.0e}, runtime < 5 s)",
         started,
     )
 
@@ -168,21 +95,22 @@ def test_criterion_5_solver_vs_ode_oracle():
     cfg = SolverConfig(gamma=1.0, kappa=0.45, sewing_level=4, picard_tol=1e-11,
                        interval_scheme="constant", n_start=2)
     a = np.array([1.0])
-    worst = 0.0
+    records = []
     details = []
     for name, params in (("constant", {"value": 0.8}), ("linear", {}), ("sin", {})):
         fld = sigma_catalog(name, n=1, d=1, params=params)
         y_ref, _ = rk4_augmented(driver, mea, fld, a, dt_max=1e-4)
-        for solver in (solve_young, solve_rough):
-            sol = solver(lift, fld, a, cfg)
-            err = float(np.max(np.abs(sol.y - y_ref)))
-            worst = max(worst, err)
-            details.append(f"{solver.__name__}/{name}={err:.1e}")
+        sols = [solver(lift, fld, a, cfg) for solver in (solve_young, solve_rough)]
+        rec = checks.a5_solver_vs_ode(sols, y_ref, tol)
+        records.append(rec)
+        details.append(f"{name}={rec.value:.1e}")
+    worst = max(rec.value for rec in records)
     elapsed = time.time() - started
     report(
         "A5",
-        worst <= tol and elapsed < 30.0,
-        f"worst sup-error {worst:.2e} (tol {tol:.0e}; {', '.join(details)}; runtime < 30 s)",
+        all(rec.passed for rec in records) and elapsed < 30.0,
+        f"worst sup-error {worst:.2e} over solve_young and solve_rough "
+        f"(tol {tol:.0e}; {', '.join(details)}; runtime < 30 s)",
         started,
     )
 
@@ -190,21 +118,15 @@ def test_criterion_5_solver_vs_ode_oracle():
 def test_criterion_6_fbm_young_covariance():
     started = time.time()
     hurst, xi = 0.7, 1.0
-    grid = TimeGrid.uniform(2**10, 1.0)
-    w_cells = np.exp(-xi * (1.0 - grid.points[1:])) * e0(xi, grid.widths)
-    vals = np.empty(10_000)
-    for seed in range(vals.size):
-        drv = sample_fbm(hurst, grid, n_dims=1, seed=seed)
-        vals[seed] = w_cells @ drv.slopes[:, 0]
-    mc_var = float(np.var(vals, ddof=1))
-    se = mc_var * np.sqrt(2.0 / (vals.size - 1))
-    ref = rv.wiener_cov_x1(hurst, xi, xi, (0.0, 1.0), (0.0, 1.0))
+    vals = [checks.x1_tilde_value(seed, hurst, 2**10, xi) for seed in range(10_000)]
+    rec = checks.a6_fbm_young_covariance(vals, hurst, xi, se_factor=3.0)
+    d = rec.details
     elapsed = time.time() - started
     report(
         "A6",
-        abs(mc_var - ref) <= 3 * se and elapsed < 180.0,
-        f"MC {mc_var:.5f} vs quadrature {ref:.5f} ({abs(mc_var-ref)/se:.2f} SE, "
-        f"band 3 SE; runtime < 3 min)",
+        rec.passed and elapsed < 180.0,
+        f"MC {d['mc_variance']:.5f} vs quadrature {d['quadrature']:.5f} "
+        f"({rec.value / d['std_error']:.2f} SE, band 3 SE; runtime < 3 min)",
         started,
     )
 
@@ -212,32 +134,22 @@ def test_criterion_6_fbm_young_covariance():
 def test_criterion_7_rough_self_convergence():
     started = time.time()
     mea = KernelMeasure.from_atoms([(1.0, 1.0)])
-    fld = sigma_catalog("tanh", n=1, d=1)
     cfg = SolverConfig(gamma=0.38, kappa=0.35, sewing_level=4, picard_tol=1e-11,
                        interval_scheme="harmonic", n_start=4)
-    top = 10
-    fine_grid = TimeGrid.uniform(2**top, 1.0)
-    rates = []
-    for seed in range(20):
-        fine = sample_fbm(0.4, fine_grid, n_dims=1, seed=seed)
-        sols = {}
-        for lev in (7, 8, 9, 10):
-            step = 2 ** (top - lev)
-            sub = TimeGrid(fine_grid.points[::step])
-            drv = DriverPath(sub, fine.values[::step], kind="fbm", hurst=0.4, seed=seed)
-            lift = RoughLift(drv, mea, gamma=0.38)
-            sols[lev] = solve_rough(lift, fld, np.array([0.3]), cfg)
-        diffs = [
-            float(np.max(np.abs(sols[lev].y - sols[lev + 1].y[::2])))
-            for lev in (7, 8, 9)
-        ]
-        rates.append(float(-np.polyfit((7, 8, 9), np.log2(diffs), 1)[0]))
-    n_pass = int(np.sum(np.asarray(rates) > 0.2))
+    fine_grid = TimeGrid.uniform(2**10, 1.0)
+    rates = [
+        checks.self_convergence(
+            sample_fbm(0.4, fine_grid, n_dims=1, seed=seed), mea, "tanh",
+            np.array([0.3]), cfg, (7, 8, 9, 10),
+        )[1]
+        for seed in range(20)
+    ]
+    rec = checks.a7_rough_self_convergence(rates, rate_threshold=0.2, min_passing=18)
     elapsed = time.time() - started
     report(
         "A7",
-        n_pass >= 18 and elapsed < 600.0,
-        f"{n_pass}/20 seeds with fitted rate > 0.2 (need >= 18; "
+        rec.passed and elapsed < 600.0,
+        f"{rec.value}/20 seeds with fitted rate > 0.2 (need >= 18; "
         f"median rate {np.median(rates):.2f}; runtime < 10 min)",
         started,
     )
@@ -245,49 +157,29 @@ def test_criterion_7_rough_self_convergence():
 
 def test_criterion_8_diffusion_degeneration():
     started = time.time()
-    grid = TimeGrid.uniform(2**7, 1.0)
-    drv = sample_fbm(0.4, grid, n_dims=1, seed=3)
-    fld = sigma_catalog("tanh", n=1, d=1)
     cfg = SolverConfig(gamma=0.38, kappa=0.35, sewing_level=3, picard_tol=1e-11,
                        interval_scheme="harmonic", n_start=4)
-    mea = KernelMeasure.from_atoms([(0.0, 1.0)])
-    lift = RoughLift(drv, mea, gamma=0.38)
-    a = solve_rough(lift, fld, np.array([0.1]), cfg)
-    b = solve_rough_ode(drv, fld, np.array([0.1]), cfg)
-    identical = (
-        np.array_equal(a.y, b.y)
-        and np.array_equal(a.ytilde, b.ytilde)
-        and np.array_equal(a.zeta, b.zeta)
+    rec = checks.a8_diffusion_degeneration(
+        cells=2**7, seed=3, hurst=0.4, sigma="tanh", initial=[0.1], solver=cfg
     )
     elapsed = time.time() - started
     report(
         "A8",
-        identical and elapsed < 5.0,
+        rec.passed and elapsed < 5.0,
         "kernel {(0,1)} rough solve equals the xi=0 rough-ODE solve bit for bit "
-        "(runtime < 5 s)",
+        "in y, ytilde and zeta (runtime < 5 s)",
         started,
     )
 
 
 def test_criterion_9_holder_estimator_calibration():
     started = time.time()
-    tol = 0.07
-    grid = TimeGrid.uniform(2**12 - 1, 1.0)     # 2^12 points
-    worst = 0.0
-    details = []
-    for hurst in (0.4, 0.7):
-        ests = []
-        for seed in range(100):
-            drv = sample_fbm(hurst, grid, n_dims=1, seed=seed)
-            est, _ = estimate_holder_exponent(Increment1(grid, drv.values))
-            ests.append(est)
-        med = float(np.median(ests))
-        details.append(f"H={hurst}: median {med:.3f}")
-        worst = max(worst, abs(med - hurst))
+    rec = checks.a9_holder_estimator(tol=0.07, seeds=range(100), hursts=(0.4, 0.7), points=2**12)
+    details = [f"H={h}: median {med:.3f}" for h, med in rec.details.items()]
     elapsed = time.time() - started
     report(
         "A9",
-        worst <= tol and elapsed < 60.0,
-        f"{'; '.join(details)} (band ±{tol}; runtime < 1 min)",
+        rec.passed and elapsed < 60.0,
+        f"{'; '.join(details)} (band ±{rec.tolerance}; runtime < 1 min)",
         started,
     )

@@ -4,20 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughvolterra.algebra import (
-    DoubleLaplaceIncrement2,
     Increment1,
-    Increment2,
-    Increment3,
-    LaplaceIncrement1,
-    LaplaceIncrement2,
     TimeGrid,
-    delta1,
-    delta2,
-    delta_double_tilde,
     delta_tilde,
     estimate_holder_exponent,
-    holder_norm2,
-    holder_norm3,
     lbeta_norm,
     trace_pair,
     twist,
@@ -32,6 +22,18 @@ def small_grid(n=8, seed=0):
     rng = np.random.default_rng(seed)
     pts = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 1.0, n - 1))])
     return TimeGrid(np.unique(pts))
+
+
+def delta(points, h, *idx):
+    """Plain coboundary: delta_tilde with the single atom xi = 0."""
+    h = np.expand_dims(np.asarray(h, dtype=float), len(idx) - 1)    # atom axis after time axes
+    return np.take(delta_tilde(points, [0.0], h, *idx), 0, axis=np.broadcast(*idx).ndim)
+
+
+def pair_table(points, g, xis):
+    """delta~ g on every pair of grid indices: a 1-increment table."""
+    n = len(points)
+    return delta_tilde(points, xis, g, np.arange(n)[:, None], np.arange(n)[None, :])
 
 
 class TestTimeGrid:
@@ -54,37 +56,34 @@ class TestTimeGrid:
 class TestDelta:
     def test_linear_function_increment(self):
         g = TimeGrid(np.array([0.0, 1.0]))
-        d = delta1(Increment1(g, g.points.copy()))
-        assert d.at(0, 1) == 1.0
+        assert delta(g.points, g.points, 0, 1) == 1.0
 
     def test_constant_path_gives_zero(self):
         g = small_grid()
-        d = delta1(Increment1(g, np.full(len(g), 3.7)))
-        for j in range(1, len(g)):
-            assert d.at(0, j) == 0.0
+        d = delta(g.points, np.full(len(g), 3.7), 0, np.arange(1, len(g)))
+        assert np.all(d == 0.0)
 
     def test_square_on_half_three_halves(self):
         g = TimeGrid(np.array([0.0, 0.5, 1.5]))
-        d = delta1(Increment1(g, g.points**2))
-        assert d.at(1, 2) == pytest.approx(2.0, abs=1e-15)
+        assert delta(g.points, g.points**2, 1, 2) == pytest.approx(2.0, abs=1e-15)
 
     def test_delta2_of_exact_increment_vanishes(self):
         g = small_grid(seed=3)
         rng = np.random.default_rng(1)
-        dd = delta2(delta1(Increment1(g, rng.standard_normal((len(g), 3)))))
+        dg = pair_table(g.points, rng.standard_normal((len(g), 1, 3)), [0.0])[:, :, 0]
         for trip in [(0, 2, 5), (1, 3, 6), (0, 1, 2)]:
-            assert np.max(np.abs(dd.at(*trip))) < EXACT
+            assert np.max(np.abs(delta(g.points, dg, *trip))) < EXACT
 
     def test_delta2_square_width(self):
         g = TimeGrid(np.array([0.0, 1.0, 2.0]))
-        h = Increment2(g, lambda i, j: (g.points[j] - g.points[i]) ** 2)
-        assert delta2(h).at(0, 1, 2) == pytest.approx(2.0)
+        h = (g.points[None, :] - g.points[:, None]) ** 2
+        assert delta(g.points, h, 0, 1, 2) == pytest.approx(2.0)
 
     def test_delta2_additive_increment_vanishes(self):
         g = small_grid(seed=5)
-        h = Increment2(g, lambda i, j: g.points[j] - g.points[i])
+        h = g.points[None, :] - g.points[:, None]
         for trip in [(0, 2, 4), (1, 5, 6)]:
-            assert delta2(h).at(*trip) == pytest.approx(0.0, abs=EXACT)
+            assert delta(g.points, h, *trip) == pytest.approx(0.0, abs=EXACT)
 
 
 class TestTwist:
@@ -130,27 +129,24 @@ class TestDeltaTilde:
     def test_zero_atoms_match_plain_delta(self):
         g, _, rng = self.grid_and_atoms()
         vals = rng.standard_normal((len(g), 1, 2))
-        lap = LaplaceIncrement1(g, np.array([0.0]), vals)
-        dt = delta_tilde(lap)
-        plain = delta1(Increment1(g, vals[:, 0]))
-        for i, j in [(0, 3), (2, 5)]:
-            assert np.allclose(dt.at(i, j)[0], plain.at(i, j), atol=0)
+        i, j = np.array([0, 2]), np.array([3, 5])
+        dt = delta_tilde(g.points, [0.0], vals, i, j)
+        assert np.array_equal(dt[:, 0], vals[j, 0] - vals[i, 0])
 
     def test_twisted_exactness(self):
         g, xis, rng = self.grid_and_atoms(seed=4)
         vals = rng.standard_normal((len(g), len(xis), 2))
-        ddt = delta_tilde(delta_tilde(LaplaceIncrement1(g, xis, vals)))
+        table = pair_table(g.points, vals, xis)
         scale = np.max(np.abs(vals))
-        for trip in [(0, 2, 6), (1, 4, 5), (0, 1, 7)]:
-            assert np.max(np.abs(ddt.at(*trip))) < EXACT * scale
+        i, j, k = np.array([(0, 2, 6), (1, 4, 5), (0, 1, 7)]).T
+        assert np.max(np.abs(delta_tilde(g.points, xis, table, i, j, k))) < EXACT * scale
 
     def test_exponential_is_twisted_closed(self):
         # g_t(xi) = e^{-xi t} has delta~ g = 0 identically
         g, xis, _ = self.grid_and_atoms(seed=6)
         vals = np.exp(-np.outer(g.points, xis))[:, :, None]
-        dt = delta_tilde(LaplaceIncrement1(g, xis, vals))
-        for i, j in [(0, 4), (2, 7), (1, 3)]:
-            assert np.max(np.abs(dt.at(i, j))) < EXACT
+        i, j = np.array([0, 2, 1]), np.array([4, 7, 3])
+        assert np.max(np.abs(delta_tilde(g.points, xis, vals, i, j))) < EXACT
 
     def test_leibniz_rule_matrix_scalar(self):
         # delta~(M L) = delta~M L - M delta L on random 2-increment data
@@ -158,86 +154,21 @@ class TestDeltaTilde:
         n = len(g)
         m_table = rng.standard_normal((n, n, len(xis)))
         l_vals = rng.standard_normal(n)
-        m2 = LaplaceIncrement2(g, xis, lambda i, j: m_table[i, j])
-        dm = delta_tilde(m2)
-        prod = LaplaceIncrement2(g, xis, lambda i, j: m_table[i, j] * l_vals[i])
-        d_prod = delta_tilde(prod)
+        prod = m_table * l_vals[:, None, None]
         scale = max(1.0, np.max(np.abs(m_table)) * np.max(np.abs(l_vals)))
         for i, j, k in [(0, 2, 5), (1, 3, 6), (0, 1, 7)]:
-            lhs = d_prod.at(i, j, k)
-            rhs = dm.at(i, j, k) * l_vals[i] - m_table[j, k] * (l_vals[j] - l_vals[i])
+            lhs = delta_tilde(g.points, xis, prod, i, j, k)
+            rhs = (delta_tilde(g.points, xis, m_table, i, j, k) * l_vals[i]
+                   - m_table[j, k] * (l_vals[j] - l_vals[i]))
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
-
-class TestDeltaDoubleTilde:
-    def test_zero_atoms_reduce_to_plain_delta(self):
-        g = small_grid(6, seed=11)
-        rng = np.random.default_rng(3)
-        table = {}
-
-        def pair(i, j):
-            return table.setdefault((i, j), rng.standard_normal((1, 1)))
-
-        r = DoubleLaplaceIncrement2(g, np.array([0.0]), np.array([0.0]), pair)
-        ddt = delta_double_tilde(r)
-        for i, j, k in [(0, 2, 4), (1, 3, 5)]:
-            plain = pair(i, k) - pair(j, k) - pair(i, j)
-            assert np.allclose(ddt(i, j, k), plain, atol=0)
-
-    def test_degenerate_eta_reduces_to_delta_tilde(self):
-        g = small_grid(6, seed=12)
-        rng = np.random.default_rng(5)
-        xis = np.array([1.5])
-        vals = rng.standard_normal((len(g), 1))
-        lap = LaplaceIncrement1(g, xis, vals)
-        dt1 = delta_tilde(lap)
-
-        def pair(i, j):
-            return dt1.at(i, j)[:, None]
-
-        r = DoubleLaplaceIncrement2(g, xis, np.array([0.0]), pair)
-        ddt = delta_double_tilde(r)
-        dt2 = delta_tilde(dt1)
-        for i, j, k in [(0, 1, 3), (2, 4, 5)]:
-            assert np.allclose(ddt(i, j, k)[:, 0], dt2.at(i, j, k), atol=1e-15)
-
-
-def test_delta_double_tilde_identity_on_weighted_increment():
-    # the doubly indexed increment W_{ts}(xi, eta) = int_s^t e^{-xi(t-v)}
-    # (e^{-eta(v-s)} - 1) dx_v satisfies (delta~~ W)_{tus} = x1~_{tu}(xi) a_{us}(eta);
-    # both sides brute-forced on one shared fine sub-mesh of a rough driver
-    from roughvolterra.lift import sample_fbm
-    from roughvolterra.oracles import subdivide
-
-    grid = TimeGrid.uniform(32, 1.0)
-    driver = sample_fbm(0.4, grid, n_dims=1, seed=19)
-    xis = np.array([0.7, 3.0])
-    etas = np.array([0.0, 1.5])
-    i, j, k = 4, 14, 28
-    s, u, t = grid.points[[i, j, k]]
-    mesh = subdivide(grid.points, s, t, 1 << 14)
-    mid = 0.5 * (mesh[:-1] + mesh[1:])
-    dx = (driver.at(mesh[1:]) - driver.at(mesh[:-1]))[:, 0]
-
-    def w4(a, b):
-        sel = (mid > a) & (mid < b)
-        out = np.empty((xis.size, etas.size))
-        for p, xi in enumerate(xis):
-            for q, eta in enumerate(etas):
-                wgt = np.exp(-xi * (b - mid[sel])) * np.expm1(-eta * (mid[sel] - a))
-                out[p, q] = wgt @ dx[sel]
-        return out
-
-    pair_table = {(i, j): w4(s, u), (j, k): w4(u, t), (i, k): w4(s, t)}
-    r = DoubleLaplaceIncrement2(grid, xis, etas, lambda a, b: pair_table[(a, b)])
-    lhs = delta_double_tilde(r)(i, j, k)
-    x1_tu = np.array(
-        [np.exp(-xi * (t - mid[(mid > u) & (mid < t)])) @ dx[(mid > u) & (mid < t)]
-         for xi in xis]
-    )
-    rhs = x1_tu[:, None] * np.expm1(-etas * (u - s))[None, :]
-    scale = max(np.max(np.abs(rhs)), 1e-300)
-    assert np.max(np.abs(lhs - rhs)) / scale <= 1e-10
+    def test_rejects_bad_input(self):
+        g, xis, rng = self.grid_and_atoms()
+        vals = rng.standard_normal((len(g), len(xis)))
+        with pytest.raises(ValueError):
+            delta_tilde(g.points, -xis, vals, 0, 1)
+        with pytest.raises(TypeError):
+            delta_tilde(g.points, xis, vals, 0)
 
 
 class TestTracePair:
@@ -264,51 +195,6 @@ class TestTracePair:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             trace_pair(np.eye(2), np.eye(3))
-
-
-class TestHolderNorms:
-    def test_zero_increment(self):
-        g = small_grid()
-        val, _ = holder_norm2(Increment2(g, lambda i, j: 0.0), 0.5)
-        assert val == 0.0
-
-    def test_linear_increment(self):
-        g = small_grid(seed=2)
-        val, _ = holder_norm2(Increment2(g, lambda i, j: g.points[j] - g.points[i]), 1.0)
-        assert val == pytest.approx(1.0, rel=1e-12)
-
-    def test_sqrt_attains_at_widest_pair(self):
-        g = TimeGrid(np.array([0.0, 0.25, 1.0]))
-        f = Increment2(g, lambda i, j: np.sqrt(g.points[j] - g.points[i]))
-        val, arg = holder_norm2(f, 0.4)
-        assert val == pytest.approx(1.0, rel=1e-12)
-        assert arg == (0, 2)
-
-    def test_norm3_zero_and_product(self):
-        g = small_grid()
-        assert holder_norm3(Increment3(g, lambda i, j, k: 0.0), 0.5, 0.5) == 0.0
-        h = Increment3(
-            g, lambda i, j, k: (g.points[j] - g.points[i]) * (g.points[k] - g.points[j])
-        )
-        assert holder_norm3(h, 1.0, 1.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_norm3_matches_exhaustive_enumeration(self):
-        rng = np.random.default_rng(13)
-        g = TimeGrid(np.concatenate([[0.0], np.sort(rng.uniform(0.1, 1.0, 3))]))
-        table = rng.standard_normal((4, 4, 4))
-        h = Increment3(g, lambda i, j, k: table[i, j, k])
-        gamma, rho = 0.6, 0.8
-        best = 0.0
-        pts = g.points
-        for i in range(4):
-            for j in range(i + 1, 4):
-                for k in range(j + 1, 4):
-                    best = max(
-                        best,
-                        abs(table[i, j, k])
-                        / ((pts[j] - pts[i]) ** gamma * (pts[k] - pts[j]) ** rho),
-                    )
-        assert holder_norm3(h, gamma, rho) == pytest.approx(best, rel=1e-14)
 
 
 class TestLbetaNorm:
@@ -342,13 +228,12 @@ def test_delta_delta_is_zero_property(seed, n, dims):
     rng = np.random.default_rng(seed)
     pts = np.unique(np.concatenate([[0.0], np.sort(rng.uniform(0.01, 1.0, n - 1))]))
     g = TimeGrid(pts)
-    vals = rng.standard_normal((len(g), dims))
-    dd = delta2(delta1(Increment1(g, vals)))
+    vals = rng.standard_normal((len(g), 1, dims))
+    dg = pair_table(g.points, vals, [0.0])[:, :, 0]
     scale = max(np.max(np.abs(vals)), 1e-12)
     m = len(g)
     for trip in {(0, m // 2, m - 1), (0, 1, m - 1)}:
-        i, j, k = trip
-        assert np.max(np.abs(dd.at(i, j, k))) <= EXACT * scale
+        assert np.max(np.abs(delta(g.points, dg, *trip))) <= EXACT * scale
 
 
 @settings(max_examples=25, deadline=None)
@@ -360,10 +245,9 @@ def test_twisted_delta_delta_is_zero_property(seed, k):
     xis = np.sort(rng.uniform(0.0, 10.0, k))
     xis[0] = 0.0
     vals = rng.standard_normal((len(g), k, 2))
-    ddt = delta_tilde(delta_tilde(LaplaceIncrement1(g, xis, vals)))
+    ddt = delta_tilde(g.points, xis, pair_table(g.points, vals, xis), 0, len(g) // 2, len(g) - 1)
     scale = max(np.max(np.abs(vals)), 1e-12)
-    m = len(g)
-    assert np.max(np.abs(ddt.at(0, m // 2, m - 1))) <= EXACT * scale
+    assert np.max(np.abs(ddt)) <= EXACT * scale
 
 
 def test_leibniz_scalar_product_rule():
@@ -372,13 +256,10 @@ def test_leibniz_scalar_product_rule():
     g = small_grid(10, seed=21)
     a = rng.standard_normal(len(g))
     b = rng.standard_normal(len(g))
-    prod = delta1(Increment1(g, a * b))
-    da = delta1(Increment1(g, a))
-    db = delta1(Increment1(g, b))
     for i, j in [(0, 4), (2, 9), (1, 5)]:
         # convention puts g at the later time, h at the earlier one
-        lhs = prod.at(i, j)
-        rhs = da.at(i, j) * b[i] + a[j] * db.at(i, j)
+        lhs = delta(g.points, a * b, i, j)
+        rhs = delta(g.points, a, i, j) * b[i] + a[j] * delta(g.points, b, i, j)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 

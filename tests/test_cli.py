@@ -4,18 +4,22 @@ import os
 import numpy as np
 import pytest
 
+from roughvolterra import checks
 from roughvolterra.cli import (
     OUT_DIR_ENV,
     RunManifest,
     emit_csv,
-    rk4_augmented,
     run,
     seed_expand,
 )
 from roughvolterra.laplace import KernelMeasure
 from roughvolterra.lift import deterministic_driver
 from roughvolterra.algebra import TimeGrid
+from roughvolterra.oracles import rk4_augmented
 from roughvolterra.sigma import sigma_catalog
+from roughvolterra.solver import SolverConfig
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 class TestSeedExpand:
@@ -129,6 +133,8 @@ class TestRunFlows:
             ("solver", {"n_start": 0}, "n_start"),
             ("solver", {"contraction_limit": 0.0}, "contraction_limit"),
             ("driver", {"kind": "fbm", "hurts": 0.4, "seed": 1}, "hurst"),
+            ("solver", {"gamma": "0.38"}, "gamma"),
+            ("solver", {"kappa": True}, "kappa"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):
@@ -139,6 +145,25 @@ class TestRunFlows:
                 del doc[block][key]
             else:
                 doc[block][key] = value
+        assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edit, named", [({"hurts": 0.7}, "hurts"), ({"hurst": None}, "hurst")]
+    )
+    def test_bad_stat_key_exit_2_names_it(self, tmp_path, capsys, edit, named):
+        doc = {
+            "kind": "covariance-check",
+            "stat": {"name": "x1_tilde_value", "hurst": 0.7, "cells": 64, "xi": 1.0,
+                     "seeds": "0..10"},
+            "checks": {"A6_fbm_young_covariance": {"se_factor": 3.0}},
+        }
+        for key, value in edit.items():
+            if value is None:
+                del doc["stat"][key]
+            else:
+                doc["stat"][key] = value
         assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
@@ -290,3 +315,25 @@ class TestRunFlows:
         assert code in (0, 1)
         ens = (out / "ensemble.csv").read_text().splitlines()
         assert len(ens) - 1 == 400
+
+    def test_verify_records_are_the_checks_functions(self, tmp_path):
+        # the CLI's verify criteria are the functions of roughvolterra.checks
+        path = os.path.join(CONFIGS, "verify.json")
+        names = ["A1_algebraic_exactness", "A2_sewing_bound", "A8_diffusion_degeneration"]
+        out = tmp_path / "verify"
+        assert run(path, out_dir=str(out), checks_filter=names) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        with open(path) as fh:
+            params = json.load(fh)["checks"]
+        a8 = dict(params["A8_diffusion_degeneration"])
+        a8["solver"] = SolverConfig(**a8["solver"])
+        expected = [
+            checks.a1_algebraic_exactness(**params["A1_algebraic_exactness"]),
+            checks.a2_sewing_bound(**params["A2_sewing_bound"]),
+            checks.a8_diffusion_degeneration(**a8),
+        ]
+        assert [c["name"] for c in manifest["checks"]] == names
+        for entry, rec in zip(manifest["checks"], expected):
+            assert entry["name"] == rec.name
+            assert entry["value"] == rec.value
+            assert entry["passed"] == rec.passed

@@ -4,7 +4,7 @@ import pytest
 import roughvolterra as rv
 from roughvolterra import solver as solver_mod
 from roughvolterra.algebra import TimeGrid
-from roughvolterra.cli import rk4_augmented
+from roughvolterra.oracles import rk4_augmented
 from roughvolterra.laplace import KernelMeasure, kernel_from_spec
 from roughvolterra.lift import DriverPath, RoughLift, deterministic_driver, sample_fbm
 from roughvolterra.sigma import SigmaField, sigma_catalog
