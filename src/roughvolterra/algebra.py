@@ -21,6 +21,7 @@ __all__ = [
     "Increment1",
     "twist",
     "delta_tilde",
+    "exp_scan",
     "trace_pair",
     "lbeta_norm",
     "estimate_holder_exponent",
@@ -115,7 +116,7 @@ def delta_tilde(points, xis, h, *idx):
     grid point, atom, ...)) and the result is, at s, u, t = points[i],
     points[j], points[k]:
       (delta~ h)_{tus}(xi) = h_{ts}(xi) - h_{tu}(xi) - exp(-xi(t-u)) h_{us}(xi).
-    Index arrays broadcast against each other; the result is indexed
+    Index arrays (or slices) broadcast against each other; the result is indexed
     (index..., atom, ...).  Atoms with xi = 0 give the plain delta.
     """
     points = np.asarray(points, dtype=float)
@@ -130,6 +131,42 @@ def delta_tilde(points, xis, h, *idx):
         i, j, k = idx
         return h[i, k] - h[j, k] - _decay(points, xis, j, k, h.ndim - 3) * h[i, j]
     raise TypeError("delta_tilde takes two index arrays (a path) or three (a 1-increment)")
+
+
+SCAN_MAX_EXPONENT = 30.0     # xi (t_end - t_start) of a block at the largest xi, at most
+SCAN_BLOCK = 256             # steps per block at most; bounds the temporaries
+
+
+def exp_scan(points, xis, g, init):
+    """Twisted scan, inverting consecutive ``delta_tilde``: the path r with r_0 =
+    init and r_{p+1} = exp(-xi (t_{p+1} - t_p)) r_p + g_p, t = ``points``.
+
+    ``g`` is indexed (step, atom, ...), ``init`` (atom, ...) or a scalar,
+    the result (grid point, atom, ...).  Blocked prefix sum: in a block
+    [t_b, t_e], with weights v_p = exp(-xi (t_e - t_p)) in [e^-30, 1],
+    r_q = exp(-xi (t_q - t_b)) r_b + sum_{b<=p<q} v_{p+1} g_p / v_q.
+    A single step longer than the bound is a block of its own (v = 1).
+    """
+    points = np.asarray(points, dtype=float)
+    xis = np.asarray(xis, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if (xis < 0).any():
+        raise ValueError("Laplace frequencies must be >= 0")
+    out = np.empty((g.shape[0] + 1,) + g.shape[1:])
+    out[0] = init
+    rate = xis.max(initial=0.0)
+    reach = SCAN_MAX_EXPONENT / rate if rate > 0 else np.inf
+    b = 0
+    while b < g.shape[0]:
+        e = int(np.searchsorted(points, points[b] + reach, side="right")) - 1
+        e = min(max(e, b + 1), b + SCAN_BLOCK, g.shape[0])
+        blk = out[b + 1 : e + 1]
+        v = _decay(points, xis, slice(b + 1, e + 1), e, g.ndim - 2)
+        np.cumsum(np.multiply(g[b:e], v, out=blk), axis=0, out=blk)
+        blk /= v
+        blk += _decay(points, xis, b, slice(b + 1, e + 1), g.ndim - 2) * out[b]
+        b = e
+    return out
 
 
 def trace_pair(a: np.ndarray, b: np.ndarray) -> float:

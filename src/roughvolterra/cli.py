@@ -82,6 +82,13 @@ KIND_CHECKS = {
 
 STAT_KEYS = ("name", "hurst", "cells", "xi", "seeds", "horizon")     # horizon optional
 
+# the keys of the other kinds' check blocks: (allowed, required); all are numbers
+CHECK_KEYS = {
+    "A5_solver_vs_ode": (("tol", "dt"), ("tol",)),
+    "A6_fbm_young_covariance": (("se_factor",), ()),
+    "A7_rough_self_convergence": (("rate_threshold", "min_passing"),) * 2,
+}
+
 
 def seed_expand(spec):
     """Expand a seed spec into an explicit list.
@@ -153,6 +160,9 @@ class ExperimentConfig:
         for name in self.checks:
             if name not in KIND_CHECKS[kind]:
                 raise ValueError(f"check {name!r} not available for kind {kind!r}")
+            if name in CHECK_KEYS:
+                _check_keys(self.checks[name], name, *CHECK_KEYS[name])
+                _check_numbers(self.checks[name], name, CHECK_KEYS[name][0])
         if kind in ("solve-young", "solve-rough"):
             for key in ("kernel", "driver", "sigma", "solver", "initial"):
                 if key not in raw:
@@ -165,6 +175,8 @@ class ExperimentConfig:
             if "stat" not in raw:
                 raise ValueError(f"kind {kind!r} requires a 'stat' block")
             _check_keys(raw["stat"], "stat", STAT_KEYS, STAT_KEYS[:-1])
+            _check_numbers(raw["stat"], "stat", ("hurst", "xi", "horizon"))
+            _check_numbers(raw["stat"], "stat", ("cells",), int)
             if raw["stat"]["name"] != "x1_tilde_value":
                 raise ValueError(f"unknown ensemble statistic {raw['stat']['name']!r}")
         drv = raw.get("driver", {})
@@ -223,6 +235,15 @@ def _check_keys(block, where, allowed, required):
         raise ValueError(f"{where!r} requires key(s) {missing}")
 
 
+def _check_numbers(block, where, keys, kind=(int, float)):
+    """Raise ValueError naming the key unless each of ``keys`` in ``block`` is a ``kind``."""
+    for key in keys:
+        value = block.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"{where}.{key} must be {what}, got {value!r}")
+
+
 def _solver_config(block, where) -> SolverConfig:
     """SolverConfig from a JSON block; bad keys or numbers raise ValueError naming them."""
     fields = dataclasses.fields(SolverConfig)
@@ -230,12 +251,10 @@ def _solver_config(block, where) -> SolverConfig:
         block, where, [f.name for f in fields],
         [f.name for f in fields if f.default is dataclasses.MISSING],
     )
-    for f in fields:
-        if f.name in block and f.type.split(" | ")[0] in ("int", "float"):
-            value = block[f.name]
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number or (value is None and f.type.endswith("| None"))):
-                raise ValueError(f"{where}.{f.name} must be a number, got {value!r}")
+    _check_numbers(block, where, [
+        f.name for f in fields if f.type.split(" | ")[0] in ("int", "float")
+        and not (block.get(f.name) is None and f.type.endswith("| None"))
+    ])
     return SolverConfig(**block)
 
 
@@ -348,6 +367,9 @@ def _verify_kwargs(name, params):
         kwargs["seeds"] = seed_expand(kwargs["seeds"])
     if "solver" in kwargs:
         kwargs["solver"] = _solver_config(kwargs["solver"], f"{name}.solver")
+    fns = kwargs.get("functions", [])
+    if not (isinstance(fns, list) and all(str(f) in DETERMINISTIC_FUNCTIONS for f in fns)):
+        raise ValueError(f"{name}.functions must list names of {list(DETERMINISTIC_FUNCTIONS)}")
     return kwargs
 
 

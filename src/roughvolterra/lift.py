@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from .algebra import exp_scan
 from .expkernels import e0, exp_int, ramp_int
 from .laplace import KernelMeasure, project
 
@@ -259,12 +260,12 @@ DETERMINISTIC_FUNCTIONS = {
 class RoughLift:
     """Rough-lift data of a piecewise-linear driver over a kernel measure.
 
-    Stores the first-order lift per consecutive grid cell and atom, its
-    kernel projection, and a lazy memo cache of second-order values keyed
-    by grid-index pairs.  Arbitrary pairs are reconstructed through the
-    twisted Chasles relation, which holds exactly by construction.  The
-    memo cache tolerates concurrent insertion (writes are idempotent);
-    everything else is read-only after construction.
+    Stores the first-order lift from 0 to every grid point (the twisted
+    scan of the per-cell closed forms) and a lazy memo cache of
+    second-order values keyed by grid-index pairs.  Arbitrary pairs are
+    reconstructed through the twisted Chasles relation, exact by
+    construction.  The memo cache tolerates concurrent insertion (writes
+    are idempotent); everything else is read-only after construction.
 
     ``gamma`` is the regularity the lift claims for the driver;
     piecewise-linear lifts always carry the full hypothesis set H1 (first
@@ -281,20 +282,8 @@ class RoughLift:
         self.gamma = float(gamma)
         self.claims = frozenset(claims)
 
-        widths = driver.grid.widths
-        xis = measure.xis
-        m = driver.slopes                                    # (C, n)
-        cell_e0 = e0(xis[None, :], widths[:, None])          # (C, K)
-        self._x1t_cells = cell_e0[:, :, None] * m[:, None, :]        # (C, K, n)
-        self._decay_cells = np.exp(-xis[None, :] * widths[:, None])  # (C, K)
-        self._x1_cells = project(self._x1t_cells, measure, axis=1)   # (C, n)
-        n_pts = len(driver.grid)
-        prefix = np.zeros((n_pts, xis.size, driver.n_dims))
-        for c in range(n_pts - 1):
-            prefix[c + 1] = (
-                self._decay_cells[c][:, None] * prefix[c] + self._x1t_cells[c]
-            )
-        self._prefix = prefix                                # x1t from 0 to point i
+        x1t = e0(measure.xis, driver.grid.widths[:, None])[:, :, None] * driver.slopes[:, None, :]
+        self._prefix = exp_scan(driver.grid.points, measure.xis, x1t, 0.0)  # x1t from 0 to point i
         self._x2_cache: dict = {}
 
     @property
@@ -315,34 +304,26 @@ class RoughLift:
             raise ValueError("need 0 <= s <= t <= horizon")
 
     def _overlaps(self, s, t):
-        """Yield (cell, a, b) pieces of [s, t] clipped to driver cells."""
+        """(cells, a, b): the nonempty pieces [a, b] of [s, t] clipped to driver cells."""
         pts = self.driver.grid.points
-        c0 = int(self._locate(s))
-        c1 = int(self._locate(t))
-        for c in range(c0, c1 + 1):
-            a = max(s, pts[c])
-            b = min(t, pts[c + 1])
-            if b > a:
-                yield c, a, b
+        cells = np.arange(self._locate(s), self._locate(t) + 1)
+        a = np.maximum(s, pts[cells])
+        b = np.minimum(t, pts[cells + 1])
+        keep = b > a
+        return cells[keep], a[keep], b[keep]
 
     # -- first order -------------------------------------------------------
 
     def x1_tilde(self, s: float, t: float, atom: int | None = None):
         """Exact weighted first-order integral over [s, t], shape (K, n).
 
-        Assembled cell by cell, left to right with per-cell decay, so
+        The twisted scan over the cell pieces of [s, t], started at 0, so
         there is no cancellation against large prefixes.
         """
         self._validate_pair(s, t)
-        xis = self.xis
-        acc = np.zeros((xis.size, self.n_dims))
-        if t > s:
-            for c, a, b in self._overlaps(s, t):
-                dt = b - a
-                acc = (
-                    np.exp(-xis * dt)[:, None] * acc
-                    + e0(xis, dt)[:, None] * self.driver.slopes[c][None, :]
-                )
+        cells, a, b = self._overlaps(s, t)
+        germ = e0(self.xis, (b - a)[:, None])[:, :, None] * self.driver.slopes[cells][:, None, :]
+        acc = exp_scan(np.append(a, b[-1:]), self.xis, germ, 0.0)[-1]
         return acc if atom is None else acc[atom]
 
     def _prefix_at(self, v):
@@ -384,13 +365,7 @@ class RoughLift:
         # recursion unrolls exactly into these weighted sums
         xis = self.xis
         ws = self.measure.weights
-        n = self.n_dims
-        pieces = list(self._overlaps(s, t))
-        if not pieces:
-            return np.zeros((xis.size, n, n))
-        cells = np.array([p[0] for p in pieces])
-        a = np.array([p[1] for p in pieces])
-        b = np.array([p[2] for p in pieces])
+        cells, a, b = self._overlaps(s, t)                         # none when s == t
         dt = b - a
         m = self.driver.slopes[cells]                              # (C, n)
         run = self.x1_tilde_pairs(np.full(a.shape, s), a)          # (C, K, n)
@@ -539,14 +514,11 @@ def lift_ito_x2(
     seg_t = times[lo : hi + 1]
     dx = np.diff(vals[lo : hi + 1], axis=0)
     xis = measure.xis
-    x1_run = np.zeros((xis.size, driver.n_dims))
-    x2 = np.zeros((xis.size, driver.n_dims, driver.n_dims))
-    for k in range(dx.shape[0]):
-        dt = seg_t[k + 1] - seg_t[k]
-        w_out = np.exp(-xis * (t - seg_t[k]))
-        x1_proj = measure.weights @ x1_run
-        x2 += np.einsum("K,j,d->Kjd", w_out, dx[k], x1_proj)
-        x1_run = np.exp(-xis * dt)[:, None] * (x1_run + dx[k][None, :])
+    # x1 tilde from s to each left point; an increment enters at its step's left end
+    decay = np.exp(-np.multiply.outer(np.diff(seg_t), xis))
+    x1_left = exp_scan(seg_t, xis, decay[:, :, None] * dx[:, None, :], 0.0)[:-1]
+    w_out = np.exp(-np.multiply.outer(t - seg_t[:-1], xis))
+    x2 = np.einsum("pK,pj,k,pkd->Kjd", w_out, dx, measure.weights, x1_left, optimize=True)
     return x2 if atom is None else x2[atom]
 
 

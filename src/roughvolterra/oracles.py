@@ -9,14 +9,16 @@ sub-mesh rather than being exact.  ``rk4_augmented`` integrates the
 solver's ODE in Laplace coordinates for smooth drivers instead.
 
 The running first-order integrals inside the double-integral oracles are
-plain linear recurrences; they are evaluated with a blocked prefix scan
-(exponent ranges kept small per block) so that 2^16-step meshes stay
-affordable.
+the twisted recurrence r_{k+1} = e^{-eta h_k} r_k + e^{-eta h_k/2} dx_k of
+the midpoint rule; they are evaluated with ``algebra.exp_scan``, a blocked
+prefix scan, so that 2^16-step meshes stay affordable.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .algebra import exp_scan
 
 __all__ = [
     "subdivide",
@@ -53,42 +55,19 @@ def x1_tilde_riemann(driver, xi, s, t, n_sub=4096):
     return np.einsum("p,pn->n", np.exp(-np.asarray(xi) * (t - mid)), dx)
 
 
-def _x1_scan(mesh, dx, xis, init, max_exponent=30.0):
-    """Running weighted integrals along a sub-mesh, by blocked prefix scan.
+def _x1_scan(mesh, dx, xis, init):
+    """Running weighted integrals along a sub-mesh, by twisted scan.
 
     Maintains r_k(eta) = int_{mesh[0]}^{mesh[k]} e^{-eta(mesh[k]-w)} dx_w
     (midpoint rule per sub-step, exact for a linear path within the step)
     starting from ``init``.  Returns (values at sub-step midpoints with the
     half-step contribution included: shape (P, K, n), final run (K, n)).
     """
-    steps = np.diff(mesh)
-    n_steps = steps.size
-    xis = np.asarray(xis, dtype=float)
-    max_rate = float(np.max(xis)) if xis.size else 0.0
-    if max_rate > 0:
-        block = int(max(32, min(8192, max_exponent / (max_rate * np.max(steps)))))
-    else:
-        block = 8192
-    out = np.empty((n_steps, xis.size, dx.shape[1]))
-    run = np.array(init, dtype=float)
-    for k0 in range(0, n_steps, block):
-        k1 = min(k0 + block, n_steps)
-        seg = slice(k0, k1)
-        rel_mid = 0.5 * (mesh[k0:k1] + mesh[k0 + 1 : k1 + 1]) - mesh[k0]
-        rel_end = mesh[k0 + 1 : k1 + 1] - mesh[k0]
-        grow = np.exp(np.multiply.outer(xis, rel_mid))[:, :, None]
-        csum = np.cumsum(grow * dx[seg][None, :, :], axis=1)
-        run_ends = np.exp(-np.multiply.outer(xis, rel_end))[:, :, None] * (
-            run[:, None, :] + csum
-        )
-        run_lefts = np.concatenate([run[:, None, :], run_ends[:, :-1, :]], axis=1)
-        half = np.exp(-np.multiply.outer(xis, steps[seg] / 2.0))[:, :, None]
-        quarter = np.exp(-np.multiply.outer(xis, steps[seg] / 4.0))[:, :, None]
-        out[seg] = (half * run_lefts + quarter * (0.5 * dx[seg][None, :, :])).transpose(
-            1, 0, 2
-        )
-        run = run_ends[:, -1, :]
-    return out, run
+    steps = np.diff(mesh)[:, None]
+    half = np.exp(-steps / 2.0 * xis)[:, :, None]
+    run = exp_scan(mesh, xis, half * dx[:, None, :], init)
+    quarter = np.exp(-steps / 4.0 * xis)[:, :, None]
+    return half * run[:-1] + quarter * (0.5 * dx[:, None, :]), run[-1]
 
 
 def x2_tilde_riemann(driver, measure, xi, s, t, n_sub=65536):

@@ -12,11 +12,11 @@ empirically from the first two sweeps; on failure the interval shrinks
 (constant scheme halves, harmonic scheme doubles N) and is re-run.
 
 The per-cell closed forms of the lift (``RoughLift.cell_tables``) are
-built once per solve and sliced per interval attempt.  Within a sweep
-everything is vectorised over the interval mesh; only the forward
-propagation of ytilde is sequential.  Picard sweeps are independent
-across atoms and could be parallelised; a single solve is sequential
-over intervals by data dependency.
+built once per solve and sliced per interval attempt.  A sweep is
+vectorised over the interval mesh: the germ per sub-cell, then the
+forward propagation of ytilde as one twisted scan (``algebra.exp_scan``).
+Picard sweeps are independent across atoms and could be parallelised; a
+single solve is sequential over intervals by data dependency.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import TimeGrid
+from .algebra import TimeGrid, delta_tilde, exp_scan
 from .laplace import KernelMeasure
 from .lift import RoughLift
 from .sewing import compensated_sum_tilde
@@ -118,9 +118,7 @@ class LaplaceControlledPath:
             raise ValueError("atom axis must match the lift measure")
 
     def delta_tilde(self, i: int, j: int) -> np.ndarray:
-        pts = self.grid.points
-        decay = np.exp(-self.lift.xis * (pts[j] - pts[i]))[:, None]
-        return self.ytilde[j] - decay * self.ytilde[i]
+        return delta_tilde(self.grid.points, self.lift.xis, self.ytilde, i, j)
 
     def remainder_tilde(self, i: int, j: int) -> np.ndarray:
         pts = self.grid.points
@@ -347,13 +345,12 @@ class _IntervalWorkspace:
     """
 
     def __init__(self, pts, tables, lo, hi, refine):
-        x1t, x2t, decay, subw = tables
+        x1t, x2t, _, subw = tables
         rep = np.repeat(np.arange(lo, hi), refine)
         offs = np.tile(np.arange(refine), hi - lo)
         self.fine_t = np.append(pts[rep] + subw[rep] * offs, pts[hi])
         self.x1t = x1t[rep]            # (P-1, K, n)
         self.x2t = x2t[rep]            # (P-1, K, n, n)
-        self.decay = decay[rep]        # (P-1, K)
         self.grid_slots = np.arange(0, (hi - lo) * refine + 1, refine)
 
 
@@ -367,18 +364,13 @@ def _sweep(ws, fld, a, measure, ytilde, htilde, rough):
     if rough:
         ds = fld.dsigma_batch(y[:-1])                       # (P-1, n, d, d)
         germ = germ + np.einsum("pkmj,pjq,pmiq->pki", ws.x2t, z[:-1], ds)
-    out = np.empty_like(ytilde)
-    out[0] = htilde
-    for p in range(germ.shape[0]):
-        out[p + 1] = ws.decay[p][:, None] * out[p] + germ[p]
-    return out
+    return exp_scan(ws.fine_t, measure.xis, germ, htilde)
 
 
 def _picard_norm(diff_grid, pts_grid, measure, beta, expo):
     sup = float(np.max(_lbeta_rows(diff_grid, measure, beta)))
     widths = np.diff(pts_grid)
-    decay = np.exp(-np.outer(widths, measure.xis))          # (M, K)
-    inc = diff_grid[1:] - decay[:, :, None] * diff_grid[:-1]
+    inc = delta_tilde(pts_grid, measure.xis, diff_grid, np.s_[:-1], np.s_[1:])
     hold = float(np.max(_lbeta_rows(inc, measure, beta) / widths**expo))
     return sup + hold
 
@@ -387,8 +379,7 @@ def _interval_q_norm(lift, ytilde_grid, zeta_grid, pts_grid, measure, beta, kapp
     """Discrete controlled-path norm over the interval's grid pairs."""
     sup_y = float(np.max(_lbeta_rows(ytilde_grid, measure, beta)))
     widths = np.diff(pts_grid)
-    decay = np.exp(-np.outer(widths, measure.xis))
-    dyt = ytilde_grid[1:] - decay[:, :, None] * ytilde_grid[:-1]
+    dyt = delta_tilde(pts_grid, measure.xis, ytilde_grid, np.s_[:-1], np.s_[1:])
     hold_y = float(np.max(_lbeta_rows(dyt, measure, beta) / widths**kappa))
     sup_z = float(np.max(np.sqrt(np.sum(zeta_grid**2, axis=(1, 2)))))
     dz = np.sqrt(np.sum((zeta_grid[1:] - zeta_grid[:-1]) ** 2, axis=(1, 2)))
@@ -455,9 +446,7 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
             hi = min(max(hi, lo + 1), n_pts - 1)
 
         ws = _IntervalWorkspace(pts, tables, lo, hi, refine)
-        yt = np.exp(
-            -np.outer(lift.xis, ws.fine_t - pts[lo])
-        ).T[:, :, None] * htilde[None, :, :]
+        yt = np.exp(-np.multiply.outer(ws.fine_t - pts[lo], lift.xis))[:, :, None] * htilde
         rho = np.nan
         converged = False
         updates = []

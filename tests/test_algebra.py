@@ -8,6 +8,7 @@ from roughvolterra.algebra import (
     TimeGrid,
     delta_tilde,
     estimate_holder_exponent,
+    exp_scan,
     lbeta_norm,
     trace_pair,
     twist,
@@ -248,6 +249,39 @@ def test_twisted_delta_delta_is_zero_property(seed, k):
     ddt = delta_tilde(g.points, xis, pair_table(g.points, vals, xis), 0, len(g) // 2, len(g) - 1)
     scale = max(np.max(np.abs(vals)), 1e-12)
     assert np.max(np.abs(ddt)) <= EXACT * scale
+
+
+def scan_loop(points, xis, g, init):
+    """The twisted recurrence r_{p+1} = e^{-xi h_p} r_p + g_p, one step at a time."""
+    out = [np.broadcast_to(init, g.shape[1:]).astype(float)]
+    for p in range(g.shape[0]):
+        decay = np.exp(-xis * (points[p + 1] - points[p]))
+        out.append(decay.reshape(decay.shape + (1,) * (g.ndim - 2)) * out[-1] + g[p])
+    return np.array(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_steps=st.sampled_from([0, 1, 7, 300, 700]),
+    log_xih=st.floats(-3.0, 3.0),
+    tail=st.sampled_from([(), (2,), (2, 3)]),
+)
+def test_exp_scan_is_the_twisted_recurrence_property(seed, n_steps, log_xih, tail):
+    # non-uniform steps in [0.1, 1], atoms {0, xi, xi_max} with xi_max h up to 1e3,
+    # trailing shapes (K,), (K, n), (K, n, d); 300 and 700 steps span several blocks
+    rng = np.random.default_rng(seed)
+    points = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, n_steps))])
+    xis = np.array([0.0, rng.uniform(0.0, 10**log_xih), 10**log_xih])
+    g = rng.standard_normal((n_steps, 3) + tail)
+    init = rng.standard_normal((3,) + tail)
+    r = exp_scan(points, xis, g, init)
+    ref = scan_loop(points, xis, g, init)
+    assert r.shape == (n_steps + 1, 3) + tail and np.all(np.isfinite(r))
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(r - ref)) <= 1e-12 * scale
+    p = np.arange(n_steps)
+    assert np.max(np.abs(delta_tilde(points, xis, r, p, p + 1) - g), initial=0.0) <= 1e-12 * scale
 
 
 def test_leibniz_scalar_product_rule():

@@ -135,22 +135,31 @@ class TestRunFlows:
             ("driver", {"kind": "fbm", "hurts": 0.4, "seed": 1}, "hurst"),
             ("solver", {"gamma": "0.38"}, "gamma"),
             ("solver", {"kappa": True}, "kappa"),
+            ("checks", {"A5_solver_vs_ode": {"dt": 1e-4}}, "tol"),
+            ("checks", {"A5_solver_vs_ode": {"tol": "1e-4"}}, "tol"),
+            ("config", {"kind": "convergence", "levels": [5, 6, 7], "checks": {
+                "A7_rough_self_convergence": {"rate_threshold": 0.2}}}, "min_passing"),
+            ("config", {"kind": "verify", "checks": {
+                "A4_young_exactness": {"tol": 1e-8, "functions": ["cos"]}}}, "functions"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):
         doc = solve_config()
         doc["checks"] = {}
+        target = doc if block == "config" else doc[block]
         for key, value in edit.items():
             if value is None:
-                del doc[block][key]
+                del target[key]
             else:
-                doc[block][key] = value
+                target[key] = value
         assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "edit, named", [({"hurts": 0.7}, "hurts"), ({"hurst": None}, "hurst")]
+        "edit, named",
+        [({"hurts": 0.7}, "hurts"), ({"hurst": None}, "hurst"), ({"cells": [64]}, "cells"),
+         ({"cells": True}, "cells")],
     )
     def test_bad_stat_key_exit_2_names_it(self, tmp_path, capsys, edit, named):
         doc = {

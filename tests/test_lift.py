@@ -381,6 +381,30 @@ class TestItoLift:
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(vals.mean()) <= 3 * se
 
+    def test_matches_the_per_step_ito_sum(self):
+        # the left-point Ito sum written as a loop over the refined steps
+        grid = TimeGrid.uniform(16, 1.0)
+        drv = sample_brownian(grid, n_dims=2, seed=3)
+        mea = KernelMeasure.from_atoms([(0.5, 0.7), (4.0, 0.3)])
+        times, vals = grid.points, drv.values
+        for level in (1, 2, 3):                       # refinement 8: three bridge levels
+            mids = 0.5 * (times[:-1] + times[1:])
+            noise = lift_mod._rng(drv.seed, 1, level).standard_normal((mids.size, 2))
+            widths = np.sqrt(np.diff(times))[:, None]
+            midvals = 0.5 * (vals[:-1] + vals[1:]) + 0.5 * widths * noise
+            times = np.insert(times, np.arange(1, times.size), mids)
+            vals = np.insert(vals, np.arange(1, vals.shape[0]), midvals, axis=0)
+        s, t = 0.25, 0.875
+        x1_run = np.zeros((2, 2))
+        ref = np.zeros((2, 2, 2))
+        for k in range(4 * 8, 14 * 8):
+            w_out = np.exp(-mea.xis * (t - times[k]))
+            dx = vals[k + 1] - vals[k]
+            ref += np.einsum("K,j,d->Kjd", w_out, dx, mea.weights @ x1_run)
+            x1_run = np.exp(-mea.xis * (times[k + 1] - times[k]))[:, None] * (x1_run + dx)
+        val = lift_ito_x2(drv, mea, s, t, refinement=8)
+        assert np.max(np.abs(val - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_levy_area_refinement_stability(self):
         # antisymmetric part varies < 5% in RMS between R = 64 and R = 128
         grid = TimeGrid.uniform(64, 1.0)
