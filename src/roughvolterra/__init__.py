@@ -39,13 +39,10 @@ from .lift import (
     DriverPath,
     RoughLift,
     sample_fbm,
-    sample_brownian,
     deterministic_driver,
     fbm_covariance,
     lift_ito_x2,
     wiener_cov_x1,
-    driver_to_csv,
-    driver_from_csv,
 )
 from .sigma import SigmaField, sigma_catalog
 from .solver import (

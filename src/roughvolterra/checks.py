@@ -273,17 +273,18 @@ def a8_diffusion_degeneration(cells=128, seed=1, hurst=0.4, sigma="tanh", sigma_
 
 
 def a9_holder_estimator(tol, seeds=range(100), hursts=(0.4, 0.7), points=4096):
-    """A9: the median Holder-exponent estimate of fBm samples lies within ``tol`` of H."""
+    """A9: the median Holder-exponent estimate of fBm samples lies within ``tol`` of H.
+
+    Each H's samples are drawn in one ``sample_fbm`` call over the seed list.
+    """
     tol = float(tol)
     grid = TimeGrid.uniform(int(points) - 1, 1.0)
     worst = 0.0
     details = {}
     for hurst in hursts:
         ests = [
-            estimate_holder_exponent(
-                Increment1(grid, sample_fbm(float(hurst), grid, n_dims=1, seed=seed).values)
-            )[0]
-            for seed in seeds
+            estimate_holder_exponent(Increment1(grid, driver.values))[0]
+            for driver in sample_fbm(float(hurst), grid, n_dims=1, seed=list(seeds))
         ]
         med = float(np.median(ests))
         details[str(hurst)] = med

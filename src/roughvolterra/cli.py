@@ -82,6 +82,11 @@ KIND_CHECKS = {
 
 STAT_KEYS = ("name", "hurst", "cells", "xi", "seeds", "horizon")     # horizon optional
 
+# the keys laplace.kernel_from_spec reads, at the top and in a density block
+KERNEL_KEYS = ("atoms", "density")
+DENSITY_KEYS = ("name", "params", "n_nodes", "tail_cut", "beta", "tol")
+SIGMA_KEYS = ("name", "params")             # sigma_catalog's name and params
+
 # the keys of the other kinds' check blocks: (allowed, required); all are numbers
 CHECK_KEYS = {
     "A5_solver_vs_ode": (("tol", "dt"), ("tol",)),
@@ -179,7 +184,19 @@ class ExperimentConfig:
             _check_numbers(raw["stat"], "stat", ("cells",), int)
             if raw["stat"]["name"] != "x1_tilde_value":
                 raise ValueError(f"unknown ensemble statistic {raw['stat']['name']!r}")
+        if "kernel" in raw:
+            _check_keys(raw["kernel"], "kernel", KERNEL_KEYS, ())
+            if "density" in raw["kernel"]:
+                _check_keys(raw["kernel"]["density"], "kernel.density", DENSITY_KEYS, ("name",))
+        if "sigma" in raw:
+            _check_keys(raw["sigma"], "sigma", SIGMA_KEYS, ("name",))
         drv = raw.get("driver", {})
+        if not isinstance(drv, dict):
+            raise ValueError("'driver' must be a JSON object")
+        _check_numbers(drv, "driver", ("cells", "n_dims", "seed"), int)
+        _check_numbers(drv, "driver", ("hurst", "horizon"))
+        if kind in ("solve-young", "solve-rough") and "cells" not in drv:
+            raise ValueError("driver requires field 'cells'")
         if drv.get("kind") in ("fbm", "brownian") and (
             "seed" not in drv and "seeds" not in drv
         ):
@@ -251,10 +268,11 @@ def _solver_config(block, where) -> SolverConfig:
         block, where, [f.name for f in fields],
         [f.name for f in fields if f.default is dataclasses.MISSING],
     )
-    _check_numbers(block, where, [
-        f.name for f in fields if f.type.split(" | ")[0] in ("int", "float")
-        and not (block.get(f.name) is None and f.type.endswith("| None"))
-    ])
+    for kind, type_name in ((int, "int"), ((int, float), "float")):
+        _check_numbers(block, where, [
+            f.name for f in fields if f.type.split(" | ")[0] == type_name
+            and not (block.get(f.name) is None and f.type.endswith("| None"))
+        ], kind)
     return SolverConfig(**block)
 
 

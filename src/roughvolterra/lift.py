@@ -9,14 +9,14 @@ reassembled on arbitrary pairs through the twisted Chasles relation.
 
 fBm is sampled exactly in law through a Cholesky factor of the covariance,
 capped at desk scale: on uniform grids the O(n^2) Schur factor of the
-Toeplitz increment covariance, on other grids the dense factor.  Sampling
-uses counter-based Philox streams keyed by the seed, so a fixed seed
-reproduces paths bit for bit.
+Toeplitz increment covariance, built in one pass, on other grids the dense
+factor; the cache keeps at most one cap-size factor.  Sampling uses
+counter-based Philox streams keyed by the seed, so a fixed seed reproduces
+paths bit for bit, and a list of seeds is drawn through one product.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +30,11 @@ __all__ = [
     "DriverPath",
     "RoughLift",
     "sample_fbm",
-    "sample_brownian",
     "deterministic_driver",
     "DETERMINISTIC_FUNCTIONS",
     "fbm_covariance",
     "lift_ito_x2",
     "wiener_cov_x1",
-    "driver_to_csv",
-    "driver_from_csv",
     "MAX_CHOLESKY_POINTS",
 ]
 
@@ -136,46 +133,47 @@ def _fgn_autocovariance(hurst: float, n: int, h: float) -> np.ndarray:
 
 
 def _schur_cholesky(gamma: np.ndarray) -> np.ndarray | None:
-    """Upper factor U (Toeplitz(gamma) = U^T U) by the Schur algorithm.
+    """Path factor C L from the increment autocovariance, or None on breakdown.
 
-    O(n^2): row k of U is the first generator after k hyperbolic
-    rotations, applied in the mixed form whose stability for SPD Toeplitz
-    matrices is shown by Bojanczyk, Brent, de Hoog & Sweet (1995).
-    Returns None on breakdown (|rho| >= 1 or a non-finite value), i.e.
-    when the matrix is not numerically positive definite.
+    L is the Cholesky factor of the increment covariance Gamma =
+    Toeplitz(gamma) and C the cumulative-sum matrix, so C L is lower
+    triangular with L's positive diagonal: by uniqueness, the Cholesky
+    factor of the path covariance C Gamma C^T.  Row k of L^T is the first
+    generator after k hyperbolic rotations of the Schur algorithm, O(n^2),
+    in the mixed form whose stability for SPD Toeplitz matrices is shown
+    by Bojanczyk, Brent, de Hoog & Sweet (1995).  The generator lives in
+    two length-n buffers that swap each step, and each row's cumulative
+    sum goes straight into (C L)^T, so the factor is written in one pass.
+    Breakdown (|rho| >= 1 or a non-finite value) means the matrix is not
+    numerically positive definite.
     """
     n = gamma.size
     if not (np.all(np.isfinite(gamma)) and gamma[0] > 0.0):
         return None
-    upper = np.zeros((n, n))
-    upper[0] = gamma / np.sqrt(gamma[0])
-    v = upper[0].copy()
+    summed = np.zeros((n, n))                        # (C L)^T
+    prev = gamma / np.sqrt(gamma[0])                 # row k-1 of L^T
+    row = np.empty(n)                                # row k of L^T
+    v = prev.copy()
     v[0] = 0.0
+    np.cumsum(prev, out=summed[0])
     for k in range(1, n):
-        u = upper[k - 1, k - 1 : n - 1]      # previous generator, shifted down
-        rho = v[k] / u[0]
+        rho = v[k] / prev[k - 1]
         if not abs(rho) < 1.0:
             return None
         s = np.sqrt((1.0 - rho) * (1.0 + rho))
-        upper[k, k:] = (u - rho * v[k:]) / s
-        v[k:] = s * v[k:] - rho * upper[k, k:]
-    return upper
-
-
-def _uniform_path_factor(hurst: float, n: int, h: float) -> np.ndarray | None:
-    """Path factor C L on h, 2h, ..., nh, or None on Schur breakdown.
-
-    The path covariance is C Gamma C^T, with Gamma the Toeplitz increment
-    covariance, L its Cholesky factor and C the cumulative-sum matrix.
-    C L is lower triangular with L's positive diagonal, so by uniqueness
-    it is the Cholesky factor of the path covariance.
-    """
-    upper = _schur_cholesky(_fgn_autocovariance(hurst, n, h))
-    if upper is None:
-        return None
-    np.cumsum(upper, axis=1, out=upper)
+        new, vk = row[k:], v[k:]
+        # row k = (previous generator shifted down - rho v) / s
+        np.multiply(rho, vk, out=new)
+        np.subtract(prev[k - 1 : n - 1], new, out=new)
+        np.divide(new, s, out=new)
+        np.cumsum(new, out=summed[k, k:])
+        # v = s v - rho row k, with the consumed row k-1 as the temporary
+        np.multiply(rho, new, out=prev[k:])
+        np.multiply(s, vk, out=vk)
+        np.subtract(vk, prev[k:], out=vk)
+        prev, row = row, prev
     # a non-finite entry makes its row's total non-finite
-    return upper.T if np.all(np.isfinite(upper[:, -1])) else None
+    return summed.T if np.all(np.isfinite(summed[:, -1])) else None
 
 
 def _fbm_cholesky(hurst: float, times: np.ndarray) -> np.ndarray:
@@ -184,18 +182,20 @@ def _fbm_cholesky(hurst: float, times: np.ndarray) -> np.ndarray:
     Uniform grids take the O(n^2) Schur route; other grids, and a Schur
     breakdown, take the dense O(n^3) factorisation of ``fbm_covariance``.
     The cache key holds the times' bytes, so it is exact, and a hit skips
-    the uniformity test.
+    the uniformity test.  Before a build the oldest factors are dropped, so
+    the cache never holds more bytes than one factor at the point cap.
     """
     key = (float(hurst), times.tobytes())
     cached = _chol_cache.get(key)
     if cached is not None:
         return cached
+    room = 8 * ((MAX_CHOLESKY_POINTS - 1) ** 2 - times.size**2)
+    while _chol_cache and sum(c.nbytes for c in _chol_cache.values()) > room:
+        del _chol_cache[next(iter(_chol_cache))]      # oldest first
     h = _uniform_step(times)
-    chol = None if h is None else _uniform_path_factor(hurst, times.size, h)
+    chol = None if h is None else _schur_cholesky(_fgn_autocovariance(hurst, times.size, h))
     if chol is None:
         chol = _dense_cholesky(fbm_covariance(hurst, times))
-    if len(_chol_cache) > 8:
-        _chol_cache.clear()
     _chol_cache[key] = chol
     return chol
 
@@ -213,16 +213,21 @@ def _dense_cholesky(cov: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("fBm covariance not factorisable even with jitter")
 
 
-def sample_fbm(hurst: float, grid, n_dims: int = 1, seed: int = 0) -> DriverPath:
+def sample_fbm(hurst: float, grid, n_dims: int = 1, seed=0) -> DriverPath | list[DriverPath]:
     """Exact-in-law fBm sample on the grid via a Cholesky factor.
 
     Uniform grids use the O(n^2) Schur factor of the Toeplitz increment
-    covariance, cumulatively summed into the path factor; other grids use
+    covariance, built in one pass into the path factor; other grids use
     the dense factor of the path covariance, retried with escalating
     diagonal jitter when round-off makes it non-PSD.  Either way the
     sample is the factor applied to the seed's Philox normals, and grids
     are capped at MAX_CHOLESKY_POINTS.  Components are independent; H =
-    0.5 reduces to Brownian motion.  The factor is cached across seeds.
+    0.5 reduces to Brownian motion.  The factor is cached across seeds, and
+    the cache holds at most one factor at the cap.
+
+    A list of seeds returns one DriverPath per seed: their normals side by
+    side take one product, so the paths match single-seed draws to
+    round-off, and a one-seed list matches bit for bit.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("Hurst parameter must be in (0, 1)")
@@ -233,14 +238,16 @@ def sample_fbm(hurst: float, grid, n_dims: int = 1, seed: int = 0) -> DriverPath
         )
     times = grid.points[1:]
     chol = _fbm_cholesky(hurst, times)
-    gauss = _rng(seed).standard_normal((times.size, n_dims))
-    vals = np.vstack([np.zeros((1, n_dims)), chol @ gauss])
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else list(seed)
+    gauss = [_rng(s).standard_normal((times.size, n_dims)) for s in seeds]
+    gauss = gauss[0] if single else np.concatenate(gauss, axis=1)
+    draws = chol @ gauss
     kind = "brownian" if hurst == 0.5 else "fbm"
-    return DriverPath(grid, vals, kind=kind, hurst=hurst, seed=seed)
-
-
-def sample_brownian(grid, n_dims: int = 1, seed: int = 0) -> DriverPath:
-    return sample_fbm(0.5, grid, n_dims=n_dims, seed=seed)
+    zero = np.zeros((1, n_dims))
+    drivers = [DriverPath(grid, np.vstack([zero, draws[:, i * n_dims : (i + 1) * n_dims]]),
+                          kind=kind, hurst=hurst, seed=s) for i, s in enumerate(seeds)]
+    return drivers[0] if single else drivers
 
 
 def deterministic_driver(grid, fn) -> DriverPath:
@@ -569,27 +576,3 @@ def wiener_cov_x1(hurst, xi, eta, interval_a, interval_b):
         )
         total += val
     return c_h * total
-
-
-def driver_to_csv(driver: DriverPath, path):
-    """Write a driver as `t,x1,...,xn` rows with 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"x{i+1}" for i in range(driver.n_dims)])
-        for t, row in zip(driver.grid.points, driver.values):
-            writer.writerow([f"{t:.17g}"] + [f"{x:.17g}" for x in row])
-
-
-def driver_from_csv(path, kind="deterministic", hurst=None, seed=None) -> DriverPath:
-    from .algebra import TimeGrid
-
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "t":
-            raise ValueError("driver CSV must start with a 't' column")
-        rows = [[float(x) for x in row] for row in reader if row]
-    arr = np.asarray(rows, dtype=float)
-    return DriverPath(
-        TimeGrid(arr[:, 0]), arr[:, 1:], kind=kind, hurst=hurst, seed=seed
-    )

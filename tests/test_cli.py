@@ -141,6 +141,20 @@ class TestRunFlows:
                 "A7_rough_self_convergence": {"rate_threshold": 0.2}}}, "min_passing"),
             ("config", {"kind": "verify", "checks": {
                 "A4_young_exactness": {"tol": 1e-8, "functions": ["cos"]}}}, "functions"),
+            ("solver", {"max_picard": 2.5}, "solver.max_picard"),
+            ("solver", {"n_start": 2.0}, "solver.n_start"),
+            ("solver", {"sewing_level": 3.5}, "solver.sewing_level"),
+            ("solver", {"n_cap": 1e6}, "solver.n_cap"),
+            ("driver", {"cells": [64]}, "driver.cells"),
+            ("driver", {"cells": 64.0}, "driver.cells"),
+            ("driver", {"cells": None}, "cells"),
+            ("driver", {"n_dims": "1"}, "driver.n_dims"),
+            ("driver", {"horizon": [1.0]}, "driver.horizon"),
+            ("driver", {"kind": "fbm", "hurst": 0.4, "seed": 1.5}, "driver.seed"),
+            ("driver", {"kind": "fbm", "hurst": "0.4", "seed": 1}, "driver.hurst"),
+            ("kernel", {"atomz": [[1.0, 1.0]]}, "atomz"),
+            ("kernel", {"atoms": None, "density": {"name": "exp", "n_node": 8}}, "n_node"),
+            ("sigma", {"nmae": "tanh"}, "nmae"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):

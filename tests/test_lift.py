@@ -12,11 +12,8 @@ from roughvolterra.lift import (
     DriverPath,
     RoughLift,
     deterministic_driver,
-    driver_from_csv,
-    driver_to_csv,
     fbm_covariance,
     lift_ito_x2,
-    sample_brownian,
     sample_fbm,
     wiener_cov_x1,
 )
@@ -54,7 +51,7 @@ class TestDriverPath:
 class TestSampleFbm:
     def test_brownian_increment_independence(self):
         grid = TimeGrid.uniform(2**10, 1.0)
-        drv = sample_brownian(grid, seed=5)
+        drv = sample_fbm(0.5, grid, seed=5)
         inc = np.diff(drv.values[:, 0])
         rho = np.corrcoef(inc[:-1], inc[1:])[0, 1]
         assert abs(rho) < 0.05
@@ -112,6 +109,57 @@ class TestFbmFactorRoutes:
         assert not np.triu(chol, 1).any()
         err = np.max(np.abs(chol[rows] @ chol.T - cov[rows])) / np.max(np.abs(cov))
         assert err <= 1e-12
+
+    @pytest.mark.parametrize("n", [8, 257, 1024, 4095])
+    @pytest.mark.parametrize("hurst", [0.01, 0.4, 0.5, 0.7, 0.99])
+    def test_one_pass_factor_equals_two_pass_reference(self, n, hurst):
+        # the Schur loop into a full upper factor, then one cumulative sum over its rows
+        times = TimeGrid.uniform(n, 1.0).points[1:]
+        gamma = lift_mod._fgn_autocovariance(hurst, n, lift_mod._uniform_step(times))
+        upper = np.zeros((n, n))
+        upper[0] = gamma / np.sqrt(gamma[0])
+        v = upper[0].copy()
+        v[0] = 0.0
+        for k in range(1, n):
+            u = upper[k - 1, k - 1 : n - 1]
+            rho = v[k] / u[0]
+            s = np.sqrt((1.0 - rho) * (1.0 + rho))
+            upper[k, k:] = (u - rho * v[k:]) / s
+            v[k:] = s * v[k:] - rho * upper[k, k:]
+        assert np.array_equal(lift_mod._fbm_cholesky(hurst, times), np.cumsum(upper, axis=1).T)
+
+    def test_cache_holds_at_most_one_cap_size_factor(self):
+        grid = TimeGrid.uniform(4095, 1.0)
+        for hurst in (0.4, 0.7):
+            sample_fbm(hurst, grid, seed=0)
+        held = sum(c.nbytes for c in lift_mod._chol_cache.values())
+        assert held <= 8 * (MAX_CHOLESKY_POINTS - 1) ** 2
+        assert [key[0] for key in lift_mod._chol_cache] == [0.7]
+
+    def test_repeat_draw_builds_nothing(self, monkeypatch):
+        builds = []
+        schur = lift_mod._schur_cholesky
+        monkeypatch.setattr(
+            lift_mod, "_schur_cholesky", lambda gamma: builds.append(gamma.size) or schur(gamma)
+        )
+        grid = TimeGrid.uniform(64, 1.0)
+        sample_fbm(0.4, grid, seed=1)
+        sample_fbm(0.4, grid, n_dims=2, seed=2)
+        sample_fbm(0.4, grid, seed=[3, 4])
+        assert builds == [64]
+
+    def test_seed_list_draws_each_seed(self):
+        grid = TimeGrid.uniform(1024, 1.0)
+        seeds = [3, 7, 11, 12]
+        paths = sample_fbm(0.4, grid, n_dims=2, seed=seeds)
+        assert [p.seed for p in paths] == seeds
+        for path, seed in zip(paths, seeds):
+            one = sample_fbm(0.4, grid, n_dims=2, seed=seed)
+            assert path.kind == one.kind and path.values.shape == one.values.shape
+            scale = np.max(np.abs(one.values))
+            assert np.max(np.abs(path.values - one.values)) <= 1e-13 * scale
+        (single,) = sample_fbm(0.4, grid, n_dims=2, seed=[7])
+        assert np.array_equal(single.values, sample_fbm(0.4, grid, n_dims=2, seed=7).values)
 
     @pytest.mark.parametrize("hurst", [0.4, 0.7])
     def test_uniform_sample_matches_dense_factor(self, hurst):
@@ -375,7 +423,7 @@ class TestItoLift:
         mea = KernelMeasure.from_atoms([(0.0, 1.0)])
         vals = []
         for seed in range(1000):
-            drv = sample_brownian(grid, seed=seed)
+            drv = sample_fbm(0.5, grid, seed=seed)
             vals.append(lift_ito_x2(drv, mea, 0.0, 1.0, refinement=8)[0, 0, 0])
         vals = np.asarray(vals)
         se = vals.std(ddof=1) / np.sqrt(vals.size)
@@ -384,7 +432,7 @@ class TestItoLift:
     def test_matches_the_per_step_ito_sum(self):
         # the left-point Ito sum written as a loop over the refined steps
         grid = TimeGrid.uniform(16, 1.0)
-        drv = sample_brownian(grid, n_dims=2, seed=3)
+        drv = sample_fbm(0.5, grid, n_dims=2, seed=3)
         mea = KernelMeasure.from_atoms([(0.5, 0.7), (4.0, 0.3)])
         times, vals = grid.points, drv.values
         for level in (1, 2, 3):                       # refinement 8: three bridge levels
@@ -411,7 +459,7 @@ class TestItoLift:
         mea = KernelMeasure.from_atoms([(0.0, 1.0)])
         d64, d128 = [], []
         for seed in range(100):
-            drv = sample_brownian(grid, n_dims=2, seed=seed)
+            drv = sample_fbm(0.5, grid, n_dims=2, seed=seed)
             for r, acc in ((64, d64), (128, d128)):
                 m = lift_ito_x2(drv, mea, 0.0, 1.0, refinement=r)[0]
                 acc.append(0.5 * (m[0, 1] - m[1, 0]))
@@ -453,19 +501,6 @@ class TestWienerCov:
         c_h = h * (2 * h - 1)
         ref = c_h * (np.sum(np.outer(w, w) * kernel) / n**2 + np.sum(w * w) * diag_mass)
         assert val == pytest.approx(ref, rel=2e-2)
-
-
-class TestDriverCsv:
-    def test_round_trip(self, tmp_path):
-        grid = TimeGrid.uniform(16, 1.0)
-        drv = sample_fbm(0.4, grid, n_dims=2, seed=3)
-        path = tmp_path / "driver.csv"
-        driver_to_csv(drv, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "t,x1,x2"
-        back = driver_from_csv(path, kind="fbm", hurst=0.4, seed=3)
-        assert np.array_equal(back.values, drv.values)
-        assert np.array_equal(back.grid.points, drv.grid.points)
 
 
 def cell_tables_per_cell(lift, refine):
