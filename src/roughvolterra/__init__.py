@@ -25,12 +25,9 @@ from .laplace import (
     kernel_from_spec,
 )
 from .sewing import (
-    DyadicScheme,
     SewingResult,
     NotSewableError,
-    compensated_sum,
     compensated_sum_tilde,
-    lambda_dyadic,
     lambda_tilde_dyadic,
     c_mu,
     sewing_bound_check,

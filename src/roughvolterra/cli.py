@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, checks
 from .algebra import TimeGrid
-from .laplace import KernelMeasure, kernel_from_spec
+from .laplace import DENSITY_CATALOG, KernelMeasure, kernel_from_spec
 from .lift import (
     DETERMINISTIC_FUNCTIONS,
     DriverPath,
@@ -36,7 +36,7 @@ from .lift import (
     sample_fbm,
 )
 from .oracles import rk4_augmented
-from .sigma import sigma_catalog
+from .sigma import SIGMA_PARAMS, sigma_catalog
 from .solver import SolverConfig, SolverFailure, solve_rough, solve_young
 
 __all__ = [
@@ -85,6 +85,8 @@ STAT_KEYS = ("name", "hurst", "cells", "xi", "seeds", "horizon")     # horizon o
 # the keys laplace.kernel_from_spec reads, at the top and in a density block
 KERNEL_KEYS = ("atoms", "density")
 DENSITY_KEYS = ("name", "params", "n_nodes", "tail_cut", "beta", "tol")
+DENSITY_PARAMS = {name: tuple(inspect.signature(factory).parameters)
+                  for name, factory in DENSITY_CATALOG.items()}
 SIGMA_KEYS = ("name", "params")             # sigma_catalog's name and params
 
 # the keys of the other kinds' check blocks: (allowed, required); all are numbers
@@ -168,14 +170,11 @@ class ExperimentConfig:
             if name in CHECK_KEYS:
                 _check_keys(self.checks[name], name, *CHECK_KEYS[name])
                 _check_numbers(self.checks[name], name, CHECK_KEYS[name][0])
-        if kind in ("solve-young", "solve-rough"):
-            for key in ("kernel", "driver", "sigma", "solver", "initial"):
-                if key not in raw:
-                    raise ValueError(f"kind {kind!r} requires field {key!r}")
-        if kind == "convergence":
-            for key in ("kernel", "driver", "sigma", "solver", "initial", "levels"):
-                if key not in raw:
-                    raise ValueError(f"kind {kind!r} requires field {key!r}")
+        solve = ("kernel", "driver", "sigma", "solver", "initial")
+        required = {"solve-young": solve, "solve-rough": solve, "convergence": solve + ("levels",)}
+        for key in required.get(kind, ()):
+            if key not in raw:
+                raise ValueError(f"kind {kind!r} requires field {key!r}")
         if kind in ("ensemble", "covariance-check"):
             if "stat" not in raw:
                 raise ValueError(f"kind {kind!r} requires a 'stat' block")
@@ -188,8 +187,11 @@ class ExperimentConfig:
             _check_keys(raw["kernel"], "kernel", KERNEL_KEYS, ())
             if "density" in raw["kernel"]:
                 _check_keys(raw["kernel"]["density"], "kernel.density", DENSITY_KEYS, ("name",))
+                params = _check_family(raw["kernel"]["density"], "kernel.density", DENSITY_PARAMS)
+                _check_numbers(params, "kernel.density.params", params)
         if "sigma" in raw:
             _check_keys(raw["sigma"], "sigma", SIGMA_KEYS, ("name",))
+            _check_family(raw["sigma"], "sigma", SIGMA_PARAMS)
         drv = raw.get("driver", {})
         if not isinstance(drv, dict):
             raise ValueError("'driver' must be a JSON object")
@@ -244,12 +246,21 @@ def _check_keys(block, where, allowed, required):
     """Raise ValueError naming ``where`` unless ``block`` is an object with the right keys."""
     if not isinstance(block, dict):
         raise ValueError(f"{where!r} must be a JSON object")
-    unknown = sorted(set(block) - set(allowed))
+    unknown = [f"{where}.{key}" for key in sorted(set(block) - set(allowed))]
     if unknown:
-        raise ValueError(f"unknown key(s) in {where!r}: {unknown}")
-    missing = [key for key in required if key not in block]
+        raise ValueError(f"unknown key(s) {unknown}; {where!r} takes {sorted(allowed)}")
+    missing = [f"{where}.{key}" for key in required if key not in block]
     if missing:
-        raise ValueError(f"{where!r} requires key(s) {missing}")
+        raise ValueError(f"missing key(s) {missing}")
+
+
+def _check_family(block, where, params_of):
+    """``block["params"]``, once its family ``block["name"]`` is known and takes those keys."""
+    if not isinstance(block["name"], str) or block["name"] not in params_of:
+        raise ValueError(f"{where}.name must be one of {list(params_of)}, got {block['name']!r}")
+    params = block.get("params", {})
+    _check_keys(params, f"{where}.params", params_of[block["name"]], ())
+    return params
 
 
 def _check_numbers(block, where, keys, kind=(int, float)):
@@ -331,22 +342,9 @@ def _solution_csv(path, sol, with_atoms=True):
 
 
 def _diagnostics_csv(path, sol):
-    diags = sol.diagnostics
-    emit_csv(
-        path,
-        [
-            ("start", [g.start for g in diags]),
-            ("end", [g.end for g in diags]),
-            ("n_value", [g.n_value for g in diags]),
-            ("iterations", [g.iterations for g in diags]),
-            ("contraction", [g.contraction for g in diags]),
-            ("q_norm", [g.q_norm for g in diags]),
-            ("htilde_norm", [g.htilde_norm for g in diags]),
-            ("picard_residual", [g.picard_residual for g in diags]),
-            ("ball_radius_ok", [g.ball_radius_ok for g in diags]),
-            ("initial_norm_ok", [g.initial_norm_ok for g in diags]),
-        ],
-    )
+    names = ("start", "end", "n_value", "iterations", "contraction", "q_norm", "htilde_norm",
+             "picard_residual", "ball_radius_ok", "initial_norm_ok")
+    emit_csv(path, [(name, [getattr(g, name) for g in sol.diagnostics]) for name in names])
 
 
 def _run_solve(cfg: ExperimentConfig, manifest, out_dir, enabled):

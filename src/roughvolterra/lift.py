@@ -10,9 +10,10 @@ reassembled on arbitrary pairs through the twisted Chasles relation.
 fBm is sampled exactly in law through a Cholesky factor of the covariance,
 capped at desk scale: on uniform grids the O(n^2) Schur factor of the
 Toeplitz increment covariance, built in one pass, on other grids the dense
-factor; the cache keeps at most one cap-size factor.  Sampling uses
-counter-based Philox streams keyed by the seed, so a fixed seed reproduces
-paths bit for bit, and a list of seeds is drawn through one product.
+factor.  Factors within FACTOR_BYTES (8 MiB) are cached; larger ones are
+never stored, and uniform ones stream through the product in panels.
+Sampling uses counter-based Philox streams keyed by the seed, so a fixed
+seed reproduces paths bit for bit; a list of seeds takes one product.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 MAX_CHOLESKY_POINTS = 2**12 + 1
+FACTOR_BYTES = 8 * 1024**2                # one path factor at 1024 points
 
 ALL_HYPOTHESES = frozenset({"H1", "H2", "H3"})
 
@@ -132,8 +134,8 @@ def _fgn_autocovariance(hurst: float, n: int, h: float) -> np.ndarray:
     return h**a * gamma
 
 
-def _schur_cholesky(gamma: np.ndarray) -> np.ndarray | None:
-    """Path factor C L from the increment autocovariance, or None on breakdown.
+def _schur_panels(gamma: np.ndarray, rows: int):
+    """Rows of the path factor's transpose (C L)^T, ``rows`` at a time.
 
     L is the Cholesky factor of the increment covariance Gamma =
     Toeplitz(gamma) and C the cumulative-sum matrix, so C L is lower
@@ -143,37 +145,51 @@ def _schur_cholesky(gamma: np.ndarray) -> np.ndarray | None:
     in the mixed form whose stability for SPD Toeplitz matrices is shown
     by Bojanczyk, Brent, de Hoog & Sweet (1995).  The generator lives in
     two length-n buffers that swap each step, and each row's cumulative
-    sum goes straight into (C L)^T, so the factor is written in one pass.
-    Breakdown (|rho| >= 1 or a non-finite value) means the matrix is not
-    numerically positive definite.
+    sum goes straight into the panel.  Yields (k0, panel), panel[i] being
+    row k0 + i, zero left of its diagonal, in one reused buffer.  Breakdown
+    (|rho| >= 1 or a non-finite value) raises LinAlgError: the matrix is
+    not numerically positive definite.
     """
     n = gamma.size
     if not (np.all(np.isfinite(gamma)) and gamma[0] > 0.0):
-        return None
-    summed = np.zeros((n, n))                        # (C L)^T
+        raise np.linalg.LinAlgError("Schur breakdown")
+    panel = np.zeros((min(rows, n), n))
     prev = gamma / np.sqrt(gamma[0])                 # row k-1 of L^T
     row = np.empty(n)                                # row k of L^T
     v = prev.copy()
     v[0] = 0.0
-    np.cumsum(prev, out=summed[0])
-    for k in range(1, n):
-        rho = v[k] / prev[k - 1]
-        if not abs(rho) < 1.0:
-            return None
-        s = np.sqrt((1.0 - rho) * (1.0 + rho))
-        new, vk = row[k:], v[k:]
-        # row k = (previous generator shifted down - rho v) / s
-        np.multiply(rho, vk, out=new)
-        np.subtract(prev[k - 1 : n - 1], new, out=new)
-        np.divide(new, s, out=new)
-        np.cumsum(new, out=summed[k, k:])
-        # v = s v - rho row k, with the consumed row k-1 as the temporary
-        np.multiply(rho, new, out=prev[k:])
-        np.multiply(s, vk, out=vk)
-        np.subtract(vk, prev[k:], out=vk)
-        prev, row = row, prev
-    # a non-finite entry makes its row's total non-finite
-    return summed.T if np.all(np.isfinite(summed[:, -1])) else None
+    np.cumsum(prev, out=panel[0])
+    for k0 in range(0, n, len(panel)):
+        m = min(len(panel), n - k0)
+        for k in range(max(k0, 1), k0 + m):
+            rho = v[k] / prev[k - 1]
+            if not abs(rho) < 1.0:
+                raise np.linalg.LinAlgError("Schur breakdown")
+            s = np.sqrt((1.0 - rho) * (1.0 + rho))
+            new, vk = row[k:], v[k:]
+            # row k = (previous generator shifted down - rho v) / s
+            np.multiply(rho, vk, out=new)
+            np.subtract(prev[k - 1 : n - 1], new, out=new)
+            np.divide(new, s, out=new)
+            np.cumsum(new, out=panel[k - k0, k:])
+            # v = s v - rho row k, with the consumed row k-1 as the temporary
+            np.multiply(rho, new, out=prev[k:])
+            np.multiply(s, vk, out=vk)
+            np.subtract(vk, prev[k:], out=vk)
+            prev, row = row, prev
+        # a non-finite entry makes its row's total non-finite
+        if not np.all(np.isfinite(panel[:m, -1])):
+            raise np.linalg.LinAlgError("Schur breakdown")
+        yield k0, panel[:m]
+        panel[:, k0 : k0 + 2 * len(panel)] = 0.0    # left of the next rows' diagonals
+
+
+def _schur_cholesky(gamma: np.ndarray) -> np.ndarray | None:
+    """Path factor C L from the increment autocovariance, or None on breakdown."""
+    try:
+        return next(_schur_panels(gamma, gamma.size))[1].T
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _fbm_cholesky(hurst: float, times: np.ndarray) -> np.ndarray:
@@ -182,14 +198,15 @@ def _fbm_cholesky(hurst: float, times: np.ndarray) -> np.ndarray:
     Uniform grids take the O(n^2) Schur route; other grids, and a Schur
     breakdown, take the dense O(n^3) factorisation of ``fbm_covariance``.
     The cache key holds the times' bytes, so it is exact, and a hit skips
-    the uniformity test.  Before a build the oldest factors are dropped, so
-    the cache never holds more bytes than one factor at the point cap.
+    the uniformity test.  Before a build the oldest factors are dropped
+    until the cache and the new factor fit in FACTOR_BYTES; ``_fbm_draw``
+    streams larger factors instead of asking for them.
     """
     key = (float(hurst), times.tobytes())
     cached = _chol_cache.get(key)
     if cached is not None:
         return cached
-    room = 8 * ((MAX_CHOLESKY_POINTS - 1) ** 2 - times.size**2)
+    room = FACTOR_BYTES - 8 * times.size**2
     while _chol_cache and sum(c.nbytes for c in _chol_cache.values()) > room:
         del _chol_cache[next(iter(_chol_cache))]      # oldest first
     h = _uniform_step(times)
@@ -213,17 +230,37 @@ def _dense_cholesky(cov: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("fBm covariance not factorisable even with jitter")
 
 
+def _fbm_draw(hurst: float, times: np.ndarray, gauss: np.ndarray) -> np.ndarray:
+    """The fBm path factor on ``times`` times ``gauss``, never storing more than FACTOR_BYTES.
+
+    A larger factor on a uniform grid is streamed in Schur panels, skipping
+    its zero upper triangle; on other grids, or after a breakdown (whose
+    partial sums are dropped), the dense factor is built for this call.
+    """
+    n = times.size
+    if 8 * n * n <= FACTOR_BYTES:
+        return _fbm_cholesky(hurst, times) @ gauss
+    h = _uniform_step(times)
+    if h is not None:
+        gamma, draws = _fgn_autocovariance(hurst, n, h), np.zeros_like(gauss)
+        try:
+            for k0, panel in _schur_panels(gamma, FACTOR_BYTES // (8 * n)):
+                draws[k0:] += panel[:, k0:].T @ gauss[k0 : k0 + len(panel)]
+            return draws
+        except np.linalg.LinAlgError:
+            pass
+    return _dense_cholesky(fbm_covariance(hurst, times)) @ gauss
+
+
 def sample_fbm(hurst: float, grid, n_dims: int = 1, seed=0) -> DriverPath | list[DriverPath]:
     """Exact-in-law fBm sample on the grid via a Cholesky factor.
 
-    Uniform grids use the O(n^2) Schur factor of the Toeplitz increment
-    covariance, built in one pass into the path factor; other grids use
-    the dense factor of the path covariance, retried with escalating
-    diagonal jitter when round-off makes it non-PSD.  Either way the
-    sample is the factor applied to the seed's Philox normals, and grids
-    are capped at MAX_CHOLESKY_POINTS.  Components are independent; H =
-    0.5 reduces to Brownian motion.  The factor is cached across seeds, and
-    the cache holds at most one factor at the cap.
+    The sample is the path factor (the Schur factor on uniform grids, the
+    dense one, jittered if round-off needs it, elsewhere) applied to the
+    seed's Philox normals; grids are capped at MAX_CHOLESKY_POINTS.
+    Components are independent; H = 0.5 reduces to Brownian motion.
+    Factors within FACTOR_BYTES (1024 points) are cached across seeds; a
+    larger uniform grid streams its factor's rows in panels of that size.
 
     A list of seeds returns one DriverPath per seed: their normals side by
     side take one product, so the paths match single-seed draws to
@@ -237,12 +274,11 @@ def sample_fbm(hurst: float, grid, n_dims: int = 1, seed=0) -> DriverPath | list
             f"{MAX_CHOLESKY_POINTS}"
         )
     times = grid.points[1:]
-    chol = _fbm_cholesky(hurst, times)
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
     gauss = [_rng(s).standard_normal((times.size, n_dims)) for s in seeds]
     gauss = gauss[0] if single else np.concatenate(gauss, axis=1)
-    draws = chol @ gauss
+    draws = _fbm_draw(hurst, times, gauss)
     kind = "brownian" if hurst == 0.5 else "fbm"
     zero = np.zeros((1, n_dims))
     drivers = [DriverPath(grid, np.vstack([zero, draws[:, i * n_dims : (i + 1) * n_dims]]),
@@ -359,9 +395,6 @@ class RoughLift:
     def x1(self, s: float, t: float):
         """Kernel-projected first-order increment over [s, t], shape (n,)."""
         return project(self.x1_tilde(s, t), self.measure, axis=0)
-
-    def x1_pairs(self, u, v):
-        return project(self.x1_tilde_pairs(u, v), self.measure, axis=1)
 
     # -- second order --------------------------------------------------
 

@@ -19,12 +19,9 @@ import numpy as np
 from scipy.special import zeta
 
 __all__ = [
-    "DyadicScheme",
     "SewingResult",
     "NotSewableError",
-    "compensated_sum",
     "compensated_sum_tilde",
-    "lambda_dyadic",
     "lambda_tilde_dyadic",
     "c_mu",
     "sewing_bound_check",
@@ -42,26 +39,6 @@ class NotSewableError(RuntimeError):
     def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
-
-
-@dataclass(frozen=True)
-class DyadicScheme:
-    """Dyadic partitions of a base interval: level n has 2^n + 1 points."""
-
-    s: float
-    t: float
-    max_level: int = DEFAULT_MAX_LEVEL
-
-    def __post_init__(self):
-        if not self.t > self.s:
-            raise ValueError("need s < t")
-        if self.max_level < 0:
-            raise ValueError("max_level must be >= 0")
-
-    def points(self, level: int) -> np.ndarray:
-        if level < 0 or level > self.max_level:
-            raise ValueError(f"level {level} outside [0, {self.max_level}]")
-        return np.linspace(self.s, self.t, 2**level + 1)
 
 
 @dataclass
@@ -220,11 +197,6 @@ def _finish(sums, diff_norms, last_level, stopped):
     )
 
 
-def compensated_sum(germ, s, t, level=DEFAULT_MAX_LEVEL, min_level=0) -> SewingResult:
-    """Plain compensated Riemann sums: the weight-1 case of the tilde map."""
-    return compensated_sum_tilde(germ, 0.0, s, t, level, min_level)
-
-
 def lambda_tilde_dyadic(b_pair, xi: float, s: float, t: float, level: int):
     """Level-n dyadic correction M~^n_{ts}(xi) of a 1-increment B.
 
@@ -241,11 +213,6 @@ def lambda_tilde_dyadic(b_pair, xi: float, s: float, t: float, level: int):
     whole = np.asarray(b_pair(np.array([s]), np.array([t])), dtype=float)[0]
     inner = _weighted_level_sum(b_pair, xi, s, t, level)
     return whole - inner
-
-
-def lambda_dyadic(b_pair, s: float, t: float, level: int):
-    """Level-n dyadic correction M^n_{ts}; xi = 0 case of the tilde form."""
-    return lambda_tilde_dyadic(b_pair, 0.0, s, t, level)
 
 
 def c_mu(mu: float) -> float:

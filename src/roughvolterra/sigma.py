@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["SigmaField", "sigma_catalog", "SIGMA_NAMES"]
+__all__ = ["SigmaField", "sigma_catalog", "SIGMA_NAMES", "SIGMA_PARAMS"]
 
 
 @dataclass
@@ -197,4 +197,8 @@ def sigma_catalog(name: str, n: int = 1, d: int = 1, params: dict | None = None)
     raise ValueError(f"unknown sigma field {name!r}")
 
 
-SIGMA_NAMES = ("zero", "constant", "linear", "sin", "tanh")
+# the params keys sigma_catalog reads for each family
+SIGMA_PARAMS = {"zero": (), "constant": ("value",), "linear": ("scale", "direction"),
+                "sin": ("amp", "freq", "phase", "direction"),
+                "tanh": ("amp", "width", "direction")}
+SIGMA_NAMES = tuple(SIGMA_PARAMS)

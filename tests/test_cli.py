@@ -155,6 +155,14 @@ class TestRunFlows:
             ("kernel", {"atomz": [[1.0, 1.0]]}, "atomz"),
             ("kernel", {"atoms": None, "density": {"name": "exp", "n_node": 8}}, "n_node"),
             ("sigma", {"nmae": "tanh"}, "nmae"),
+            ("kernel", {"atoms": None, "density": {"name": "exp", "params": {"rat": 2.0}}},
+             "kernel.density.params.rat"),
+            ("sigma", {"name": "tanh", "params": {"ampp": 5.0}}, "sigma.params.ampp"),
+            ("kernel", {"atoms": None, "density": {"name": "exp", "params": {"rate": "2"}}},
+             "kernel.density.params.rate"),
+            ("kernel", {"atoms": None, "density": {"name": "expo"}}, "kernel.density.name"),
+            ("sigma", {"name": "zero", "params": {"direction": [1.0]}}, "sigma.params.direction"),
+            ("sigma", {"name": ["tanh"]}, "sigma.name"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):

@@ -128,13 +128,65 @@ class TestFbmFactorRoutes:
             v[k:] = s * v[k:] - rho * upper[k, k:]
         assert np.array_equal(lift_mod._fbm_cholesky(hurst, times), np.cumsum(upper, axis=1).T)
 
-    def test_cache_holds_at_most_one_cap_size_factor(self):
-        grid = TimeGrid.uniform(4095, 1.0)
+    def test_cache_keeps_only_factors_within_the_budget(self, monkeypatch):
         for hurst in (0.4, 0.7):
-            sample_fbm(hurst, grid, seed=0)
-        held = sum(c.nbytes for c in lift_mod._chol_cache.values())
-        assert held <= 8 * (MAX_CHOLESKY_POINTS - 1) ** 2
-        assert [key[0] for key in lift_mod._chol_cache] == [0.7]
+            sample_fbm(hurst, TimeGrid.uniform(4095, 1.0), seed=0)
+        assert not lift_mod._chol_cache                  # streamed, never stored
+        for cells in (1024, 256, 128, 1024, 256):
+            sample_fbm(0.4, TimeGrid.uniform(cells, 1.0), seed=cells)
+            held = sum(c.nbytes for c in lift_mod._chol_cache.values())
+            assert 0 < held <= lift_mod.FACTOR_BYTES
+        builds = []
+        schur = lift_mod._schur_cholesky
+        monkeypatch.setattr(
+            lift_mod, "_schur_cholesky", lambda gamma: builds.append(gamma.size) or schur(gamma)
+        )
+        sample_fbm(0.4, TimeGrid.uniform(1024, 1.0), seed=1)
+        sample_fbm(0.4, TimeGrid.uniform(1024, 1.0), seed=2)
+        assert builds == [1024]
+
+    @pytest.mark.parametrize("n", [8, 257, 1024])
+    @pytest.mark.parametrize("rows", [1, 7, "n"])
+    def test_panels_stack_to_the_factor(self, n, rows):
+        times = TimeGrid.uniform(n, 1.0).points[1:]
+        gamma = lift_mod._fgn_autocovariance(0.4, n, lift_mod._uniform_step(times))
+        stacked = np.full((n, n), np.nan)
+        for k0, panel in lift_mod._schur_panels(gamma, n if rows == "n" else rows):
+            stacked[k0 : k0 + len(panel)] = panel
+        assert np.array_equal(stacked, lift_mod._schur_cholesky(gamma).T)
+
+    def test_streamed_draws_match_the_factor(self):
+        grid = TimeGrid.uniform(4095, 1.0)
+        gamma = lift_mod._fgn_autocovariance(0.4, 4095, lift_mod._uniform_step(grid.points[1:]))
+        chol = lift_mod._schur_cholesky(gamma)
+        seeds = [5, 6, 9]
+        gauss = np.hstack([lift_mod._rng(s).standard_normal((4095, 2)) for s in seeds])
+        expect = chol @ gauss
+        paths = [sample_fbm(0.4, grid, n_dims=2, seed=5)]
+        paths += sample_fbm(0.4, grid, n_dims=2, seed=seeds)
+        got = np.hstack([p.values[1:] for p in paths])
+        ref = np.hstack([expect[:, :2], expect])
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        (single,) = sample_fbm(0.4, grid, n_dims=2, seed=[5])
+        assert np.array_equal(single.values, paths[0].values)
+        assert not lift_mod._chol_cache
+
+    @pytest.mark.parametrize("lag", [1, 1000])
+    def test_streamed_breakdown_takes_the_dense_route(self, monkeypatch, lag):
+        # correlation 1.5 at one lag is not a covariance: rho = 1.5 at step `lag`,
+        # which for lag 1000 is after the first panel (953 rows at 1100 points)
+        n = 1100
+        broken = lambda hurst, n, h: np.r_[1.0, np.zeros(lag - 1), 1.5, np.zeros(n - lag - 1)]
+        panels = lift_mod._schur_panels(broken(0.4, n, 1.0), lift_mod.FACTOR_BYTES // (8 * n))
+        if lag > 1:
+            assert next(panels)[0] == 0
+        with pytest.raises(np.linalg.LinAlgError):
+            next(panels)
+        monkeypatch.setattr(lift_mod, "_fgn_autocovariance", broken)
+        grid = TimeGrid.uniform(n, 1.0)
+        dense = np.linalg.cholesky(fbm_covariance(0.4, grid.points[1:]))
+        gauss = lift_mod._rng(5).standard_normal((n, 1))
+        assert np.array_equal(sample_fbm(0.4, grid, seed=5).values[1:], dense @ gauss)
 
     def test_repeat_draw_builds_nothing(self, monkeypatch):
         builds = []

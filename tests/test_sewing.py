@@ -3,13 +3,10 @@ import pytest
 from scipy.special import zeta
 
 from roughvolterra.sewing import (
-    DyadicScheme,
     NotSewableError,
     SewingResult,
     c_mu,
-    compensated_sum,
     compensated_sum_tilde,
-    lambda_dyadic,
     lambda_tilde_dyadic,
     sewing_bound_check,
 )
@@ -23,39 +20,27 @@ def square_width(u, v):
     return (v - u) ** 2
 
 
-class TestDyadicScheme:
-    def test_point_counts_and_nesting(self):
-        sch = DyadicScheme(0.25, 1.0, max_level=6)
-        for n in range(6):
-            pts = sch.points(n)
-            assert pts.size == 2**n + 1
-            finer = sch.points(n + 1)
-            assert np.allclose(finer[::2], pts)
-
-    def test_level_cap(self):
-        sch = DyadicScheme(0.0, 1.0, max_level=3)
-        with pytest.raises(ValueError):
-            sch.points(4)
-
-
 class TestLambdaDyadic:
     def test_exact_increment_vanishes_at_every_level(self):
         for level in range(6):
-            assert lambda_dyadic(additive, 0.1, 0.9, level) == pytest.approx(0.0, abs=1e-15)
+            val = lambda_tilde_dyadic(additive, 0.0, 0.1, 0.9, level)
+            assert val == pytest.approx(0.0, abs=1e-15)
 
     def test_level_zero_empty_intersection(self):
         # the level-0 partition has no interior points: correction is 0
-        assert lambda_dyadic(square_width, 0.0, 1.0, 0) == 0.0
+        assert lambda_tilde_dyadic(square_width, 0.0, 0.0, 1.0, 0) == 0.0
 
     def test_square_width_level_three(self):
         # hand expansion: B_{ts} - 8 cells of (1/8)^2 = 1 - 8/64
-        assert lambda_dyadic(square_width, 0.0, 1.0, 3) == pytest.approx(0.875, rel=1e-14)
+        val = lambda_tilde_dyadic(square_width, 0.0, 0.0, 1.0, 3)
+        assert val == pytest.approx(0.875, rel=1e-14)
 
     def test_tilde_reduces_to_plain_at_zero_frequency(self):
+        # weights e^0 = 1: B_{ts} minus the unweighted sum over the level-n cells
         for level in (0, 2, 5):
-            a = lambda_dyadic(square_width, 0.2, 0.9, level)
-            b = lambda_tilde_dyadic(square_width, 0.0, 0.2, 0.9, level)
-            assert a == b
+            pts = np.linspace(0.2, 0.9, 2**level + 1)
+            plain = square_width(0.2, 0.9) - np.sum(square_width(pts[:-1], pts[1:]))
+            assert lambda_tilde_dyadic(square_width, 0.0, 0.2, 0.9, level) == plain
 
     def test_tilde_of_twisted_exact_vanishes(self):
         # B_{ts} = x1~ of a linear path: delta~ B = 0, so M~^n = 0
@@ -77,25 +62,25 @@ class TestLambdaDyadic:
             return square_width(u, v) + q(v) - q(u)
 
         for level in (1, 3, 6):
-            assert lambda_dyadic(square_width, 0.1, 0.8, level) == pytest.approx(
-                lambda_dyadic(b_plus_dq, 0.1, 0.8, level), rel=1e-13
+            assert lambda_tilde_dyadic(square_width, 0.0, 0.1, 0.8, level) == pytest.approx(
+                lambda_tilde_dyadic(b_plus_dq, 0.0, 0.1, 0.8, level), rel=1e-13
             )
 
 
 class TestCompensatedSum:
     def test_telescoping_exact(self):
-        res = compensated_sum(additive, 0.0, 1.0, level=6)
+        res = compensated_sum_tilde(additive, 0.0, 0.0, 1.0, level=6)
         assert res.value == pytest.approx(np.sin(1.0) - np.sin(0.0), abs=1e-15)
         assert res.stopped_early  # differences vanish immediately
 
     def test_smooth_young_germ(self):
         # germ x_s (delta x)_{ts} for x = id converges to int_0^1 v dv
-        res = compensated_sum(lambda u, v: u * (v - u), 0.0, 1.0, level=14)
+        res = compensated_sum_tilde(lambda u, v: u * (v - u), 0.0, 0.0, 1.0, level=14)
         assert res.extrapolated == pytest.approx(0.5, abs=1e-10)
         assert abs(res.value - 0.5) < 1e-3
 
     def test_vanishing_quadratic_germ(self):
-        res = compensated_sum(square_width, 0.0, 1.0, level=10)
+        res = compensated_sum_tilde(square_width, 0.0, 0.0, 1.0, level=10)
         # value ~ 2^-L and halves per level
         assert res.value == pytest.approx(2.0**-10, rel=1e-10)
         ratios = [a / b for a, b in zip(res.diff_norms[:-1], res.diff_norms[1:])]
@@ -103,9 +88,9 @@ class TestCompensatedSum:
 
     def test_tilde_zero_frequency_identical(self):
         germ = lambda u, v: u * (v - u)
-        a = compensated_sum(germ, 0.0, 1.0, level=8)
-        b = compensated_sum_tilde(germ, 0.0, 0.0, 1.0, level=8)
-        assert a.value == b.value
+        res = compensated_sum_tilde(germ, 0.0, 0.0, 1.0, level=8)
+        pts = np.linspace(0.0, 1.0, 2**8 + 1)
+        assert res.level == 8 and res.value == np.sum(germ(pts[:-1], pts[1:]))
 
     def test_tilde_constant_integrand_exact(self):
         # germ x1~(xi) c with exact x1~ of a linear path: twisted telescoping
@@ -134,7 +119,7 @@ class TestCompensatedSum:
             return (v - u) ** 0.4 * np.cos(5 * u)
 
         with pytest.raises(NotSewableError) as info:
-            compensated_sum(rough_germ, 0.0, 1.0, level=14)
+            compensated_sum_tilde(rough_germ, 0.0, 0.0, 1.0, level=14)
         assert isinstance(info.value.result, SewingResult)
 
     def test_level_difference_decay_rate(self):
@@ -144,7 +129,7 @@ class TestCompensatedSum:
             def germ(u, v, mu=mu):
                 return (v - u) ** mu * (1.0 + 0.2 * np.sin(4 * u))
 
-            res = compensated_sum(germ, 0.0, 1.0, level=12)
+            res = compensated_sum_tilde(germ, 0.0, 0.0, 1.0, level=12)
             diffs = np.asarray(res.diff_norms)
             lv = np.arange(diffs.size)
             slope = -np.polyfit(lv[3:], np.log2(diffs[3:]), 1)[0]
@@ -173,7 +158,7 @@ class TestDeltaOfLambda:
             return one(s, t) - one(u, t) - one(s, u)
 
         def lam(s, t):
-            res = compensated_sum(b_pair, s, t, level)
+            res = compensated_sum_tilde(b_pair, 0.0, s, t, level)
             whole = b_pair(np.array([s]), np.array([t]))[0]
             return whole - (res.extrapolated if mode == "extr" else res.value)
 
@@ -204,7 +189,7 @@ class TestDeltaOfLambda:
             return one(s, t) - one(u, t) - one(s, u)
 
         def lam(s, t):
-            res = compensated_sum(b_pair, s, t, 14)
+            res = compensated_sum_tilde(b_pair, 0.0, s, t, 14)
             return b_pair(np.array([s]), np.array([t]))[0] - res.extrapolated
 
         s, u, t = 0.0, 0.4, 1.0
