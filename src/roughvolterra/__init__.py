@@ -8,10 +8,8 @@ convolutional Young and rough Volterra equations.
 
 from .algebra import (
     TimeGrid,
-    Increment1,
     delta_tilde,
     twist,
-    trace_pair,
     lbeta_norm,
     estimate_holder_exponent,
 )
@@ -43,15 +41,11 @@ from .lift import (
 )
 from .sigma import SigmaField, sigma_catalog
 from .solver import (
-    ControlledPath,
-    LaplaceControlledPath,
     SolverConfig,
     Solution,
     SolverFailure,
-    compose_sigma,
     young_integral,
     rough_integral,
-    project_y,
     solve_young,
     solve_rough,
     solve_rough_ode,

@@ -2,8 +2,8 @@
 
 Paths sampled on a grid, the exponentially twisted coboundary ``delta~``
 (the plain coboundary ``delta`` at frequency 0) with its twist factor, the
-trace pairing, the L_beta norm and an empirical Holder-exponent estimator,
-which the sewing and solver layers are built on.
+L_beta norm and an empirical Holder-exponent estimator, which the sewing
+and solver layers are built on.
 
 Everything here is a pure function of immutable inputs.  Increments are
 arrays: a path is indexed by grid point, a 1-increment by a pair of grid
@@ -18,11 +18,9 @@ import numpy as np
 
 __all__ = [
     "TimeGrid",
-    "Increment1",
     "twist",
     "delta_tilde",
     "exp_scan",
-    "trace_pair",
     "lbeta_norm",
     "estimate_holder_exponent",
 ]
@@ -68,20 +66,6 @@ class TimeGrid:
             if 0 <= j < len(self) and abs(self.points[j] - t) <= 1e-12 * max(1.0, abs(t)):
                 return j
         raise ValueError(f"t={t} is not a grid point")
-
-
-@dataclass(frozen=True)
-class Increment1:
-    """A path on the grid: values[i] is the state at grid point i."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.shape[0] != len(self.grid):
-            raise ValueError("values must have one entry per grid point")
 
 
 def twist(xi, s, t):
@@ -169,38 +153,31 @@ def exp_scan(points, xis, g, init):
     return out
 
 
-def trace_pair(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace pairing A . B = Tr(A B*) = sum_ij A_ij B_ij for real matrices."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("trace_pair needs matrices of identical shape")
-    return float(np.sum(a * b))
-
-
-def lbeta_norm(values_per_atom: np.ndarray, measure, beta: float) -> float:
-    """Quadrature L_beta norm: sum_k |w_k| (1 + xi_k^beta) ||g(xi_k)||."""
+def lbeta_norm(vals, measure, beta: float):
+    """Quadrature L_beta norms sum_k |w_k| (1 + xi_k^beta) ||g(xi_k)|| of
+    (..., K, d) arrays, one per leading index: (...)."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    vals = np.asarray(values_per_atom, dtype=float)
-    if vals.shape[0] != measure.xis.size:
-        raise ValueError("atom axis does not match the measure")
-    norms = np.sqrt((vals.reshape(vals.shape[0], -1) ** 2).sum(axis=1))
-    return float(np.sum(np.abs(measure.weights) * (1.0 + measure.xis**beta) * norms))
+    w = np.abs(measure.weights) * (1.0 + measure.xis**beta)
+    norms = np.sqrt(np.sum(np.asarray(vals, dtype=float) ** 2, axis=-1))
+    return norms @ w
 
 
-def estimate_holder_exponent(path: Increment1, max_lag_exp: int | None = None):
-    """Empirical Holder exponent of a sampled path.
+def estimate_holder_exponent(grid: TimeGrid, values, max_lag_exp: int | None = None):
+    """Empirical Holder exponent of a path sampled on ``grid``.
 
     Least-squares slope of log median|increment| against log lag over dyadic
     lags.  Returns (exponent, residual) where residual is the RMS misfit of
     the regression.  Raises on (near-)constant paths, whose exponent is
     undefined.
     """
-    n = len(path.grid)
+    n = len(grid)
+    vals = np.asarray(values, dtype=float)
+    if vals.shape[0] != n:
+        raise ValueError("values must have one entry per grid point")
     if n < 32:
         raise ValueError("need at least 32 grid points")
-    vals = path.values.reshape(n, -1)
+    vals = vals.reshape(n, -1)
     scale = np.max(np.abs(vals - vals[0]))
     if scale == 0.0:
         raise ValueError("constant path has no defined Holder exponent")
@@ -208,7 +185,7 @@ def estimate_holder_exponent(path: Increment1, max_lag_exp: int | None = None):
     j_max = min(int(np.log2(n - 1)) - 2, 5) if max_lag_exp is None else max_lag_exp
     j_max = max(j_max, 1)
     lags, meds = [], []
-    pts = path.grid.points
+    pts = grid.points
     for j in range(j_max + 1):
         lag = 2**j
         if lag >= n:

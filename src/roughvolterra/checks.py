@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Increment1, TimeGrid, delta_tilde, estimate_holder_exponent, twist
+from .algebra import TimeGrid, delta_tilde, estimate_holder_exponent, twist
 from .expkernels import e0
 from .laplace import KernelMeasure
 from .lift import (
@@ -283,7 +283,7 @@ def a9_holder_estimator(tol, seeds=range(100), hursts=(0.4, 0.7), points=4096):
     details = {}
     for hurst in hursts:
         ests = [
-            estimate_holder_exponent(Increment1(grid, driver.values))[0]
+            estimate_holder_exponent(grid, driver.values)[0]
             for driver in sample_fbm(float(hurst), grid, n_dims=1, seed=list(seeds))
         ]
         med = float(np.median(ests))

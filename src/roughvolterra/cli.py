@@ -254,12 +254,15 @@ def _check_keys(block, where, allowed, required):
         raise ValueError(f"missing key(s) {missing}")
 
 
-def _check_family(block, where, params_of):
-    """``block["params"]``, once its family ``block["name"]`` is known and takes those keys."""
-    if not isinstance(block["name"], str) or block["name"] not in params_of:
-        raise ValueError(f"{where}.name must be one of {list(params_of)}, got {block['name']!r}")
-    params = block.get("params", {})
-    _check_keys(params, f"{where}.params", params_of[block["name"]], ())
+def _check_family(block, where, params_of, keys=("name", "params")):
+    """``block["params"]``, once its family ``block["name"]`` is known and takes those keys.
+
+    ``keys`` renames the two entries, e.g. ("sigma", "sigma_params").
+    """
+    name, params = block[keys[0]], block.get(keys[1], {})
+    if not isinstance(name, str) or name not in params_of:
+        raise ValueError(f"{where}.{keys[0]} must be one of {list(params_of)}, got {name!r}")
+    _check_keys(params, f"{where}.{keys[1]}", params_of[name], ())
     return params
 
 
@@ -379,6 +382,11 @@ def _verify_kwargs(name, params):
     sig = inspect.signature(VERIFY_CHECKS[name]).parameters.values()
     _check_keys(params, name, [p.name for p in sig], [p.name for p in sig if p.default is p.empty])
     kwargs = dict(params)
+    defaults = {p.name: p.default for p in sig}
+    if "sigma" in defaults:
+        family = {"sigma": defaults["sigma"], **kwargs}
+        family["sigma_params"] = family.get("sigma_params") or {}
+        _check_family(family, name, SIGMA_PARAMS, ("sigma", "sigma_params"))
     if "seeds" in kwargs:
         kwargs["seeds"] = seed_expand(kwargs["seeds"])
     if "solver" in kwargs:

@@ -25,23 +25,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import TimeGrid, delta_tilde, exp_scan
+from .algebra import TimeGrid, delta_tilde, exp_scan, lbeta_norm
 from .laplace import KernelMeasure
 from .lift import RoughLift
 from .sewing import compensated_sum_tilde
 from .sigma import SigmaField
 
 __all__ = [
-    "ControlledPath",
-    "LaplaceControlledPath",
     "SolverConfig",
     "IntervalDiagnostics",
     "Solution",
     "SolverFailure",
-    "compose_sigma",
     "young_integral",
     "rough_integral",
-    "project_y",
     "solve_young",
     "solve_rough",
     "solve_rough_ode",
@@ -54,93 +50,6 @@ class SolverFailure(RuntimeError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or []
-
-
-@dataclass
-class ControlledPath:
-    """Path y with Gubinelli-type decomposition against the projected lift.
-
-    values has shape (T, *shape); zeta has shape (T, n, *shape).  The
-    remainder accessor returns r_{ts} = (delta y)_{ts} - (x^1_{ts} zeta_s)*
-    on grid index pairs.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-    zeta: np.ndarray
-    lift: RoughLift
-    kappa: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.zeta = np.asarray(self.zeta, dtype=float)
-        n = self.lift.n_dims
-        if self.zeta.shape != (self.values.shape[0], n) + self.values.shape[1:]:
-            raise ValueError("zeta must have shape (T, n, *value_shape)")
-        if self.values.shape[0] != len(self.grid):
-            raise ValueError("one value row per grid point required")
-
-    def remainder(self, i: int, j: int) -> np.ndarray:
-        pts = self.grid.points
-        x1 = self.lift.x1(pts[i], pts[j])
-        first = np.einsum("n,n...->...", x1, self.zeta[i])
-        return self.values[j] - self.values[i] - first
-
-    def remainder_holder_norm(self, order: float | None = None) -> float:
-        """Diagnostic 2*kappa-Holder norm of the remainder over grid pairs."""
-        expo = 2.0 * self.kappa if order is None else order
-        pts = self.grid.points
-        worst = 0.0
-        n = len(self.grid)
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = np.linalg.norm(np.ravel(self.remainder(i, j)))
-                worst = max(worst, r / (pts[j] - pts[i]) ** expo)
-        return worst
-
-
-@dataclass
-class LaplaceControlledPath:
-    """Laplace-indexed controlled path (ytilde, zeta) with twisted remainder."""
-
-    grid: TimeGrid
-    ytilde: np.ndarray            # (T, K, d)
-    zeta: np.ndarray              # (T, n, d)
-    lift: RoughLift
-    kappa: float
-
-    def __post_init__(self):
-        self.ytilde = np.asarray(self.ytilde, dtype=float)
-        self.zeta = np.asarray(self.zeta, dtype=float)
-        if self.ytilde.shape[0] != len(self.grid):
-            raise ValueError("one ytilde row per grid point required")
-        if self.ytilde.shape[1] != self.lift.xis.size:
-            raise ValueError("atom axis must match the lift measure")
-
-    def delta_tilde(self, i: int, j: int) -> np.ndarray:
-        return delta_tilde(self.grid.points, self.lift.xis, self.ytilde, i, j)
-
-    def remainder_tilde(self, i: int, j: int) -> np.ndarray:
-        pts = self.grid.points
-        x1t = self.lift.x1_tilde(pts[i], pts[j])      # (K, n)
-        return self.delta_tilde(i, j) - np.einsum("kn,nd->kd", x1t, self.zeta[i])
-
-
-def compose_sigma(z: ControlledPath, fld) -> ControlledPath:
-    """Compose a controlled path with a smooth field: zhat = sigma(z).
-
-    The new Gubinelli derivative is zeta_hat = zeta (Dsigma)*, i.e.
-    zeta_hat[t, j, ...] = sum_q zeta[t, j, q] Dsigma(z_t)[..., q]; the new
-    remainder accessor then reproduces delta(sigma(z)) - (x^1 zeta_hat)*
-    exactly, by construction.
-    """
-    ys = z.values
-    if ys.ndim != 2:
-        raise ValueError("compose_sigma expects vector-valued paths")
-    vals = fld.batch(ys)
-    ds = fld.dsigma_batch(ys)
-    zeta_hat = np.einsum("tjq,t...q->tj...", z.zeta, ds)
-    return ControlledPath(z.grid, vals, zeta_hat, z.lift, z.kappa)
 
 
 def young_integral(lift: RoughLift, z, s: float, t: float, atom: int, level: int = 12):
@@ -166,76 +75,27 @@ def young_integral(lift: RoughLift, z, s: float, t: float, atom: int, level: int
     return compensated_sum_tilde(germ, xi, s, t, level)
 
 
-def rough_integral(
-    lift: RoughLift, z, s: float, t: float, atom: int, level: int = 10, zeta=None
-):
+def rough_integral(lift: RoughLift, z, s: float, t: float, atom: int, level: int = 10, *, zeta):
     """Rough convolutional integral of a controlled integrand.
 
-    Accepts either a ControlledPath (evaluated piecewise-linearly at the
-    partition points) or a pair of callables ``z(times) -> (p, n)`` and
-    ``zeta(times) -> (p, n, n)``.  The germ is the compensated secondorder
+    As in ``young_integral``, ``z(times)`` must return values with shape
+    (len(times), n); ``zeta(times)`` returns its Gubinelli derivative,
+    (len(times), n, n).  The germ is the compensated second-order
     expression x1~ z + x2~ . zeta*, summed with exponential weights; the
     sewing construction supplies the remaining correction in the limit.
     """
     if "H3" not in lift.claims:
         raise ValueError("lift does not claim second-order (Chen) data")
-    if zeta is None:
-        if not isinstance(z, ControlledPath):
-            raise ValueError("rough_integral needs a ControlledPath or (z, zeta) callables")
-        cp = z
-        pts = cp.grid.points
-
-        def z_fn(times):
-            return _pl_interp(pts, cp.values, times)
-
-        def zeta_fn(times):
-            return _pl_interp(pts, cp.zeta, times)
-
-    else:
-        z_fn, zeta_fn = z, zeta
     xi = float(lift.xis[atom])
 
     def germ(u, v):
         x1t = lift.x1_tilde_pairs(u, v)[:, atom]            # (p, n)
         x2t = lift.x2_tilde_pairs(u, v)[:, atom]            # (p, n, n)
-        zu = np.asarray(z_fn(u), dtype=float)
-        ze = np.asarray(zeta_fn(u), dtype=float)
+        zu = np.asarray(z(u), dtype=float)
+        ze = np.asarray(zeta(u), dtype=float)
         return np.einsum("pn,pn->p", x1t, zu) + np.einsum("pmj,pjm->p", x2t, ze)
 
     return compensated_sum_tilde(germ, xi, s, t, level)
-
-
-def _pl_interp(pts, vals, times):
-    times = np.asarray(times, dtype=float)
-    idx = np.clip(np.searchsorted(pts, times, side="right") - 1, 0, len(pts) - 2)
-    w = (times - pts[idx]) / (pts[idx + 1] - pts[idx])
-    w = w.reshape(w.shape + (1,) * (vals.ndim - 1))
-    return vals[idx] * (1 - w) + vals[idx + 1] * w
-
-
-def project_y(lp: LaplaceControlledPath, measure: KernelMeasure, a, anchor: int = 0):
-    """Project a Laplace-indexed path to the state path y = a + <kernel, ytilde>.
-
-    Returns (controlled_path, f) where f(i, j) is the smooth localisation
-    increment around which y is weakly controlled on [t_anchor, T]:
-    f_{ts} = sum_k w_k a_{ts}(xi_k) e^{-xi_k (s - t_anchor)} h~(xi_k) with
-    h~ the anchor value of ytilde.  Diagnostic output only.
-    """
-    if measure.n_atoms != lp.ytilde.shape[1]:
-        raise ValueError("measure does not match the path's atom axis")
-    a = np.asarray(a, dtype=float)
-    y = a[None, :] + np.einsum("k,tkd->td", measure.weights, lp.ytilde)
-    cp = ControlledPath(lp.grid, y, lp.zeta, lp.lift, lp.kappa)
-    pts = lp.grid.points
-    htilde = lp.ytilde[anchor]
-
-    def f(i, j):
-        xis = measure.xis
-        tw = np.expm1(-xis * (pts[j] - pts[i]))
-        carry = np.exp(-xis * (pts[i] - pts[anchor]))
-        return np.einsum("k,k,k,kd->d", measure.weights, tw, carry, htilde)
-
-    return cp, f
 
 
 @dataclass
@@ -326,16 +186,6 @@ class Solution:
     beta_used: float = 1.0
     moment_used: float = 0.0
 
-    def controlled(self, lift: RoughLift) -> LaplaceControlledPath:
-        return LaplaceControlledPath(self.grid, self.ytilde, self.zeta, lift, self.config.kappa)
-
-
-def _lbeta_rows(vals, measure, beta):
-    """L_beta norms along the atom axis of (..., K, d) arrays -> (...)."""
-    w = np.abs(measure.weights) * (1.0 + measure.xis**beta)
-    norms = np.sqrt(np.sum(vals**2, axis=-1))
-    return norms @ w
-
 
 class _IntervalWorkspace:
     """Mesh and lift tables for one Picard interval [grid index lo, hi].
@@ -368,19 +218,19 @@ def _sweep(ws, fld, a, measure, ytilde, htilde, rough):
 
 
 def _picard_norm(diff_grid, pts_grid, measure, beta, expo):
-    sup = float(np.max(_lbeta_rows(diff_grid, measure, beta)))
+    sup = float(np.max(lbeta_norm(diff_grid, measure, beta)))
     widths = np.diff(pts_grid)
     inc = delta_tilde(pts_grid, measure.xis, diff_grid, np.s_[:-1], np.s_[1:])
-    hold = float(np.max(_lbeta_rows(inc, measure, beta) / widths**expo))
+    hold = float(np.max(lbeta_norm(inc, measure, beta) / widths**expo))
     return sup + hold
 
 
 def _interval_q_norm(lift, ytilde_grid, zeta_grid, pts_grid, measure, beta, kappa):
     """Discrete controlled-path norm over the interval's grid pairs."""
-    sup_y = float(np.max(_lbeta_rows(ytilde_grid, measure, beta)))
+    sup_y = float(np.max(lbeta_norm(ytilde_grid, measure, beta)))
     widths = np.diff(pts_grid)
     dyt = delta_tilde(pts_grid, measure.xis, ytilde_grid, np.s_[:-1], np.s_[1:])
-    hold_y = float(np.max(_lbeta_rows(dyt, measure, beta) / widths**kappa))
+    hold_y = float(np.max(lbeta_norm(dyt, measure, beta) / widths**kappa))
     sup_z = float(np.max(np.sqrt(np.sum(zeta_grid**2, axis=(1, 2)))))
     dz = np.sqrt(np.sum((zeta_grid[1:] - zeta_grid[:-1]) ** 2, axis=(1, 2)))
     hold_z = float(np.max(dz / widths**kappa))
@@ -389,7 +239,7 @@ def _interval_q_norm(lift, ytilde_grid, zeta_grid, pts_grid, measure, beta, kapp
     )                                                        # (M, K, n)
     first = np.einsum("mkn,mnd->mkd", x1t, zeta_grid[:-1])
     rem = dyt - first
-    hold_r = float(np.max(_lbeta_rows(rem, measure, beta) / widths ** (2 * kappa)))
+    hold_r = float(np.max(lbeta_norm(rem, measure, beta) / widths ** (2 * kappa)))
     return sup_y + hold_y + sup_z + hold_z + hold_r
 
 
@@ -455,7 +305,7 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
             diff = new[ws.grid_slots] - yt[ws.grid_slots]
             upd = _picard_norm(diff, pts[lo : hi + 1], measure, beta, expo)
             updates.append(upd)
-            scale = max(1.0, float(np.max(_lbeta_rows(new[ws.grid_slots], measure, beta))))
+            scale = max(1.0, float(np.max(lbeta_norm(new[ws.grid_slots], measure, beta))))
             yt = new
             if upd <= config.picard_tol * scale:
                 converged = True
@@ -500,13 +350,13 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
         # converged-state residual: one more germ pass, per grid cell
         final = _sweep(ws, fld, a, measure, yt, htilde, rough)
         res_grid = final[ws.grid_slots] - yt[ws.grid_slots]
-        residual = float(np.max(_lbeta_rows(res_grid, measure, beta)))
+        residual = float(np.max(lbeta_norm(res_grid, measure, beta)))
 
         q_norm = _interval_q_norm(
             lift, yt[ws.grid_slots], zeta_grid[lo : hi + 1],
             pts[lo : hi + 1], measure, beta, config.kappa,
         )
-        h_norm = float(_lbeta_rows(htilde[None], measure, beta)[0])
+        h_norm = float(lbeta_norm(htilde[None], measure, beta)[0])
         base = n_value + n_done
         diagnostics.append(
             IntervalDiagnostics(

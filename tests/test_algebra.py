@@ -4,13 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughvolterra.algebra import (
-    Increment1,
     TimeGrid,
     delta_tilde,
     estimate_holder_exponent,
     exp_scan,
     lbeta_norm,
-    trace_pair,
     twist,
 )
 from roughvolterra.laplace import KernelMeasure
@@ -172,51 +170,37 @@ class TestDeltaTilde:
             delta_tilde(g.points, xis, vals, 0)
 
 
-class TestTracePair:
-    def test_identity(self):
-        assert trace_pair(np.eye(2), np.eye(2)) == 2.0
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(7)
-        a, b = rng.standard_normal((2, 3, 3))
-        assert trace_pair(a, b) == pytest.approx(trace_pair(b, a), rel=1e-14)
-
-    def test_entrywise_sum(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert trace_pair(a, b) == 5.0
-        assert trace_pair(a, b) == pytest.approx(np.trace(a @ b.T))
-
-    def test_cauchy_schwarz(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            a, b = rng.standard_normal((2, 4, 2))
-            assert abs(trace_pair(a, b)) <= np.linalg.norm(a) * np.linalg.norm(b) + 1e-14
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            trace_pair(np.eye(2), np.eye(3))
-
-
 class TestLbetaNorm:
     def test_zero(self):
         mea = KernelMeasure.from_atoms([(1.0, 0.5), (2.0, 0.5)])
         assert lbeta_norm(np.zeros((2, 3)), mea, 1.0) == 0.0
+        assert np.array_equal(lbeta_norm(np.zeros((4, 5, 2, 3)), mea, 1.0), np.zeros((4, 5)))
 
     def test_single_atom_at_origin(self):
         mea = KernelMeasure.from_atoms([(0.0, 1.0)])
         v = np.array([[3.0, 4.0]])
         assert lbeta_norm(v, mea, 2.0) == pytest.approx(5.0)
+        rows = np.array([[[3.0, 4.0]], [[6.0, 8.0]], [[0.0, -1.0]]])
+        assert lbeta_norm(rows, mea, 2.0) == pytest.approx([5.0, 10.0, 1.0])
 
     def test_weighted_sum(self):
         mea = KernelMeasure.from_atoms([(1.0, 0.5), (2.0, 0.5)])
         ones = np.ones((2, 1))
         assert lbeta_norm(ones, mea, 1.0) == pytest.approx(2.5)
+        # one norm per leading index: row r is r times the all-ones row
+        rows = np.arange(3.0)[:, None, None] * np.ones((3, 2, 1))
+        assert lbeta_norm(rows, mea, 1.0) == pytest.approx([0.0, 2.5, 5.0])
+        rng = np.random.default_rng(3)
+        vals = rng.standard_normal((6, 2, 3))
+        each = [lbeta_norm(v, mea, 0.5) for v in vals]
+        assert np.allclose(lbeta_norm(vals, mea, 0.5), each, rtol=1e-14, atol=0.0)
 
     def test_rejects_negative_beta(self):
         mea = KernelMeasure.from_atoms([(1.0, 1.0)])
         with pytest.raises(ValueError):
             lbeta_norm(np.ones((1, 1)), mea, -0.5)
+        with pytest.raises(ValueError):
+            lbeta_norm(np.ones((4, 1, 1)), mea, -0.5)
 
 
 @settings(max_examples=25, deadline=None)
@@ -300,27 +284,34 @@ def test_leibniz_scalar_product_rule():
 class TestHolderEstimator:
     def test_smooth_path(self):
         g = TimeGrid.uniform(255, 1.0)
-        est, _ = estimate_holder_exponent(Increment1(g, g.points.copy()))
+        est, _ = estimate_holder_exponent(g, g.points.copy())
         assert est == pytest.approx(1.0, abs=0.01)
+        # a two-column path of the same slope gives the same estimate
+        est2, _ = estimate_holder_exponent(g, np.stack([g.points, -2.0 * g.points], axis=1))
+        assert est2 == pytest.approx(1.0, abs=0.01)
 
     def test_requires_enough_points(self):
         g = TimeGrid.uniform(16, 1.0)
         with pytest.raises(ValueError):
-            estimate_holder_exponent(Increment1(g, g.points.copy()))
+            estimate_holder_exponent(g, g.points.copy())
+        # one value row per grid point
+        g = TimeGrid.uniform(63, 1.0)
+        with pytest.raises(ValueError, match="one entry per grid point"):
+            estimate_holder_exponent(g, g.points[:-1].copy())
 
     def test_constant_path_rejected(self):
         g = TimeGrid.uniform(63, 1.0)
         with pytest.raises(ValueError):
-            estimate_holder_exponent(Increment1(g, np.ones(len(g))))
+            estimate_holder_exponent(g, np.ones(len(g)))
 
     def test_brownian_sample_in_band(self):
         g = TimeGrid.uniform(2**12, 1.0)
         drv = sample_fbm(0.5, g, seed=17)
-        est, _ = estimate_holder_exponent(Increment1(g, drv.values))
+        est, _ = estimate_holder_exponent(g, drv.values)
         assert 0.4 <= est <= 0.6
 
     def test_fbm_07_sample_in_band(self):
         g = TimeGrid.uniform(2**12, 1.0)
         drv = sample_fbm(0.7, g, seed=23)
-        est, _ = estimate_holder_exponent(Increment1(g, drv.values))
+        est, _ = estimate_holder_exponent(g, drv.values)
         assert 0.63 <= est <= 0.77

@@ -1,10 +1,11 @@
+import functools
 import json
 import os
 
 import numpy as np
 import pytest
 
-from roughvolterra import checks
+from roughvolterra import checks, cli
 from roughvolterra.cli import (
     OUT_DIR_ENV,
     RunManifest,
@@ -163,6 +164,15 @@ class TestRunFlows:
             ("kernel", {"atoms": None, "density": {"name": "expo"}}, "kernel.density.name"),
             ("sigma", {"name": "zero", "params": {"direction": [1.0]}}, "sigma.params.direction"),
             ("sigma", {"name": ["tanh"]}, "sigma.name"),
+            ("config", {"kind": "verify", "checks": {
+                "A8_diffusion_degeneration": {"sigma_params": {"ampp": 5.0}}}},
+             "A8_diffusion_degeneration.sigma_params.ampp"),
+            ("config", {"kind": "verify", "checks": {
+                "A8_diffusion_degeneration": {"sigma": "zero", "sigma_params": {"amp": 1.0}}}},
+             "A8_diffusion_degeneration.sigma_params.amp"),
+            ("config", {"kind": "verify", "checks": {
+                "A8_diffusion_degeneration": {"sigma": "tanhh"}}},
+             "A8_diffusion_degeneration.sigma"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):
@@ -177,6 +187,17 @@ class TestRunFlows:
         assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    def test_verify_sigma_block_checked_before_any_criterion_runs(self, tmp_path, monkeypatch):
+        ran = []
+        a1 = cli.VERIFY_CHECKS["A1_algebraic_exactness"]
+        monkeypatch.setitem(cli.VERIFY_CHECKS, "A1_algebraic_exactness",
+                            functools.wraps(a1)(lambda **kw: ran.append(kw)))
+        doc = {"kind": "verify", "checks": {
+            "A1_algebraic_exactness": {"tol": 1e-12},
+            "A8_diffusion_degeneration": {"sigma_params": {"ampp": 5.0}}}}
+        assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "o")) == 2
+        assert ran == []
 
     @pytest.mark.parametrize(
         "edit, named",

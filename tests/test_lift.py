@@ -188,6 +188,14 @@ class TestFbmFactorRoutes:
         gauss = lift_mod._rng(5).standard_normal((n, 1))
         assert np.array_equal(sample_fbm(0.4, grid, seed=5).values[1:], dense @ gauss)
 
+    @pytest.mark.parametrize("rows", [1, 256])
+    def test_non_finite_panel_is_never_yielded(self, rows):
+        # a finite gamma whose first factor row overflows, gamma[-1] / sqrt(gamma[0]) = inf,
+        # while every rho of the first panel is 0: only the row-total check catches it
+        gamma = np.r_[1e-300, np.zeros(1098), 1e200]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            next(lift_mod._schur_panels(gamma, rows))
+
     def test_repeat_draw_builds_nothing(self, monkeypatch):
         builds = []
         schur = lift_mod._schur_cholesky

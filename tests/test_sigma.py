@@ -11,7 +11,6 @@ class TestCatalog:
             y = np.array([0.1, -0.4, 0.7])
             assert fld(y).shape == (2, 3)
             assert fld.dsigma(y).shape == (2, 3, 3)
-            assert fld.d2sigma(y).shape == (2, 3, 3, 3)
 
     def test_zero(self):
         fld = sigma_catalog("zero", n=1, d=1)
@@ -50,14 +49,6 @@ class TestDerivativeConsistency:
         fld = sigma_catalog("sin", n=3, d=2, params={"freq": 2.0, "direction": [1.0, 0.5, -0.3]})
         assert fld.fd_consistency(n_points=8, seed=2) < 1e-6
 
-    def test_third_derivative_tanh(self):
-        fld = sigma_catalog("tanh", n=1, d=1)
-        h = 1e-5
-        for y0 in (-0.7, 0.0, 1.3):
-            y = np.array([y0])
-            fd = (fld.d2sigma(y + h) - fld.d2sigma(y - h)) / (2 * h)
-            assert fd[0, 0, 0, 0] == pytest.approx(fld.d3sigma(y)[0, 0, 0, 0, 0], abs=1e-5)
-
 
 class TestCustomField:
     def test_square_field(self):
@@ -66,7 +57,6 @@ class TestCustomField:
             n=1, d=1,
             batch=lambda ys: (ys**2)[:, None, :],
             dsigma_batch=lambda ys: (2 * ys)[:, None, :, None],
-            d2sigma_batch=lambda ys: 2 * np.ones_like(ys)[:, None, :, None, None],
         )
         assert fld(np.array([3.0]))[0, 0] == 9.0
         assert fld.fd_consistency(n_points=5) < 1e-6

@@ -3,18 +3,14 @@ import pytest
 
 import roughvolterra as rv
 from roughvolterra import solver as solver_mod
-from roughvolterra.algebra import TimeGrid
+from roughvolterra.algebra import TimeGrid, delta_tilde, lbeta_norm
 from roughvolterra.oracles import rk4_augmented
 from roughvolterra.laplace import KernelMeasure, kernel_from_spec
 from roughvolterra.lift import DriverPath, RoughLift, deterministic_driver, sample_fbm
-from roughvolterra.sigma import SigmaField, sigma_catalog
+from roughvolterra.sigma import sigma_catalog
 from roughvolterra.solver import (
-    ControlledPath,
-    LaplaceControlledPath,
     SolverConfig,
     SolverFailure,
-    compose_sigma,
-    project_y,
     rough_integral,
     solve_rough,
     solve_rough_ode,
@@ -128,94 +124,11 @@ class TestRoughIntegral:
         res = rough_integral(lift, z, 0.0, 1.0, atom=1, level=10, zeta=zeta1)
         assert float(res.extrapolated) == pytest.approx(np.exp(-1.0), rel=1e-6)
 
-    def test_accepts_controlled_path(self):
-        lift = identity_lift(cells=256, atoms=((0.0, 1.0), (1.0, 0.0)))
-        grid = lift.driver.grid
-        cp = ControlledPath(
-            grid,
-            grid.points[:, None].copy(),
-            np.ones((len(grid), 1, 1)),
-            lift,
-            kappa=0.45,
-        )
-        res = rough_integral(lift, cp, 0.0, 1.0, atom=1, level=8)
-        assert float(res.value) == pytest.approx(np.exp(-1.0), rel=1e-2)
-
     def test_flag_checked(self):
         lift = identity_lift()
         bare = RoughLift(lift.driver, lift.measure, gamma=1.0, claims={"H1"})
         with pytest.raises(ValueError):
             rough_integral(bare, lambda ts: None, 0.0, 1.0, 0, zeta=lambda ts: None)
-
-
-class TestComposeSigma:
-    def make_controlled(self, fn, zeta_fn, lift):
-        grid = lift.driver.grid
-        y = np.array([fn(t) for t in grid.points])[:, None]
-        zeta = np.array([zeta_fn(t) for t in grid.points])[:, None, None]
-        return ControlledPath(grid, y, zeta, lift, kappa=0.45)
-
-    def test_identity_field(self):
-        lift = identity_lift()
-        cp = self.make_controlled(lambda t: np.sin(t), lambda t: np.cos(t), lift)
-        fld = sigma_catalog("linear", n=1, d=1)
-        out = compose_sigma(cp, fld)
-        assert np.allclose(out.values[:, 0, 0], cp.values[:, 0])
-        assert np.allclose(out.zeta[:, 0, 0, 0], cp.zeta[:, 0, 0])
-
-    def test_constant_field(self):
-        lift = identity_lift()
-        cp = self.make_controlled(lambda t: t, lambda t: 1.0, lift)
-        out = compose_sigma(cp, sigma_catalog("constant", n=1, d=1, params={"value": 2.0}))
-        assert np.allclose(out.values, 2.0)
-        assert np.max(np.abs(out.zeta)) == 0.0
-
-    def test_square_taylor_identity(self):
-        # sigma(y) = y^2: rhat_{ts} = 2 y_s r_{ts} + ((delta y)_{ts})^2 exactly
-        lift = identity_lift(cells=32)
-        cp = self.make_controlled(lambda t: np.sin(2 * t), lambda t: 1.0, lift)
-        square = SigmaField(
-            n=1, d=1,
-            batch=lambda ys: (ys**2)[:, None, :],
-            dsigma_batch=lambda ys: (2 * ys)[:, None, :, None],
-        )
-        out = compose_sigma(cp, square)
-        for i, j in [(0, 10), (5, 20), (0, 32)]:
-            r = cp.remainder(i, j)[0]
-            dy = cp.values[j, 0] - cp.values[i, 0]
-            expect = 2 * cp.values[i, 0] * r + dy**2
-            got = out.remainder(i, j)[0, 0]
-            assert got == pytest.approx(expect, abs=1e-12)
-
-
-class TestProjectY:
-    def test_zero_path(self):
-        lift = identity_lift()
-        grid = lift.driver.grid
-        lp = LaplaceControlledPath(
-            grid, np.zeros((len(grid), 1, 1)), np.zeros((len(grid), 1, 1)), lift, 0.45
-        )
-        cp, f = project_y(lp, lift.measure, np.array([0.7]))
-        assert np.allclose(cp.values, 0.7)
-        assert np.allclose(f(0, len(grid) - 1), 0.0)
-
-    def test_single_atom_projection(self):
-        lift = identity_lift(atoms=((1.0, 1.0),))
-        grid = lift.driver.grid
-        yt = np.stack([lift.x1_tilde(0.0, t) for t in grid.points])
-        lp = LaplaceControlledPath(grid, yt, np.ones((len(grid), 1, 1)), lift, 0.45)
-        cp, _ = project_y(lp, lift.measure, np.array([0.2]))
-        assert np.allclose(cp.values[:, 0], 0.2 + yt[:, 0, 0])
-
-    def test_cancelling_weights(self):
-        grid = TimeGrid.uniform(16, 1.0)
-        driver = deterministic_driver(grid, lambda t: t)
-        mea = KernelMeasure.from_atoms([(1.0, 1.0), (2.0, -1.0)])
-        lift = RoughLift(driver, mea, gamma=1.0)
-        yt = np.ones((len(grid), 2, 1))
-        lp = LaplaceControlledPath(grid, yt, np.zeros((len(grid), 1, 1)), lift, 0.45)
-        cp, _ = project_y(lp, mea, np.array([0.3]))
-        assert np.allclose(cp.values, 0.3)
 
 
 class TestSolveYoung:
@@ -360,28 +273,20 @@ class TestSolveRough:
 
 
 class TestControlledPathDiagnostics:
-    def test_remainder_accessor_and_norm(self):
-        lift = identity_lift(cells=64)
-        grid = lift.driver.grid
-        # y = x itself: zeta = 1 against x1 of measure {(1,1)} leaves a
-        # genuine remainder, finite in the 2-kappa norm on the grid
-        cp = ControlledPath(
-            grid, grid.points[:, None].copy(), np.ones((len(grid), 1, 1)), lift, 0.45
-        )
-        r = cp.remainder(0, 32)
-        dy = grid.points[32]
-        x1 = lift.x1(0.0, grid.points[32])[0]
-        assert r[0] == pytest.approx(dy - x1, rel=1e-12)
-        assert np.isfinite(cp.remainder_holder_norm())
-
     def test_twisted_remainder(self):
+        # ytilde = x1~(0, .) with zeta = 1: the twisted remainder
+        # delta~ ytilde - x1~ zeta vanishes, so the solver's q_norm is its
+        # ytilde terms plus sup|zeta| = 1 (zeta is constant)
         lift = identity_lift(cells=32)
-        grid = lift.driver.grid
-        yt = np.stack([lift.x1_tilde(0.0, t) for t in grid.points])
-        lp = LaplaceControlledPath(grid, yt, np.ones((len(grid), 1, 1)), lift, 0.45)
-        # ytilde = x1~ with zeta = 1: twisted remainder vanishes identically
-        for i, j in [(0, 16), (8, 24)]:
-            assert np.max(np.abs(lp.remainder_tilde(i, j))) < 1e-13
+        pts = lift.driver.grid.points
+        yt = np.stack([lift.x1_tilde(0.0, t) for t in pts])
+        q = solver_mod._interval_q_norm(
+            lift, yt, np.ones((len(pts), 1, 1)), pts, lift.measure, 1.0, 0.45
+        )
+        dyt = delta_tilde(pts, lift.xis, yt, np.s_[:-1], np.s_[1:])
+        sup_y = np.max(lbeta_norm(yt, lift.measure, 1.0))
+        hold_y = np.max(lbeta_norm(dyt, lift.measure, 1.0) / np.diff(pts) ** 0.45)
+        assert q == pytest.approx(sup_y + hold_y + 1.0, abs=1e-13)
 
 
 class TestCellTablesPerSolve:
