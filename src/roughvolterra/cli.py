@@ -3,11 +3,12 @@
 One JSON document describes one run: a kind (verify | solve-young |
 solve-rough | convergence | ensemble | covariance-check), the kernel,
 driver, coefficient field and solver blocks it needs, and explicit
-tolerances for every check that gates the exit status.  Runs write CSVs
-plus a manifest and exit 0 only if all enabled checks pass.
+tolerances for every check that gates the exit status.  SCHEMA types the
+whole document before any work runs; the run then writes CSVs plus a
+manifest and exits 0 only if all enabled checks pass.
 
 Exit codes: 0 ok, 1 check failure, 2 parse/validation error,
-3 solver failure.
+3 solver failure, 4 any other error once the run has started.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import json
 import os
 import sys
 import time
+import traceback
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from .algebra import TimeGrid
 from .laplace import DENSITY_CATALOG, KernelMeasure, kernel_from_spec
 from .lift import (
     DETERMINISTIC_FUNCTIONS,
+    MAX_CHOLESKY_POINTS,
     DriverPath,
     RoughLift,
     deterministic_driver,
@@ -39,26 +43,12 @@ from .oracles import rk4_augmented
 from .sigma import SIGMA_PARAMS, sigma_catalog
 from .solver import SolverConfig, SolverFailure, solve_rough, solve_young
 
-__all__ = [
-    "ExperimentConfig",
-    "RunManifest",
-    "run",
-    "emit_csv",
-    "seed_expand",
-    "main",
-    "OUT_DIR_ENV",
-]
+__all__ = ["ExperimentConfig", "RunManifest", "SCHEMA", "run", "emit_csv", "seed_expand", "main",
+           "OUT_DIR_ENV"]
 
 OUT_DIR_ENV = "ROUGHVOLTERRA_OUT"
 
-KINDS = (
-    "verify",
-    "solve-young",
-    "solve-rough",
-    "convergence",
-    "ensemble",
-    "covariance-check",
-)
+KINDS = ("verify", "solve-young", "solve-rough", "convergence", "ensemble", "covariance-check")
 
 # the verify kind's criteria, in manifest order; config keys are their parameters
 VERIFY_CHECKS = {
@@ -71,57 +61,253 @@ VERIFY_CHECKS = {
 }
 
 # acceptance-criterion identifiers each kind can enable
-KIND_CHECKS = {
-    "verify": tuple(VERIFY_CHECKS),
-    "solve-young": ("A5_solver_vs_ode",),
-    "solve-rough": ("A5_solver_vs_ode",),
-    "convergence": ("A7_rough_self_convergence",),
-    "ensemble": (),
-    "covariance-check": ("A6_fbm_young_covariance",),
-}
+KIND_CHECKS = {"verify": tuple(VERIFY_CHECKS), "solve-young": ("A5_solver_vs_ode",),
+               "solve-rough": ("A5_solver_vs_ode",), "convergence": ("A7_rough_self_convergence",),
+               "ensemble": (), "covariance-check": ("A6_fbm_young_covariance",)}
 
-STAT_KEYS = ("name", "hurst", "cells", "xi", "seeds", "horizon")     # horizon optional
-
-# the keys laplace.kernel_from_spec reads, at the top and in a density block
-KERNEL_KEYS = ("atoms", "density")
-DENSITY_KEYS = ("name", "params", "n_nodes", "tail_cut", "beta", "tol")
 DENSITY_PARAMS = {name: tuple(inspect.signature(factory).parameters)
                   for name, factory in DENSITY_CATALOG.items()}
-SIGMA_KEYS = ("name", "params")             # sigma_catalog's name and params
-
-# the keys of the other kinds' check blocks: (allowed, required); all are numbers
-CHECK_KEYS = {
-    "A5_solver_vs_ode": (("tol", "dt"), ("tol",)),
-    "A6_fbm_young_covariance": (("se_factor",), ()),
-    "A7_rough_self_convergence": (("rate_threshold", "min_passing"),) * 2,
-}
 
 
 def seed_expand(spec):
     """Expand a seed spec into an explicit list.
 
     ``42`` -> [42]; ``"1..4"`` -> [1, 2, 3] (half-open); a list passes
-    through.  Each seed keys an independent counter-based sampler stream.
+    through.  Each seed keys an independent counter-based sampler stream,
+    so seeds are >= 0.
     """
     if isinstance(spec, bool):
         raise ValueError("seed spec must be an int, 'a..b' range, or list")
     if isinstance(spec, int):
-        return [spec]
-    if isinstance(spec, list):
-        if not spec or not all(isinstance(s, int) for s in spec):
+        seeds = [spec]
+    elif isinstance(spec, list):
+        if not spec or not all(isinstance(s, int) and not isinstance(s, bool) for s in spec):
             raise ValueError("seed list must be nonempty ints")
         if len(set(spec)) != len(spec):
             raise ValueError("seed list has duplicates")
-        return list(spec)
-    if isinstance(spec, str):
+        seeds = list(spec)
+    elif isinstance(spec, str):
         parts = spec.split("..")
         if len(parts) != 2:
             raise ValueError(f"bad seed range {spec!r}")
         lo, hi = int(parts[0]), int(parts[1])
         if hi <= lo:
             raise ValueError(f"empty seed range {spec!r}")
-        return list(range(lo, hi))
-    raise ValueError(f"bad seed spec {spec!r}")
+        seeds = list(range(lo, hi))
+    else:
+        raise ValueError(f"bad seed spec {spec!r}")
+    if min(seeds) < 0:
+        raise ValueError(f"seeds must be >= 0, got {spec!r}")
+    return seeds
+
+
+def _consecutive(levels):
+    if len(levels) < 3 or levels != list(range(max(levels[0], 0), levels[0] + len(levels))):
+        raise ValueError(f"must be at least 3 consecutive integers from 0 up, got {levels}")
+
+
+# a block of family parameters: params[name], the name read at sibling key name_key; rows under at
+Family = NamedTuple("Family", [("params", dict), ("name_key", str), ("at", str)])
+SOLVES = ("solve-young", "solve-rough")
+EQUATION = SOLVES + ("convergence",)            # the kinds that solve the equation
+HURST = "(0, 1)"
+FBM_CELLS = f"[1, {MAX_CHOLESKY_POINTS - 1}]"   # an fBm grid within the Cholesky cap
+
+# JSON path -> (type, range, required).  Types: float (integers accepted), int, str, bool;
+# a tuple of allowed values; [type], a list; np.ndarray, a list of numbers as a float array;
+# another function converts the value.  A block's type gives its keys: dict, the rows under
+# it; a signature or a dataclass, their parameters, defaults and annotations (a dataclass
+# block becomes its instance; a parameter defaulting to None accepts null); a Family, the
+# family named beside it.  "checks.*" rows type the verify criteria's parameters by name.
+# A range is an interval bounding each number, or a function raising ValueError on the
+# typed value.  required is a bool or the kinds that need the key.
+SCHEMA = {
+    "kind": (KINDS, None, True),
+    "output_dir": (str, None, False),
+    "kernel": (dict, None, EQUATION),
+    "kernel.atoms": ([[float]], KernelMeasure.from_atoms, False),
+    "kernel.density": (dict, None, False),
+    "kernel.density.name": (tuple(DENSITY_CATALOG), None, True),
+    "kernel.density.params": (Family(DENSITY_PARAMS, "name", "kernel.density.params"), None, False),
+    "kernel.density.params.rate": (float, "(0, inf)", False),
+    "kernel.density.params.shape": (float, "[1, inf)", False),
+    "kernel.density.n_nodes": (int, "[2, inf)", False),
+    "kernel.density.tail_cut": (float, "(0, inf)", False),
+    "kernel.density.beta": (float, "[0, inf)", False),
+    "kernel.density.tol": (float, "(0, inf)", False),
+    "driver": (dict, None, EQUATION),
+    "driver.kind": (("deterministic", "fbm", "brownian"), None, False),
+    "driver.function": (tuple(DETERMINISTIC_FUNCTIONS), None, False),
+    "driver.cells": (int, "[1, inf)", SOLVES),
+    "driver.horizon": (float, "(0, inf)", False),
+    "driver.n_dims": (int, "[1, inf)", False),
+    "driver.hurst": (float, HURST, False),
+    "driver.seed": (int, "[0, inf)", False),
+    "driver.seeds": (seed_expand, None, False),
+    "sigma": (dict, None, EQUATION),
+    "sigma.name": (tuple(SIGMA_PARAMS), None, True),
+    "sigma.params": (Family(SIGMA_PARAMS, "name", "sigma.params"), None, False),
+    **{f"sigma.params.{key}": (float, None, False)
+       for key in ("value", "scale", "amp", "freq", "phase", "width")},
+    "sigma.params.direction": (np.ndarray, None, False),
+    "solver": (SolverConfig, None, EQUATION),
+    "initial": (np.ndarray, None, EQUATION),
+    "emit_atoms": (bool, None, False),
+    "levels": ([int], _consecutive, ("convergence",)),
+    "mode": (("rough", "young"), None, False),
+    "stat": (dict, None, ("ensemble", "covariance-check")),
+    "stat.name": (("x1_tilde_value",), None, True),
+    "stat.hurst": (float, HURST, True),
+    "stat.cells": (int, FBM_CELLS, True),
+    "stat.xi": (float, "[0, inf)", True),
+    "stat.seeds": (seed_expand, None, True),
+    "stat.horizon": (float, "(0, inf)", False),
+    "checks": (dict, None, False),
+    **{f"checks.{name}": (inspect.signature(fn), None, False)
+       for name, fn in VERIFY_CHECKS.items()},
+    "checks.*.tol": (float, "[0, inf)", False),
+    "checks.*.trials": (int, "[1, inf)", False),
+    "checks.*.seed": (int, "[0, inf)", False),
+    "checks.*.seeds": (seed_expand, None, False),
+    "checks.*.hurst": (float, HURST, False),
+    "checks.*.hursts": ([float], HURST, False),
+    "checks.*.level": (int, "[0, inf)", False),
+    "checks.*.xi": (float, "[0, inf)", False),
+    "checks.*.xis": ([float], "[0, inf)", False),
+    "checks.A1_algebraic_exactness.grid_points": (int, "[3, inf)", False),
+    "checks.A1_algebraic_exactness.atoms": (int, "[1, inf)", False),
+    "checks.A2_sewing_bound.mu": (float, "(1, inf)", False),
+    "checks.A2_sewing_bound.rho": (float, "(0, inf)", False),
+    "checks.A3_chen_relation.cells": (int, f"[2, {MAX_CHOLESKY_POINTS - 1}]", False),
+    "checks.A3_chen_relation.triples": (int, "[1, inf)", False),
+    "checks.A3_chen_relation.sub_mesh": (int, "[1, inf)", False),
+    "checks.A3_chen_relation.atoms": ([[float]], KernelMeasure.from_atoms, False),
+    "checks.A4_young_exactness.cells": (int, "[1, inf)", False),
+    "checks.A4_young_exactness.functions": ([tuple(DETERMINISTIC_FUNCTIONS)], None, False),
+    "checks.A8_diffusion_degeneration.cells": (int, FBM_CELLS, False),
+    "checks.A8_diffusion_degeneration.sigma": (tuple(SIGMA_PARAMS), None, False),
+    "checks.A8_diffusion_degeneration.sigma_params":
+        (Family(SIGMA_PARAMS, "sigma", "sigma.params"), None, False),
+    "checks.A8_diffusion_degeneration.initial": (np.ndarray, None, False),
+    "checks.A8_diffusion_degeneration.solver": (SolverConfig, None, False),
+    "checks.A9_holder_estimator.points": (int, f"[32, {MAX_CHOLESKY_POINTS}]", False),
+    "checks.A5_solver_vs_ode": (dict, None, False),
+    "checks.A5_solver_vs_ode.tol": (float, "[0, inf)", True),
+    "checks.A5_solver_vs_ode.dt": (float, "(0, inf)", False),
+    "checks.A6_fbm_young_covariance": (dict, None, False),
+    "checks.A6_fbm_young_covariance.se_factor": (float, "[0, inf)", False),
+    "checks.A7_rough_self_convergence": (dict, None, False),
+    "checks.A7_rough_self_convergence.rate_threshold": (float, None, True),
+    "checks.A7_rough_self_convergence.min_passing": (int, "[0, inf)", True),
+}
+ANNOTATED = {"float": float, "int": int, "str": str, "bool": bool, "tuple": [float]}
+SCALARS = {float: "a finite number", int: "an integer", str: "a string", bool: "true or false"}
+REQUIRED, OPTIONAL = inspect.Parameter.empty, object()      # a block key's default
+
+
+def _row(path, annotation=inspect.Parameter.empty):
+    """The row typing ``path``: its own, the "checks.*" row of its key, or its annotation's."""
+    head, _, rest = path.partition(".")
+    return (SCHEMA.get(path) or SCHEMA.get(f"{head}.*.{rest.partition('.')[2]}")
+            or (ANNOTATED[annotation.split(" | ")[0]], None, False))
+
+
+def _block_keys(typ, at, kind, siblings):
+    """key -> (row, schema path, default) of a block of type ``typ`` at schema path ``at``."""
+    if typ is dict:
+        return {p.rpartition(".")[2]: (r, p, REQUIRED if r[2] is True or kind in (r[2] or ())
+                                       else OPTIONAL)
+                for p, r in SCHEMA.items() if p.rpartition(".")[0] == at}
+    if isinstance(typ, Family):
+        return {k: (SCHEMA[f"{typ.at}.{k}"], f"{typ.at}.{k}", OPTIONAL)
+                for k in typ.params[siblings[typ.name_key]]}
+    params = (typ if isinstance(typ, inspect.Signature) else inspect.signature(typ)).parameters
+    return {p.name: (_row(f"{at}.{p.name}", p.annotation), f"{at}.{p.name}", p.default)
+            for p in params.values()}
+
+
+def _call(fn, value, where):
+    try:
+        return fn(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _walk_block(value, typ, at, where, kind, siblings):
+    if not isinstance(value, dict):
+        raise ValueError(f"{where or 'config'!r} must be a JSON object")
+    keys = _block_keys(typ, at, kind, siblings)
+    unknown = [f"{where}.{k}".lstrip(".") for k in sorted(set(value) - set(keys))]
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown}; {where or 'config'!r} takes {sorted(keys)}")
+    missing = [f"{where}.{k}".lstrip(".") for k, (*_, default) in keys.items()
+               if default is REQUIRED and k not in value]
+    if missing:
+        raise ValueError(f"missing key(s) {missing}")
+    typed = {}
+    for k in sorted(value, key=lambda k: isinstance(keys[k][0][0], Family)):   # families last
+        row, path, default = keys[k]
+        beside = {**{n: d for n, (*_, d) in keys.items()}, **typed}
+        typed[k] = None if value[k] is None and default is None else _walk(
+            value[k], row, path, f"{where}.{k}".lstrip("."), kind, beside)
+    return _call(lambda t: typ(**t), typed, where) if dataclasses.is_dataclass(typ) else typed
+
+
+def _walk(value, row, at, where, kind, siblings=None):
+    """``value`` checked against its schema ``row`` and typed; ``at`` is its schema path,
+    ``where`` its JSON path, which every error names, ``siblings`` the keys beside it."""
+    typ, rng, _ = row
+    if typ is dict or isinstance(typ, (Family, inspect.Signature)) or dataclasses.is_dataclass(typ):
+        return _walk_block(value, typ, at, where, kind, siblings)
+    if isinstance(typ, tuple) and value not in typ:
+        raise ValueError(f"{where} must be one of {list(typ)}, got {value!r}")
+    if isinstance(typ, list) or typ is np.ndarray:
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        item = (typ[0] if isinstance(typ, list) else float, None if callable(rng) else rng, False)
+        value = [_walk(v, item, at, f"{where}[{i}]", kind) for i, v in enumerate(value)]
+        value = value if isinstance(typ, list) else np.array(value, dtype=float)
+    elif typ in SCALARS:
+        ok = isinstance(value, (int, float) if typ is float else typ) and (
+            (typ is bool) == isinstance(value, bool))
+        if not ok or typ is float and not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{where} must be {SCALARS[typ]}, got {value!r}")
+        value = float(value) if typ is float else value
+        if rng is not None:
+            lo, hi = (float(s) for s in rng[1:-1].split(","))
+            if not ((lo < value if rng[0] == "(" else lo <= value)
+                    and (value < hi if rng[-1] == ")" else value <= hi)):
+                raise ValueError(f"{where} must be in {rng}, got {value!r}")
+    elif not isinstance(typ, tuple):
+        value = _call(typ, value, where)
+    if callable(rng):
+        _call(rng, value, where)
+    return value
+
+
+def _check_relations(doc):
+    """The rules between keys, once each key is typed."""
+    kind, drv, enabled = doc["kind"], doc.get("driver", {}), doc.get("checks", {})
+    for name in enabled:
+        if name not in KIND_CHECKS[kind]:
+            raise ValueError(f"check {name!r} not available for kind {kind!r}")
+    if "kernel" in doc and not {"atoms", "density"} & set(doc["kernel"]):
+        raise ValueError("missing key(s) ['kernel.atoms' or 'kernel.density']")
+    fbm = drv.get("kind") in ("fbm", "brownian")
+    seeds = ("seed",) if kind in SOLVES else ("seed", "seeds")
+    if (fbm or kind == "convergence") and not set(seeds) & set(drv):
+        raise ValueError(f"missing key {' or '.join(f'driver.{s}' for s in seeds)} (explicit seeds)")
+    if drv.get("kind") == "fbm" and "hurst" not in drv:
+        raise ValueError("missing key(s) ['driver.hurst'] of the fbm driver")
+    key, cells = ("levels", 2 ** max(doc["levels"])) if kind == "convergence" else (
+        "driver.cells", drv.get("cells", 1))
+    if fbm and cells >= MAX_CHOLESKY_POINTS:
+        raise ValueError(f"{key}: fBm grids are capped at {MAX_CHOLESKY_POINTS - 1} cells")
+    if "A5_solver_vs_ode" in enabled and drv.get("kind", "deterministic") != "deterministic":
+        raise ValueError("checks.A5_solver_vs_ode needs a deterministic driver.kind")
+    if "A6_fbm_young_covariance" in enabled and not (
+            doc["stat"]["hurst"] > 0.5 and len(doc["stat"]["seeds"]) > 1):
+        raise ValueError("A6_fbm_young_covariance needs stat.hurst in (0.5, 1) and 2+ stat.seeds")
 
 
 def emit_csv(path, columns):
@@ -152,163 +338,49 @@ def emit_csv(path, columns):
 
 
 class ExperimentConfig:
-    """Validated experiment description (one JSON document per run)."""
+    """One config document typed by SCHEMA into ``doc``; a bad one raises ValueError naming it."""
 
-    def __init__(self, raw: dict):
-        if not isinstance(raw, dict):
-            raise ValueError("config must be a JSON object")
-        self.raw = raw
-        kind = raw.get("kind")
-        if kind not in KINDS:
-            raise ValueError(f"unknown experiment kind {kind!r}")
-        self.kind = kind
-        self.output_dir = raw.get("output_dir")
-        self.checks = raw.get("checks", {})
-        for name in self.checks:
-            if name not in KIND_CHECKS[kind]:
-                raise ValueError(f"check {name!r} not available for kind {kind!r}")
-            if name in CHECK_KEYS:
-                _check_keys(self.checks[name], name, *CHECK_KEYS[name])
-                _check_numbers(self.checks[name], name, CHECK_KEYS[name][0])
-        solve = ("kernel", "driver", "sigma", "solver", "initial")
-        required = {"solve-young": solve, "solve-rough": solve, "convergence": solve + ("levels",)}
-        for key in required.get(kind, ()):
-            if key not in raw:
-                raise ValueError(f"kind {kind!r} requires field {key!r}")
-        if kind in ("ensemble", "covariance-check"):
-            if "stat" not in raw:
-                raise ValueError(f"kind {kind!r} requires a 'stat' block")
-            _check_keys(raw["stat"], "stat", STAT_KEYS, STAT_KEYS[:-1])
-            _check_numbers(raw["stat"], "stat", ("hurst", "xi", "horizon"))
-            _check_numbers(raw["stat"], "stat", ("cells",), int)
-            if raw["stat"]["name"] != "x1_tilde_value":
-                raise ValueError(f"unknown ensemble statistic {raw['stat']['name']!r}")
-        if "kernel" in raw:
-            _check_keys(raw["kernel"], "kernel", KERNEL_KEYS, ())
-            if "density" in raw["kernel"]:
-                _check_keys(raw["kernel"]["density"], "kernel.density", DENSITY_KEYS, ("name",))
-                params = _check_family(raw["kernel"]["density"], "kernel.density", DENSITY_PARAMS)
-                _check_numbers(params, "kernel.density.params", params)
-        if "sigma" in raw:
-            _check_keys(raw["sigma"], "sigma", SIGMA_KEYS, ("name",))
-            _check_family(raw["sigma"], "sigma", SIGMA_PARAMS)
-        drv = raw.get("driver", {})
-        if not isinstance(drv, dict):
-            raise ValueError("'driver' must be a JSON object")
-        _check_numbers(drv, "driver", ("cells", "n_dims", "seed"), int)
-        _check_numbers(drv, "driver", ("hurst", "horizon"))
-        if kind in ("solve-young", "solve-rough") and "cells" not in drv:
-            raise ValueError("driver requires field 'cells'")
-        if drv.get("kind") in ("fbm", "brownian") and (
-            "seed" not in drv and "seeds" not in drv
-        ):
-            raise ValueError("stochastic drivers need an explicit seed (no entropy defaults)")
-        if drv.get("kind") == "fbm" and "hurst" not in drv:
-            raise ValueError("fbm driver requires field 'hurst'")
-        if "solver" in raw:
-            self.solver_config()        # reject a bad solver block before running
+    def __init__(self, raw):
+        self.kind = raw.get("kind") if isinstance(raw, dict) else None
+        self.doc = _walk(raw, (dict, None, True), "", "", self.kind)
+        _check_relations(self.doc)
+        self.checks, self.output_dir = self.doc.get("checks", {}), self.doc.get("output_dir")
 
     def measure(self) -> KernelMeasure:
-        return kernel_from_spec(self.raw["kernel"])
-
-    def grid(self) -> TimeGrid:
-        drv = self.raw["driver"]
-        cells = int(drv["cells"])
-        horizon = float(drv.get("horizon", 1.0))
-        return TimeGrid.uniform(cells, horizon)
+        return kernel_from_spec(self.doc["kernel"])
 
     def driver(self, seed=None, grid=None) -> DriverPath:
-        drv = self.raw["driver"]
-        grid = grid if grid is not None else self.grid()
+        drv = self.doc["driver"]
+        if grid is None:
+            grid = TimeGrid.uniform(drv["cells"], drv.get("horizon", 1.0))
         kind = drv.get("kind", "deterministic")
-        n_dims = int(drv.get("n_dims", 1))
         if kind == "deterministic":
-            fn_name = drv.get("function", "identity")
-            if fn_name not in DETERMINISTIC_FUNCTIONS:
-                raise ValueError(f"unknown driver function {fn_name!r}")
-            return deterministic_driver(grid, DETERMINISTIC_FUNCTIONS[fn_name])
-        if kind in ("fbm", "brownian"):
-            hurst = 0.5 if kind == "brownian" else float(drv["hurst"])
-            use_seed = int(drv["seed"]) if seed is None else int(seed)
-            return sample_fbm(hurst, grid, n_dims=n_dims, seed=use_seed)
-        raise ValueError(f"unknown driver kind {kind!r}")
+            fn = DETERMINISTIC_FUNCTIONS[drv.get("function", "identity")]
+            return deterministic_driver(grid, fn)
+        hurst = 0.5 if kind == "brownian" else drv["hurst"]
+        return sample_fbm(hurst, grid, n_dims=drv.get("n_dims", 1),
+                          seed=drv["seed"] if seed is None else seed)
 
     def sigma_field(self, n_dims: int):
-        sg = self.raw["sigma"]
-        d = len(self.raw.get("initial", [0.0]))
-        return sigma_catalog(sg["name"], n=n_dims, d=d, params=sg.get("params"))
-
-    def solver_config(self) -> SolverConfig:
-        return _solver_config(self.raw["solver"], "solver")
-
-
-def _check_keys(block, where, allowed, required):
-    """Raise ValueError naming ``where`` unless ``block`` is an object with the right keys."""
-    if not isinstance(block, dict):
-        raise ValueError(f"{where!r} must be a JSON object")
-    unknown = [f"{where}.{key}" for key in sorted(set(block) - set(allowed))]
-    if unknown:
-        raise ValueError(f"unknown key(s) {unknown}; {where!r} takes {sorted(allowed)}")
-    missing = [f"{where}.{key}" for key in required if key not in block]
-    if missing:
-        raise ValueError(f"missing key(s) {missing}")
-
-
-def _check_family(block, where, params_of, keys=("name", "params")):
-    """``block["params"]``, once its family ``block["name"]`` is known and takes those keys.
-
-    ``keys`` renames the two entries, e.g. ("sigma", "sigma_params").
-    """
-    name, params = block[keys[0]], block.get(keys[1], {})
-    if not isinstance(name, str) or name not in params_of:
-        raise ValueError(f"{where}.{keys[0]} must be one of {list(params_of)}, got {name!r}")
-    _check_keys(params, f"{where}.{keys[1]}", params_of[name], ())
-    return params
-
-
-def _check_numbers(block, where, keys, kind=(int, float)):
-    """Raise ValueError naming the key unless each of ``keys`` in ``block`` is a ``kind``."""
-    for key in keys:
-        value = block.get(key, 0)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            what = "an integer" if kind is int else "a number"
-            raise ValueError(f"{where}.{key} must be {what}, got {value!r}")
-
-
-def _solver_config(block, where) -> SolverConfig:
-    """SolverConfig from a JSON block; bad keys or numbers raise ValueError naming them."""
-    fields = dataclasses.fields(SolverConfig)
-    _check_keys(
-        block, where, [f.name for f in fields],
-        [f.name for f in fields if f.default is dataclasses.MISSING],
-    )
-    for kind, type_name in ((int, "int"), ((int, float), "float")):
-        _check_numbers(block, where, [
-            f.name for f in fields if f.type.split(" | ")[0] == type_name
-            and not (block.get(f.name) is None and f.type.endswith("| None"))
-        ], kind)
-    return SolverConfig(**block)
+        sg = self.doc["sigma"]
+        return sigma_catalog(sg["name"], n=n_dims, d=len(self.doc["initial"]),
+                             params=sg.get("params"))
 
 
 class RunManifest:
-    """Per-run record: config hash, version, wall clock, check outcomes."""
+    """Per-run record: config hash, version, wall clock, check outcomes and any run error."""
 
     def __init__(self, config_raw: dict):
         canon = json.dumps(config_raw, sort_keys=True, separators=(",", ":"))
         self.config_hash = hashlib.sha256(canon.encode()).hexdigest()
         self.version = __version__
-        self.wall_clock = None
+        self.wall_clock = self.error = None
         self.checks = []
 
     def add_check(self, name, passed, value, tolerance, details=None):
         if any(c["name"] == name for c in self.checks):
             raise ValueError(f"check {name!r} recorded twice")
-        entry = {
-            "name": name,
-            "passed": bool(passed),
-            "value": value,
-            "tolerance": tolerance,
-        }
+        entry = {"name": name, "passed": bool(passed), "value": value, "tolerance": tolerance}
         if details is not None:
             entry["details"] = details
         self.checks.append(entry)
@@ -317,12 +389,10 @@ class RunManifest:
         return all(c["passed"] for c in self.checks)
 
     def write(self, path):
-        doc = {
-            "config_hash": self.config_hash,
-            "library_version": self.version,
-            "wall_clock_seconds": self.wall_clock,
-            "checks": self.checks,
-        }
+        doc = {"config_hash": self.config_hash, "library_version": self.version,
+               "wall_clock_seconds": self.wall_clock, "checks": self.checks}
+        if self.error is not None:
+            doc["error"] = self.error
         with open(path, "w", newline="") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -333,14 +403,11 @@ class RunManifest:
 
 
 def _solution_csv(path, sol, with_atoms=True):
-    cols = [("t", sol.grid.points)]
     d = sol.y.shape[1]
-    for j in range(d):
-        cols.append((f"y_{j+1}", sol.y[:, j]))
+    cols = [("t", sol.grid.points)] + [(f"y_{j+1}", sol.y[:, j]) for j in range(d)]
     if with_atoms:
-        for k in range(sol.ytilde.shape[1]):
-            for j in range(d):
-                cols.append((f"ytilde_{k+1}_{j+1}", sol.ytilde[:, k, j]))
+        cols += [(f"ytilde_{k+1}_{j+1}", sol.ytilde[:, k, j])
+                 for k in range(sol.ytilde.shape[1]) for j in range(d)]
     emit_csv(path, cols)
 
 
@@ -350,69 +417,35 @@ def _diagnostics_csv(path, sol):
     emit_csv(path, [(name, [getattr(g, name) for g in sol.diagnostics]) for name in names])
 
 
-def _run_solve(cfg: ExperimentConfig, manifest, out_dir, enabled):
+def _run_solve(cfg: ExperimentConfig, manifest, out_dir, jobs):
+    doc = cfg.doc
     driver = cfg.driver()
     measure = cfg.measure()
-    solver_cfg = cfg.solver_config()
-    lift = RoughLift(driver, measure, gamma=solver_cfg.gamma)
+    lift = RoughLift(driver, measure, gamma=doc["solver"].gamma)
     fld = cfg.sigma_field(driver.n_dims)
-    a = np.asarray(cfg.raw["initial"], dtype=float)
     solve = solve_young if cfg.kind == "solve-young" else solve_rough
-    sol = solve(lift, fld, a, solver_cfg)
-    with_atoms = bool(cfg.raw.get("emit_atoms", True))
-    _solution_csv(os.path.join(out_dir, "solution.csv"), sol, with_atoms=with_atoms)
+    sol = solve(lift, fld, doc["initial"], doc["solver"])
+    _solution_csv(os.path.join(out_dir, "solution.csv"), sol, doc.get("emit_atoms", True))
     _diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), sol)
 
-    if "A5_solver_vs_ode" in enabled:
+    if "A5_solver_vs_ode" in cfg.checks:
         params = cfg.checks["A5_solver_vs_ode"]
-        if driver.kind != "deterministic":
-            raise ValueError("the RK4 oracle check needs a deterministic driver")
-        y_ref, _ = rk4_augmented(driver, measure, fld, a, dt_max=float(params.get("dt", 1e-4)))
+        y_ref, _ = rk4_augmented(driver, measure, fld, doc["initial"],
+                                 dt_max=params.get("dt", 1e-4))
         manifest.add_check(*checks.a5_solver_vs_ode([sol], y_ref, params["tol"]))
-        emit_csv(
-            os.path.join(out_dir, "oracle.csv"),
-            [("t", sol.grid.points)]
-            + [(f"y_ref_{j+1}", y_ref[:, j]) for j in range(y_ref.shape[1])],
-        )
-    return sol
+        emit_csv(os.path.join(out_dir, "oracle.csv"), [("t", sol.grid.points)]
+                 + [(f"y_ref_{j+1}", y_ref[:, j]) for j in range(y_ref.shape[1])])
 
 
-def _verify_kwargs(name, params):
-    """Keyword arguments of a verify criterion from its config block."""
-    sig = inspect.signature(VERIFY_CHECKS[name]).parameters.values()
-    _check_keys(params, name, [p.name for p in sig], [p.name for p in sig if p.default is p.empty])
-    kwargs = dict(params)
-    defaults = {p.name: p.default for p in sig}
-    if "sigma" in defaults:
-        family = {"sigma": defaults["sigma"], **kwargs}
-        family["sigma_params"] = family.get("sigma_params") or {}
-        _check_family(family, name, SIGMA_PARAMS, ("sigma", "sigma_params"))
-    if "seeds" in kwargs:
-        kwargs["seeds"] = seed_expand(kwargs["seeds"])
-    if "solver" in kwargs:
-        kwargs["solver"] = _solver_config(kwargs["solver"], f"{name}.solver")
-    fns = kwargs.get("functions", [])
-    if not (isinstance(fns, list) and all(str(f) in DETERMINISTIC_FUNCTIONS for f in fns)):
-        raise ValueError(f"{name}.functions must list names of {list(DETERMINISTIC_FUNCTIONS)}")
-    return kwargs
-
-
-def _run_verify(cfg: ExperimentConfig, manifest, out_dir, enabled):
-    calls = [
-        (fn, _verify_kwargs(name, cfg.checks[name]))
-        for name, fn in VERIFY_CHECKS.items()
-        if name in cfg.checks
-    ]
-    for fn, kwargs in calls:
-        manifest.add_check(*fn(**kwargs))
-    emit_csv(
-        os.path.join(out_dir, "verify_checks.csv"),
-        [
-            ("name", np.array([c["name"] for c in manifest.checks], dtype=object)),
-            ("passed", [1 if c["passed"] else 0 for c in manifest.checks]),
-            ("value", [float(c["value"]) for c in manifest.checks]),
-        ],
-    )
+def _run_verify(cfg: ExperimentConfig, manifest, out_dir, jobs):
+    for name, fn in VERIFY_CHECKS.items():
+        if name in cfg.checks:
+            manifest.add_check(*fn(**cfg.checks[name]))
+    emit_csv(os.path.join(out_dir, "verify_checks.csv"), [
+        ("name", np.array([c["name"] for c in manifest.checks], dtype=object)),
+        ("passed", [1 if c["passed"] else 0 for c in manifest.checks]),
+        ("value", [float(c["value"]) for c in manifest.checks]),
+    ])
 
 
 def _map(fn, items, jobs, chunksize=1):
@@ -423,67 +456,49 @@ def _map(fn, items, jobs, chunksize=1):
     return [fn(item) for item in items]
 
 
-def _run_convergence(cfg: ExperimentConfig, manifest, out_dir, enabled, jobs):
-    raw = cfg.raw
-    levels = [int(x) for x in raw["levels"]]
-    if levels != list(range(levels[0], levels[0] + len(levels))) or len(levels) < 3:
-        raise ValueError("levels must be consecutive integers, at least 3 of them")
-    seeds = seed_expand(raw["driver"].get("seeds", raw["driver"].get("seed")))
-    fine_grid = TimeGrid.uniform(2 ** max(levels), float(raw["driver"].get("horizon", 1.0)))
+def _run_convergence(cfg: ExperimentConfig, manifest, out_dir, jobs):
+    doc, drv, levels = cfg.doc, cfg.doc["driver"], cfg.doc["levels"]
+    seeds = drv["seeds"] if "seeds" in drv else [drv["seed"]]
+    fine_grid = TimeGrid.uniform(2 ** max(levels), drv.get("horizon", 1.0))
     one_seed = functools.partial(
-        checks.self_convergence,
-        measure=cfg.measure(),
-        sigma=raw["sigma"]["name"],
-        a=np.asarray(raw["initial"], dtype=float),
-        solver=cfg.solver_config(),
-        levels=levels,
-        sigma_params=raw["sigma"].get("params"),
-        young=raw.get("mode") == "young",
+        checks.self_convergence, measure=cfg.measure(), sigma=doc["sigma"]["name"],
+        a=doc["initial"], solver=doc["solver"], levels=levels,
+        sigma_params=doc["sigma"].get("params"), young=doc.get("mode") == "young",
     )
     drivers = [cfg.driver(seed=seed, grid=fine_grid) for seed in seeds]
     results = sorted(zip(seeds, _map(one_seed, drivers, jobs)), key=lambda r: r[0])
     rates = [rate for _, (_, rate) in results]
-    rows_seed, rows_level, rows_diff = [], [], []
-    for seed, (diffs, _) in results:
-        for lev, d in zip(levels[:-1], diffs):
-            rows_seed.append(seed)
-            rows_level.append(lev)
-            rows_diff.append(d)
-    emit_csv(
-        os.path.join(out_dir, "convergence.csv"),
-        [("seed", rows_seed), ("level", rows_level), ("sup_diff", rows_diff)],
-    )
-    emit_csv(
-        os.path.join(out_dir, "rates.csv"),
-        [("seed", [r[0] for r in results]), ("rate", rates)],
-    )
+    rows = [(seed, lev, d) for seed, (diffs, _) in results for lev, d in zip(levels[:-1], diffs)]
+    emit_csv(os.path.join(out_dir, "convergence.csv"),
+             [(name, [r[i] for r in rows]) for i, name in enumerate(("seed", "level", "sup_diff"))])
+    emit_csv(os.path.join(out_dir, "rates.csv"),
+             [("seed", [r[0] for r in results]), ("rate", rates)])
     if "A7_rough_self_convergence" in cfg.checks:
         params = cfg.checks["A7_rough_self_convergence"]
         manifest.add_check(*checks.a7_rough_self_convergence(
-            rates, params["rate_threshold"], params["min_passing"]
-        ))
+            rates, params["rate_threshold"], params["min_passing"]))
 
 
-def _run_ensemble(cfg: ExperimentConfig, manifest, out_dir, enabled, jobs):
+def _run_ensemble(cfg: ExperimentConfig, manifest, out_dir, jobs):
     """Both ensemble kinds: ensemble.csv, then A6 where the config enables it."""
-    stat = cfg.raw["stat"]
-    hurst, xi = float(stat["hurst"]), float(stat["xi"])
-    horizon = float(stat.get("horizon", 1.0))
-    seeds = seed_expand(stat["seeds"])
-    value = functools.partial(
-        checks.x1_tilde_value, hurst=hurst, cells=int(stat["cells"]), xi=xi, horizon=horizon
-    )
-    results = sorted(zip(seeds, _map(value, seeds, jobs, chunksize=64)), key=lambda r: r[0])
+    stat = cfg.doc["stat"]
+    hurst, xi, horizon = stat["hurst"], stat["xi"], stat.get("horizon", 1.0)
+    value = functools.partial(checks.x1_tilde_value, hurst=hurst, cells=stat["cells"], xi=xi,
+                              horizon=horizon)
+    results = sorted(zip(stat["seeds"], _map(value, stat["seeds"], jobs, chunksize=64)),
+                     key=lambda r: r[0])
     values = [r[1] for r in results]
-    emit_csv(
-        os.path.join(out_dir, "ensemble.csv"),
-        [("seed", [r[0] for r in results]), ("value", values)],
-    )
+    emit_csv(os.path.join(out_dir, "ensemble.csv"),
+             [("seed", [r[0] for r in results]), ("value", values)])
     if "A6_fbm_young_covariance" in cfg.checks:
         params = cfg.checks["A6_fbm_young_covariance"]
         manifest.add_check(*checks.a6_fbm_young_covariance(
-            values, hurst, xi, horizon, params.get("se_factor", 3.0)
-        ))
+            values, hurst, xi, horizon, params.get("se_factor", 3.0)))
+
+
+RUNS = {"verify": _run_verify, "solve-young": _run_solve, "solve-rough": _run_solve,
+        "convergence": _run_convergence, "ensemble": _run_ensemble,
+        "covariance-check": _run_ensemble}
 
 
 def run(config_path, out_dir=None, jobs=1, checks_filter=None) -> int:
@@ -491,7 +506,7 @@ def run(config_path, out_dir=None, jobs=1, checks_filter=None) -> int:
     try:
         with open(config_path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config parse error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -501,56 +516,40 @@ def run(config_path, out_dir=None, jobs=1, checks_filter=None) -> int:
             if unknown:
                 raise ValueError(f"--check names not in config: {sorted(unknown)}")
             cfg.checks = {k: v for k, v in cfg.checks.items() if k in checks_filter}
-        target = (
-            out_dir
-            or os.environ.get(OUT_DIR_ENV)
-            or cfg.output_dir
-            or os.getcwd()
-        )
+        target = out_dir or os.environ.get(OUT_DIR_ENV) or cfg.output_dir or os.getcwd()
         os.makedirs(target, exist_ok=True)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"config validation error: {exc}", file=sys.stderr)
         return 2
 
     manifest = RunManifest(raw)
-    start = time.time()
-    enabled = set(cfg.checks)
+    start = time.perf_counter()
     try:
-        if cfg.kind in ("solve-young", "solve-rough"):
-            _run_solve(cfg, manifest, target, enabled)
-        elif cfg.kind == "verify":
-            _run_verify(cfg, manifest, target, enabled)
-        elif cfg.kind == "convergence":
-            _run_convergence(cfg, manifest, target, enabled, jobs)
-        elif cfg.kind in ("ensemble", "covariance-check"):
-            _run_ensemble(cfg, manifest, target, enabled, jobs)
+        RUNS[cfg.kind](cfg, manifest, target, jobs)
+        code = 0 if manifest.all_passed() else 1
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
-        manifest.wall_clock = time.time() - start
-        manifest.write(os.path.join(target, "run_manifest.json"))
-        return 3
-    except ValueError as exc:
-        print(f"config validation error: {exc}", file=sys.stderr)
-        return 2
-    manifest.wall_clock = time.time() - start
+        code = 3
+    except Exception as exc:                  # the document was valid: the run itself failed
+        manifest.error = {"type": type(exc).__name__, "message": str(exc),
+                          "traceback": traceback.format_exc()}
+        print(f"run error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = 4
+    manifest.wall_clock = time.perf_counter() - start
     manifest.write(os.path.join(target, "run_manifest.json"))
-    return 0 if manifest.all_passed() else 1
+    return code
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="roughvolterra",
-        description="Config-driven experiments for rough Volterra equations.",
-    )
+        prog="roughvolterra", description="Config-driven experiments for rough Volterra equations.")
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="execute one experiment config")
     run_p.add_argument("config", help="path to the JSON experiment config")
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--jobs", type=int, default=1, help="worker pool size")
-    run_p.add_argument(
-        "--check", action="append", default=None,
-        help="run only the named check(s) from the config",
-    )
+    run_p.add_argument("--check", action="append", default=None,
+                       help="run only the named check(s) from the config")
     args = parser.parse_args(argv)
     if args.command == "run":
         return run(args.config, out_dir=args.out, jobs=args.jobs, checks_filter=args.check)

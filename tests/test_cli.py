@@ -1,4 +1,5 @@
 import functools
+import inspect
 import json
 import os
 
@@ -173,6 +174,30 @@ class TestRunFlows:
             ("config", {"kind": "verify", "checks": {
                 "A8_diffusion_degeneration": {"sigma": "tanhh"}}},
              "A8_diffusion_degeneration.sigma"),
+            ("config", {"emit_atom": False}, "emit_atom"),
+            ("driver", {"sed": 1}, "driver.sed"),
+            ("config", {"kind": "verify", "checks": {"A1_algebraic_exactness": {
+                "tol": 1e-12, "trials": "3", "grid_points": 8}}},
+             "A1_algebraic_exactness.trials"),
+            ("config", {"mode": "yung"}, "mode"),
+            ("sigma", {"params": {"amp": "5"}}, "sigma.params.amp"),
+            ("sigma", {"params": {"amp": True}}, "sigma.params.amp"),
+            ("config", {"kind": "convergence", "levels": [5, "6", 7], "driver": {
+                "kind": "deterministic", "cells": 128, "seed": 1}}, "levels"),
+            ("config", {"kind": "verify", "checks": {"A4_young_exactness": {
+                "tol": 1e-8, "level": 2.5, "cells": 64, "xis": [1.0]}}},
+             "A4_young_exactness.level"),
+            ("config", {"initial": 0.3}, "initial"),
+            ("config", {"kind": "convergence", "levels": 7}, "levels"),
+            ("config", {"kind": "verify", "checks": {"A3_chen_relation": {
+                "tol": 1e-6, "hursts": 0.4}}}, "A3_chen_relation.hursts"),
+            ("checks", {"A5_solver_vs_ode": {"tol": 1e-4, "dt": 0}}, "A5_solver_vs_ode.dt"),
+            ("solver", {"interval_scheme": "explicit", "boundaries": "x"}, "solver.boundaries"),
+            ("sigma", {"params": {"amp": [5]}}, "sigma.params.amp"),
+            ("kernel", {"atoms": None}, "kernel.atoms"),
+            ("driver", {"kind": "fbm", "hurst": 0.4, "seed": 1, "cells": 5000}, "driver.cells"),
+            ("config", {"driver": {"kind": "fbm", "hurst": 0.4, "cells": 16, "seed": 1},
+                        "checks": {"A5_solver_vs_ode": {"tol": 1e-4}}}, "A5_solver_vs_ode"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):
@@ -202,7 +227,8 @@ class TestRunFlows:
     @pytest.mark.parametrize(
         "edit, named",
         [({"hurts": 0.7}, "hurts"), ({"hurst": None}, "hurst"), ({"cells": [64]}, "cells"),
-         ({"cells": True}, "cells")],
+         ({"cells": True}, "cells"), ({"hurst": 0.4}, "stat.hurst"),
+         ({"seeds": 7}, "stat.seeds")],
     )
     def test_bad_stat_key_exit_2_names_it(self, tmp_path, capsys, edit, named):
         doc = {
@@ -225,6 +251,40 @@ class TestRunFlows:
             "cells": 16, "solver": {"gamma": 0.38, "kappa": 0.35, "sewing_levle": 3}}}}
         assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "o")) == 2
         assert "sewing_levle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", ["quadrature", "factorisation"])
+    def test_run_error_exit_4_writes_manifest_error(self, tmp_path, capsys, monkeypatch, error):
+        doc = solve_config()
+        if error == "quadrature":
+            doc["kernel"] = {"density": {"name": "exp", "n_nodes": 2}}
+            expected = "QuadratureError"
+        else:                       # a ValueError subclass, raised once the run has started
+            doc["driver"] = {"kind": "fbm", "hurst": 0.4, "cells": 16, "seed": 1}
+            doc["checks"] = {}
+
+            def broken(*args, **kwargs):
+                raise np.linalg.LinAlgError("Schur breakdown")
+
+            monkeypatch.setattr(cli, "sample_fbm", broken)
+            expected = "LinAlgError"
+        out = tmp_path / "o"
+        assert run(write_config(tmp_path, doc), out_dir=str(out)) == 4
+        err = capsys.readouterr().err
+        assert expected in err and "Traceback" not in err and len(err.splitlines()) == 1
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["error"]["type"] == expected and manifest["error"]["message"]
+
+    def test_every_verify_parameter_has_a_schema_row(self):
+        for name, fn in cli.VERIFY_CHECKS.items():
+            for param in inspect.signature(fn).parameters:
+                assert cli._row(f"checks.{name}.{param}")
+
+    def test_wall_clock_ignores_a_clock_set_back(self, tmp_path, monkeypatch):
+        ticks = iter([1e9, 0.0])
+        monkeypatch.setattr(cli.time, "time", lambda: next(ticks, 0.0))
+        out = tmp_path / "o"
+        assert run(write_config(tmp_path, solve_config()), out_dir=str(out)) == 0
+        assert json.loads((out / "run_manifest.json").read_text())["wall_clock_seconds"] >= 0
 
     def test_successful_solve_writes_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, solve_config())

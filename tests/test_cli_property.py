@@ -1,0 +1,91 @@
+"""Property test of the CLI boundary.
+
+Each shipped config, cut to test size, has one key at some depth
+dropped, renamed or given a value of another JSON type.  Every such run
+exits with a code of the README's table and prints no traceback, and it
+leaves a manifest exactly when it got past validation (exit code not 2).
+"""
+
+import contextlib
+import io
+import json
+import os
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from roughvolterra.cli import run
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+CONFIGS = os.path.join(ROOT, "configs")
+NAMES = sorted(name for name in os.listdir(CONFIGS) if name.endswith(".json"))
+with open(os.path.join(ROOT, "README.md")) as fh:       # the exit codes of its table
+    EXIT_CODES = [int(code) for code in re.findall(r"^\| `(\d)` +\|", fh.read(), re.M)]
+LIMITS = {"cells": 64, "trials": 4, "triples": 2, "sub_mesh": 256, "points": 64, "level": 4}
+VALUES = ["x", 2.5, 7, True, None, [1], {"a": 1}]       # one of each JSON type
+
+
+def shrink(node):
+    """``node`` cut to test size: cells <= 64, seed ranges <= 4, levels [4, 5, 6], small meshes
+    and an RK4 oracle step of 1e-3."""
+    if isinstance(node, list):
+        return [shrink(value) for value in node]
+    if not isinstance(node, dict):
+        return node
+    out = {}
+    for key, value in node.items():
+        if key in LIMITS and isinstance(value, int):
+            value = min(value, LIMITS[key])
+        elif key == "seeds" and isinstance(value, str):
+            lo, hi = map(int, value.split(".."))
+            value = f"{lo}..{min(hi, lo + 4)}"
+        elif key == "levels":
+            value = [4, 5, 6]
+        elif key == "dt":
+            value = max(value, 1e-3)
+        out[key] = shrink(value)
+    return out
+
+
+def key_paths(node, prefix=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from key_paths(value, prefix + (key,))
+
+
+def test_readme_tables_the_exit_codes():
+    assert EXIT_CODES == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_mutated_config_exits_with_a_documented_code(name, data, tmp_path_factory):
+    with open(os.path.join(CONFIGS, name)) as fh:
+        doc = shrink(json.load(fh))
+    path = data.draw(st.sampled_from(sorted(key_paths(doc))))
+    action = data.draw(st.sampled_from(["drop", "rename", "retype"]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if action == "drop":
+        del parent[key]
+    elif action == "rename":
+        parent[key + "_renamed"] = parent.pop(key)
+    else:
+        parent[key] = data.draw(st.sampled_from(
+            [v for v in VALUES if type(v) is not type(parent[key])]))
+
+    root = tmp_path_factory.mktemp("mutated")
+    config, out = root / "config.json", root / "out"
+    config.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(str(config), out_dir=str(out))
+    assert code in EXIT_CODES
+    assert "Traceback" not in err.getvalue()
+    assert (out / "run_manifest.json").exists() == (code != 2)
