@@ -67,6 +67,10 @@ class TimeGrid:
                 return j
         raise ValueError(f"t={t} is not a grid point")
 
+    def cell_of(self, times):
+        """Index i of the cell [points[i], points[i+1]) holding each time, clipped to the grid."""
+        return np.clip(np.searchsorted(self.points, times, side="right") - 1, 0, len(self) - 2)
+
 
 def twist(xi, s, t):
     """Twist factor a_ts(xi) = exp(-xi (t - s)) - 1, in (-1, 0].

@@ -308,6 +308,26 @@ def _check_relations(doc):
     if "A6_fbm_young_covariance" in enabled and not (
             doc["stat"]["hurst"] > 0.5 and len(doc["stat"]["seeds"]) > 1):
         raise ValueError("A6_fbm_young_covariance needs stat.hurst in (0.5, 1) and 2+ stat.seeds")
+    a2 = _check_params(enabled, "A2_sewing_bound")
+    a8 = _check_params(enabled, "A8_diffusion_degeneration")
+    if not a2["rho"] < a2["mu"]:
+        raise ValueError(f"checks.A2_sewing_bound.rho must be < mu = {a2['mu']}, got {a2['rho']}")
+    if len(a8["initial"]) != 1:                 # A8's sigma has one column
+        raise ValueError(f"checks.A8_diffusion_degeneration.initial must have 1 entry, "
+                         f"got {len(a8['initial'])}")
+    n_dims = drv.get("n_dims", 1) if fbm else 1
+    for where, params, n in (("sigma.params", doc.get("sigma", {}).get("params", {}), n_dims),
+                             ("checks.A8_diffusion_degeneration.sigma_params",
+                              a8["sigma_params"] or {}, 1)):
+        if "direction" in params and len(params["direction"]) != n:
+            raise ValueError(f"{where}.direction must have one entry per driver dimension "
+                             f"({n}), got {len(params['direction'])}")
+
+
+def _check_params(enabled, name):
+    """Verify criterion ``name``'s parameters as it runs: the document's over its defaults."""
+    params = inspect.signature(VERIFY_CHECKS[name]).parameters.values()
+    return {**{p.name: p.default for p in params}, **enabled.get(name, {})}
 
 
 def emit_csv(path, columns):

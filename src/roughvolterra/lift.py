@@ -86,7 +86,7 @@ class DriverPath:
         """Piecewise-linear evaluation at arbitrary times in [0, T]."""
         times = np.asarray(times, dtype=float)
         pts = self.grid.points
-        idx = np.clip(np.searchsorted(pts, times, side="right") - 1, 0, len(pts) - 2)
+        idx = self.grid.cell_of(times)
         return self.values[idx] + self._slopes[idx] * (times - pts[idx])[..., None]
 
 
@@ -337,10 +337,6 @@ class RoughLift:
     def n_dims(self):
         return self.driver.n_dims
 
-    def _locate(self, v):
-        pts = self.driver.grid.points
-        return np.clip(np.searchsorted(pts, v, side="right") - 1, 0, len(pts) - 2)
-
     def _validate_pair(self, s, t):
         T = self.driver.grid.horizon
         if not (0.0 <= s <= t <= T * (1 + 1e-12) + 1e-15):
@@ -349,7 +345,7 @@ class RoughLift:
     def _overlaps(self, s, t):
         """(cells, a, b): the nonempty pieces [a, b] of [s, t] clipped to driver cells."""
         pts = self.driver.grid.points
-        cells = np.arange(self._locate(s), self._locate(t) + 1)
+        cells = np.arange(self.driver.grid.cell_of(s), self.driver.grid.cell_of(t) + 1)
         a = np.maximum(s, pts[cells])
         b = np.minimum(t, pts[cells + 1])
         keep = b > a
@@ -373,7 +369,7 @@ class RoughLift:
         """x1 tilde from 0 to each time in v, shape (len(v), K, n)."""
         v = np.atleast_1d(np.asarray(v, dtype=float))
         pts = self.driver.grid.points
-        cells = self._locate(v)
+        cells = self.driver.grid.cell_of(v)
         dt = v - pts[cells]
         part = e0(self.xis[None, :], dt[:, None])[:, :, None] * (
             self.driver.slopes[cells][:, None, :]

@@ -46,18 +46,15 @@ class SewingResult:
     """Raw level-L sum plus convergence diagnostics.
 
     ``value`` (the raw sum at the deepest computed level) is the
-    contractual output; ``richardson`` applies one extrapolation step to
-    the final two levels, and ``extrapolated`` iterates guarded vector
-    Aitken steps over the whole level sequence, which is the best
-    available estimate of the sewing limit.
+    contractual output; ``extrapolated`` iterates guarded Richardson
+    steps over the whole level sequence, which is the best available
+    estimate of the sewing limit.
     """
 
     value: np.ndarray
     level: int
     sums: list = field(default_factory=list)
     diff_norms: list = field(default_factory=list)
-    decay_ratio: float = np.nan
-    richardson: np.ndarray = None
     extrapolated: np.ndarray = None
     stopped_early: bool = False
 
@@ -176,22 +173,11 @@ def compensated_sum_tilde(
 
 
 def _finish(sums, diff_norms, last_level, stopped):
-    raw = sums[-1]
-    if len(sums) >= 3 and diff_norms[-1] > 0 and diff_norms[-2] > 0:
-        rho = diff_norms[-2] / diff_norms[-1]
-        rich = (
-            raw + (sums[-1] - sums[-2]) / (rho - 1.0) if rho > 1.05 else raw.copy()
-        )
-    else:
-        rho = np.nan
-        rich = raw.copy()
     return SewingResult(
-        value=raw,
+        value=sums[-1],
         level=last_level,
         sums=sums,
         diff_norms=diff_norms,
-        decay_ratio=float(rho) if np.isfinite(rho) else np.nan,
-        richardson=rich,
         extrapolated=_extrapolate(sums),
         stopped_early=stopped,
     )
@@ -241,29 +227,25 @@ def sewing_bound_check(
     xi: float = 0.0,
     level: int = 10,
     n_probe: int = 9,
-    h_triple=None,
 ) -> SewingBoundReport:
     """Check the sewing contraction bound on a probe grid.
 
     Verifies  sup |M^level_{ts}| / (t-s)^mu  <=  c_mu * N[h; (rho, mu-rho)]
-    where h = delta~ B (computed from ``b_pair`` unless ``h_triple`` is
-    given) and the two-exponent norm puts rho on the inner gap.  Both
-    sides are discrete suprema; the right side uses a finer probe set, so
-    the check is conservative in the intended direction.
+    where h = delta~ B of ``b_pair`` and the two-exponent norm puts rho on
+    the inner gap.  Both sides are discrete suprema; the right side uses a
+    finer probe set, so the check is conservative in the intended direction.
     """
     if mu <= 1:
         raise ValueError("sewing bound requires mu > 1")
     if not 0 < rho < mu:
         raise ValueError("need 0 < rho < mu")
 
-    if h_triple is None:
-
-        def h_triple(si, ui, ti):
-            one = lambda x: np.array([x])
-            b_ts = b_pair(one(si), one(ti))[0]
-            b_tu = b_pair(one(ui), one(ti))[0]
-            b_us = b_pair(one(si), one(ui))[0]
-            return b_ts - b_tu - np.exp(-xi * (ti - ui)) * b_us
+    def h_triple(si, ui, ti):
+        one = lambda x: np.array([x])
+        b_ts = b_pair(one(si), one(ti))[0]
+        b_tu = b_pair(one(ui), one(ti))[0]
+        b_us = b_pair(one(si), one(ui))[0]
+        return b_ts - b_tu - np.exp(-xi * (ti - ui)) * b_us
 
     probe = np.linspace(s, t, n_probe)
     lhs, arg = 0.0, (s, t)

@@ -21,7 +21,7 @@ single solve is sequential over intervals by data dependency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,9 +106,11 @@ class SolverConfig:
     when evaluating the integral germ.  ``interval_scheme`` is
     ``harmonic`` (lengths 1/(N+n), N doubling on failure), ``constant``
     (T/n_start segments, halving on failure) or ``explicit``
-    (``boundaries`` gives interior interval endpoints).  alpha1/alpha2
-    are reporting exponents for the invariant-ball window; defaults
-    alpha2 = (gamma-kappa)/4 and alpha1 = 1 + alpha2 - (gamma+kappa)/2.
+    (``boundaries`` gives interior interval endpoints).  ``beta`` is the
+    L_beta norms' exponent, by default gamma in a Young solve and 1 in a
+    rough one.  alpha1/alpha2 are reporting exponents for the
+    invariant-ball window; defaults alpha2 = (gamma-kappa)/4 and
+    alpha1 = 1 + alpha2 - (gamma+kappa)/2.
     """
 
     gamma: float
@@ -119,7 +121,6 @@ class SolverConfig:
     n_start: int = 4
     interval_scheme: str = "harmonic"
     boundaries: tuple = ()
-    young: bool = False
     beta: float | None = None
     alpha1: float | None = None
     alpha2: float | None = None
@@ -140,12 +141,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not self.contraction_limit > 0:
             raise ValueError("contraction_limit must be > 0")
-
-    @property
-    def beta_resolved(self) -> float:
-        if self.beta is not None:
-            return self.beta
-        return self.gamma if self.young else 1.0
 
     @property
     def alpha2_resolved(self) -> float:
@@ -257,7 +252,7 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
     grid = lift.driver.grid
     pts = grid.points
     measure = lift.measure
-    beta = config.beta_resolved
+    beta = config.beta if config.beta is not None else 1.0 if rough else config.gamma
     moment = measure.moment(beta)
     n_pts, k_atoms, d = len(grid), measure.n_atoms, fld.d
     refine = 2**config.sewing_level
@@ -392,12 +387,12 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
 
 def solve_young(lift: RoughLift, fld: SigmaField, a, config: SolverConfig) -> Solution:
     """Young Volterra solve (first-order germ), for lifts with gamma > 1/2."""
-    return _solve(lift, fld, a, replace(config, young=True), rough=False)
+    return _solve(lift, fld, a, config, rough=False)
 
 
 def solve_rough(lift: RoughLift, fld: SigmaField, a, config: SolverConfig) -> Solution:
     """Rough Volterra solve (compensated second-order germ)."""
-    return _solve(lift, fld, a, replace(config, young=False), rough=True)
+    return _solve(lift, fld, a, config, rough=True)
 
 
 def solve_rough_ode(driver, fld: SigmaField, a, config: SolverConfig) -> Solution:

@@ -198,6 +198,16 @@ class TestRunFlows:
             ("driver", {"kind": "fbm", "hurst": 0.4, "seed": 1, "cells": 5000}, "driver.cells"),
             ("config", {"driver": {"kind": "fbm", "hurst": 0.4, "cells": 16, "seed": 1},
                         "checks": {"A5_solver_vs_ode": {"tol": 1e-4}}}, "A5_solver_vs_ode"),
+            ("sigma", {"params": {"direction": [1.0, 2.0]}}, "sigma.params.direction"),
+            ("config", {"kind": "verify", "checks": {"A2_sewing_bound": {"rho": 2.0}}},
+             "A2_sewing_bound.rho"),
+            ("config", {"kind": "verify", "checks": {
+                "A8_diffusion_degeneration": {"initial": [0.1, 0.2]}}},
+             "A8_diffusion_degeneration.initial"),
+            ("config", {"kind": "verify", "checks": {"A8_diffusion_degeneration": {
+                "sigma_params": {"direction": [1.0, 2.0]}}}},
+             "A8_diffusion_degeneration.sigma_params.direction"),
+            ("solver", {"young": True}, "solver.young"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):

@@ -322,6 +322,24 @@ class TestChasles:
         assert lift.chasles_residual(n_triples=300) < 1e-12
 
 
+class TestSubMesh:
+    @pytest.mark.parametrize("s, t", [(0.125, 0.6875), (0.1, 0.61)])
+    def test_mesh_is_per_cell_linspace(self, s, t):
+        grid = TimeGrid.uniform(16, 1.0)
+        driver = sample_fbm(0.4, grid, n_dims=2, seed=3)
+        mesh = oracles.subdivide(grid.points, s, t, 1000)
+        inside = grid.points[(grid.points > s) & (grid.points < t)]
+        knots = np.concatenate(([s], inside, [t]))
+        per = round(1000 / (knots.size - 1))
+        ref = np.append(np.concatenate(
+            [np.linspace(a, b, per + 1)[:-1] for a, b in zip(knots[:-1], knots[1:])]), t)
+        assert mesh.shape == ref.shape and np.array_equal(mesh, ref)
+        assert np.all(np.isin(inside, mesh))
+        _, _, dx = oracles._sub_steps(driver, mesh)
+        total = driver.at(np.array([t]))[0] - driver.at(np.array([s]))[0]
+        assert np.allclose(dx.sum(axis=0), total, rtol=0, atol=1e-13)
+
+
 class TestX2:
     def test_constant_path_zero(self):
         grid = TimeGrid.uniform(8, 1.0)
@@ -377,19 +395,9 @@ class TestX3:
         lift = RoughLift(driver, mea, gamma=0.4)
         s, u, t = 0.125, 0.5, 0.9375
         chen = lift.x3_tilde(s, u, t)
-        ref = oracles.x3_tilde_riemann(driver, mea, mea.xis, s, u, t, 1 << 16)
+        ref = oracles.x3_tilde_riemann_fast(driver, mea, mea.xis, s, u, t, 1 << 16)
         scale = lift.scale**2
         assert np.max(np.abs(chen - ref)) / scale < 1e-6
-
-    def test_fast_oracle_agrees_with_scan_oracle(self):
-        grid = TimeGrid.uniform(32, 1.0)
-        driver = sample_fbm(0.4, grid, n_dims=2, seed=5)
-        mea = KernelMeasure.from_atoms(ATOMS3)
-        s, u, t = 0.125, 0.375, 0.84375
-        slow = oracles.x3_tilde_riemann(driver, mea, mea.xis, s, u, t, 1 << 14)
-        fast = oracles.x3_tilde_riemann_fast(driver, mea, mea.xis, s, u, t, 1 << 14)
-        scale = max(np.abs(slow).max(), 1e-12)
-        assert np.max(np.abs(slow - fast)) / scale < 1e-6
 
     def test_chen_identity_by_construction(self):
         grid = TimeGrid.uniform(32, 1.0)

@@ -48,8 +48,10 @@ class TestConfig:
         assert a2 - cfg.gamma < a1 - 1 < a2 - cfg.kappa
 
     def test_beta_defaults(self):
-        assert SolverConfig(gamma=0.8, kappa=0.45, young=True).beta_resolved == 0.8
-        assert SolverConfig(gamma=0.38, kappa=0.35).beta_resolved == 1.0
+        lift = identity_lift(gamma=0.8)
+        fld, a = sigma_catalog("zero", n=1, d=1), np.array([0.0])
+        assert solve_young(lift, fld, a, base_config(gamma=0.8)).beta_used == 0.8
+        assert solve_rough(lift, fld, a, base_config(gamma=0.8)).beta_used == 1.0
 
     @pytest.mark.parametrize(
         "key, bad",
