@@ -115,6 +115,7 @@ FBM_CELLS = f"[1, {MAX_CHOLESKY_POINTS - 1}]"   # an fBm grid within the Cholesk
 
 # JSON path -> (type, range, required).  Types: float (integers accepted), int, str, bool;
 # a tuple of allowed values; [type], a list; np.ndarray, a list of numbers as a float array;
+# a block key's list may be empty only where its default is empty;
 # another function converts the value.  A block's type gives its keys: dict, the rows under
 # it; a signature or a dataclass, their parameters, defaults and annotations (a dataclass
 # block becomes its instance; a parameter defaulting to None accepts null); a Family, the
@@ -247,6 +248,8 @@ def _walk_block(value, typ, at, where, kind, siblings):
     typed = {}
     for k in sorted(value, key=lambda k: isinstance(keys[k][0][0], Family)):   # families last
         row, path, default = keys[k]
+        if value[k] == [] and default != ():
+            raise ValueError(f"{where}.{k} must not be empty".lstrip("."))
         beside = {**{n: d for n, (*_, d) in keys.items()}, **typed}
         typed[k] = None if value[k] is None and default is None else _walk(
             value[k], row, path, f"{where}.{k}".lstrip("."), kind, beside)
@@ -294,6 +297,8 @@ def _check_relations(doc):
     if "kernel" in doc and not {"atoms", "density"} & set(doc["kernel"]):
         raise ValueError("missing key(s) ['kernel.atoms' or 'kernel.density']")
     fbm = drv.get("kind") in ("fbm", "brownian")
+    if "n_dims" in drv and not fbm:
+        raise ValueError("driver.n_dims needs driver.kind fbm or brownian")
     seeds = ("seed",) if kind in SOLVES else ("seed", "seeds")
     if (fbm or kind == "convergence") and not set(seeds) & set(drv):
         raise ValueError(f"missing key {' or '.join(f'driver.{s}' for s in seeds)} (explicit seeds)")
@@ -315,8 +320,8 @@ def _check_relations(doc):
     if len(a8["initial"]) != 1:                 # A8's sigma has one column
         raise ValueError(f"checks.A8_diffusion_degeneration.initial must have 1 entry, "
                          f"got {len(a8['initial'])}")
-    n_dims = drv.get("n_dims", 1) if fbm else 1
-    for where, params, n in (("sigma.params", doc.get("sigma", {}).get("params", {}), n_dims),
+    for where, params, n in (("sigma.params", doc.get("sigma", {}).get("params", {}),
+                              drv.get("n_dims", 1)),
                              ("checks.A8_diffusion_degeneration.sigma_params",
                               a8["sigma_params"] or {}, 1)):
         if "direction" in params and len(params["direction"]) != n:

@@ -11,9 +11,11 @@ fBm is sampled exactly in law through a Cholesky factor of the covariance,
 capped at desk scale: on uniform grids the O(n^2) Schur factor of the
 Toeplitz increment covariance, built in one pass, on other grids the dense
 factor.  Factors within FACTOR_BYTES (8 MiB) are cached; larger ones are
-never stored, and uniform ones stream through the product in panels.
-Sampling uses counter-based Philox streams keyed by the seed, so a fixed
-seed reproduces paths bit for bit; a list of seeds takes one product.
+never stored, and uniform ones stream through the product in panels, each
+drawing its own rows of normals: beyond its paths such a draw holds one
+panel and that panel's normals.  Sampling uses counter-based Philox
+streams keyed by the seed, so a fixed seed reproduces paths bit for bit;
+a list of seeds shares each product.
 """
 
 from __future__ import annotations
@@ -230,26 +232,41 @@ def _dense_cholesky(cov: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("fBm covariance not factorisable even with jitter")
 
 
-def _fbm_draw(hurst: float, times: np.ndarray, gauss: np.ndarray) -> np.ndarray:
-    """The fBm path factor on ``times`` times ``gauss``, never storing more than FACTOR_BYTES.
+def _normals(streams, rows: int, n_dims: int) -> np.ndarray:
+    """The next ``rows`` rows of each stream's normals, side by side: (rows, len(streams) n_dims)."""
+    return np.hstack([rng.standard_normal((rows, n_dims)) for rng in streams])
 
-    A larger factor on a uniform grid is streamed in Schur panels, skipping
-    its zero upper triangle; on other grids, or after a breakdown (whose
-    partial sums are dropped), the dense factor is built for this call.
+
+def _fbm_draw(hurst: float, times: np.ndarray, seeds: list, n_dims: int) -> np.ndarray:
+    """The fBm path factor on ``times`` times the seeds' normals, side by side.
+
+    A factor within FACTOR_BYTES (cached) takes one product.  A larger one
+    on a uniform grid is streamed in Schur panels: each panel draws its own
+    rows of the seeds' normals (per-panel calls on a Philox stream give the
+    whole-stream normals) and adds its product one panel-height block of
+    draws at a time, skipping the factor's zero upper triangle, so beyond
+    the draws the route holds one panel and its normals.  On other grids,
+    or after a breakdown (whose partial sums are dropped), the dense factor
+    is built for this call and applied to normals from fresh streams.
     """
     n = times.size
     if 8 * n * n <= FACTOR_BYTES:
-        return _fbm_cholesky(hurst, times) @ gauss
+        return _fbm_cholesky(hurst, times) @ _normals([_rng(s) for s in seeds], n, n_dims)
     h = _uniform_step(times)
     if h is not None:
-        gamma, draws = _fgn_autocovariance(hurst, n, h), np.zeros_like(gauss)
+        streams, draws = [_rng(s) for s in seeds], np.zeros((n, len(seeds) * n_dims))
         try:
-            for k0, panel in _schur_panels(gamma, FACTOR_BYTES // (8 * n)):
-                draws[k0:] += panel[:, k0:].T @ gauss[k0 : k0 + len(panel)]
+            for k0, panel in _schur_panels(_fgn_autocovariance(hurst, n, h),
+                                           FACTOR_BYTES // (8 * n)):
+                m = len(panel)
+                gauss = _normals(streams, m, n_dims)
+                for r0 in range(k0, n, m):
+                    draws[r0 : r0 + m] += panel[:, r0 : r0 + m].T @ gauss
             return draws
         except np.linalg.LinAlgError:
             pass
-    return _dense_cholesky(fbm_covariance(hurst, times)) @ gauss
+    return _dense_cholesky(fbm_covariance(hurst, times)) @ _normals(
+        [_rng(s) for s in seeds], n, n_dims)
 
 
 def sample_fbm(hurst: float, grid, n_dims: int = 1, seed=0) -> DriverPath | list[DriverPath]:
@@ -260,10 +277,12 @@ def sample_fbm(hurst: float, grid, n_dims: int = 1, seed=0) -> DriverPath | list
     seed's Philox normals; grids are capped at MAX_CHOLESKY_POINTS.
     Components are independent; H = 0.5 reduces to Brownian motion.
     Factors within FACTOR_BYTES (1024 points) are cached across seeds; a
-    larger uniform grid streams its factor's rows in panels of that size.
+    larger uniform grid streams its factor's rows in panels of that size,
+    each panel drawing its own rows of the normals, so beyond its paths a
+    draw holds one panel and that panel's normals.
 
     A list of seeds returns one DriverPath per seed: their normals side by
-    side take one product, so the paths match single-seed draws to
+    side share each product, so the paths match single-seed draws to
     round-off, and a one-seed list matches bit for bit.
     """
     if not 0.0 < hurst < 1.0:
@@ -273,12 +292,9 @@ def sample_fbm(hurst: float, grid, n_dims: int = 1, seed=0) -> DriverPath | list
             f"grid has {len(grid)} points; Cholesky sampling is capped at "
             f"{MAX_CHOLESKY_POINTS}"
         )
-    times = grid.points[1:]
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
-    gauss = [_rng(s).standard_normal((times.size, n_dims)) for s in seeds]
-    gauss = gauss[0] if single else np.concatenate(gauss, axis=1)
-    draws = _fbm_draw(hurst, times, gauss)
+    draws = _fbm_draw(hurst, grid.points[1:], seeds, n_dims)
     kind = "brownian" if hurst == 0.5 else "fbm"
     zero = np.zeros((1, n_dims))
     drivers = [DriverPath(grid, np.vstack([zero, draws[:, i * n_dims : (i + 1) * n_dims]]),

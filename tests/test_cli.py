@@ -208,6 +208,19 @@ class TestRunFlows:
                 "sigma_params": {"direction": [1.0, 2.0]}}}},
              "A8_diffusion_degeneration.sigma_params.direction"),
             ("solver", {"young": True}, "solver.young"),
+            ("config", {"kind": "verify", "checks": {"A3_chen_relation": {
+                "tol": 1e-6, "hursts": []}}}, "A3_chen_relation.hursts"),
+            ("config", {"kind": "verify", "checks": {"A3_chen_relation": {
+                "tol": 1e-6, "atoms": []}}}, "A3_chen_relation.atoms"),
+            ("config", {"kind": "verify", "checks": {"A4_young_exactness": {
+                "tol": 1e-8, "xis": []}}}, "A4_young_exactness.xis"),
+            ("config", {"kind": "verify", "checks": {"A4_young_exactness": {
+                "tol": 1e-8, "functions": []}}}, "A4_young_exactness.functions"),
+            ("config", {"kind": "verify", "checks": {"A9_holder_estimator": {
+                "tol": 0.05, "hursts": []}}}, "A9_holder_estimator.hursts"),
+            ("kernel", {"atoms": []}, "kernel.atoms"),
+            ("config", {"initial": []}, "initial"),
+            ("driver", {"n_dims": 3}, "driver.n_dims"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):

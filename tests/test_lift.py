@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,19 @@ class TestFbmFactorRoutes:
         (single,) = sample_fbm(0.4, grid, n_dims=2, seed=[5])
         assert np.array_equal(single.values, paths[0].values)
         assert not lift_mod._chol_cache
+
+    def test_streamed_seed_list_holds_its_paths_and_one_panel(self):
+        # beyond the paths (each DriverPath's values and slopes) a streamed
+        # draw holds one panel and that panel's normals, nothing draws-sized
+        seeds = list(range(101))
+        tracemalloc.start()
+        try:
+            paths = sample_fbm(0.4, TimeGrid.uniform(4095, 1.0), seed=seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(paths) == 101
+        assert peak <= lift_mod.FACTOR_BYTES + 2 * 4096 * len(seeds) * 8
 
     @pytest.mark.parametrize("lag", [1, 1000])
     def test_streamed_breakdown_takes_the_dense_route(self, monkeypatch, lag):
