@@ -36,7 +36,6 @@ from .lift import (
     sample_fbm,
     deterministic_driver,
     fbm_covariance,
-    lift_ito_x2,
     wiener_cov_x1,
 )
 from .sigma import SigmaField, sigma_catalog

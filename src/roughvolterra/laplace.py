@@ -10,7 +10,7 @@ finite sum relative to the chosen measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -36,12 +36,10 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelMeasure:
-    """Finite signed atomic measure {(xi_k, w_k)} standing for phihat(xi) dxi."""
+    """Finite, non-empty signed atomic measure {(xi_k, w_k)} standing for phihat(xi) dxi."""
 
     xis: np.ndarray
     weights: np.ndarray
-    provenance: str = "native-atomic"
-    _moments: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         xis = np.atleast_1d(np.asarray(self.xis, dtype=float))
@@ -50,6 +48,8 @@ class KernelMeasure:
         object.__setattr__(self, "weights", ws)
         if xis.shape != ws.shape or xis.ndim != 1:
             raise ValueError("atoms need matching 1-d frequency and weight arrays")
+        if xis.size == 0:
+            raise ValueError("a kernel measure needs at least one atom")
         if not (np.all(np.isfinite(xis)) and np.all(np.isfinite(ws))):
             raise ValueError("atoms must be finite")
         if np.any(xis < 0):
@@ -58,27 +58,13 @@ class KernelMeasure:
             raise ValueError("atoms must be sorted by frequency with no duplicates")
 
     @classmethod
-    def from_atoms(cls, atoms, provenance="native-atomic"):
+    def from_atoms(cls, atoms):
         pairs = sorted((float(x), float(w)) for x, w in atoms)
-        xis = [p[0] for p in pairs]
-        if len(set(xis)) != len(xis):
-            raise ValueError("duplicate atom frequencies")
-        return cls(np.array(xis), np.array([p[1] for p in pairs]), provenance)
+        return cls(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
 
     @property
     def n_atoms(self) -> int:
         return self.xis.size
-
-    def moment(self, beta: float) -> float:
-        """M_beta = sum |w_k| (1 + xi_k^beta), cached per beta."""
-        if beta < 0:
-            raise ValueError("beta must be >= 0")
-        key = float(beta)
-        if key not in self._moments:
-            self._moments[key] = float(
-                np.sum(np.abs(self.weights) * (1.0 + self.xis**key))
-            )
-        return self._moments[key]
 
 
 def phi_eval(measure: KernelMeasure, v):
@@ -102,7 +88,6 @@ def project(values_per_atom, measure: KernelMeasure, axis: int = 0):
 def build_quadrature(
     density,
     n_nodes: int,
-    beta: float,
     tail_cut: float,
     reconstruction_tol: float = 1e-8,
     probe_points=(0.1, 1.0, 10.0),
@@ -112,7 +97,7 @@ def build_quadrature(
     The measure is accepted only if it reproduces phi(v) at the probe
     points within ``reconstruction_tol`` of an adaptive-quadrature
     reference over [0, inf); otherwise a QuadratureError reports the
-    achieved error.  The beta-moment of the result is cached up front.
+    achieved error.
     """
     if n_nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
@@ -132,7 +117,7 @@ def build_quadrature(
         [density(x) for x in xis], dtype=float
     )
     order = np.argsort(xis)
-    measure = KernelMeasure(xis[order], ws[order], provenance="quadrature-of-density")
+    measure = KernelMeasure(xis[order], ws[order])
 
     worst = 0.0
     for v in probe_points:
@@ -146,7 +131,6 @@ def build_quadrature(
             f"{reconstruction_tol:.3e} at {n_nodes} nodes",
             achieved_error=worst,
         )
-    measure.moment(beta)
     return measure
 
 
@@ -177,7 +161,7 @@ def kernel_from_spec(spec: dict) -> KernelMeasure:
     """Build a measure from a config mapping.
 
     Accepts either ``{"atoms": [[xi, w], ...]}`` or
-    ``{"density": {"name", "params", "n_nodes", "tail_cut", "beta", "tol"}}``.
+    ``{"density": {"name", "params", "n_nodes", "tail_cut", "tol"}}``.
     The default tail cut is 50 over the density's slowest decay rate,
     validated by the reconstruction check.
     """
@@ -194,7 +178,6 @@ def kernel_from_spec(spec: dict) -> KernelMeasure:
         return build_quadrature(
             density,
             n_nodes=int(d.get("n_nodes", 64)),
-            beta=float(d.get("beta", 1.0)),
             tail_cut=tail,
             reconstruction_tol=float(d.get("tol", 1e-8)),
         )

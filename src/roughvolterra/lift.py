@@ -36,7 +36,6 @@ __all__ = [
     "deterministic_driver",
     "DETERMINISTIC_FUNCTIONS",
     "fbm_covariance",
-    "lift_ito_x2",
     "wiener_cov_x1",
     "MAX_CHOLESKY_POINTS",
 ]
@@ -44,13 +43,10 @@ __all__ = [
 MAX_CHOLESKY_POINTS = 2**12 + 1
 FACTOR_BYTES = 8 * 1024**2                # one path factor at 1024 points
 
-ALL_HYPOTHESES = frozenset({"H1", "H2", "H3"})
 
-
-def _rng(seed: int, *stream: int) -> np.random.Generator:
-    """Philox generator on a substream derived from (seed, *stream)."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(stream))
-    return np.random.Generator(np.random.Philox(ss))
+def _rng(seed: int) -> np.random.Generator:
+    """Philox generator keyed by the seed."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=int(seed))))
 
 
 @dataclass(frozen=True)
@@ -320,30 +316,22 @@ class RoughLift:
     """Rough-lift data of a piecewise-linear driver over a kernel measure.
 
     Stores the first-order lift from 0 to every grid point (the twisted
-    scan of the per-cell closed forms) and a lazy memo cache of
-    second-order values keyed by grid-index pairs.  Arbitrary pairs are
-    reconstructed through the twisted Chasles relation, exact by
-    construction.  The memo cache tolerates concurrent insertion (writes
-    are idempotent); everything else is read-only after construction.
+    scan of the per-cell closed forms) and is read-only after
+    construction.  Arbitrary pairs are reconstructed through the twisted
+    Chasles relation, exact by construction.
 
-    ``gamma`` is the regularity the lift claims for the driver;
-    piecewise-linear lifts always carry the full hypothesis set H1 (first
-    order, twisted-exact), H2 (projected first order) and H3 (second
-    order with Chen defect).
+    ``gamma`` is the regularity the lift claims for the driver.
     """
 
-    def __init__(self, driver: DriverPath, measure: KernelMeasure, gamma: float,
-                 claims=ALL_HYPOTHESES):
+    def __init__(self, driver: DriverPath, measure: KernelMeasure, gamma: float):
         if not 0.0 < gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
         self.driver = driver
         self.measure = measure
         self.gamma = float(gamma)
-        self.claims = frozenset(claims)
 
         x1t = e0(measure.xis, driver.grid.widths[:, None])[:, :, None] * driver.slopes[:, None, :]
         self._prefix = exp_scan(driver.grid.points, measure.xis, x1t, 0.0)  # x1t from 0 to point i
-        self._x2_cache: dict = {}
 
     @property
     def xis(self):
@@ -431,22 +419,11 @@ class RoughLift:
     def x2_tilde(self, s: float, t: float, atom: int | None = None):
         """Weighted Levy-area analogue over [s, t], shape (K, n, n).
 
-        int_s^t e^{-xi(t-v)} dx_v (x) x1_{vs}, per output atom xi.
-        Grid-aligned pairs are memoised under their index pair.
+        int_s^t e^{-xi(t-v)} dx_v (x) x1_{vs}, per output atom xi, by one
+        closed-form walk over the cells of [s, t].
         """
         self._validate_pair(s, t)
-        pts = self.driver.grid.points
-        i = int(np.searchsorted(pts, s))
-        j = int(np.searchsorted(pts, t))
-        key = None
-        if i < len(pts) and j < len(pts) and pts[i] == s and pts[j] == t:
-            key = (i, j)
-            cached = self._x2_cache.get(key)
-            if cached is not None:
-                return cached if atom is None else cached[atom]
         val = self._x2_walk(s, t)
-        if key is not None:
-            self._x2_cache[key] = val
         return val if atom is None else val[atom]
 
     def x2_tilde_pairs(self, u, v):
@@ -521,57 +498,6 @@ class RoughLift:
             )
             worst = max(worst, float(np.max(np.abs(res))) / self.scale)
         return worst
-
-
-def lift_ito_x2(
-    driver: DriverPath,
-    measure: KernelMeasure,
-    s: float,
-    t: float,
-    refinement: int = 64,
-    atom: int | None = None,
-):
-    """Left-endpoint Ito approximation of the second-order Brownian lift.
-
-    The driver is refined by dyadic Brownian-bridge interpolation (noise
-    streams keyed off the driver seed and the refinement level, so
-    refinements nest: R = 64 and R = 128 share their common levels) and
-    the weighted double integral is taken as an Ito left-point Riemann
-    sum on the refined path.  Converges in mean square as R grows.
-    """
-    if driver.kind != "brownian":
-        raise ValueError("Ito lift is defined for Brownian drivers only")
-    if refinement < 1 or refinement & (refinement - 1):
-        raise ValueError("refinement must be a power of two")
-    pts = driver.grid.points
-    i = driver.grid.index_of(s)
-    j = driver.grid.index_of(t)
-    if j <= i:
-        raise ValueError("need grid points s < t")
-
-    times = pts.copy()
-    vals = driver.values.copy()
-    level = 0
-    while (times.size - 1) < (len(pts) - 1) * refinement:
-        level += 1
-        mids = 0.5 * (times[:-1] + times[1:])
-        widths = np.diff(times)
-        gen = _rng(driver.seed or 0, 1, level)
-        noise = gen.standard_normal((mids.size, driver.n_dims))
-        midvals = 0.5 * (vals[:-1] + vals[1:]) + 0.5 * np.sqrt(widths)[:, None] * noise
-        times = np.insert(times, np.arange(1, times.size), mids)
-        vals = np.insert(vals, np.arange(1, vals.shape[0]), midvals, axis=0)
-
-    lo, hi = i * refinement, j * refinement
-    seg_t = times[lo : hi + 1]
-    dx = np.diff(vals[lo : hi + 1], axis=0)
-    xis = measure.xis
-    # x1 tilde from s to each left point; an increment enters at its step's left end
-    decay = np.exp(-np.multiply.outer(np.diff(seg_t), xis))
-    x1_left = exp_scan(seg_t, xis, decay[:, :, None] * dx[:, None, :], 0.0)[:-1]
-    w_out = np.exp(-np.multiply.outer(t - seg_t[:-1], xis))
-    x2 = np.einsum("pK,pj,k,pkd->Kjd", w_out, dx, measure.weights, x1_left, optimize=True)
-    return x2 if atom is None else x2[atom]
 
 
 def wiener_cov_x1(hurst, xi, eta, interval_a, interval_b):

@@ -214,8 +214,6 @@ class SewingBoundReport:
     lhs_norm: float
     rhs_norm: float
     c_mu: float
-    attaining_pair: tuple
-    level: int
 
 
 def sewing_bound_check(
@@ -248,13 +246,11 @@ def sewing_bound_check(
         return b_ts - b_tu - np.exp(-xi * (ti - ui)) * b_us
 
     probe = np.linspace(s, t, n_probe)
-    lhs, arg = 0.0, (s, t)
+    lhs = 0.0
     for i in range(n_probe):
         for j in range(i + 1, n_probe):
             m_val = lambda_tilde_dyadic(b_pair, xi, probe[i], probe[j], level)
-            ratio = float(np.linalg.norm(m_val)) / (probe[j] - probe[i]) ** mu
-            if ratio > lhs:
-                lhs, arg = ratio, (float(probe[i]), float(probe[j]))
+            lhs = max(lhs, float(np.linalg.norm(m_val)) / (probe[j] - probe[i]) ** mu)
 
     fine = np.linspace(s, t, 2 * n_probe - 1)
     rhs = 0.0
@@ -271,6 +267,4 @@ def sewing_bound_check(
         lhs_norm=lhs,
         rhs_norm=rhs,
         c_mu=c,
-        attaining_pair=arg,
-        level=level,
     )

@@ -57,12 +57,10 @@ def young_integral(lift: RoughLift, z, s: float, t: float, atom: int, level: int
 
     ``z(times)`` must return values with shape (len(times), n) or
     (len(times), n, m).  Realised as the weighted compensated Riemann sums
-    of the first-order germ x1~ z; requires a lift claiming first-order
-    data with regularity above 1/2.  Returns the SewingResult (``value``
-    is the raw level sum; ``extrapolated`` the estimated limit).
+    of the first-order germ x1~ z; requires lift regularity above 1/2.
+    Returns the SewingResult (``value`` is the raw level sum;
+    ``extrapolated`` the estimated limit).
     """
-    if "H1" not in lift.claims:
-        raise ValueError("lift does not claim first-order data")
     if not lift.gamma > 0.5:
         raise ValueError("Young integration requires lift regularity > 1/2")
     xi = float(lift.xis[atom])
@@ -84,8 +82,6 @@ def rough_integral(lift: RoughLift, z, s: float, t: float, atom: int, level: int
     expression x1~ z + x2~ . zeta*, summed with exponential weights; the
     sewing construction supplies the remaining correction in the limit.
     """
-    if "H3" not in lift.claims:
-        raise ValueError("lift does not claim second-order (Chen) data")
     xi = float(lift.xis[atom])
 
     def germ(u, v):
@@ -179,7 +175,6 @@ class Solution:
     config: SolverConfig
     diagnostics: list = field(default_factory=list)
     beta_used: float = 1.0
-    moment_used: float = 0.0
 
 
 class _IntervalWorkspace:
@@ -244,8 +239,6 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if a.size != fld.d:
         raise ValueError("initial condition does not match sigma's column count")
-    if rough and "H3" not in lift.claims:
-        raise ValueError("rough solve needs a lift claiming second-order data")
     if not rough and not lift.gamma > 0.5:
         raise ValueError("Young solve requires lift regularity > 1/2")
 
@@ -253,7 +246,6 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
     pts = grid.points
     measure = lift.measure
     beta = config.beta if config.beta is not None else 1.0 if rough else config.gamma
-    moment = measure.moment(beta)
     n_pts, k_atoms, d = len(grid), measure.n_atoms, fld.d
     refine = 2**config.sewing_level
     tables = lift.cell_tables(refine)
@@ -381,7 +373,6 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
         config=config,
         diagnostics=diagnostics,
         beta_used=beta,
-        moment_used=moment,
     )
 
 

@@ -221,6 +221,7 @@ class TestRunFlows:
             ("kernel", {"atoms": []}, "kernel.atoms"),
             ("config", {"initial": []}, "initial"),
             ("driver", {"n_dims": 3}, "driver.n_dims"),
+            ("kernel", {"density": {"name": "exp", "beta": 1.0}}, "kernel.density.beta"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):

@@ -24,10 +24,11 @@ class TestKernelMeasure:
         with pytest.raises(ValueError):
             KernelMeasure.from_atoms([(-1.0, 1.0)])
 
-    def test_moment_cached(self):
-        m = KernelMeasure.from_atoms([(1.0, 1.0)])
-        assert m.moment(2.0) == pytest.approx(2.0)
-        assert 2.0 in m._moments
+    def test_rejects_empty_measure(self):
+        with pytest.raises(ValueError):
+            KernelMeasure.from_atoms([])
+        with pytest.raises(ValueError):
+            KernelMeasure(np.array([]), np.array([]))
 
 
 class TestPhiEval:
@@ -54,19 +55,6 @@ class TestPhiEval:
         vals = phi_eval(m, vs)
         assert np.all(vals >= 0)
         assert np.all(np.diff(vals) <= 1e-15)
-
-
-class TestMoments:
-    def test_single_atom(self):
-        assert KernelMeasure.from_atoms([(1.0, 1.0)]).moment(2.0) == 2.0
-
-    def test_signed_weights(self):
-        m = KernelMeasure.from_atoms([(2.0, 0.5), (4.0, -0.5)])
-        assert m.moment(1.0) == pytest.approx(4.0)
-
-    def test_zero_weight_measure(self):
-        m = KernelMeasure.from_atoms([(1.0, 0.0)])
-        assert m.moment(3.0) == 0.0
 
 
 class TestProject:
@@ -107,20 +95,20 @@ class TestProject:
 class TestBuildQuadrature:
     def test_exponential_density(self):
         density, exact, _ = DENSITY_CATALOG["exp"]()
-        m = build_quadrature(density, n_nodes=64, beta=1.0, tail_cut=40.0)
+        m = build_quadrature(density, n_nodes=64, tail_cut=40.0)
         assert phi_eval(m, 1.0) == pytest.approx(0.5, abs=1e-8)
         for v in (0.1, 1.0, 10.0):
             assert phi_eval(m, v) == pytest.approx(exact(v), abs=1e-8)
 
     def test_gamma_density(self):
         density, exact, _ = DENSITY_CATALOG["gamma"](shape=2.0, rate=1.0)
-        m = build_quadrature(density, n_nodes=64, beta=1.0, tail_cut=40.0)
+        m = build_quadrature(density, n_nodes=64, tail_cut=40.0)
         assert phi_eval(m, 1.0) == pytest.approx(0.25, abs=1e-8)
 
     def test_failure_reports_achieved_error(self):
         density, _, _ = DENSITY_CATALOG["exp"]()
         with pytest.raises(QuadratureError) as info:
-            build_quadrature(density, n_nodes=2, beta=1.0, tail_cut=40.0,
+            build_quadrature(density, n_nodes=2, tail_cut=40.0,
                              reconstruction_tol=1e-12)
         assert info.value.achieved_error > 1e-12
 
@@ -135,7 +123,6 @@ class TestBuildQuadrature:
     def test_native_atoms_pass_through(self):
         # point-mass requests skip quadrature entirely
         m = kernel_from_spec({"atoms": [[1.0, 1.0]]})
-        assert m.provenance == "native-atomic"
         assert m.n_atoms == 1
 
 
@@ -143,9 +130,8 @@ class TestKernelFromSpec:
     def test_density_spec(self):
         m = kernel_from_spec(
             {"density": {"name": "exp", "params": {"rate": 1.0},
-                         "n_nodes": 64, "tail_cut": 40.0, "beta": 1.0}}
+                         "n_nodes": 64, "tail_cut": 40.0}}
         )
-        assert m.provenance == "quadrature-of-density"
         assert phi_eval(m, 1.0) == pytest.approx(0.5, abs=1e-8)
 
     def test_unknown_density(self):

@@ -15,7 +15,6 @@ from roughvolterra.lift import (
     RoughLift,
     deterministic_driver,
     fbm_covariance,
-    lift_ito_x2,
     sample_fbm,
     wiener_cov_x1,
 )
@@ -383,13 +382,6 @@ class TestX2:
         scale = max(np.abs(ref).max(), 1e-12)
         assert np.max(np.abs(val - ref)) / scale < 1e-6
 
-    def test_pair_cache_reuse(self):
-        lift = linear_lift(cells=8)
-        first = lift.x2_tilde(0.0, 0.5)
-        assert (0, 4) in lift._x2_cache
-        again = lift.x2_tilde(0.0, 0.5)
-        assert again is first
-
 
 class TestX3:
     def test_degenerate_triples_vanish(self):
@@ -483,73 +475,6 @@ class TestMeshConvergence:
             ]
             rates.append(-np.polyfit(range(6, top), np.log2(diffs), 1)[0])
         assert np.median(rates) > 0.2
-
-
-class TestItoLift:
-    def test_zero_noise_driver(self):
-        grid = TimeGrid.uniform(8, 1.0)
-        driver = DriverPath(grid, np.zeros((9, 2)), kind="brownian", hurst=0.5, seed=0)
-        mea = KernelMeasure.from_atoms([(0.0, 1.0)])
-        val = lift_ito_x2(driver, mea, 0.0, 1.0, refinement=1)
-        assert np.max(np.abs(val)) == 0.0
-
-    def test_rejects_non_brownian(self):
-        grid = TimeGrid.uniform(8, 1.0)
-        driver = sample_fbm(0.4, grid, seed=0)
-        mea = KernelMeasure.from_atoms([(0.0, 1.0)])
-        with pytest.raises(ValueError):
-            lift_ito_x2(driver, mea, 0.0, 1.0)
-
-    def test_ito_mean_is_zero(self):
-        # E[int X dX] = 0 for the diagonal entry at xi = 0
-        grid = TimeGrid.uniform(32, 1.0)
-        mea = KernelMeasure.from_atoms([(0.0, 1.0)])
-        vals = []
-        for seed in range(1000):
-            drv = sample_fbm(0.5, grid, seed=seed)
-            vals.append(lift_ito_x2(drv, mea, 0.0, 1.0, refinement=8)[0, 0, 0])
-        vals = np.asarray(vals)
-        se = vals.std(ddof=1) / np.sqrt(vals.size)
-        assert abs(vals.mean()) <= 3 * se
-
-    def test_matches_the_per_step_ito_sum(self):
-        # the left-point Ito sum written as a loop over the refined steps
-        grid = TimeGrid.uniform(16, 1.0)
-        drv = sample_fbm(0.5, grid, n_dims=2, seed=3)
-        mea = KernelMeasure.from_atoms([(0.5, 0.7), (4.0, 0.3)])
-        times, vals = grid.points, drv.values
-        for level in (1, 2, 3):                       # refinement 8: three bridge levels
-            mids = 0.5 * (times[:-1] + times[1:])
-            noise = lift_mod._rng(drv.seed, 1, level).standard_normal((mids.size, 2))
-            widths = np.sqrt(np.diff(times))[:, None]
-            midvals = 0.5 * (vals[:-1] + vals[1:]) + 0.5 * widths * noise
-            times = np.insert(times, np.arange(1, times.size), mids)
-            vals = np.insert(vals, np.arange(1, vals.shape[0]), midvals, axis=0)
-        s, t = 0.25, 0.875
-        x1_run = np.zeros((2, 2))
-        ref = np.zeros((2, 2, 2))
-        for k in range(4 * 8, 14 * 8):
-            w_out = np.exp(-mea.xis * (t - times[k]))
-            dx = vals[k + 1] - vals[k]
-            ref += np.einsum("K,j,d->Kjd", w_out, dx, mea.weights @ x1_run)
-            x1_run = np.exp(-mea.xis * (times[k + 1] - times[k]))[:, None] * (x1_run + dx)
-        val = lift_ito_x2(drv, mea, s, t, refinement=8)
-        assert np.max(np.abs(val - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    def test_levy_area_refinement_stability(self):
-        # antisymmetric part varies < 5% in RMS between R = 64 and R = 128
-        grid = TimeGrid.uniform(64, 1.0)
-        mea = KernelMeasure.from_atoms([(0.0, 1.0)])
-        d64, d128 = [], []
-        for seed in range(100):
-            drv = sample_fbm(0.5, grid, n_dims=2, seed=seed)
-            for r, acc in ((64, d64), (128, d128)):
-                m = lift_ito_x2(drv, mea, 0.0, 1.0, refinement=r)[0]
-                acc.append(0.5 * (m[0, 1] - m[1, 0]))
-        d64, d128 = np.asarray(d64), np.asarray(d128)
-        rms_diff = np.sqrt(np.mean((d128 - d64) ** 2))
-        rms = np.sqrt(np.mean(d128**2))
-        assert rms_diff / rms < 0.05
 
 
 class TestWienerCov:

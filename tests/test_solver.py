@@ -126,12 +126,6 @@ class TestRoughIntegral:
         res = rough_integral(lift, z, 0.0, 1.0, atom=1, level=10, zeta=zeta1)
         assert float(res.extrapolated) == pytest.approx(np.exp(-1.0), rel=1e-6)
 
-    def test_flag_checked(self):
-        lift = identity_lift()
-        bare = RoughLift(lift.driver, lift.measure, gamma=1.0, claims={"H1"})
-        with pytest.raises(ValueError):
-            rough_integral(bare, lambda ts: None, 0.0, 1.0, 0, zeta=lambda ts: None)
-
 
 class TestSolveYoung:
     def test_zero_sigma(self):
