@@ -59,14 +59,6 @@ class TimeGrid:
     def uniform(cls, n_cells: int, horizon: float = 1.0) -> "TimeGrid":
         return cls(np.linspace(0.0, horizon, n_cells + 1))
 
-    def index_of(self, t: float) -> int:
-        """Index of a grid point equal to ``t`` (up to round-off)."""
-        i = int(np.searchsorted(self.points, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self) and abs(self.points[j] - t) <= 1e-12 * max(1.0, abs(t)):
-                return j
-        raise ValueError(f"t={t} is not a grid point")
-
     def cell_of(self, times):
         """Index i of the cell [points[i], points[i+1]) holding each time, clipped to the grid."""
         return np.clip(np.searchsorted(self.points, times, side="right") - 1, 0, len(self) - 2)

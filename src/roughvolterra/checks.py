@@ -232,10 +232,7 @@ def self_convergence(fine, measure, sigma, a, solver, levels, sigma_params=None,
     sols = {}
     for lev in levels:
         step = 2 ** (top - lev)
-        drv = DriverPath(
-            TimeGrid(fine.grid.points[::step]), fine.values[::step],
-            kind=fine.kind, hurst=fine.hurst, seed=fine.seed,
-        )
+        drv = DriverPath(TimeGrid(fine.grid.points[::step]), fine.values[::step])
         sols[lev] = solve(RoughLift(drv, measure, gamma=solver.gamma), fld, a, solver)
     diffs = [float(np.max(np.abs(sols[lev].y - sols[lev + 1].y[::2]))) for lev in levels[:-1]]
     return diffs, float(-np.polyfit(levels[:-1], np.log2(diffs), 1)[0])

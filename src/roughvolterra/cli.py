@@ -41,7 +41,7 @@ from .lift import (
 )
 from .oracles import rk4_augmented
 from .sigma import SIGMA_PARAMS, sigma_catalog
-from .solver import SolverConfig, SolverFailure, solve_rough, solve_young
+from .solver import INTERVAL_SCHEMES, SolverConfig, SolverFailure, solve_rough, solve_young
 
 __all__ = ["ExperimentConfig", "RunManifest", "SCHEMA", "run", "emit_csv", "seed_expand", "main",
            "OUT_DIR_ENV"]
@@ -70,11 +70,11 @@ DENSITY_PARAMS = {name: tuple(inspect.signature(factory).parameters)
 
 
 def seed_expand(spec):
-    """Expand a seed spec into an explicit list.
+    """Expand a seed spec into a sequence of seeds.
 
-    ``42`` -> [42]; ``"1..4"`` -> [1, 2, 3] (half-open); a list passes
-    through.  Each seed keys an independent counter-based sampler stream,
-    so seeds are >= 0.
+    ``42`` -> [42]; ``"1..4"`` -> range(1, 4) (half-open, never built as
+    a list); a list passes through.  Each seed keys an independent
+    counter-based sampler stream, so seeds are >= 0.
     """
     if isinstance(spec, bool):
         raise ValueError("seed spec must be an int, 'a..b' range, or list")
@@ -93,10 +93,10 @@ def seed_expand(spec):
         lo, hi = int(parts[0]), int(parts[1])
         if hi <= lo:
             raise ValueError(f"empty seed range {spec!r}")
-        seeds = list(range(lo, hi))
+        seeds = range(lo, hi)
     else:
         raise ValueError(f"bad seed spec {spec!r}")
-    if min(seeds) < 0:
+    if (seeds.start if isinstance(seeds, range) else min(seeds)) < 0:
         raise ValueError(f"seeds must be >= 0, got {spec!r}")
     return seeds
 
@@ -113,13 +113,13 @@ EQUATION = SOLVES + ("convergence",)            # the kinds that solve the equat
 HURST = "(0, 1)"
 FBM_CELLS = f"[1, {MAX_CHOLESKY_POINTS - 1}]"   # an fBm grid within the Cholesky cap
 
-# JSON path -> (type, range, required).  Types: float (integers accepted), int, str, bool;
+# JSON path -> (type, range, required).  Types: float (integers accepted), int, str;
 # a tuple of allowed values; [type], a list; np.ndarray, a list of numbers as a float array;
-# a block key's list may be empty only where its default is empty;
-# another function converts the value.  A block's type gives its keys: dict, the rows under
-# it; a signature or a dataclass, their parameters, defaults and annotations (a dataclass
-# block becomes its instance; a parameter defaulting to None accepts null); a Family, the
-# family named beside it.  "checks.*" rows type the verify criteria's parameters by name.
+# no block key's list may be empty; another function converts the value.  A block's type
+# gives its keys: dict, the rows under it; a signature or a dataclass, their parameters,
+# defaults and annotations (a dataclass block becomes its instance; a parameter defaulting
+# to None accepts null); a Family, the family named beside it.  "checks.*" rows type the
+# verify criteria's parameters by name.
 # A range is an interval bounding each number, or a function raising ValueError on the
 # typed value.  required is a bool or the kinds that need the key.
 SCHEMA = {
@@ -151,8 +151,8 @@ SCHEMA = {
        for key in ("value", "scale", "amp", "freq", "phase", "width")},
     "sigma.params.direction": (np.ndarray, None, False),
     "solver": (SolverConfig, None, EQUATION),
+    "solver.interval_scheme": (INTERVAL_SCHEMES, None, False),
     "initial": (np.ndarray, None, EQUATION),
-    "emit_atoms": (bool, None, False),
     "levels": ([int], _consecutive, ("convergence",)),
     "mode": (("rough", "young"), None, False),
     "stat": (dict, None, ("ensemble", "covariance-check")),
@@ -200,8 +200,8 @@ SCHEMA = {
     "checks.A7_rough_self_convergence.rate_threshold": (float, None, True),
     "checks.A7_rough_self_convergence.min_passing": (int, "[0, inf)", True),
 }
-ANNOTATED = {"float": float, "int": int, "str": str, "bool": bool, "tuple": [float]}
-SCALARS = {float: "a finite number", int: "an integer", str: "a string", bool: "true or false"}
+ANNOTATED = {"float": float, "int": int, "str": str}
+SCALARS = {float: "a finite number", int: "an integer", str: "a string"}
 REQUIRED, OPTIONAL = inspect.Parameter.empty, object()      # a block key's default
 
 
@@ -209,7 +209,7 @@ def _row(path, annotation=inspect.Parameter.empty):
     """The row typing ``path``: its own, the "checks.*" row of its key, or its annotation's."""
     head, _, rest = path.partition(".")
     return (SCHEMA.get(path) or SCHEMA.get(f"{head}.*.{rest.partition('.')[2]}")
-            or (ANNOTATED[annotation.split(" | ")[0]], None, False))
+            or (ANNOTATED[annotation], None, False))
 
 
 def _block_keys(typ, at, kind, siblings):
@@ -247,7 +247,7 @@ def _walk_block(value, typ, at, where, kind, siblings):
     typed = {}
     for k in sorted(value, key=lambda k: isinstance(keys[k][0][0], Family)):   # families last
         row, path, default = keys[k]
-        if value[k] == [] and default != ():
+        if value[k] == []:
             raise ValueError(f"{where}.{k} must not be empty".lstrip("."))
         beside = {**{n: d for n, (*_, d) in keys.items()}, **typed}
         typed[k] = None if value[k] is None and default is None else _walk(
@@ -270,8 +270,8 @@ def _walk(value, row, at, where, kind, siblings=None):
         value = [_walk(v, item, at, f"{where}[{i}]", kind) for i, v in enumerate(value)]
         value = value if isinstance(typ, list) else np.array(value, dtype=float)
     elif typ in SCALARS:
-        ok = isinstance(value, (int, float) if typ is float else typ) and (
-            (typ is bool) == isinstance(value, bool))
+        ok = isinstance(value, (int, float) if typ is float else typ) and not isinstance(
+            value, bool)
         if not ok or typ is float and not abs(value) <= sys.float_info.max:
             raise ValueError(f"{where} must be {SCALARS[typ]}, got {value!r}")
         value = float(value) if typ is float else value
@@ -426,12 +426,11 @@ class RunManifest:
 # experiment implementations
 
 
-def _solution_csv(path, sol, with_atoms=True):
+def _solution_csv(path, sol):
     d = sol.y.shape[1]
     cols = [("t", sol.grid.points)] + [(f"y_{j+1}", sol.y[:, j]) for j in range(d)]
-    if with_atoms:
-        cols += [(f"ytilde_{k+1}_{j+1}", sol.ytilde[:, k, j])
-                 for k in range(sol.ytilde.shape[1]) for j in range(d)]
+    cols += [(f"ytilde_{k+1}_{j+1}", sol.ytilde[:, k, j])
+             for k in range(sol.ytilde.shape[1]) for j in range(d)]
     emit_csv(path, cols)
 
 
@@ -449,7 +448,7 @@ def _run_solve(cfg: ExperimentConfig, manifest, out_dir, jobs):
     fld = cfg.sigma_field(driver.n_dims)
     solve = solve_young if cfg.kind == "solve-young" else solve_rough
     sol = solve(lift, fld, doc["initial"], doc["solver"])
-    _solution_csv(os.path.join(out_dir, "solution.csv"), sol, doc.get("emit_atoms", True))
+    _solution_csv(os.path.join(out_dir, "solution.csv"), sol)
     _diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), sol)
 
     if "A5_solver_vs_ode" in cfg.checks:

@@ -157,14 +157,21 @@ DENSITY_CATALOG = {
 }
 
 
+DENSITY_KEYS = ("name", "params", "n_nodes", "tail_cut", "tol")
+
+
 def kernel_from_spec(spec: dict) -> KernelMeasure:
     """Build a measure from a config mapping.
 
     Accepts either ``{"atoms": [[xi, w], ...]}`` or
-    ``{"density": {"name", "params", "n_nodes", "tail_cut", "tol"}}``.
+    ``{"density": {key: value}}`` with keys from DENSITY_KEYS.
     The default tail cut is 50 over the density's slowest decay rate,
-    validated by the reconstruction check.
+    validated by the reconstruction check.  Any other key is an error.
     """
+    unknown = sorted(set(spec) - {"atoms", "density"}) + sorted(
+        f"density.{k}" for k in set(spec.get("density", {})) - set(DENSITY_KEYS))
+    if unknown:
+        raise ValueError(f"unknown kernel spec key(s) {unknown}")
     if "atoms" in spec:
         return KernelMeasure.from_atoms(spec["atoms"])
     if "density" in spec:

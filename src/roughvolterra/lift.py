@@ -55,9 +55,6 @@ class DriverPath:
 
     grid: "TimeGrid"
     values: np.ndarray
-    kind: str = "deterministic"
-    hurst: float | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -291,17 +288,16 @@ def sample_fbm(hurst: float, grid, n_dims: int = 1, seed=0) -> DriverPath | list
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
     draws = _fbm_draw(hurst, grid.points[1:], seeds, n_dims)
-    kind = "brownian" if hurst == 0.5 else "fbm"
     zero = np.zeros((1, n_dims))
-    drivers = [DriverPath(grid, np.vstack([zero, draws[:, i * n_dims : (i + 1) * n_dims]]),
-                          kind=kind, hurst=hurst, seed=s) for i, s in enumerate(seeds)]
+    drivers = [DriverPath(grid, np.vstack([zero, draws[:, i * n_dims : (i + 1) * n_dims]]))
+               for i in range(len(seeds))]
     return drivers[0] if single else drivers
 
 
 def deterministic_driver(grid, fn) -> DriverPath:
     """Sample a deterministic function onto the grid (piecewise-linear)."""
     vals = np.asarray([fn(t) for t in grid.points], dtype=float)
-    return DriverPath(grid, vals, kind="deterministic")
+    return DriverPath(grid, vals)
 
 
 # deterministic driver functions by the names configs use

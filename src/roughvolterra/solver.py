@@ -94,19 +94,21 @@ def rough_integral(lift: RoughLift, z, s: float, t: float, atom: int, level: int
     return compensated_sum_tilde(germ, xi, s, t, level)
 
 
+INTERVAL_SCHEMES = ("harmonic", "constant")
+CONTRACTION_LIMIT = 0.999          # sweep-update ratio that counts as no contraction
+
+
 @dataclass
 class SolverConfig:
     """Solver parameters: regularities, mesh depth, Picard and interval policy.
 
     ``sewing_level`` is the dyadic sub-refinement of each grid cell used
     when evaluating the integral germ.  ``interval_scheme`` is
-    ``harmonic`` (lengths 1/(N+n), N doubling on failure), ``constant``
-    (T/n_start segments, halving on failure) or ``explicit``
-    (``boundaries`` gives interior interval endpoints).  ``beta`` is the
-    L_beta norms' exponent, by default gamma in a Young solve and 1 in a
-    rough one.  alpha1/alpha2 are reporting exponents for the
-    invariant-ball window; defaults alpha2 = (gamma-kappa)/4 and
-    alpha1 = 1 + alpha2 - (gamma+kappa)/2.
+    ``harmonic`` (lengths 1/(N+n), N doubling on failure) or ``constant``
+    (T/n_start segments, halving on failure).  Everything else follows
+    from gamma and kappa: the L_beta norms' exponent is 1 in a rough solve
+    and gamma in a Young one, and the invariant-ball window's exponents
+    are ``alpha2`` and ``alpha1``.
     """
 
     gamma: float
@@ -116,12 +118,7 @@ class SolverConfig:
     max_picard: int = 60
     n_start: int = 4
     interval_scheme: str = "harmonic"
-    boundaries: tuple = ()
-    beta: float | None = None
-    alpha1: float | None = None
-    alpha2: float | None = None
     n_cap: int = 1 << 16
-    contraction_limit: float = 0.999
 
     def __post_init__(self):
         if not (1.0 / 3.0 < self.kappa < self.gamma <= 1.0):
@@ -130,23 +127,22 @@ class SolverConfig:
             raise ValueError("tolerance must be > 0")
         if self.sewing_level < 0:
             raise ValueError("sewing_level must be >= 0")
-        if self.interval_scheme not in ("harmonic", "constant", "explicit"):
-            raise ValueError("unknown interval scheme")
+        if self.interval_scheme not in INTERVAL_SCHEMES:
+            raise ValueError(f"interval_scheme must be one of {list(INTERVAL_SCHEMES)}, "
+                             f"got {self.interval_scheme!r}")
         for name in ("n_start", "max_picard", "n_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not self.contraction_limit > 0:
-            raise ValueError("contraction_limit must be > 0")
 
     @property
-    def alpha2_resolved(self) -> float:
-        return self.alpha2 if self.alpha2 is not None else (self.gamma - self.kappa) / 4.0
+    def alpha2(self) -> float:
+        """Ball-radius exponent (gamma - kappa)/4."""
+        return (self.gamma - self.kappa) / 4.0
 
     @property
-    def alpha1_resolved(self) -> float:
-        if self.alpha1 is not None:
-            return self.alpha1
-        return 1.0 + self.alpha2_resolved - (self.gamma + self.kappa) / 2.0
+    def alpha1(self) -> float:
+        """Initial-norm exponent 1 + alpha2 - (gamma + kappa)/2."""
+        return 1.0 + self.alpha2 - (self.gamma + self.kappa) / 2.0
 
 
 @dataclass
@@ -168,11 +164,9 @@ class Solution:
     """Solver output: ytilde on grid x atoms, projected y, diagnostics."""
 
     grid: TimeGrid
-    measure: KernelMeasure
     ytilde: np.ndarray            # (T, K, d)
     y: np.ndarray                 # (T, d)
     zeta: np.ndarray              # (T, n, d)
-    config: SolverConfig
     diagnostics: list = field(default_factory=list)
     beta_used: float = 1.0
 
@@ -245,7 +239,7 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
     grid = lift.driver.grid
     pts = grid.points
     measure = lift.measure
-    beta = config.beta if config.beta is not None else 1.0 if rough else config.gamma
+    beta = 1.0 if rough else config.gamma
     n_pts, k_atoms, d = len(grid), measure.n_atoms, fld.d
     refine = 2**config.sewing_level
     tables = lift.cell_tables(refine)
@@ -255,13 +249,6 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
     zeta_grid = np.zeros((n_pts, lift.n_dims, d))
     diagnostics: list[IntervalDiagnostics] = []
 
-    if config.interval_scheme == "explicit":
-        bounds = [grid.index_of(t) for t in config.boundaries]
-        plan = list(zip([0] + bounds, bounds + [n_pts - 1]))
-        plan = [(lo, hi) for lo, hi in plan if hi > lo]
-    else:
-        plan = None
-
     lo = 0
     n_done = 0
     n_value = config.n_start
@@ -270,17 +257,9 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
     failures: list = []
 
     while lo < n_pts - 1:
-        if plan is not None:
-            lo_p, hi = plan[n_done]
-            assert lo_p == lo
-        else:
-            eps = (
-                const_eps
-                if config.interval_scheme == "constant"
-                else 1.0 / (n_value + n_done)
-            )
-            hi = int(np.searchsorted(pts, pts[lo] + eps * (1 + 1e-12), side="right")) - 1
-            hi = min(max(hi, lo + 1), n_pts - 1)
+        eps = const_eps if config.interval_scheme == "constant" else 1.0 / (n_value + n_done)
+        hi = int(np.searchsorted(pts, pts[lo] + eps * (1 + 1e-12), side="right")) - 1
+        hi = min(max(hi, lo + 1), n_pts - 1)
 
         ws = _IntervalWorkspace(pts, tables, lo, hi, refine)
         yt = np.exp(-np.multiply.outer(ws.fine_t - pts[lo], lift.xis))[:, :, None] * htilde
@@ -300,7 +279,7 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
             if len(updates) >= 2 and updates[-2] > 0 and upd > 10 * config.picard_tol * scale:
                 rho_now = updates[-1] / updates[-2]
                 # no contraction observed in the first sweeps, or diverging later
-                if (len(updates) <= 3 and rho_now >= config.contraction_limit) or rho_now >= 4.0:
+                if (len(updates) <= 3 and rho_now >= CONTRACTION_LIMIT) or rho_now >= 4.0:
                     break
         if len(updates) >= 2 and updates[0] > 0:
             rho = updates[1] / updates[0]
@@ -310,10 +289,6 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
                 {"interval": (float(pts[lo]), float(pts[hi])),
                  "updates": updates, "n_value": n_value}
             )
-            if plan is not None:
-                raise SolverFailure(
-                    "no contraction on an explicitly requested interval", failures
-                )
             if config.interval_scheme == "constant":
                 if hi == lo + 1:
                     raise SolverFailure(
@@ -355,8 +330,8 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
                 q_norm=q_norm,
                 htilde_norm=h_norm,
                 picard_residual=residual,
-                ball_radius_ok=bool(q_norm <= base**config.alpha2_resolved),
-                initial_norm_ok=bool(h_norm <= base**config.alpha1_resolved),
+                ball_radius_ok=bool(q_norm <= base**config.alpha2),
+                initial_norm_ok=bool(h_norm <= base**config.alpha1),
             )
         )
         htilde = yt[-1].copy()
@@ -366,11 +341,9 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
     y = a[None, :] + np.einsum("tkd,k->td", ytilde_grid, measure.weights)
     return Solution(
         grid=grid,
-        measure=measure,
         ytilde=ytilde_grid,
         y=y,
         zeta=zeta_grid,
-        config=config,
         diagnostics=diagnostics,
         beta_used=beta,
     )

@@ -47,9 +47,6 @@ class TestTimeGrid:
     def test_horizon_and_lookup(self):
         g = TimeGrid(np.array([0.0, 0.25, 1.5]))
         assert g.horizon == 1.5
-        assert g.index_of(0.25) == 1
-        with pytest.raises(ValueError):
-            g.index_of(0.3)
 
 
 class TestDelta:

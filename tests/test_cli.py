@@ -2,6 +2,7 @@ import functools
 import inspect
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ class TestSeedExpand:
         assert seed_expand(42) == [42]
 
     def test_range_half_open(self):
-        assert seed_expand("1..4") == [1, 2, 3]
+        assert seed_expand("1..4") == range(1, 4)
 
     def test_deterministic(self):
         assert seed_expand("7..12") == seed_expand("7..12")
@@ -37,8 +38,17 @@ class TestSeedExpand:
     def test_list_passthrough(self):
         assert seed_expand([3, 1, 5]) == [3, 1, 5]
 
+    def test_range_is_not_built(self):
+        tracemalloc.start()
+        try:
+            seeds = seed_expand("0..2000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(seeds) == 2000000 and peak < 1 << 20
+
     def test_rejects_bad_specs(self):
-        for bad in ("4..4", "5..2", "x..y", [1, 1], [], 1.5, True):
+        for bad in ("4..4", "5..2", "x..y", "-1..3", [1, 1], [], 1.5, True):
             with pytest.raises(ValueError):
                 seed_expand(bad)
 
@@ -222,6 +232,9 @@ class TestRunFlows:
             ("config", {"initial": []}, "initial"),
             ("driver", {"n_dims": 3}, "driver.n_dims"),
             ("kernel", {"density": {"name": "exp", "beta": 1.0}}, "kernel.density.beta"),
+            ("solver", {"interval_scheme": "harmonik"}, "solver.interval_scheme"),
+            ("solver", {"interval_scheme": "explicit"}, "solver.interval_scheme"),
+            ("config", {"emit_atoms": False}, "emit_atoms"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):

@@ -141,3 +141,12 @@ class TestKernelFromSpec:
     def test_missing_keys(self):
         with pytest.raises(ValueError):
             kernel_from_spec({})
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [({"density": {"name": "exp", "n_nodse": 8}}, "density.n_nodse"),
+         ({"atoms": [[1.0, 1.0]], "atomz": [[2.0, 1.0]]}, "atomz")],
+    )
+    def test_unknown_keys_rejected(self, spec, named):
+        with pytest.raises(ValueError, match=named):
+            kernel_from_spec(spec)

@@ -56,7 +56,6 @@ class TestSampleFbm:
         inc = np.diff(drv.values[:, 0])
         rho = np.corrcoef(inc[:-1], inc[1:])[0, 1]
         assert abs(rho) < 0.05
-        assert drv.kind == "brownian"
 
     def test_variance_matches_covariance_function(self):
         # E[X_1^2] = 1 for H = 0.7: Monte-Carlo over 10^4 seeds, 3 SE band
@@ -226,10 +225,10 @@ class TestFbmFactorRoutes:
         grid = TimeGrid.uniform(1024, 1.0)
         seeds = [3, 7, 11, 12]
         paths = sample_fbm(0.4, grid, n_dims=2, seed=seeds)
-        assert [p.seed for p in paths] == seeds
+        assert len(paths) == len(seeds)
         for path, seed in zip(paths, seeds):
             one = sample_fbm(0.4, grid, n_dims=2, seed=seed)
-            assert path.kind == one.kind and path.values.shape == one.values.shape
+            assert path.values.shape == one.values.shape
             scale = np.max(np.abs(one.values))
             assert np.max(np.abs(path.values - one.values)) <= 1e-13 * scale
         (single,) = sample_fbm(0.4, grid, n_dims=2, seed=[7])
@@ -320,7 +319,7 @@ class TestX1:
     def test_driver_scaling_linearity(self):
         grid = TimeGrid.uniform(16, 1.0)
         base = sample_fbm(0.45, grid, seed=4)
-        doubled = DriverPath(grid, 2.0 * base.values, kind="fbm", hurst=0.45, seed=4)
+        doubled = DriverPath(grid, 2.0 * base.values)
         mea = KernelMeasure.from_atoms(ATOMS3)
         l1 = RoughLift(base, mea, gamma=0.4)
         l2 = RoughLift(doubled, mea, gamma=0.4)
@@ -440,7 +439,7 @@ class TestDegenerateKernel:
         grid = TimeGrid.uniform(16, 1.0)
         base = sample_fbm(0.45, grid, n_dims=2, seed=21)
         alpha = -1.7
-        scaled = DriverPath(grid, alpha * base.values, kind="fbm", hurst=0.45, seed=21)
+        scaled = DriverPath(grid, alpha * base.values)
         mea = KernelMeasure.from_atoms(ATOMS3)
         l1 = RoughLift(base, mea, gamma=0.4)
         l2 = RoughLift(scaled, mea, gamma=0.4)
@@ -467,7 +466,7 @@ class TestMeshConvergence:
             for lev in range(6, top + 1):
                 step = 2 ** (top - lev)
                 sub = TimeGrid(fine_grid.points[::step])
-                drv = DriverPath(sub, fine.values[::step], kind="fbm", hurst=0.4, seed=seed)
+                drv = DriverPath(sub, fine.values[::step])
                 lift = RoughLift(drv, mea, gamma=0.38)
                 vals[lev] = np.array([lift.x2_tilde(s, t)[0, 0, 0] for s, t in probes])
             diffs = [
