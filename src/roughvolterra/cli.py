@@ -293,8 +293,8 @@ def _check_relations(doc):
     for name in enabled:
         if name not in KIND_CHECKS[kind]:
             raise ValueError(f"check {name!r} not available for kind {kind!r}")
-    if "kernel" in doc and not {"atoms", "density"} & set(doc["kernel"]):
-        raise ValueError("missing key(s) ['kernel.atoms' or 'kernel.density']")
+    if "kernel" in doc and len({"atoms", "density"} & set(doc["kernel"])) != 1:
+        raise ValueError("kernel needs exactly one of the keys 'kernel.atoms' and 'kernel.density'")
     fbm = drv.get("kind") in ("fbm", "brownian")
     if "n_dims" in drv and not fbm:
         raise ValueError("driver.n_dims needs driver.kind fbm or brownian")

@@ -163,7 +163,7 @@ DENSITY_KEYS = ("name", "params", "n_nodes", "tail_cut", "tol")
 def kernel_from_spec(spec: dict) -> KernelMeasure:
     """Build a measure from a config mapping.
 
-    Accepts either ``{"atoms": [[xi, w], ...]}`` or
+    Accepts exactly one of ``{"atoms": [[xi, w], ...]}`` and
     ``{"density": {key: value}}`` with keys from DENSITY_KEYS.
     The default tail cut is 50 over the density's slowest decay rate,
     validated by the reconstruction check.  Any other key is an error.
@@ -172,20 +172,20 @@ def kernel_from_spec(spec: dict) -> KernelMeasure:
         f"density.{k}" for k in set(spec.get("density", {})) - set(DENSITY_KEYS))
     if unknown:
         raise ValueError(f"unknown kernel spec key(s) {unknown}")
+    if len(spec) != 1:
+        raise ValueError("kernel spec needs exactly one of 'atoms' and 'density'")
     if "atoms" in spec:
         return KernelMeasure.from_atoms(spec["atoms"])
-    if "density" in spec:
-        d = spec["density"]
-        try:
-            factory = DENSITY_CATALOG[d["name"]]
-        except KeyError:
-            raise ValueError(f"unknown density {d.get('name')!r}") from None
-        density, _, decay_rate = factory(**d.get("params", {}))
-        tail = float(d.get("tail_cut", 50.0 / decay_rate))
-        return build_quadrature(
-            density,
-            n_nodes=int(d.get("n_nodes", 64)),
-            tail_cut=tail,
-            reconstruction_tol=float(d.get("tol", 1e-8)),
-        )
-    raise ValueError("kernel spec needs 'atoms' or 'density'")
+    d = spec["density"]
+    try:
+        factory = DENSITY_CATALOG[d["name"]]
+    except KeyError:
+        raise ValueError(f"unknown density {d.get('name')!r}") from None
+    density, _, decay_rate = factory(**d.get("params", {}))
+    tail = float(d.get("tail_cut", 50.0 / decay_rate))
+    return build_quadrature(
+        density,
+        n_nodes=int(d.get("n_nodes", 64)),
+        tail_cut=tail,
+        reconstruction_tol=float(d.get("tol", 1e-8)),
+    )

@@ -8,18 +8,19 @@ the third-order Chen defect are computed exactly (to round-off) and
 reassembled on arbitrary pairs through the twisted Chasles relation.
 
 fBm is sampled exactly in law through a Cholesky factor of the covariance,
-capped at desk scale: on uniform grids the O(n^2) Schur factor of the
-Toeplitz increment covariance, built in one pass, on other grids the dense
-factor.  Factors within FACTOR_BYTES (8 MiB) are cached; larger ones are
-never stored, and uniform ones stream through the product in panels, each
-drawing its own rows of normals: beyond its paths such a draw holds one
-panel and that panel's normals.  Sampling uses counter-based Philox
-streams keyed by the seed, so a fixed seed reproduces paths bit for bit;
-a list of seeds shares each product.
+capped at desk scale: on uniform grids the Schur factor L of the Toeplitz
+increment covariance, O(n^2), summed once into the path factor C L (C the
+cumulative sum), elsewhere the dense factor.  Factors within FACTOR_BYTES
+(8 MiB) are cached; larger uniform ones stream L in panels, each drawing
+its own rows of normals, and sum the draws once, C (L G): beyond its paths
+such a draw holds one panel and its normals.  Sampling uses counter-based
+Philox streams keyed by the seed, so a fixed seed reproduces paths bit for
+bit; a list of seeds shares each product.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,61 +131,60 @@ def _fgn_autocovariance(hurst: float, n: int, h: float) -> np.ndarray:
 
 
 def _schur_panels(gamma: np.ndarray, rows: int):
-    """Rows of the path factor's transpose (C L)^T, ``rows`` at a time.
+    """Rows of L^T, the Cholesky factor of Gamma = Toeplitz(gamma), ``rows`` at a time.
 
-    L is the Cholesky factor of the increment covariance Gamma =
-    Toeplitz(gamma) and C the cumulative-sum matrix, so C L is lower
-    triangular with L's positive diagonal: by uniqueness, the Cholesky
-    factor of the path covariance C Gamma C^T.  Row k of L^T is the first
-    generator after k hyperbolic rotations of the Schur algorithm, O(n^2),
-    in the mixed form whose stability for SPD Toeplitz matrices is shown
-    by Bojanczyk, Brent, de Hoog & Sweet (1995).  The generator lives in
-    two length-n buffers that swap each step, and each row's cumulative
-    sum goes straight into the panel.  Yields (k0, panel), panel[i] being
-    row k0 + i, zero left of its diagonal, in one reused buffer.  Breakdown
-    (|rho| >= 1 or a non-finite value) raises LinAlgError: the matrix is
-    not numerically positive definite.
+    Row k of L^T is the first generator after k hyperbolic rotations of the
+    Schur algorithm, O(n^2), in the mixed form whose stability for SPD
+    Toeplitz matrices is shown by Bojanczyk, Brent, de Hoog & Sweet (1995).
+    Each row is computed in its panel row, which the next step reads; beyond
+    the panel the loop holds the second generator and one scratch vector.
+    Yields (k0, panel), panel[i] being row k0 + i, zero left of its diagonal,
+    in one reused buffer.  Breakdown (|rho| >= 1 or a non-finite value)
+    raises LinAlgError: the matrix is not numerically positive definite.
     """
     n = gamma.size
     if not (np.all(np.isfinite(gamma)) and gamma[0] > 0.0):
         raise np.linalg.LinAlgError("Schur breakdown")
     panel = np.zeros((min(rows, n), n))
-    prev = gamma / np.sqrt(gamma[0])                 # row k-1 of L^T
-    row = np.empty(n)                                # row k of L^T
-    v = prev.copy()
-    v[0] = 0.0
-    np.cumsum(prev, out=panel[0])
+    prev = np.divide(gamma, math.sqrt(gamma[0]), out=panel[0])   # row k-1 of L^T
+    v, tmp = np.r_[0.0, prev[1:]], np.empty(n)       # the second generator, a scratch row
     for k0 in range(0, n, len(panel)):
         m = min(len(panel), n - k0)
         for k in range(max(k0, 1), k0 + m):
-            rho = v[k] / prev[k - 1]
+            rho = float(v[k] / prev[k - 1])
             if not abs(rho) < 1.0:
                 raise np.linalg.LinAlgError("Schur breakdown")
-            s = np.sqrt((1.0 - rho) * (1.0 + rho))
-            new, vk = row[k:], v[k:]
+            s = math.sqrt((1.0 - rho) * (1.0 + rho))
+            new, vk = panel[k - k0, k:], v[k:]
             # row k = (previous generator shifted down - rho v) / s
             np.multiply(rho, vk, out=new)
             np.subtract(prev[k - 1 : n - 1], new, out=new)
             np.divide(new, s, out=new)
-            np.cumsum(new, out=panel[k - k0, k:])
-            # v = s v - rho row k, with the consumed row k-1 as the temporary
-            np.multiply(rho, new, out=prev[k:])
+            # v = s v - rho row k
+            np.multiply(rho, new, out=tmp[k:])
             np.multiply(s, vk, out=vk)
-            np.subtract(vk, prev[k:], out=vk)
-            prev, row = row, prev
-        # a non-finite entry makes its row's total non-finite
-        if not np.all(np.isfinite(panel[:m, -1])):
+            np.subtract(vk, tmp[k:], out=vk)
+            prev = panel[k - k0]
+        # every row entry enters v through v -= rho row, and stays non-finite there
+        if not np.all(np.isfinite(v)):
             raise np.linalg.LinAlgError("Schur breakdown")
         yield k0, panel[:m]
+        np.copyto(tmp, prev)                         # the zeroing below reaches the last row
+        prev = tmp
         panel[:, k0 : k0 + 2 * len(panel)] = 0.0    # left of the next rows' diagonals
 
 
 def _schur_cholesky(gamma: np.ndarray) -> np.ndarray | None:
-    """Path factor C L from the increment autocovariance, or None on breakdown."""
+    """Path factor C L, or None on breakdown: one in-place cumulative sum of L^T's rows.
+
+    C L is lower triangular with L's positive diagonal, so by uniqueness it
+    is the Cholesky factor of the path covariance C Gamma C^T.
+    """
     try:
-        return next(_schur_panels(gamma, gamma.size))[1].T
+        lt = next(_schur_panels(gamma, gamma.size))[1]
     except np.linalg.LinAlgError:
         return None
+    return np.cumsum(lt, axis=1, out=lt).T
 
 
 def _fbm_cholesky(hurst: float, times: np.ndarray) -> np.ndarray:
@@ -234,13 +234,13 @@ def _fbm_draw(hurst: float, times: np.ndarray, seeds: list, n_dims: int) -> np.n
     """The fBm path factor on ``times`` times the seeds' normals, side by side.
 
     A factor within FACTOR_BYTES (cached) takes one product.  A larger one
-    on a uniform grid is streamed in Schur panels: each panel draws its own
+    on a uniform grid streams Schur panels of L^T: each panel draws its own
     rows of the seeds' normals (per-panel calls on a Philox stream give the
-    whole-stream normals) and adds its product one panel-height block of
-    draws at a time, skipping the factor's zero upper triangle, so beyond
-    the draws the route holds one panel and its normals.  On other grids,
-    or after a breakdown (whose partial sums are dropped), the dense factor
-    is built for this call and applied to normals from fresh streams.
+    whole-stream normals) and adds its blocks of L G, skipping L's zero upper
+    triangle; one cumulative sum then gives C (L G), (C L) G to round-off.
+    Beyond the draws it holds one panel and its normals.  On other grids, or
+    after a breakdown (whose partial sums are dropped), the dense factor is
+    built for this call and applied to normals from fresh streams.
     """
     n = times.size
     if 8 * n * n <= FACTOR_BYTES:
@@ -255,7 +255,7 @@ def _fbm_draw(hurst: float, times: np.ndarray, seeds: list, n_dims: int) -> np.n
                 gauss = _normals(streams, m, n_dims)
                 for r0 in range(k0, n, m):
                     draws[r0 : r0 + m] += panel[:, r0 : r0 + m].T @ gauss
-            return draws
+            return np.cumsum(draws, axis=0, out=draws)
         except np.linalg.LinAlgError:
             pass
     return _dense_cholesky(fbm_covariance(hurst, times)) @ _normals(
@@ -270,8 +270,8 @@ def sample_fbm(hurst: float, grid, n_dims: int = 1, seed=0) -> DriverPath | list
     seed's Philox normals; grids are capped at MAX_CHOLESKY_POINTS.
     Components are independent; H = 0.5 reduces to Brownian motion.
     Factors within FACTOR_BYTES (1024 points) are cached across seeds; a
-    larger uniform grid streams its factor's rows in panels of that size,
-    each panel drawing its own rows of the normals, so beyond its paths a
+    larger uniform grid streams L^T in panels of that size, each drawing its
+    own rows of the normals, and sums the draws once, so beyond its paths a
     draw holds one panel and that panel's normals.
 
     A list of seeds returns one DriverPath per seed: their normals side by

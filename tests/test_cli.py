@@ -235,6 +235,7 @@ class TestRunFlows:
             ("solver", {"interval_scheme": "harmonik"}, "solver.interval_scheme"),
             ("solver", {"interval_scheme": "explicit"}, "solver.interval_scheme"),
             ("config", {"emit_atoms": False}, "emit_atoms"),
+            ("kernel", {"density": {"name": "exp"}}, "kernel.density"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):

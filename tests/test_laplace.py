@@ -150,3 +150,7 @@ class TestKernelFromSpec:
     def test_unknown_keys_rejected(self, spec, named):
         with pytest.raises(ValueError, match=named):
             kernel_from_spec(spec)
+
+    def test_atoms_and_density_together_rejected(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            kernel_from_spec({"atoms": [[1.0, 1.0]], "density": {"name": "exp"}})

@@ -152,22 +152,23 @@ class TestFbmFactorRoutes:
         gamma = lift_mod._fgn_autocovariance(0.4, n, lift_mod._uniform_step(times))
         stacked = np.full((n, n), np.nan)
         for k0, panel in lift_mod._schur_panels(gamma, n if rows == "n" else rows):
-            stacked[k0 : k0 + len(panel)] = panel
-        assert np.array_equal(stacked, lift_mod._schur_cholesky(gamma).T)
+            stacked[k0 : k0 + len(panel)] = panel            # rows of L^T
+        assert np.array_equal(np.cumsum(stacked, axis=1), lift_mod._schur_cholesky(gamma).T)
 
-    def test_streamed_draws_match_the_factor(self):
+    @pytest.mark.parametrize("hurst", [0.01, 0.4, 0.99])
+    def test_streamed_draws_match_the_factor(self, hurst):
         grid = TimeGrid.uniform(4095, 1.0)
-        gamma = lift_mod._fgn_autocovariance(0.4, 4095, lift_mod._uniform_step(grid.points[1:]))
+        gamma = lift_mod._fgn_autocovariance(hurst, 4095, lift_mod._uniform_step(grid.points[1:]))
         chol = lift_mod._schur_cholesky(gamma)
         seeds = [5, 6, 9]
         gauss = np.hstack([lift_mod._rng(s).standard_normal((4095, 2)) for s in seeds])
         expect = chol @ gauss
-        paths = [sample_fbm(0.4, grid, n_dims=2, seed=5)]
-        paths += sample_fbm(0.4, grid, n_dims=2, seed=seeds)
+        paths = [sample_fbm(hurst, grid, n_dims=2, seed=5)]
+        paths += sample_fbm(hurst, grid, n_dims=2, seed=seeds)
         got = np.hstack([p.values[1:] for p in paths])
         ref = np.hstack([expect[:, :2], expect])
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-        (single,) = sample_fbm(0.4, grid, n_dims=2, seed=[5])
+        (single,) = sample_fbm(hurst, grid, n_dims=2, seed=[5])
         assert np.array_equal(single.values, paths[0].values)
         assert not lift_mod._chol_cache
 
@@ -204,10 +205,21 @@ class TestFbmFactorRoutes:
     @pytest.mark.parametrize("rows", [1, 256])
     def test_non_finite_panel_is_never_yielded(self, rows):
         # a finite gamma whose first factor row overflows, gamma[-1] / sqrt(gamma[0]) = inf,
-        # while every rho of the first panel is 0: only the row-total check catches it
+        # while every rho of the first panel is 0: only the end-of-panel check catches it
         gamma = np.r_[1e-300, np.zeros(1098), 1e200]
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
             next(lift_mod._schur_panels(gamma, rows))
+
+    def test_non_finite_value_in_a_later_panel_is_never_yielded(self):
+        # row 0 is finite; rho_1 = 1 - 2^-52 < 1 gives s_1 ~ 2e-8, so row 1 overflows
+        # to -inf at index 40 of the second one-row panel, while rho_1 passes its check
+        gamma = np.zeros(64)
+        gamma[:2] = 1.0, 1.0 - 2.0**-52
+        gamma[40] = 1e301
+        panels = lift_mod._schur_panels(gamma, 1)
+        assert np.all(np.isfinite(next(panels)[1]))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            next(panels)
 
     def test_repeat_draw_builds_nothing(self, monkeypatch):
         builds = []
