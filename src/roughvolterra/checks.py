@@ -144,10 +144,9 @@ def a3_chen_relation(tol, seeds=range(3), hursts=(0.4, 0.7), cells=256, triples=
             lift = RoughLift(driver, measure, gamma=min(0.95, float(hurst)))
             rng = np.random.default_rng(10_000 + seed)
             scale = lift.scale**2
-            for _ in range(int(triples)):
-                i, j, k = np.sort(rng.choice(len(grid), size=3, replace=False))
-                s, u, t = grid.points[[i, j, k]]
-                chen = lift.x3_tilde(s, u, t)
+            idx = [np.sort(rng.choice(len(grid), size=3, replace=False)) for _ in range(int(triples))]
+            points = grid.points[np.reshape(idx, (-1, 3))]
+            for (s, u, t), chen in zip(points, lift.x3_tilde(*points.T)):
                 ref = x3_tilde_riemann_fast(driver, measure, measure.xis, s, u, t, int(sub_mesh))
                 err = float(np.max(np.abs(chen - ref)))
                 worst = max(worst, err / scale)

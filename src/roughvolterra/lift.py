@@ -4,8 +4,10 @@ Drivers (deterministic samples, Brownian motion, fractional Brownian
 motion) are stored as piecewise-linear paths on a time grid.  For such
 paths every exponentially weighted iterated integral has a closed form
 per cell, so the first-order lift, the weighted Levy-area analogue and
-the third-order Chen defect are computed exactly (to round-off) and
-reassembled on arbitrary pairs through the twisted Chasles relation.
+the third-order Chen defect are computed exactly (to round-off) on
+arbitrary pairs: each is a sum over the cell pieces of [s, t], every
+piece decayed from its end to t, and one walk evaluates it on whole
+arrays of pairs.
 
 fBm is sampled exactly in law through a Cholesky factor of the covariance,
 capped at desk scale: on uniform grids the Schur factor L of the Toeplitz
@@ -28,7 +30,7 @@ from scipy.integrate import quad
 
 from .algebra import exp_scan
 from .expkernels import e0, exp_int, ramp_int
-from .laplace import KernelMeasure, project
+from .laplace import KernelMeasure
 
 __all__ = [
     "DriverPath",
@@ -313,8 +315,9 @@ class RoughLift:
 
     Stores the first-order lift from 0 to every grid point (the twisted
     scan of the per-cell closed forms) and is read-only after
-    construction.  Arbitrary pairs are reconstructed through the twisted
-    Chasles relation, exact by construction.
+    construction.  ``x1_tilde_pairs`` reconstructs arbitrary pairs from it
+    through the twisted Chasles relation; ``x1_tilde``, ``x2_tilde`` and
+    ``x3_tilde`` walk the cell pieces of scalar or array pairs (triples).
 
     ``gamma`` is the regularity the lift claims for the driver.
     """
@@ -337,33 +340,51 @@ class RoughLift:
     def n_dims(self):
         return self.driver.n_dims
 
-    def _validate_pair(self, s, t):
-        T = self.driver.grid.horizon
-        if not (0.0 <= s <= t <= T * (1 + 1e-12) + 1e-15):
-            raise ValueError("need 0 <= s <= t <= horizon")
+    def _walk(self, s, t, piece):
+        """Sum over the cell pieces of each pair s <= t, decayed to t.
 
-    def _overlaps(self, s, t):
-        """(cells, a, b): the nonempty pieces [a, b] of [s, t] clipped to driver cells."""
-        pts = self.driver.grid.points
-        cells = np.arange(self.driver.grid.cell_of(s), self.driver.grid.cell_of(t) + 1)
-        a = np.maximum(s, pts[cells])
-        b = np.minimum(t, pts[cells + 1])
+        ``s`` and ``t`` are scalars or arrays of one shape.  The nonempty
+        pieces [a, b] of every [s, t] clipped to driver cells are found in
+        one pass (each pair's cells repeated with its pair id);
+        ``piece(s, cells, a, b)`` returns their closed-form terms, indexed
+        (piece, K, ...), and each term, weighted by e^{-xi (t - b)}, is
+        added to its pair in order: the twisted recursion over the pieces,
+        unrolled.  Returns (*shape, K, ...); a pair with s == t gives 0.
+        """
+        s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+        grid = self.driver.grid
+        if not np.all((0.0 <= s) & (s <= t) & (t <= grid.horizon * (1 + 1e-12) + 1e-15)):
+            raise ValueError("need 0 <= s <= t <= horizon")
+        shape, s, t = s.shape, s.ravel(), np.minimum(t.ravel(), grid.horizon)
+        first = grid.cell_of(s)
+        count = grid.cell_of(t) - first + 1
+        pair = np.repeat(np.arange(s.size), count)
+        cells = np.arange(pair.size) - np.repeat(np.cumsum(count) - count - first, count)
+        pts = grid.points
+        a = np.maximum(s[pair], pts[cells])
+        b = np.minimum(t[pair], pts[cells + 1])
         keep = b > a
-        return cells[keep], a[keep], b[keep]
+        pair, cells, a, b = pair[keep], cells[keep], a[keep], b[keep]
+        terms = piece(s[pair], cells, a, b)
+        decay = np.exp(-np.multiply.outer(t[pair] - b, self.xis))
+        terms *= decay.reshape(decay.shape + (1,) * (terms.ndim - 2))
+        out = np.zeros((s.size,) + terms.shape[1:])
+        np.add.at(out, pair, terms)
+        return out.reshape(shape + terms.shape[1:])
 
     # -- first order -------------------------------------------------------
 
-    def x1_tilde(self, s: float, t: float, atom: int | None = None):
-        """Exact weighted first-order integral over [s, t], shape (K, n).
+    def x1_tilde(self, s, t):
+        """Exact weighted first-order integral over [s, t], shape (*shape, K, n).
 
-        The twisted scan over the cell pieces of [s, t], started at 0, so
-        there is no cancellation against large prefixes.
+        One walk over the cell pieces of every pair, each piece's term
+        e0(xi, b - a) times its slope, so there is no cancellation against
+        large prefixes.
         """
-        self._validate_pair(s, t)
-        cells, a, b = self._overlaps(s, t)
-        germ = e0(self.xis, (b - a)[:, None])[:, :, None] * self.driver.slopes[cells][:, None, :]
-        acc = exp_scan(np.append(a, b[-1:]), self.xis, germ, 0.0)[-1]
-        return acc if atom is None else acc[atom]
+        def piece(s, cells, a, b):
+            return e0(self.xis, (b - a)[:, None])[:, :, None] * self.driver.slopes[cells][:, None, :]
+
+        return self._walk(s, t, piece)
 
     def _prefix_at(self, v):
         """x1 tilde from 0 to each time in v, shape (len(v), K, n)."""
@@ -388,61 +409,51 @@ class RoughLift:
         decay = np.exp(-self.xis[None, :] * (v - u)[:, None])[:, :, None]
         return self._prefix_at(v) - decay * self._prefix_at(u)
 
-    def x1(self, s: float, t: float):
-        """Kernel-projected first-order increment over [s, t], shape (n,)."""
-        return project(self.x1_tilde(s, t), self.measure, axis=0)
+    def x1(self, s, t):
+        """Kernel-projected first-order increment over [s, t], shape (*shape, n)."""
+        # matmul projects each pair alone: an array call gives its one-pair bits
+        return self.measure.weights @ self.x1_tilde(s, t)
 
     # -- second order --------------------------------------------------
 
-    def _x2_walk(self, s: float, t: float):
-        # one vectorised pass over the cells of [s, t]: each cell contributes
-        # a closed-form term (ramp part plus cross term against the running
-        # x1 tilde from s), decayed from the cell end to t; the left-to-right
-        # recursion unrolls exactly into these weighted sums
-        xis = self.xis
-        ws = self.measure.weights
-        cells, a, b = self._overlaps(s, t)                         # none when s == t
-        dt = b - a
-        m = self.driver.slopes[cells]                              # (C, n)
-        run = self.x1_tilde_pairs(np.full(a.shape, s), a)          # (C, K, n)
-        ramp = ramp_int(xis[None, :, None], xis[None, None, :], dt[:, None, None])
-        cross = exp_int(xis[None, :, None], xis[None, None, :], dt[:, None, None])
-        terms = (ramp @ ws)[:, :, None, None] * np.einsum("cj,cd->cjd", m, m)[:, None]
-        terms += np.einsum("cok,k,cj,ckd->cojd", cross, ws, m, run)
-        w_end = np.exp(-np.multiply.outer(t - b, xis))             # (C, K)
-        return np.einsum("co,cojd->ojd", w_end, terms)
-
-    def x2_tilde(self, s: float, t: float, atom: int | None = None):
-        """Weighted Levy-area analogue over [s, t], shape (K, n, n).
+    def x2_tilde(self, s, t):
+        """Weighted Levy-area analogue over [s, t], shape (*shape, K, n, n).
 
         int_s^t e^{-xi(t-v)} dx_v (x) x1_{vs}, per output atom xi, by one
-        closed-form walk over the cells of [s, t].
+        walk over the cell pieces of every pair: each piece [a, b] adds a
+        ramp term and a cross term against x1 tilde from s to a.
         """
-        self._validate_pair(s, t)
-        val = self._x2_walk(s, t)
-        return val if atom is None else val[atom]
+        xis = self.xis
+        ws = self.measure.weights
 
-    def x2_tilde_pairs(self, u, v):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        return np.stack([self.x2_tilde(a, b) for a, b in zip(u, v)])
+        def piece(s, cells, a, b):
+            dt = b - a
+            m = self.driver.slopes[cells]                          # (C, n)
+            run = self.x1_tilde_pairs(s, a)                        # (C, K, n)
+            ramp = ramp_int(xis[None, :, None], xis[None, None, :], dt[:, None, None])
+            cross = exp_int(xis[None, :, None], xis[None, None, :], dt[:, None, None])
+            terms = (ramp @ ws)[:, :, None, None] * np.einsum("cj,cd->cjd", m, m)[:, None]
+            terms += np.einsum("cok,k,cj,ckd->cojd", cross, ws, m, run)
+            return terms
 
-    def x3_tilde(self, s: float, u: float, t: float, atom: int | None = None):
-        """Chen defect on the ordered triple s <= u <= t, shape (K, n, n).
+        return self._walk(s, t, piece)
+
+    def x3_tilde(self, s, u, t):
+        """Chen defect on ordered triples s <= u <= t, shape (*shape, K, n, n).
 
         (delta~ x2)_{tus} - x1~_{tu} (x) x1_{us}; x2 comes from the direct
-        construction, so there is no circularity.
+        construction, so there is no circularity.  The three x2 pairs of
+        every triple take one walk, the two x1 pairs another.
         """
-        if not s <= u <= t:
+        s, u, t = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (s, u, t)))
+        if not np.all((s <= u) & (u <= t)):
             raise ValueError("need s <= u <= t")
-        d_x2 = (
-            self.x2_tilde(s, t)
-            - self.x2_tilde(u, t)
-            - np.exp(-self.xis * (t - u))[:, None, None] * self.x2_tilde(s, u)
-        )
-        outer = np.einsum("kj,d->kjd", self.x1_tilde(u, t), self.x1(s, u))
-        val = d_x2 - outer
-        return val if atom is None else val[atom]
+        x2_ts, x2_tu, x2_us = self.x2_tilde(np.stack([s, u, s]), np.stack([t, t, u]))
+        x1_tu, x1_us = self.x1_tilde(np.stack([u, s]), np.stack([t, u]))
+        decay = np.exp(-np.multiply.outer(t - u, self.xis))[..., None, None]
+        d_x2 = x2_ts - x2_tu - decay * x2_us
+        outer = np.einsum("...kj,...d->...kjd", x1_tu, self.measure.weights @ x1_us)
+        return d_x2 - outer
 
     # -- solver support --------------------------------------------------
 
@@ -481,19 +492,11 @@ class RoughLift:
     def chasles_residual(self, n_triples: int = 200, seed: int = 0) -> float:
         """Max twisted-Chasles residual over random grid triples, scaled."""
         rng = np.random.default_rng(seed)
-        n = len(self.driver.grid)
         pts = self.driver.grid.points
-        worst = 0.0
-        for _ in range(n_triples):
-            i, j, k = sorted(int(x) for x in rng.integers(0, n, size=3))
-            res = (
-                self.x1_tilde(pts[i], pts[k])
-                - self.x1_tilde(pts[j], pts[k])
-                - np.exp(-self.xis * (pts[k] - pts[j]))[:, None]
-                * self.x1_tilde(pts[i], pts[j])
-            )
-            worst = max(worst, float(np.max(np.abs(res))) / self.scale)
-        return worst
+        i, j, k = pts[np.sort(rng.integers(0, pts.size, size=(3, n_triples)), axis=0)]
+        ts, tu, us = self.x1_tilde(np.stack([i, j, i]), np.stack([k, k, j]))
+        res = ts - tu - np.exp(-np.multiply.outer(k - j, self.xis))[..., None] * us
+        return float(np.max(np.abs(res))) / self.scale
 
 
 def wiener_cov_x1(hurst, xi, eta, interval_a, interval_b):

@@ -14,9 +14,12 @@ results are bit-reproducible run to run on a given platform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.special import zeta
+
+from .algebra import delta_tilde
 
 __all__ = [
     "SewingResult",
@@ -238,13 +241,6 @@ def sewing_bound_check(
     if not 0 < rho < mu:
         raise ValueError("need 0 < rho < mu")
 
-    def h_triple(si, ui, ti):
-        one = lambda x: np.array([x])
-        b_ts = b_pair(one(si), one(ti))[0]
-        b_tu = b_pair(one(ui), one(ti))[0]
-        b_us = b_pair(one(si), one(ui))[0]
-        return b_ts - b_tu - np.exp(-xi * (ti - ui)) * b_us
-
     probe = np.linspace(s, t, n_probe)
     lhs = 0.0
     for i in range(n_probe):
@@ -252,14 +248,16 @@ def sewing_bound_check(
             m_val = lambda_tilde_dyadic(b_pair, xi, probe[i], probe[j], level)
             lhs = max(lhs, float(np.linalg.norm(m_val)) / (probe[j] - probe[i]) ** mu)
 
+    # h = delta~ B on every ordered triple of the finer probe, from one table of B
     fine = np.linspace(s, t, 2 * n_probe - 1)
-    rhs = 0.0
-    for i in range(fine.size):
-        for j in range(i + 1, fine.size):
-            for k in range(j + 1, fine.size):
-                val = float(np.linalg.norm(h_triple(fine[i], fine[j], fine[k])))
-                denom = (fine[j] - fine[i]) ** rho * (fine[k] - fine[j]) ** (mu - rho)
-                rhs = max(rhs, val / denom)
+    u, v = np.triu_indices(fine.size, 1)
+    vals = np.asarray(b_pair(fine[u], fine[v]), dtype=float)
+    table = np.zeros((fine.size, fine.size) + vals.shape[1:])
+    table[u, v] = vals
+    i, j, k = np.array(list(combinations(range(fine.size), 3))).T
+    h = delta_tilde(fine, [xi], table[:, :, None], i, j, k).reshape(i.size, -1)
+    denom = (fine[j] - fine[i]) ** rho * (fine[k] - fine[j]) ** (mu - rho)
+    rhs = float(np.max(np.linalg.norm(h, axis=1) / denom))
 
     c = c_mu(mu)
     return SewingBoundReport(

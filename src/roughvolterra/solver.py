@@ -86,7 +86,7 @@ def rough_integral(lift: RoughLift, z, s: float, t: float, atom: int, level: int
 
     def germ(u, v):
         x1t = lift.x1_tilde_pairs(u, v)[:, atom]            # (p, n)
-        x2t = lift.x2_tilde_pairs(u, v)[:, atom]            # (p, n, n)
+        x2t = lift.x2_tilde(u, v)[:, atom]                  # (p, n, n)
         zu = np.asarray(z(u), dtype=float)
         ze = np.asarray(zeta(u), dtype=float)
         return np.einsum("pn,pn->p", x1t, zu) + np.einsum("pmj,pjm->p", x2t, ze)
@@ -218,9 +218,7 @@ def _interval_q_norm(lift, ytilde_grid, zeta_grid, pts_grid, measure, beta, kapp
     sup_z = float(np.max(np.sqrt(np.sum(zeta_grid**2, axis=(1, 2)))))
     dz = np.sqrt(np.sum((zeta_grid[1:] - zeta_grid[:-1]) ** 2, axis=(1, 2)))
     hold_z = float(np.max(dz / widths**kappa))
-    x1t = np.stack(
-        [lift.x1_tilde(pts_grid[i], pts_grid[i + 1]) for i in range(len(widths))]
-    )                                                        # (M, K, n)
+    x1t = lift.x1_tilde(pts_grid[:-1], pts_grid[1:])         # (M, K, n)
     first = np.einsum("mkn,mnd->mkd", x1t, zeta_grid[:-1])
     rem = dyt - first
     hold_r = float(np.max(lbeta_norm(rem, measure, beta) / widths ** (2 * kappa)))

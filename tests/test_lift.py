@@ -432,6 +432,54 @@ class TestX3:
         assert np.max(np.abs(d_x2 - recon)) < 1e-14 * lift.scale**2 + 1e-16
 
 
+def graded_lift():
+    grid = TimeGrid(np.linspace(0.0, 1.0, 33) ** 1.3)
+    driver = sample_fbm(0.4, grid, n_dims=2, seed=5)
+    return RoughLift(driver, KernelMeasure.from_atoms([(0.0, 0.4)] + ATOMS3), gamma=0.38)
+
+
+class TestPairArrays:
+    """The lift on arrays of pairs and triples is its one-pair calls, stacked."""
+
+    def test_array_calls_equal_pair_calls_bit_for_bit(self):
+        lift = graded_lift()
+        pts = lift.driver.grid.points
+        a, b = pts[9], pts[10]
+        s, u, t = np.array([
+            [0.3, 0.3, 0.3],                                    # s == u == t
+            [pts[4], pts[4], pts[5]],                           # one cell, on the grid
+            [a + 0.1 * (b - a), a + 0.5 * (b - a), a + 0.9 * (b - a)],   # inside one cell
+            [0.07, 0.41, 0.93],                                 # off-grid ends
+            [pts[2], pts[17], pts[30]],
+            [0.0, 0.5, 1.0],                                    # the full horizon
+        ]).T
+        x1 = np.stack([lift.x1_tilde(p, q) for p, q in zip(s, t)])
+        x2 = np.stack([lift.x2_tilde(p, q) for p, q in zip(s, t)])
+        x3 = np.stack([lift.x3_tilde(p, m, q) for p, m, q in zip(s, u, t)])
+        assert x1.shape == (6, 4, 2) and x2.shape == x3.shape == (6, 4, 2, 2)
+        assert np.array_equal(lift.x1_tilde(s, t), x1)
+        assert np.array_equal(lift.x2_tilde(s, t), x2)
+        assert np.array_equal(lift.x3_tilde(s, u, t), x3)
+        assert not np.any(x1[0]) and not np.any(x2[0]) and not np.any(x3[0])
+
+    @pytest.mark.parametrize("s, t", [
+        ([0.1, 0.5], [0.2, 0.4]),            # s > t
+        ([0.1, -0.1], [0.2, 0.3]),           # s < 0
+        ([0.1, 0.2], [0.2, 1.5]),            # t past the horizon
+        ([0.1, np.nan], [0.2, 0.3]),
+    ])
+    def test_bad_pair_in_an_array_raises(self, s, t):
+        lift = graded_lift()
+        for method in (lift.x1_tilde, lift.x2_tilde):
+            with pytest.raises(ValueError, match="need 0 <= s <= t <= horizon"):
+                method(np.array(s), np.array(t))
+
+    def test_bad_triple_in_an_array_raises(self):
+        lift = graded_lift()
+        with pytest.raises(ValueError, match="need s <= u <= t"):
+            lift.x3_tilde(np.array([0.1, 0.5]), np.array([0.2, 0.4]), np.array([0.3, 0.6]))
+
+
 class TestDegenerateKernel:
     def test_textbook_smooth_identities(self):
         # measure {(0,1)}: x1 = delta x, x2 = int (delta x)(x)(delta x),

@@ -140,7 +140,7 @@ class TestSolveYoung:
             lift, sigma_catalog("constant", n=1, d=1, params={"value": 0.7}),
             np.array([0.0]), base_config(),
         )
-        x1t = np.array([lift.x1_tilde(0.0, t)[0, 0] for t in lift.driver.grid.points])
+        x1t = lift.x1_tilde(0.0, lift.driver.grid.points)[:, 0, 0]
         assert np.max(np.abs(sol.ytilde[:, 0, 0] - 0.7 * x1t)) < 1e-10
 
     def test_linear_sigma_exact_solution(self):
@@ -178,7 +178,7 @@ class TestSolveRough:
             lift, sigma_catalog("constant", n=1, d=1, params={"value": -0.3}),
             np.array([0.5]), base_config(),
         )
-        x1t = np.array([lift.x1_tilde(0.0, t)[0, 0] for t in lift.driver.grid.points])
+        x1t = lift.x1_tilde(0.0, lift.driver.grid.points)[:, 0, 0]
         assert np.max(np.abs(sol.ytilde[:, 0, 0] + 0.3 * x1t)) < 1e-10
 
     def test_rk4_oracle_sin_millituned(self):
@@ -273,7 +273,7 @@ class TestControlledPathDiagnostics:
         # ytilde terms plus sup|zeta| = 1 (zeta is constant)
         lift = identity_lift(cells=32)
         pts = lift.driver.grid.points
-        yt = np.stack([lift.x1_tilde(0.0, t) for t in pts])
+        yt = lift.x1_tilde(0.0, pts)
         q = solver_mod._interval_q_norm(
             lift, yt, np.ones((len(pts), 1, 1)), pts, lift.measure, 1.0, 0.45
         )
@@ -313,23 +313,26 @@ class TestCellTablesPerSolve:
 
 def explicit_solve_from_lift(lift, fld, a, refine):
     """y on the grid from ytilde_{p+1} = e^{-xi h} ytilde_p + G_p(ytilde_p),
-    with G_p built from RoughLift.x1_tilde / x2_tilde on each sub-cell."""
+    with G_p built from one RoughLift.x1_tilde and one x2_tilde call over the sub-cells."""
     pts = lift.driver.grid.points
+    h = np.diff(pts) / refine
+    s = pts[:-1, None] + np.arange(refine) * h[:, None]          # (cells, refine)
+    t = s + h[:, None]
+    t[:, -1] = pts[1:]
+    s, t = s.ravel(), t.ravel()
+    x1t, x2t = lift.x1_tilde(s, t), lift.x2_tilde(s, t)
     w = lift.measure.weights
     yt = np.zeros((lift.xis.size, a.size))
     ys = [a]
-    for c in range(pts.size - 1):
-        h = (pts[c + 1] - pts[c]) / refine
-        for j in range(refine):
-            s = pts[c] + j * h
-            t = pts[c + 1] if j == refine - 1 else s + h
-            y = a + w @ yt
-            z = fld.batch(y[None])[0]                              # (n, d)
-            ds = fld.dsigma_batch(y[None])[0]                      # (n, d, d)
-            germ = np.einsum("kn,nd->kd", lift.x1_tilde(s, t), z)
-            germ += np.einsum("kmj,jq,miq->ki", lift.x2_tilde(s, t), z, ds)
-            yt = np.exp(-lift.xis * (t - s))[:, None] * yt + germ
-        ys.append(a + w @ yt)
+    for p in range(s.size):
+        y = a + w @ yt
+        z = fld.batch(y[None])[0]                                  # (n, d)
+        ds = fld.dsigma_batch(y[None])[0]                          # (n, d, d)
+        germ = np.einsum("kn,nd->kd", x1t[p], z)
+        germ += np.einsum("kmj,jq,miq->ki", x2t[p], z, ds)
+        yt = np.exp(-lift.xis * (t[p] - s[p]))[:, None] * yt + germ
+        if (p + 1) % refine == 0:
+            ys.append(a + w @ yt)
     return np.array(ys)
 
 
