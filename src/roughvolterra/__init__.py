@@ -19,7 +19,6 @@ from .laplace import (
     QuadratureError,
     build_quadrature,
     phi_eval,
-    project,
     kernel_from_spec,
 )
 from .sewing import (

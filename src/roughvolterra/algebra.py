@@ -159,7 +159,7 @@ def lbeta_norm(vals, measure, beta: float):
     return norms @ w
 
 
-def estimate_holder_exponent(grid: TimeGrid, values, max_lag_exp: int | None = None):
+def estimate_holder_exponent(grid: TimeGrid, values):
     """Empirical Holder exponent of a path sampled on ``grid``.
 
     Least-squares slope of log median|increment| against log lag over dyadic
@@ -178,8 +178,7 @@ def estimate_holder_exponent(grid: TimeGrid, values, max_lag_exp: int | None = N
     if scale == 0.0:
         raise ValueError("constant path has no defined Holder exponent")
     # short lags only: long-lag medians are too noisy to help the fit
-    j_max = min(int(np.log2(n - 1)) - 2, 5) if max_lag_exp is None else max_lag_exp
-    j_max = max(j_max, 1)
+    j_max = max(min(int(np.log2(n - 1)) - 2, 5), 1)
     lags, meds = [], []
     pts = grid.points
     for j in range(j_max + 1):

@@ -43,10 +43,7 @@ from .oracles import rk4_augmented
 from .sigma import SIGMA_PARAMS, sigma_catalog
 from .solver import INTERVAL_SCHEMES, SolverConfig, SolverFailure, solve_rough, solve_young
 
-__all__ = ["ExperimentConfig", "RunManifest", "SCHEMA", "run", "emit_csv", "seed_expand", "main",
-           "OUT_DIR_ENV"]
-
-OUT_DIR_ENV = "ROUGHVOLTERRA_OUT"
+__all__ = ["ExperimentConfig", "RunManifest", "SCHEMA", "run", "emit_csv", "seed_expand", "main"]
 
 KINDS = ("verify", "solve-young", "solve-rough", "convergence", "ensemble", "covariance-check")
 
@@ -124,7 +121,6 @@ FBM_CELLS = f"[1, {MAX_CHOLESKY_POINTS - 1}]"   # an fBm grid within the Cholesk
 # typed value.  required is a bool or the kinds that need the key.
 SCHEMA = {
     "kind": (KINDS, None, True),
-    "output_dir": (str, None, False),
     "kernel": (dict, None, EQUATION),
     "kernel.atoms": ([[float]], KernelMeasure.from_atoms, False),
     "kernel.density": (dict, None, False),
@@ -368,7 +364,7 @@ class ExperimentConfig:
         self.kind = raw.get("kind") if isinstance(raw, dict) else None
         self.doc = _walk(raw, (dict, None, True), "", "", self.kind)
         _check_relations(self.doc)
-        self.checks, self.output_dir = self.doc.get("checks", {}), self.doc.get("output_dir")
+        self.checks = self.doc.get("checks", {})
 
     def measure(self) -> KernelMeasure:
         return kernel_from_spec(self.doc["kernel"])
@@ -472,9 +468,14 @@ def _run_verify(cfg: ExperimentConfig, manifest, out_dir, jobs):
 
 
 def _map(fn, items, jobs, chunksize=1):
-    """``fn`` over ``items``, in a pool of ``jobs`` worker processes when jobs > 1."""
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    """``fn`` over ``items``, in a pool of at most ``jobs`` worker processes when jobs > 1.
+
+    The pool forks every worker at its first submit, so it gets no more
+    workers than there are items or CPUs.
+    """
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items, chunksize=chunksize))
     return [fn(item) for item in items]
 
@@ -533,13 +534,15 @@ def run(config_path, out_dir=None, jobs=1, checks_filter=None) -> int:
         print(f"config parse error: {exc}", file=sys.stderr)
         return 2
     try:
+        if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+            raise ValueError(f"--jobs must be an integer >= 1, got {jobs!r}")
         cfg = ExperimentConfig(raw)
         if checks_filter:
             unknown = set(checks_filter) - set(cfg.checks)
             if unknown:
                 raise ValueError(f"--check names not in config: {sorted(unknown)}")
             cfg.checks = {k: v for k, v in cfg.checks.items() if k in checks_filter}
-        target = out_dir or os.environ.get(OUT_DIR_ENV) or cfg.output_dir or os.getcwd()
+        target = out_dir or os.getcwd()
         os.makedirs(target, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(f"config validation error: {exc}", file=sys.stderr)
@@ -570,7 +573,8 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute one experiment config")
     run_p.add_argument("config", help="path to the JSON experiment config")
     run_p.add_argument("--out", default=None, help="output directory")
-    run_p.add_argument("--jobs", type=int, default=1, help="worker pool size")
+    run_p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes (>= 1; at most one per seed and per CPU)")
     run_p.add_argument("--check", action="append", default=None,
                        help="run only the named check(s) from the config")
     args = parser.parse_args(argv)

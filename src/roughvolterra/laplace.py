@@ -20,7 +20,6 @@ __all__ = [
     "QuadratureError",
     "build_quadrature",
     "phi_eval",
-    "project",
     "DENSITY_CATALOG",
     "kernel_from_spec",
 ]
@@ -76,13 +75,7 @@ def phi_eval(measure: KernelMeasure, v):
     return out if out.ndim else float(out)
 
 
-def project(values_per_atom, measure: KernelMeasure, axis: int = 0):
-    """Integrate per-atom values against the measure: sum_k w_k g(xi_k)."""
-    vals = np.asarray(values_per_atom, dtype=float)
-    if vals.shape[axis] != measure.n_atoms:
-        raise ValueError("atom axis does not match the measure")
-    out = np.tensordot(measure.weights, vals, axes=([0], [axis]))
-    return out if np.ndim(out) else float(out)
+PROBE_POINTS = (0.1, 1.0, 10.0)     # where build_quadrature checks its reconstruction of phi
 
 
 def build_quadrature(
@@ -90,12 +83,11 @@ def build_quadrature(
     n_nodes: int,
     tail_cut: float,
     reconstruction_tol: float = 1e-8,
-    probe_points=(0.1, 1.0, 10.0),
 ) -> KernelMeasure:
     """Discretise a kernel density into composite Gauss-Legendre atoms.
 
-    The measure is accepted only if it reproduces phi(v) at the probe
-    points within ``reconstruction_tol`` of an adaptive-quadrature
+    The measure is accepted only if it reproduces phi(v) at PROBE_POINTS
+    within ``reconstruction_tol`` of an adaptive-quadrature
     reference over [0, inf); otherwise a QuadratureError reports the
     achieved error.
     """
@@ -120,7 +112,7 @@ def build_quadrature(
     measure = KernelMeasure(xis[order], ws[order])
 
     worst = 0.0
-    for v in probe_points:
+    for v in PROBE_POINTS:
         ref, _ = quad(
             lambda x: np.exp(-v * x) * density(x), 0.0, np.inf, limit=400
         )

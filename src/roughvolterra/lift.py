@@ -409,11 +409,6 @@ class RoughLift:
         decay = np.exp(-self.xis[None, :] * (v - u)[:, None])[:, :, None]
         return self._prefix_at(v) - decay * self._prefix_at(u)
 
-    def x1(self, s, t):
-        """Kernel-projected first-order increment over [s, t], shape (*shape, n)."""
-        # matmul projects each pair alone: an array call gives its one-pair bits
-        return self.measure.weights @ self.x1_tilde(s, t)
-
     # -- second order --------------------------------------------------
 
     def x2_tilde(self, s, t):

@@ -6,7 +6,9 @@ only driver slopes and exponentials.  They are the independent side of
 the dual-route checks (closed form vs. brute force) used by the
 verification harness and the test suite, and converge at the rate of the
 sub-mesh rather than being exact.  ``rk4_augmented`` integrates the
-solver's ODE in Laplace coordinates for smooth drivers instead.
+solver's ODE in Laplace coordinates instead, cell by cell: every driver
+here is piecewise linear, hence smooth on each cell, so RK4 keeps its
+order on all of them, sampled fBm included.
 
 Sub-meshes are aligned with the driver cells, so the driver's increment
 over a sub-step is its cell's slope times the step, exactly.  The running
@@ -149,11 +151,12 @@ def young_integral_simpson(driver, z_fn, xi, s, t, n_sub=8192):
 
 
 def rk4_augmented(driver, measure, fld, a, dt_max=1e-4):
-    """RK4 oracle for smooth drivers, in (ytilde(xi_k))_k coordinates.
+    """RK4 oracle for piecewise-linear drivers, in (ytilde(xi_k))_k coordinates.
 
     Integrates ytilde' = -xi ytilde + x'(t) sigma(a + <w, ytilde>) cell by
-    cell (the slope is constant within a cell, so RK4 keeps its order) and
-    returns (y, ytilde) at the driver's grid points.
+    cell (the slope is constant within a cell, so RK4 keeps its order on
+    any piecewise-linear driver, however rough its samples) and returns
+    (y, ytilde) at the driver's grid points.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     pts = driver.grid.points

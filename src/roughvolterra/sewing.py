@@ -133,13 +133,12 @@ def compensated_sum_tilde(
     s: float,
     t: float,
     level: int = DEFAULT_MAX_LEVEL,
-    min_level: int = 0,
 ) -> SewingResult:
     """Exponentially weighted compensated Riemann sums of a germ over [s, t].
 
     ``germ(u, v)`` receives equal-length arrays of cell endpoints (u < v,
     consecutive cells of a dyadic partition) and returns one value per
-    cell.  Levels min_level..level are accumulated with per-term weights
+    cell.  Levels 0..level are accumulated with per-term weights
     e^{-xi (t - v)}; iteration stops early once successive level sums
     settle, and raises NotSewableError after three consecutive level
     differences that fail to decrease.
@@ -148,12 +147,12 @@ def compensated_sum_tilde(
         raise ValueError("xi must be >= 0")
     if not t > s:
         raise ValueError("need s < t")
-    if level < min_level or level < 0:
-        raise ValueError("bad level range")
+    if level < 0:
+        raise ValueError("level must be >= 0")
     sums, diff_norms = [], []
     bad_streak = 0
     stopped = False
-    for n in range(min_level, level + 1):
+    for n in range(level + 1):
         sums.append(_weighted_level_sum(germ, xi, s, t, n))
         if len(sums) >= 2:
             d = float(np.linalg.norm(sums[-1] - sums[-2]))
@@ -172,7 +171,7 @@ def compensated_sum_tilde(
             if d <= EARLY_STOP_ABS or d <= EARLY_STOP_REL * scale:
                 stopped = n < level
                 break
-    return _finish(sums, diff_norms, min_level + len(sums) - 1, stopped)
+    return _finish(sums, diff_norms, len(sums) - 1, stopped)
 
 
 def _finish(sums, diff_norms, last_level, stopped):

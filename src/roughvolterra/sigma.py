@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["SigmaField", "sigma_catalog", "SIGMA_NAMES", "SIGMA_PARAMS"]
+__all__ = ["SigmaField", "sigma_catalog", "SIGMA_PARAMS"]
 
 
 @dataclass
@@ -72,31 +72,14 @@ def sigma_catalog(name: str, n: int = 1, d: int = 1, params: dict | None = None)
 
     Names: ``zero``, ``constant`` (params: value), ``linear`` (scale),
     ``sin`` (amp, freq, phase), ``tanh`` (amp, width).  ``direction``
-    (length-n weights) is accepted by the separable families.
+    (length-n weights) is accepted by linear, sin and tanh.
     """
     p = dict(params or {})
     u = np.asarray(p.pop("direction", np.ones(n)), dtype=float)
 
-    if name == "zero":
-        def batch(ys):
-            return np.zeros((ys.shape[0], n, d))
-
-        def dbatch(ys):
-            return np.zeros((ys.shape[0], n, d, d))
-
-        return SigmaField(n=n, d=d, batch=batch, dsigma_batch=dbatch, name="zero")
-
-    if name == "constant":
-        value = np.asarray(p.pop("value", 1.0), dtype=float)
-        mat = np.broadcast_to(value, (n, d)).copy()
-
-        def batch(ys):
-            return np.broadcast_to(mat, (ys.shape[0], n, d)).copy()
-
-        def dbatch(ys):
-            return np.zeros((ys.shape[0], n, d, d))
-
-        return SigmaField(n=n, d=d, batch=batch, dsigma_batch=dbatch, name="constant")
+    if name in ("zero", "constant"):
+        value = float(p.pop("value", 1.0)) if name == "constant" else 0.0
+        return _separable(name, n, d, np.ones(n), lambda y: np.full_like(y, value), np.zeros_like)
 
     if name == "linear":
         scale = float(p.pop("scale", 1.0))
@@ -133,4 +116,3 @@ def sigma_catalog(name: str, n: int = 1, d: int = 1, params: dict | None = None)
 SIGMA_PARAMS = {"zero": (), "constant": ("value",), "linear": ("scale", "direction"),
                 "sin": ("amp", "freq", "phase", "direction"),
                 "tanh": ("amp", "width", "direction")}
-SIGMA_NAMES = tuple(SIGMA_PARAMS)

@@ -96,6 +96,8 @@ def rough_integral(lift: RoughLift, z, s: float, t: float, atom: int, level: int
 
 INTERVAL_SCHEMES = ("harmonic", "constant")
 CONTRACTION_LIMIT = 0.999          # sweep-update ratio that counts as no contraction
+MAX_PICARD = 60                    # Picard sweeps per interval attempt
+N_CAP = 1 << 16                    # harmonic scheme: largest N before a solve fails
 
 
 @dataclass
@@ -104,21 +106,20 @@ class SolverConfig:
 
     ``sewing_level`` is the dyadic sub-refinement of each grid cell used
     when evaluating the integral germ.  ``interval_scheme`` is
-    ``harmonic`` (lengths 1/(N+n), N doubling on failure) or ``constant``
-    (T/n_start segments, halving on failure).  Everything else follows
-    from gamma and kappa: the L_beta norms' exponent is 1 in a rough solve
-    and gamma in a Young one, and the invariant-ball window's exponents
-    are ``alpha2`` and ``alpha1``.
+    ``harmonic`` (lengths 1/(N+n), N doubling on failure up to ``N_CAP``)
+    or ``constant`` (T/n_start segments, halving on failure).  Each
+    interval attempt runs at most ``MAX_PICARD`` sweeps.  Everything else
+    follows from gamma and kappa: the L_beta norms' exponent is 1 in a
+    rough solve and gamma in a Young one, and the invariant-ball window's
+    exponents are ``alpha2`` and ``alpha1``.
     """
 
     gamma: float
     kappa: float
     sewing_level: int = 4
     picard_tol: float = 1e-10
-    max_picard: int = 60
     n_start: int = 4
     interval_scheme: str = "harmonic"
-    n_cap: int = 1 << 16
 
     def __post_init__(self):
         if not (1.0 / 3.0 < self.kappa < self.gamma <= 1.0):
@@ -130,9 +131,8 @@ class SolverConfig:
         if self.interval_scheme not in INTERVAL_SCHEMES:
             raise ValueError(f"interval_scheme must be one of {list(INTERVAL_SCHEMES)}, "
                              f"got {self.interval_scheme!r}")
-        for name in ("n_start", "max_picard", "n_cap"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if self.n_start < 1:
+            raise ValueError("n_start must be >= 1")
 
     @property
     def alpha2(self) -> float:
@@ -168,7 +168,6 @@ class Solution:
     y: np.ndarray                 # (T, d)
     zeta: np.ndarray              # (T, n, d)
     diagnostics: list = field(default_factory=list)
-    beta_used: float = 1.0
 
 
 class _IntervalWorkspace:
@@ -264,7 +263,7 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
         rho = np.nan
         converged = False
         updates = []
-        for _ in range(config.max_picard):
+        for _ in range(MAX_PICARD):
             new = _sweep(ws, fld, a, measure, yt, htilde, rough)
             diff = new[ws.grid_slots] - yt[ws.grid_slots]
             upd = _picard_norm(diff, pts[lo : hi + 1], measure, beta, expo)
@@ -295,9 +294,9 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
                 const_eps /= 2.0
                 continue
             n_value *= 2
-            if n_value > config.n_cap:
+            if n_value > N_CAP:
                 raise SolverFailure(
-                    f"no contraction below the interval cap (N > {config.n_cap})",
+                    f"no contraction below the interval cap (N > {N_CAP})",
                     failures,
                 )
             continue
@@ -343,7 +342,6 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
         y=y,
         zeta=zeta_grid,
         diagnostics=diagnostics,
-        beta_used=beta,
     )
 
 

@@ -7,9 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from roughvolterra import checks, cli
+from roughvolterra import checks, cli, solver as solver_mod
 from roughvolterra.cli import (
-    OUT_DIR_ENV,
     RunManifest,
     emit_csv,
     run,
@@ -118,6 +117,12 @@ def solve_config(cells=128, tol=1e-4, sigma="sin"):
         "initial": [1.0],
         "checks": {"A5_solver_vs_ode": {"tol": tol, "dt": 1e-4}},
     }
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+def test_shipped_config_validates(name):
+    with open(os.path.join(CONFIGS, name)) as fh:
+        cli.ExperimentConfig(json.load(fh))
 
 
 class TestRunFlows:
@@ -236,6 +241,7 @@ class TestRunFlows:
             ("solver", {"interval_scheme": "explicit"}, "solver.interval_scheme"),
             ("config", {"emit_atoms": False}, "emit_atoms"),
             ("kernel", {"density": {"name": "exp"}}, "kernel.density"),
+            ("config", {"output_dir": "x"}, "output_dir"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):
@@ -338,14 +344,13 @@ class TestRunFlows:
         cfg = write_config(tmp_path, solve_config(tol=1e-12))
         assert run(cfg, out_dir=str(tmp_path / "o")) == 1
 
-    def test_solver_failure_exit_3(self, tmp_path):
+    def test_solver_failure_exit_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(solver_mod, "MAX_PICARD", 3)
+        monkeypatch.setattr(solver_mod, "N_CAP", 2)
         doc = solve_config()
         doc["kind"] = "solve-rough"
         doc["sigma"] = {"name": "linear", "params": {"scale": 40.0}}
-        doc["solver"].update(
-            {"interval_scheme": "harmonic", "n_start": 1, "max_picard": 3,
-             "picard_tol": 1e-14, "n_cap": 2}
-        )
+        doc["solver"].update({"interval_scheme": "harmonic", "n_start": 1, "picard_tol": 1e-14})
         doc["checks"] = {}
         cfg = write_config(tmp_path, doc)
         assert run(cfg, out_dir=str(tmp_path / "o")) == 3
@@ -390,12 +395,37 @@ class TestRunFlows:
         m2.pop("wall_clock_seconds")
         assert m1 == m2
 
-    def test_env_var_output_dir(self, tmp_path, monkeypatch):
-        out = tmp_path / "from_env"
-        monkeypatch.setenv(OUT_DIR_ENV, str(out))
+    @pytest.mark.parametrize("jobs", [0, -2, 2.0, True, "2"])
+    def test_bad_jobs_exit_2_names_it(self, tmp_path, capsys, jobs):
         cfg = write_config(tmp_path, solve_config())
-        assert run(cfg) == 0
-        assert (out / "solution.csv").exists()
+        assert run(cfg, out_dir=str(tmp_path / "o"), jobs=jobs) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("jobs, n_items, cpus, workers",
+                             [(1000, 3, 64, 3), (1000, 50, 2, 2), (4, 50, 64, 4),
+                              (8, 1, 64, None), (1, 50, 64, None)])
+    def test_pool_size_bounded_by_items_and_cpus(self, monkeypatch, jobs, n_items, cpus,
+                                                 workers):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert cli._map(abs, range(-n_items, 0), jobs) == list(range(n_items, 0, -1))
+        assert started == ([] if workers is None else [workers])
 
     def test_check_filter(self, tmp_path):
         doc = {

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from roughvolterra.laplace import (
     DENSITY_CATALOG,
@@ -10,7 +8,6 @@ from roughvolterra.laplace import (
     build_quadrature,
     kernel_from_spec,
     phi_eval,
-    project,
 )
 
 
@@ -55,41 +52,6 @@ class TestPhiEval:
         vals = phi_eval(m, vs)
         assert np.all(vals >= 0)
         assert np.all(np.diff(vals) <= 1e-15)
-
-
-class TestProject:
-    def test_zero(self):
-        m = KernelMeasure.from_atoms([(1.0, 2.0), (3.0, -1.0)])
-        assert project(np.zeros((2, 4)), m).tolist() == [0.0] * 4
-
-    def test_single_atom_identity(self):
-        m = KernelMeasure.from_atoms([(2.5, 1.0)])
-        v = np.array([[1.0, -2.0]])
-        assert np.allclose(project(v, m), v[0])
-
-    def test_signed_sum(self):
-        m = KernelMeasure.from_atoms([(1.0, 2.0), (3.0, -1.0)])
-        vals = np.array([1.0, 4.0])
-        assert project(vals, m) == pytest.approx(-2.0)
-
-    def test_atom_mismatch(self):
-        m = KernelMeasure.from_atoms([(1.0, 2.0), (3.0, -1.0)])
-        with pytest.raises(ValueError):
-            project(np.zeros(3), m)
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 5000), alpha=st.floats(-3, 3))
-    def test_linearity(self, seed, alpha):
-        rng = np.random.default_rng(seed)
-        m = KernelMeasure.from_atoms(
-            [(float(x), float(w)) for x, w in
-             zip(np.sort(rng.uniform(0, 4, 3)), rng.standard_normal(3))]
-        )
-        g = rng.standard_normal((3, 2))
-        h = rng.standard_normal((3, 2))
-        lhs = project(alpha * g + h, m)
-        rhs = alpha * project(g, m) + project(h, m)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-14 * max(1.0, np.max(np.abs(rhs)))
 
 
 class TestBuildQuadrature:

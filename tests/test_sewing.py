@@ -142,9 +142,9 @@ class TestCompensatedSum:
         def germ(u, v):
             return (v - u) ** 2 * np.exp(-xi * (v - u))
 
-        res = compensated_sum_tilde(germ, xi, 0.0, 1.0, level=10, min_level=2)
+        res = compensated_sum_tilde(germ, xi, 0.0, 1.0, level=10)
         diffs = np.asarray(res.diff_norms)
-        slope = -np.polyfit(np.arange(diffs.size)[2:], np.log2(diffs[2:]), 1)[0]
+        slope = -np.polyfit(np.arange(diffs.size)[4:], np.log2(diffs[4:]), 1)[0]
         assert slope == pytest.approx(1.0, rel=0.2)
 
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from roughvolterra.sigma import SIGMA_NAMES, SigmaField, sigma_catalog
+from roughvolterra.sigma import SIGMA_PARAMS, SigmaField, sigma_catalog
 
 
 class TestCatalog:
     def test_shapes(self):
-        for name in SIGMA_NAMES:
+        for name in SIGMA_PARAMS:
             fld = sigma_catalog(name, n=2, d=3)
             y = np.array([0.1, -0.4, 0.7])
             assert fld(y).shape == (2, 3)
