@@ -13,6 +13,7 @@ solutions and the RK4 oracle's y, A6 the Monte Carlo values of
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -59,12 +60,6 @@ class CheckResult(NamedTuple):
     details: dict | None = None
 
 
-def _ordered_triples(n):
-    i, j, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-    mask = (i < j) & (j < k)
-    return i[mask], j[mask], k[mask]
-
-
 def a1_algebraic_exactness(tol, trials=100, grid_points=16, atoms=3, seed=0):
     """A1: delta delta = 0, delta~ delta~ = 0 and (delta a)_{tus} = a_{tu} a_{us}.
 
@@ -75,7 +70,7 @@ def a1_algebraic_exactness(tol, trials=100, grid_points=16, atoms=3, seed=0):
     """
     tol, n, n_atoms = float(tol), int(grid_points), int(atoms)
     rng = np.random.default_rng(int(seed))
-    i, j, k = _ordered_triples(n)
+    i, j, k = np.array(list(combinations(range(n), 3))).T
     rows, cols = np.arange(n)[:, None], np.arange(n)[None, :]
     zero = np.zeros(1)
     worst_dd = worst_tt = worst_tw = 0.0

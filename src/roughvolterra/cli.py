@@ -1,7 +1,7 @@
 """Config-driven experiment harness.
 
 One JSON document describes one run: a kind (verify | solve-young |
-solve-rough | convergence | ensemble | covariance-check), the kernel,
+solve-rough | convergence | covariance-check), the kernel,
 driver, coefficient field and solver blocks it needs, and explicit
 tolerances for every check that gates the exit status.  SCHEMA types the
 whole document before any work runs; the run then writes CSVs plus a
@@ -41,11 +41,12 @@ from .lift import (
 )
 from .oracles import rk4_augmented
 from .sigma import SIGMA_PARAMS, sigma_catalog
-from .solver import INTERVAL_SCHEMES, SolverConfig, SolverFailure, solve_rough, solve_young
+from .solver import (INTERVAL_SCHEMES, IntervalDiagnostics, SolverConfig, SolverFailure,
+                     solve_rough, solve_young)
 
 __all__ = ["ExperimentConfig", "RunManifest", "SCHEMA", "run", "emit_csv", "seed_expand", "main"]
 
-KINDS = ("verify", "solve-young", "solve-rough", "convergence", "ensemble", "covariance-check")
+KINDS = ("verify", "solve-young", "solve-rough", "convergence", "covariance-check")
 
 # the verify kind's criteria, in manifest order; config keys are their parameters
 VERIFY_CHECKS = {
@@ -60,7 +61,7 @@ VERIFY_CHECKS = {
 # acceptance-criterion identifiers each kind can enable
 KIND_CHECKS = {"verify": tuple(VERIFY_CHECKS), "solve-young": ("A5_solver_vs_ode",),
                "solve-rough": ("A5_solver_vs_ode",), "convergence": ("A7_rough_self_convergence",),
-               "ensemble": (), "covariance-check": ("A6_fbm_young_covariance",)}
+               "covariance-check": ("A6_fbm_young_covariance",)}
 
 DENSITY_PARAMS = {name: tuple(inspect.signature(factory).parameters)
                   for name, factory in DENSITY_CATALOG.items()}
@@ -132,7 +133,7 @@ SCHEMA = {
     "kernel.density.tail_cut": (float, "(0, inf)", False),
     "kernel.density.tol": (float, "(0, inf)", False),
     "driver": (dict, None, EQUATION),
-    "driver.kind": (("deterministic", "fbm", "brownian"), None, False),
+    "driver.kind": (("deterministic", "fbm"), None, False),
     "driver.function": (tuple(DETERMINISTIC_FUNCTIONS), None, False),
     "driver.cells": (int, "[1, inf)", SOLVES),
     "driver.horizon": (float, "(0, inf)", False),
@@ -143,15 +144,14 @@ SCHEMA = {
     "sigma": (dict, None, EQUATION),
     "sigma.name": (tuple(SIGMA_PARAMS), None, True),
     "sigma.params": (Family(SIGMA_PARAMS, "name", "sigma.params"), None, False),
-    **{f"sigma.params.{key}": (float, None, False)
-       for key in ("value", "scale", "amp", "freq", "phase", "width")},
-    "sigma.params.direction": (np.ndarray, None, False),
+    **{f"sigma.params.{key}": (np.ndarray if key == "direction" else float, None, False)
+       for key in dict.fromkeys(k for keys in SIGMA_PARAMS.values() for k in keys)},
     "solver": (SolverConfig, None, EQUATION),
     "solver.interval_scheme": (INTERVAL_SCHEMES, None, False),
     "initial": (np.ndarray, None, EQUATION),
     "levels": ([int], _consecutive, ("convergence",)),
     "mode": (("rough", "young"), None, False),
-    "stat": (dict, None, ("ensemble", "covariance-check")),
+    "stat": (dict, None, ("covariance-check",)),
     "stat.name": (("x1_tilde_value",), None, True),
     "stat.hurst": (float, HURST, True),
     "stat.cells": (int, FBM_CELLS, True),
@@ -291,13 +291,13 @@ def _check_relations(doc):
             raise ValueError(f"check {name!r} not available for kind {kind!r}")
     if "kernel" in doc and len({"atoms", "density"} & set(doc["kernel"])) != 1:
         raise ValueError("kernel needs exactly one of the keys 'kernel.atoms' and 'kernel.density'")
-    fbm = drv.get("kind") in ("fbm", "brownian")
+    fbm = drv.get("kind") == "fbm"
     if "n_dims" in drv and not fbm:
-        raise ValueError("driver.n_dims needs driver.kind fbm or brownian")
+        raise ValueError("driver.n_dims needs driver.kind fbm")
     seeds = ("seed",) if kind in SOLVES else ("seed", "seeds")
     if (fbm or kind == "convergence") and not set(seeds) & set(drv):
         raise ValueError(f"missing key {' or '.join(f'driver.{s}' for s in seeds)} (explicit seeds)")
-    if drv.get("kind") == "fbm" and "hurst" not in drv:
+    if fbm and "hurst" not in drv:
         raise ValueError("missing key(s) ['driver.hurst'] of the fbm driver")
     key, cells = ("levels", 2 ** max(doc["levels"])) if kind == "convergence" else (
         "driver.cells", drv.get("cells", 1))
@@ -373,12 +373,10 @@ class ExperimentConfig:
         drv = self.doc["driver"]
         if grid is None:
             grid = TimeGrid.uniform(drv["cells"], drv.get("horizon", 1.0))
-        kind = drv.get("kind", "deterministic")
-        if kind == "deterministic":
+        if drv.get("kind", "deterministic") == "deterministic":
             fn = DETERMINISTIC_FUNCTIONS[drv.get("function", "identity")]
             return deterministic_driver(grid, fn)
-        hurst = 0.5 if kind == "brownian" else drv["hurst"]
-        return sample_fbm(hurst, grid, n_dims=drv.get("n_dims", 1),
+        return sample_fbm(drv["hurst"], grid, n_dims=drv.get("n_dims", 1),
                           seed=drv["seed"] if seed is None else seed)
 
     def sigma_field(self, n_dims: int):
@@ -431,9 +429,8 @@ def _solution_csv(path, sol):
 
 
 def _diagnostics_csv(path, sol):
-    names = ("start", "end", "n_value", "iterations", "contraction", "q_norm", "htilde_norm",
-             "picard_residual", "ball_radius_ok", "initial_norm_ok")
-    emit_csv(path, [(name, [getattr(g, name) for g in sol.diagnostics]) for name in names])
+    emit_csv(path, [(f.name, [getattr(g, f.name) for g in sol.diagnostics])
+                    for f in dataclasses.fields(IntervalDiagnostics)])
 
 
 def _run_solve(cfg: ExperimentConfig, manifest, out_dir, jobs):
@@ -504,7 +501,7 @@ def _run_convergence(cfg: ExperimentConfig, manifest, out_dir, jobs):
 
 
 def _run_ensemble(cfg: ExperimentConfig, manifest, out_dir, jobs):
-    """Both ensemble kinds: ensemble.csv, then A6 where the config enables it."""
+    """The covariance-check kind: ensemble.csv, then A6 where the config enables it."""
     stat = cfg.doc["stat"]
     hurst, xi, horizon = stat["hurst"], stat["xi"], stat.get("horizon", 1.0)
     value = functools.partial(checks.x1_tilde_value, hurst=hurst, cells=stat["cells"], xi=xi,
@@ -521,8 +518,7 @@ def _run_ensemble(cfg: ExperimentConfig, manifest, out_dir, jobs):
 
 
 RUNS = {"verify": _run_verify, "solve-young": _run_solve, "solve-rough": _run_solve,
-        "convergence": _run_convergence, "ensemble": _run_ensemble,
-        "covariance-check": _run_ensemble}
+        "convergence": _run_convergence, "covariance-check": _run_ensemble}
 
 
 def run(config_path, out_dir=None, jobs=1, checks_filter=None) -> int:

@@ -329,7 +329,7 @@ class RoughLift:
         self.measure = measure
         self.gamma = float(gamma)
 
-        x1t = e0(measure.xis, driver.grid.widths[:, None])[:, :, None] * driver.slopes[:, None, :]
+        x1t = self._x1_cells(slice(None), driver.grid.widths)
         self._prefix = exp_scan(driver.grid.points, measure.xis, x1t, 0.0)  # x1t from 0 to point i
 
     @property
@@ -339,6 +339,16 @@ class RoughLift:
     @property
     def n_dims(self):
         return self.driver.n_dims
+
+    def _x1_cells(self, cells, dt):
+        """x1 tilde over a piece of width dt of each cell: e0(xi, dt) times its slope, (C, K, n)."""
+        return e0(self.xis, dt[:, None])[:, :, None] * self.driver.slopes[cells][:, None, :]
+
+    def _ramp_weights(self, dt):
+        """The x2 tilde ramp factor sum_k w_k ramp_int(xi, xi_k, dt) per width, (C, K)."""
+        xis = self.xis
+        ramp = ramp_int(xis[None, :, None], xis[None, None, :], dt[:, None, None])  # (C, Kout, Kin)
+        return ramp @ self.measure.weights
 
     def _walk(self, s, t, piece):
         """Sum over the cell pieces of each pair s <= t, decayed to t.
@@ -381,10 +391,7 @@ class RoughLift:
         e0(xi, b - a) times its slope, so there is no cancellation against
         large prefixes.
         """
-        def piece(s, cells, a, b):
-            return e0(self.xis, (b - a)[:, None])[:, :, None] * self.driver.slopes[cells][:, None, :]
-
-        return self._walk(s, t, piece)
+        return self._walk(s, t, lambda s, cells, a, b: self._x1_cells(cells, b - a))
 
     def _prefix_at(self, v):
         """x1 tilde from 0 to each time in v, shape (len(v), K, n)."""
@@ -392,11 +399,8 @@ class RoughLift:
         pts = self.driver.grid.points
         cells = self.driver.grid.cell_of(v)
         dt = v - pts[cells]
-        part = e0(self.xis[None, :], dt[:, None])[:, :, None] * (
-            self.driver.slopes[cells][:, None, :]
-        )
         decay = np.exp(-self.xis[None, :] * dt[:, None])[:, :, None]
-        return part + decay * self._prefix[cells]
+        return self._x1_cells(cells, dt) + decay * self._prefix[cells]
 
     def x1_tilde_pairs(self, u, v):
         """Vectorised x1 tilde on pairs (u_i, v_i): shape (npairs, K, n).
@@ -425,9 +429,9 @@ class RoughLift:
             dt = b - a
             m = self.driver.slopes[cells]                          # (C, n)
             run = self.x1_tilde_pairs(s, a)                        # (C, K, n)
-            ramp = ramp_int(xis[None, :, None], xis[None, None, :], dt[:, None, None])
             cross = exp_int(xis[None, :, None], xis[None, None, :], dt[:, None, None])
-            terms = (ramp @ ws)[:, :, None, None] * np.einsum("cj,cd->cjd", m, m)[:, None]
+            ramp = self._ramp_weights(dt)[:, :, None, None]
+            terms = ramp * np.einsum("cj,cd->cjd", m, m)[:, None]
             terms += np.einsum("cok,k,cj,ckd->cojd", cross, ws, m, run)
             return terms
 
@@ -457,24 +461,19 @@ class RoughLift:
 
         All ``refine`` equal sub-cells of one cell share the same slope and
         width, hence the same closed forms, in which the slope is a rank-one
-        factor; the rest depends on the width alone and is evaluated once per
-        distinct width.  Returns (x1t, x2t, decay, sub_widths) with shapes
+        factor; the x2 ramp factor and the decay depend on the width alone and
+        are evaluated once per distinct width.  Returns (x1t, x2t, decay, sub_widths) with shapes
         (C, K, n), (C, K, n, n), (C, K), (C,).
         """
         if refine < 1:
             raise ValueError("refine must be >= 1")
         widths = self.driver.grid.widths / refine
         uniq, inv = np.unique(widths, return_inverse=True)
-        xis = self.xis
-        ws = self.measure.weights
         m = self.driver.slopes
-        x1t = e0(xis[None, :], uniq[:, None])[inv][:, :, None] * m[:, None, :]
-        ramp = ramp_int(
-            xis[None, :, None], xis[None, None, :], uniq[:, None, None]
-        )                                                    # (U, Kout, Kin)
-        mm = np.einsum("cj,cd->cjd", m, m)
-        x2t = (ramp @ ws)[inv][:, :, None, None] * mm[:, None, :, :]
-        decay = np.exp(-xis[None, :] * uniq[:, None])[inv]
+        x1t = self._x1_cells(slice(None), widths)
+        x2t = (self._ramp_weights(uniq)[inv][:, :, None, None]
+               * np.einsum("cj,cd->cjd", m, m)[:, None])
+        decay = np.exp(-self.xis[None, :] * uniq[:, None])[inv]
         return x1t, x2t, decay, widths
 
     # -- diagnostics -------------------------------------------------------

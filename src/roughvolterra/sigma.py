@@ -9,6 +9,7 @@ sigma(y)[i, j] = u_i f(y_j).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,8 +55,8 @@ class SigmaField:
 
 
 def _separable(name, n, d, u, f, f1):
-    """sigma[i, j] = u_i f(y_j) and its diagonal derivative tensor."""
-    u = np.asarray(u, dtype=float).reshape(n)
+    """sigma[i, j] = u_i f(y_j) and its diagonal derivative tensor; u None means all ones."""
+    u = np.ones(n) if u is None else np.asarray(u, dtype=float).reshape(n)
     eye = np.eye(d)
 
     def batch(ys):
@@ -67,52 +68,50 @@ def _separable(name, n, d, u, f, f1):
     return SigmaField(n=n, d=d, batch=batch, dsigma_batch=dbatch, name=name)
 
 
+# each family's params are its keyword parameters; it returns (direction, f, f')
+
+def _zero():
+    return None, np.zeros_like, np.zeros_like
+
+
+def _constant(value=1.0):
+    value = float(value)
+    return None, lambda y: np.full_like(y, value), np.zeros_like
+
+
+def _linear(scale=1.0, direction=None):
+    scale = float(scale)
+    return direction, lambda y: scale * y, lambda y: scale * np.ones_like(y)
+
+
+def _sin(amp=1.0, freq=1.0, phase=0.0, direction=None):
+    amp, freq, phase = float(amp), float(freq), float(phase)
+    return (direction, lambda y: amp * np.sin(freq * y + phase),
+            lambda y: amp * freq * np.cos(freq * y + phase))
+
+
+def _tanh(amp=1.0, width=1.0, direction=None):
+    amp, c = float(amp), 1.0 / float(width)
+    return direction, lambda y: amp * np.tanh(c * y), lambda y: amp * c / np.cosh(c * y) ** 2
+
+
+_FAMILIES = {"zero": _zero, "constant": _constant, "linear": _linear, "sin": _sin, "tanh": _tanh}
+
+# the params keys sigma_catalog accepts for each family
+SIGMA_PARAMS = {name: tuple(inspect.signature(fn).parameters) for name, fn in _FAMILIES.items()}
+
+
 def sigma_catalog(name: str, n: int = 1, d: int = 1, params: dict | None = None) -> SigmaField:
-    """Build a catalog coefficient field.
+    """Build the catalog field ``name``, a key of SIGMA_PARAMS, with n rows and d columns.
 
-    Names: ``zero``, ``constant`` (params: value), ``linear`` (scale),
-    ``sin`` (amp, freq, phase), ``tanh`` (amp, width).  ``direction``
-    (length-n weights) is accepted by linear, sin and tanh.
+    ``params`` takes the family's keys listed there; ``direction`` (length-n
+    weights) defaults to all ones.  Any other key raises ValueError.
     """
-    p = dict(params or {})
-    u = np.asarray(p.pop("direction", np.ones(n)), dtype=float)
-
-    if name in ("zero", "constant"):
-        value = float(p.pop("value", 1.0)) if name == "constant" else 0.0
-        return _separable(name, n, d, np.ones(n), lambda y: np.full_like(y, value), np.zeros_like)
-
-    if name == "linear":
-        scale = float(p.pop("scale", 1.0))
-        return _separable(
-            "linear", n, d, u,
-            lambda y: scale * y,
-            lambda y: scale * np.ones_like(y),
-        )
-
-    if name == "sin":
-        amp = float(p.pop("amp", 1.0))
-        freq = float(p.pop("freq", 1.0))
-        phase = float(p.pop("phase", 0.0))
-        return _separable(
-            "sin", n, d, u,
-            lambda y: amp * np.sin(freq * y + phase),
-            lambda y: amp * freq * np.cos(freq * y + phase),
-        )
-
-    if name == "tanh":
-        amp = float(p.pop("amp", 1.0))
-        width = float(p.pop("width", 1.0))
-        c = 1.0 / width
-        return _separable(
-            "tanh", n, d, u,
-            lambda y: amp * np.tanh(c * y),
-            lambda y: amp * c / np.cosh(c * y) ** 2,
-        )
-
-    raise ValueError(f"unknown sigma field {name!r}")
-
-
-# the params keys sigma_catalog reads for each family
-SIGMA_PARAMS = {"zero": (), "constant": ("value",), "linear": ("scale", "direction"),
-                "sin": ("amp", "freq", "phase", "direction"),
-                "tanh": ("amp", "width", "direction")}
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown sigma field {name!r}")
+    params = params or {}
+    unknown = sorted(set(params) - set(SIGMA_PARAMS[name]))
+    if unknown:
+        raise ValueError(f"sigma field {name!r} has no param(s) {unknown}; "
+                         f"it takes {list(SIGMA_PARAMS[name])}")
+    return _separable(name, n, d, *_FAMILIES[name](**params))

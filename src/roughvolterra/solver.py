@@ -4,12 +4,12 @@ The unknown is the Laplace-indexed path ytilde with ytilde_0 = 0; its
 twisted increments are fixed points of the integral map
 (delta~ ytilde)_{ts} = J_ts(d~x sigma(y)), y = a + <kernel, ytilde>.
 
-A solve covers [0, T] with consecutive intervals (harmonic lengths
-1/(N + n) in rough mode, constant segments in Young mode), runs a Picard
-iteration on each interval over a sub-refined mesh, and patches intervals
-through the twisted Chasles relation.  Contraction is detected
-empirically from the first two sweeps; on failure the interval shrinks
-(constant scheme halves, harmonic scheme doubles N) and is re-run.
+A solve covers [0, T] with consecutive intervals (``interval_scheme``:
+harmonic lengths 1/(N + n), or constant segments T/n_start, in either
+mode), runs a Picard iteration on each interval over a sub-refined mesh,
+and patches intervals through the twisted Chasles relation.  Contraction
+is detected empirically from the first two sweeps; on failure the interval
+shrinks (constant scheme halves, harmonic scheme doubles N) and is re-run.
 
 The per-cell closed forms of the lift (``RoughLift.cell_tables``) are
 built once per solve and sliced per interval attempt.  A sweep is
@@ -52,6 +52,20 @@ class SolverFailure(RuntimeError):
         self.diagnostics = diagnostics or []
 
 
+def _sewn_integral(lift, z, zeta, s, t, atom, level):
+    """Compensated sum over [s, t] of the germ x1~ z, plus x2~ . zeta* when ``zeta`` is given,
+    with the exponential weights of ``atom``."""
+    def germ(u, v):
+        out = np.einsum("pn,pn...->p...", lift.x1_tilde_pairs(u, v)[:, atom],
+                        np.asarray(z(u), dtype=float))
+        if zeta is not None:
+            out = out + np.einsum("pmj,pjm->p", lift.x2_tilde(u, v)[:, atom],
+                                  np.asarray(zeta(u), dtype=float))
+        return out
+
+    return compensated_sum_tilde(germ, float(lift.xis[atom]), s, t, level)
+
+
 def young_integral(lift: RoughLift, z, s: float, t: float, atom: int, level: int = 12):
     """Convolutional Young integral of a grid path against the lift.
 
@@ -63,14 +77,7 @@ def young_integral(lift: RoughLift, z, s: float, t: float, atom: int, level: int
     """
     if not lift.gamma > 0.5:
         raise ValueError("Young integration requires lift regularity > 1/2")
-    xi = float(lift.xis[atom])
-
-    def germ(u, v):
-        x1t = lift.x1_tilde_pairs(u, v)[:, atom]           # (p, n)
-        zu = np.asarray(z(u), dtype=float)
-        return np.einsum("pn,pn...->p...", x1t, zu)
-
-    return compensated_sum_tilde(germ, xi, s, t, level)
+    return _sewn_integral(lift, z, None, s, t, atom, level)
 
 
 def rough_integral(lift: RoughLift, z, s: float, t: float, atom: int, level: int = 10, *, zeta):
@@ -82,16 +89,7 @@ def rough_integral(lift: RoughLift, z, s: float, t: float, atom: int, level: int
     expression x1~ z + x2~ . zeta*, summed with exponential weights; the
     sewing construction supplies the remaining correction in the limit.
     """
-    xi = float(lift.xis[atom])
-
-    def germ(u, v):
-        x1t = lift.x1_tilde_pairs(u, v)[:, atom]            # (p, n)
-        x2t = lift.x2_tilde(u, v)[:, atom]                  # (p, n, n)
-        zu = np.asarray(z(u), dtype=float)
-        ze = np.asarray(zeta(u), dtype=float)
-        return np.einsum("pn,pn->p", x1t, zu) + np.einsum("pmj,pjm->p", x2t, ze)
-
-    return compensated_sum_tilde(germ, xi, s, t, level)
+    return _sewn_integral(lift, z, zeta, s, t, atom, level)
 
 
 INTERVAL_SCHEMES = ("harmonic", "constant")
@@ -200,20 +198,19 @@ def _sweep(ws, fld, a, measure, ytilde, htilde, rough):
     return exp_scan(ws.fine_t, measure.xis, germ, htilde)
 
 
-def _picard_norm(diff_grid, pts_grid, measure, beta, expo):
-    sup = float(np.max(lbeta_norm(diff_grid, measure, beta)))
-    widths = np.diff(pts_grid)
-    inc = delta_tilde(pts_grid, measure.xis, diff_grid, np.s_[:-1], np.s_[1:])
-    hold = float(np.max(lbeta_norm(inc, measure, beta) / widths**expo))
-    return sup + hold
+def _path_norm(vals, pts_grid, measure, beta, expo):
+    """L_beta sup plus expo-Hoelder seminorm of a twisted path over consecutive grid
+    pairs, and those pairs' twisted increments."""
+    sup = float(np.max(lbeta_norm(vals, measure, beta)))
+    inc = delta_tilde(pts_grid, measure.xis, vals, np.s_[:-1], np.s_[1:])
+    hold = float(np.max(lbeta_norm(inc, measure, beta) / np.diff(pts_grid)**expo))
+    return sup + hold, inc
 
 
 def _interval_q_norm(lift, ytilde_grid, zeta_grid, pts_grid, measure, beta, kappa):
     """Discrete controlled-path norm over the interval's grid pairs."""
-    sup_y = float(np.max(lbeta_norm(ytilde_grid, measure, beta)))
+    norm_y, dyt = _path_norm(ytilde_grid, pts_grid, measure, beta, kappa)
     widths = np.diff(pts_grid)
-    dyt = delta_tilde(pts_grid, measure.xis, ytilde_grid, np.s_[:-1], np.s_[1:])
-    hold_y = float(np.max(lbeta_norm(dyt, measure, beta) / widths**kappa))
     sup_z = float(np.max(np.sqrt(np.sum(zeta_grid**2, axis=(1, 2)))))
     dz = np.sqrt(np.sum((zeta_grid[1:] - zeta_grid[:-1]) ** 2, axis=(1, 2)))
     hold_z = float(np.max(dz / widths**kappa))
@@ -221,7 +218,7 @@ def _interval_q_norm(lift, ytilde_grid, zeta_grid, pts_grid, measure, beta, kapp
     first = np.einsum("mkn,mnd->mkd", x1t, zeta_grid[:-1])
     rem = dyt - first
     hold_r = float(np.max(lbeta_norm(rem, measure, beta) / widths ** (2 * kappa)))
-    return sup_y + hold_y + sup_z + hold_z + hold_r
+    return norm_y + sup_z + hold_z + hold_r
 
 
 def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: bool) -> Solution:
@@ -266,7 +263,7 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
         for _ in range(MAX_PICARD):
             new = _sweep(ws, fld, a, measure, yt, htilde, rough)
             diff = new[ws.grid_slots] - yt[ws.grid_slots]
-            upd = _picard_norm(diff, pts[lo : hi + 1], measure, beta, expo)
+            upd = _path_norm(diff, pts[lo : hi + 1], measure, beta, expo)[0]
             updates.append(upd)
             scale = max(1.0, float(np.max(lbeta_norm(new[ws.grid_slots], measure, beta))))
             yt = new

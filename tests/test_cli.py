@@ -18,7 +18,7 @@ from roughvolterra.laplace import KernelMeasure
 from roughvolterra.lift import deterministic_driver
 from roughvolterra.algebra import TimeGrid
 from roughvolterra.oracles import rk4_augmented
-from roughvolterra.sigma import sigma_catalog
+from roughvolterra.sigma import SIGMA_PARAMS, sigma_catalog
 from roughvolterra.solver import SolverConfig
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -242,6 +242,10 @@ class TestRunFlows:
             ("config", {"emit_atoms": False}, "emit_atoms"),
             ("kernel", {"density": {"name": "exp"}}, "kernel.density"),
             ("config", {"output_dir": "x"}, "output_dir"),
+            ("config", {"kind": "ensemble", "stat": {"name": "x1_tilde_value", "hurst": 0.7,
+                                                     "cells": 16, "xi": 1.0, "seeds": "0..2"}},
+             "kind"),
+            ("driver", {"kind": "brownian", "seed": 1}, "driver.kind"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):
@@ -322,6 +326,11 @@ class TestRunFlows:
         for name, fn in cli.VERIFY_CHECKS.items():
             for param in inspect.signature(fn).parameters:
                 assert cli._row(f"checks.{name}.{param}")
+
+    def test_sigma_params_rows_are_the_families_keys(self):
+        rows = {p.removeprefix("sigma.params.") for p in cli.SCHEMA
+                if p.startswith("sigma.params.")}
+        assert rows == {k for keys in SIGMA_PARAMS.values() for k in keys}
 
     def test_wall_clock_ignores_a_clock_set_back(self, tmp_path, monkeypatch):
         ticks = iter([1e9, 0.0])

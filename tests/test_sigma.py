@@ -38,6 +38,16 @@ class TestCatalog:
         with pytest.raises(ValueError):
             sigma_catalog("cosh")
 
+    @pytest.mark.parametrize("name, params, bad", [
+        ("tanh", {"widht": 2.0}, "widht"),
+        ("zero", {"direction": [1.0]}, "direction"),
+        ("constant", {"value": 0.5, "scale": 2.0}, "scale"),
+    ])
+    def test_unknown_param_names_it_and_the_family_keys(self, name, params, bad):
+        with pytest.raises(ValueError) as exc:
+            sigma_catalog(name, params=params)
+        assert bad in str(exc.value) and str(list(SIGMA_PARAMS[name])) in str(exc.value)
+
 
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("name", ["linear", "sin", "tanh"])
