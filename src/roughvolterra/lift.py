@@ -13,17 +13,19 @@ fBm is sampled exactly in law through a Cholesky factor of the covariance,
 capped at desk scale: on uniform grids the Schur factor L of the Toeplitz
 increment covariance, O(n^2), summed once into the path factor C L (C the
 cumulative sum), elsewhere the dense factor.  Factors within FACTOR_BYTES
-(8 MiB) are cached; larger uniform ones stream L in panels, each drawing
-its own rows of normals, and sum the draws once, C (L G): beyond its paths
-such a draw holds one panel and its normals.  Sampling uses counter-based
+(8 MiB) are cached; larger uniform ones stream L in panels within
+PANEL_BYTES (1 MiB), each drawing its own rows of normals, and sum the
+draws once, C (L G): beyond its paths such a draw holds one panel, its
+normals and one column block of products.  Sampling uses counter-based
 Philox streams keyed by the seed, so a fixed seed reproduces paths bit for
-bit; a list of seeds shares each product.
+bit; a list of seeds shares each product and one read-only block of paths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -45,6 +47,7 @@ __all__ = [
 
 MAX_CHOLESKY_POINTS = 2**12 + 1
 FACTOR_BYTES = 8 * 1024**2                # one path factor at 1024 points
+PANEL_BYTES = 1024**2                     # one streamed Schur panel: 32 rows at 4095 points
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -54,38 +57,41 @@ def _rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class DriverPath:
-    """Piecewise-linear driver: values (n_points, n_dims) on a time grid."""
+    """Piecewise-linear driver: values (n_points, n_dims) on a time grid.
+
+    ``values`` is a read-only view of the array given, not a copy, so paths
+    drawn together share one block and cannot write to each other; the
+    per-cell ``slopes`` are computed from it on first use.
+    """
 
     grid: "TimeGrid"
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
+        vals = (vals[:, None] if vals.ndim == 1 else vals).view()
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         if vals.shape[0] != len(self.grid):
             raise ValueError("driver needs one value row per grid point")
         if not np.all(np.isfinite(vals)):
             raise ValueError("driver values must be finite")
-        widths = self.grid.widths
-        object.__setattr__(self, "_slopes", np.diff(vals, axis=0) / widths[:, None])
 
     @property
     def n_dims(self) -> int:
         return self.values.shape[1]
 
-    @property
+    @cached_property
     def slopes(self) -> np.ndarray:
         """Per-cell slopes, shape (n_cells, n_dims)."""
-        return self._slopes
+        return np.diff(self.values, axis=0) / self.grid.widths[:, None]
 
     def at(self, times):
         """Piecewise-linear evaluation at arbitrary times in [0, T]."""
         times = np.asarray(times, dtype=float)
         pts = self.grid.points
         idx = self.grid.cell_of(times)
-        return self.values[idx] + self._slopes[idx] * (times - pts[idx])[..., None]
+        return self.values[idx] + self.slopes[idx] * (times - pts[idx])[..., None]
 
 
 def fbm_covariance(hurst: float, times: np.ndarray) -> np.ndarray:
@@ -233,35 +239,45 @@ def _normals(streams, rows: int, n_dims: int) -> np.ndarray:
 
 
 def _fbm_draw(hurst: float, times: np.ndarray, seeds: list, n_dims: int) -> np.ndarray:
-    """The fBm path factor on ``times`` times the seeds' normals, side by side.
+    """The seeds' fBm paths on 0 and ``times``, side by side in one (n + 1, seeds n_dims) block.
 
-    A factor within FACTOR_BYTES (cached) takes one product.  A larger one
-    on a uniform grid streams Schur panels of L^T: each panel draws its own
-    rows of the seeds' normals (per-panel calls on a Philox stream give the
-    whole-stream normals) and adds its blocks of L G, skipping L's zero upper
-    triangle; one cumulative sum then gives C (L G), (C L) G to round-off.
-    Beyond the draws it holds one panel and its normals.  On other grids, or
-    after a breakdown (whose partial sums are dropped), the dense factor is
-    built for this call and applied to normals from fresh streams.
+    Row 0, the paths at time 0, is zero; rows 1..n are the path factor on
+    ``times`` times the seeds' normals.  A factor within FACTOR_BYTES
+    (cached) takes one product, written into the block.  A larger one on a
+    uniform grid streams Schur panels of L^T within PANEL_BYTES: each panel
+    draws its own rows of the seeds' normals (per-panel calls on a Philox
+    stream give the whole-stream normals) and adds its column blocks of L G,
+    skipping L's zero upper triangle; one in-place cumulative sum then gives
+    C (L G), (C L) G to round-off.  A column block is as wide as a panel of
+    FACTOR_BYTES would be high (256 columns at 4095 points), whatever the
+    panel's height.  Beyond the block it holds one panel, its normals and
+    one column block of products.  On other grids, or after a breakdown
+    (whose partial sums are overwritten), the dense factor is built for this
+    call and applied to normals from fresh streams.
     """
     n = times.size
+    block = np.zeros((n + 1, len(seeds) * n_dims))
+    draws = block[1:]
     if 8 * n * n <= FACTOR_BYTES:
-        return _fbm_cholesky(hurst, times) @ _normals([_rng(s) for s in seeds], n, n_dims)
+        np.matmul(_fbm_cholesky(hurst, times), _normals([_rng(s) for s in seeds], n, n_dims),
+                  out=draws)
+        return block
     h = _uniform_step(times)
     if h is not None:
-        streams, draws = [_rng(s) for s in seeds], np.zeros((n, len(seeds) * n_dims))
+        streams = [_rng(s) for s in seeds]
+        rows, cols = PANEL_BYTES // (8 * n), FACTOR_BYTES // (8 * n)
         try:
-            for k0, panel in _schur_panels(_fgn_autocovariance(hurst, n, h),
-                                           FACTOR_BYTES // (8 * n)):
-                m = len(panel)
-                gauss = _normals(streams, m, n_dims)
-                for r0 in range(k0, n, m):
-                    draws[r0 : r0 + m] += panel[:, r0 : r0 + m].T @ gauss
-            return np.cumsum(draws, axis=0, out=draws)
+            for k0, panel in _schur_panels(_fgn_autocovariance(hurst, n, h), rows):
+                gauss = _normals(streams, len(panel), n_dims)
+                for c0 in range(k0, n, cols):
+                    draws[c0 : c0 + cols] += panel[:, c0 : c0 + cols].T @ gauss
+            np.cumsum(draws, axis=0, out=draws)
+            return block
         except np.linalg.LinAlgError:
             pass
-    return _dense_cholesky(fbm_covariance(hurst, times)) @ _normals(
-        [_rng(s) for s in seeds], n, n_dims)
+    np.matmul(_dense_cholesky(fbm_covariance(hurst, times)),
+              _normals([_rng(s) for s in seeds], n, n_dims), out=draws)
+    return block
 
 
 def sample_fbm(hurst: float, grid, n_dims: int = 1, seed=0) -> DriverPath | list[DriverPath]:
@@ -272,13 +288,16 @@ def sample_fbm(hurst: float, grid, n_dims: int = 1, seed=0) -> DriverPath | list
     seed's Philox normals; grids are capped at MAX_CHOLESKY_POINTS.
     Components are independent; H = 0.5 reduces to Brownian motion.
     Factors within FACTOR_BYTES (1024 points) are cached across seeds; a
-    larger uniform grid streams L^T in panels of that size, each drawing its
-    own rows of the normals, and sums the draws once, so beyond its paths a
-    draw holds one panel and that panel's normals.
+    larger uniform grid streams L^T in panels within PANEL_BYTES (32 rows at
+    4095 points), each drawing its own rows of the normals, and sums the
+    draws once, so beyond its paths a draw holds one panel, that panel's
+    normals and one column block of products.
 
-    A list of seeds returns one DriverPath per seed: their normals side by
-    side share each product, so the paths match single-seed draws to
-    round-off, and a one-seed list matches bit for bit.
+    A list of seeds returns one DriverPath per seed (an empty list, none):
+    their normals side by side share each product, so the paths match
+    single-seed draws to round-off, and a one-seed list matches bit for bit.
+    Every path's values are a read-only view of one block of the batch's
+    draws, so a path kept from a batch keeps the whole block alive.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("Hurst parameter must be in (0, 1)")
@@ -289,9 +308,10 @@ def sample_fbm(hurst: float, grid, n_dims: int = 1, seed=0) -> DriverPath | list
         )
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
-    draws = _fbm_draw(hurst, grid.points[1:], seeds, n_dims)
-    zero = np.zeros((1, n_dims))
-    drivers = [DriverPath(grid, np.vstack([zero, draws[:, i * n_dims : (i + 1) * n_dims]]))
+    if not seeds:
+        return []
+    block = _fbm_draw(hurst, grid.points[1:], seeds, n_dims)
+    drivers = [DriverPath(grid, block[:, i * n_dims : (i + 1) * n_dims])
                for i in range(len(seeds))]
     return drivers[0] if single else drivers
 

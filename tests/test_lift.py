@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -47,6 +48,28 @@ class TestDriverPath:
             DriverPath(grid, np.arange(4.0))
         with pytest.raises(ValueError):
             DriverPath(grid, np.array([0, 1, np.inf, 2, 3.0]))
+
+    @pytest.mark.parametrize("shape", [(65,), (65, 2)])
+    def test_values_are_a_read_only_view(self, shape):
+        given = np.random.default_rng(4).standard_normal(shape)
+        drv = DriverPath(TimeGrid.uniform(64, 1.0), given)
+        assert np.shares_memory(drv.values, given)
+        with pytest.raises(ValueError, match="read-only"):
+            drv.values[3] = 1e300
+        given[3] = 2.0                               # the caller's array stays writeable
+        assert given.flags.writeable
+
+    def test_lazy_slopes_and_at_match_the_eager_formula(self):
+        grid = TimeGrid(np.linspace(0.0, 1.0, 65) ** 1.5)
+        vals = np.random.default_rng(5).standard_normal((65, 2))
+        drv = DriverPath(grid, vals)
+        slopes = np.diff(vals, axis=0) / grid.widths[:, None]
+        times = np.linspace(0.0, 1.0, 301)
+        idx = grid.cell_of(times)
+        at = vals[idx] + slopes[idx] * (times - grid.points[idx])[..., None]
+        assert np.array_equal(drv.at(times), at)
+        assert np.array_equal(drv.slopes, slopes)
+        assert drv.slopes is drv.slopes                 # computed once
 
 
 class TestSampleFbm:
@@ -173,27 +196,42 @@ class TestFbmFactorRoutes:
         assert not lift_mod._chol_cache
 
     def test_streamed_seed_list_holds_its_paths_and_one_panel(self):
-        # beyond the paths (each DriverPath's values and slopes) a streamed
-        # draw holds one panel and that panel's normals, nothing draws-sized
-        seeds = list(range(101))
+        # beyond the one block of paths a streamed draw holds one panel, that
+        # panel's normals, one column block of products, a Philox stream per
+        # seed (under 1 KiB) and a few grid-length vectors: under 5 MiB here
+        n, seeds = 4095, list(range(101))
+        rows, cols = lift_mod.PANEL_BYTES // (8 * n), lift_mod.FACTOR_BYTES // (8 * n)
         tracemalloc.start()
         try:
-            paths = sample_fbm(0.4, TimeGrid.uniform(4095, 1.0), seed=seeds)
+            paths = sample_fbm(0.4, TimeGrid.uniform(n, 1.0), seed=seeds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(paths) == 101
-        assert peak <= lift_mod.FACTOR_BYTES + 2 * 4096 * len(seeds) * 8
+        held = lift_mod.PANEL_BYTES + (n + 1 + rows + cols) * len(seeds) * 8
+        assert peak <= held + 1024 * len(seeds) + 8 * n * 8
+
+    @pytest.mark.parametrize("n", [64, 4095])
+    def test_seed_list_paths_share_one_block(self, n):
+        paths = sample_fbm(0.4, TimeGrid.uniform(n, 1.0), n_dims=2, seed=[1, 2, 3])
+        block = paths[0].values.base
+        assert block.shape == (n + 1, 6)
+        assert all(p.values.base is block and np.shares_memory(p.values, block) for p in paths)
+        assert not any(p.values.flags.writeable for p in paths)
+
+    def test_empty_seed_list_draws_nothing(self):
+        assert sample_fbm(0.4, TimeGrid.uniform(64, 1.0), seed=[]) == []
 
     @pytest.mark.parametrize("lag", [1, 1000])
     def test_streamed_breakdown_takes_the_dense_route(self, monkeypatch, lag):
         # correlation 1.5 at one lag is not a covariance: rho = 1.5 at step `lag`,
-        # which for lag 1000 is after the first panel (953 rows at 1100 points)
+        # which for lag 1000 is in the ninth streamed panel (119 rows at 1100 points)
         n = 1100
+        rows = lift_mod.PANEL_BYTES // (8 * n)
         broken = lambda hurst, n, h: np.r_[1.0, np.zeros(lag - 1), 1.5, np.zeros(n - lag - 1)]
-        panels = lift_mod._schur_panels(broken(0.4, n, 1.0), lift_mod.FACTOR_BYTES // (8 * n))
-        if lag > 1:
-            assert next(panels)[0] == 0
+        panels = lift_mod._schur_panels(broken(0.4, n, 1.0), rows)
+        yielded = [k0 for k0, _ in itertools.islice(panels, lag // rows)]
+        assert yielded == list(range(0, lag // rows * rows, rows))
         with pytest.raises(np.linalg.LinAlgError):
             next(panels)
         monkeypatch.setattr(lift_mod, "_fgn_autocovariance", broken)
