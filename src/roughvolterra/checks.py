@@ -23,6 +23,7 @@ from .expkernels import e0
 from .laplace import KernelMeasure
 from .lift import (
     DETERMINISTIC_FUNCTIONS,
+    PANEL_BYTES,
     DriverPath,
     RoughLift,
     deterministic_driver,
@@ -45,6 +46,7 @@ __all__ = [
     "a7_rough_self_convergence",
     "a8_diffusion_degeneration",
     "a9_holder_estimator",
+    "seed_chunks",
     "x1_tilde_value",
     "self_convergence",
 ]
@@ -184,15 +186,22 @@ def a5_solver_vs_ode(solutions, y_ref, tol):
     return CheckResult("A5_solver_vs_ode", err <= tol, err, tol)
 
 
-def x1_tilde_value(seed, hurst, cells, xi, horizon=1.0):
-    """A6's statistic: x1~_{T0}(xi) of the fBm path drawn with ``seed``.
+def seed_chunks(seeds, cells):
+    """``seeds`` in runs of PANEL_BYTES // (8 (cells + 1)): each run's paths fit one panel."""
+    size = PANEL_BYTES // (8 * (cells + 1))
+    return [seeds[i : i + size] for i in range(0, len(seeds), size)]
+
+
+def x1_tilde_value(seeds, hurst, cells, xi, horizon=1.0):
+    """A6's statistic: x1~_{T0}(xi) of the fBm path drawn with each seed, one value per seed.
 
     The closed-form first-order lift over [0, T], unrolled over the cells.
+    Each of ``seed_chunks`` is one ``sample_fbm`` seed list.
     """
     grid = TimeGrid.uniform(cells, horizon)
-    driver = sample_fbm(hurst, grid, n_dims=1, seed=seed)
     w_cells = np.exp(-xi * (horizon - grid.points[1:])) * e0(xi, grid.widths)
-    return float(w_cells @ driver.slopes[:, 0])
+    return [float(w_cells @ driver.slopes[:, 0]) for chunk in seed_chunks(seeds, cells)
+            for driver in sample_fbm(hurst, grid, n_dims=1, seed=chunk)]
 
 
 def a6_fbm_young_covariance(values, hurst, xi, horizon=1.0, se_factor=3.0):

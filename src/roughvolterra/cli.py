@@ -369,13 +369,15 @@ class ExperimentConfig:
     def measure(self) -> KernelMeasure:
         return kernel_from_spec(self.doc["kernel"])
 
-    def driver(self, seed=None, grid=None) -> DriverPath:
+    def driver(self, seed=None, grid=None) -> DriverPath | list[DriverPath]:
+        """The configured driver on ``grid``; a list of seeds gives one path per seed."""
         drv = self.doc["driver"]
         if grid is None:
             grid = TimeGrid.uniform(drv["cells"], drv.get("horizon", 1.0))
         if drv.get("kind", "deterministic") == "deterministic":
             fn = DETERMINISTIC_FUNCTIONS[drv.get("function", "identity")]
-            return deterministic_driver(grid, fn)
+            path = deterministic_driver(grid, fn)
+            return path if np.ndim(seed) == 0 else [path] * len(seed)
         return sample_fbm(drv["hurst"], grid, n_dims=drv.get("n_dims", 1),
                           seed=drv["seed"] if seed is None else seed)
 
@@ -464,7 +466,7 @@ def _run_verify(cfg: ExperimentConfig, manifest, out_dir, jobs):
     ])
 
 
-def _map(fn, items, jobs, chunksize=1):
+def _map(fn, items, jobs):
     """``fn`` over ``items``, in a pool of at most ``jobs`` worker processes when jobs > 1.
 
     The pool forks every worker at its first submit, so it gets no more
@@ -473,7 +475,7 @@ def _map(fn, items, jobs, chunksize=1):
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items, chunksize=chunksize))
+            return list(pool.map(fn, items))
     return [fn(item) for item in items]
 
 
@@ -486,7 +488,7 @@ def _run_convergence(cfg: ExperimentConfig, manifest, out_dir, jobs):
         a=doc["initial"], solver=doc["solver"], levels=levels,
         sigma_params=doc["sigma"].get("params"), young=doc.get("mode") == "young",
     )
-    drivers = [cfg.driver(seed=seed, grid=fine_grid) for seed in seeds]
+    drivers = cfg.driver(seed=list(seeds), grid=fine_grid)
     results = sorted(zip(seeds, _map(one_seed, drivers, jobs)), key=lambda r: r[0])
     rates = [rate for _, (_, rate) in results]
     rows = [(seed, lev, d) for seed, (diffs, _) in results for lev, d in zip(levels[:-1], diffs)]
@@ -506,7 +508,8 @@ def _run_ensemble(cfg: ExperimentConfig, manifest, out_dir, jobs):
     hurst, xi, horizon = stat["hurst"], stat["xi"], stat.get("horizon", 1.0)
     value = functools.partial(checks.x1_tilde_value, hurst=hurst, cells=stat["cells"], xi=xi,
                               horizon=horizon)
-    results = sorted(zip(stat["seeds"], _map(value, stat["seeds"], jobs, chunksize=64)),
+    chunks = checks.seed_chunks(stat["seeds"], stat["cells"])
+    results = sorted(zip(stat["seeds"], (v for vs in _map(value, chunks, jobs) for v in vs)),
                      key=lambda r: r[0])
     values = [r[1] for r in results]
     emit_csv(os.path.join(out_dir, "ensemble.csv"),
@@ -570,7 +573,7 @@ def main(argv=None) -> int:
     run_p.add_argument("config", help="path to the JSON experiment config")
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (>= 1; at most one per seed and per CPU)")
+                       help="worker processes (>= 1; at most one per seed chunk and per CPU)")
     run_p.add_argument("--check", action="append", default=None,
                        help="run only the named check(s) from the config")
     args = parser.parse_args(argv)

@@ -1,24 +1,23 @@
 """Driver sampling and exact rough lifts of piecewise-linear paths.
 
-Drivers (deterministic samples, Brownian motion, fractional Brownian
-motion) are stored as piecewise-linear paths on a time grid.  For such
-paths every exponentially weighted iterated integral has a closed form
-per cell, so the first-order lift, the weighted Levy-area analogue and
-the third-order Chen defect are computed exactly (to round-off) on
-arbitrary pairs: each is a sum over the cell pieces of [s, t], every
-piece decayed from its end to t, and one walk evaluates it on whole
-arrays of pairs.
+Drivers (deterministic samples, fractional Brownian motion) are stored as
+piecewise-linear paths on a time grid.  For such paths every
+exponentially weighted iterated integral has a closed form per cell, so
+the first-order lift, the weighted Levy-area analogue and the third-order
+Chen defect are computed exactly (to round-off) on arbitrary pairs: each
+is a sum over the cell pieces of [s, t], every piece decayed from its end
+to t, and one walk evaluates it on whole arrays of pairs.
 
 fBm is sampled exactly in law through a Cholesky factor of the covariance,
-capped at desk scale: on uniform grids the Schur factor L of the Toeplitz
-increment covariance, O(n^2), summed once into the path factor C L (C the
-cumulative sum), elsewhere the dense factor.  Factors within FACTOR_BYTES
-(8 MiB) are cached; larger uniform ones stream L in panels within
-PANEL_BYTES (1 MiB), each drawing its own rows of normals, and sum the
-draws once, C (L G): beyond its paths such a draw holds one panel, its
-normals and one column block of products.  Sampling uses counter-based
-Philox streams keyed by the seed, so a fixed seed reproduces paths bit for
-bit; a list of seeds shares each product and one read-only block of paths.
+capped at desk scale.  On uniform grids every draw streams the Schur
+factor L of the Toeplitz increment covariance, O(n^2), in panels of L^T
+within PANEL_BYTES (1 MiB), each drawing its own rows of normals, and sums
+the draws once, C (L G) (C the cumulative sum): beyond its paths a draw
+holds one panel, its normals and one column block of products.  Other
+grids take the dense factor.  No factor outlives its draw.  Sampling uses
+counter-based Philox streams keyed by the seed, so a fixed seed reproduces
+paths bit for bit; a list of seeds shares one factor pass, each product
+and one read-only block of paths.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ __all__ = [
 ]
 
 MAX_CHOLESKY_POINTS = 2**12 + 1
-FACTOR_BYTES = 8 * 1024**2                # one path factor at 1024 points
 PANEL_BYTES = 1024**2                     # one streamed Schur panel: 32 rows at 4095 points
 
 
@@ -103,9 +101,6 @@ def fbm_covariance(hurst: float, times: np.ndarray) -> np.ndarray:
         + np.abs(t[None, :]) ** h2
         - np.abs(t[:, None] - t[None, :]) ** h2
     )
-
-
-_chol_cache: dict = {}
 
 
 def _uniform_step(times: np.ndarray) -> float | None:
@@ -182,44 +177,6 @@ def _schur_panels(gamma: np.ndarray, rows: int):
         panel[:, k0 : k0 + 2 * len(panel)] = 0.0    # left of the next rows' diagonals
 
 
-def _schur_cholesky(gamma: np.ndarray) -> np.ndarray | None:
-    """Path factor C L, or None on breakdown: one in-place cumulative sum of L^T's rows.
-
-    C L is lower triangular with L's positive diagonal, so by uniqueness it
-    is the Cholesky factor of the path covariance C Gamma C^T.
-    """
-    try:
-        lt = next(_schur_panels(gamma, gamma.size))[1]
-    except np.linalg.LinAlgError:
-        return None
-    return np.cumsum(lt, axis=1, out=lt).T
-
-
-def _fbm_cholesky(hurst: float, times: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the fBm covariance on ``times``, cached.
-
-    Uniform grids take the O(n^2) Schur route; other grids, and a Schur
-    breakdown, take the dense O(n^3) factorisation of ``fbm_covariance``.
-    The cache key holds the times' bytes, so it is exact, and a hit skips
-    the uniformity test.  Before a build the oldest factors are dropped
-    until the cache and the new factor fit in FACTOR_BYTES; ``_fbm_draw``
-    streams larger factors instead of asking for them.
-    """
-    key = (float(hurst), times.tobytes())
-    cached = _chol_cache.get(key)
-    if cached is not None:
-        return cached
-    room = FACTOR_BYTES - 8 * times.size**2
-    while _chol_cache and sum(c.nbytes for c in _chol_cache.values()) > room:
-        del _chol_cache[next(iter(_chol_cache))]      # oldest first
-    h = _uniform_step(times)
-    chol = None if h is None else _schur_cholesky(_fgn_autocovariance(hurst, times.size, h))
-    if chol is None:
-        chol = _dense_cholesky(fbm_covariance(hurst, times))
-    _chol_cache[key] = chol
-    return chol
-
-
 def _dense_cholesky(cov: np.ndarray) -> np.ndarray:
     """LAPACK Cholesky, retried with escalating diagonal jitter."""
     for attempt in range(4):
@@ -242,35 +199,27 @@ def _fbm_draw(hurst: float, times: np.ndarray, seeds: list, n_dims: int) -> np.n
     """The seeds' fBm paths on 0 and ``times``, side by side in one (n + 1, seeds n_dims) block.
 
     Row 0, the paths at time 0, is zero; rows 1..n are the path factor on
-    ``times`` times the seeds' normals.  A factor within FACTOR_BYTES
-    (cached) takes one product, written into the block.  A larger one on a
-    uniform grid streams Schur panels of L^T within PANEL_BYTES: each panel
-    draws its own rows of the seeds' normals (per-panel calls on a Philox
-    stream give the whole-stream normals) and adds its column blocks of L G,
-    skipping L's zero upper triangle; one in-place cumulative sum then gives
-    C (L G), (C L) G to round-off.  A column block is as wide as a panel of
-    FACTOR_BYTES would be high (256 columns at 4095 points), whatever the
-    panel's height.  Beyond the block it holds one panel, its normals and
-    one column block of products.  On other grids, or after a breakdown
+    ``times`` times the seeds' normals.  A uniform grid streams Schur panels
+    of L^T within PANEL_BYTES: each panel draws its own rows of the seeds'
+    normals (per-panel calls on a Philox stream give the whole-stream
+    normals) and adds its column blocks of L G, 256 columns each, skipping
+    L's zero upper triangle; one in-place cumulative sum then gives C (L G),
+    (C L) G to round-off.  Beyond the block it holds one panel, its normals
+    and one column block of products.  On other grids, or after a breakdown
     (whose partial sums are overwritten), the dense factor is built for this
-    call and applied to normals from fresh streams.
+    call alone and applied to normals from fresh streams.
     """
     n = times.size
     block = np.zeros((n + 1, len(seeds) * n_dims))
     draws = block[1:]
-    if 8 * n * n <= FACTOR_BYTES:
-        np.matmul(_fbm_cholesky(hurst, times), _normals([_rng(s) for s in seeds], n, n_dims),
-                  out=draws)
-        return block
     h = _uniform_step(times)
     if h is not None:
-        streams = [_rng(s) for s in seeds]
-        rows, cols = PANEL_BYTES // (8 * n), FACTOR_BYTES // (8 * n)
+        streams, rows = [_rng(s) for s in seeds], PANEL_BYTES // (8 * n)
         try:
             for k0, panel in _schur_panels(_fgn_autocovariance(hurst, n, h), rows):
                 gauss = _normals(streams, len(panel), n_dims)
-                for c0 in range(k0, n, cols):
-                    draws[c0 : c0 + cols] += panel[:, c0 : c0 + cols].T @ gauss
+                for c0 in range(k0, n, 256):
+                    draws[c0 : c0 + 256] += panel[:, c0 : c0 + 256].T @ gauss
             np.cumsum(draws, axis=0, out=draws)
             return block
         except np.linalg.LinAlgError:
@@ -286,12 +235,12 @@ def sample_fbm(hurst: float, grid, n_dims: int = 1, seed=0) -> DriverPath | list
     The sample is the path factor (the Schur factor on uniform grids, the
     dense one, jittered if round-off needs it, elsewhere) applied to the
     seed's Philox normals; grids are capped at MAX_CHOLESKY_POINTS.
-    Components are independent; H = 0.5 reduces to Brownian motion.
-    Factors within FACTOR_BYTES (1024 points) are cached across seeds; a
-    larger uniform grid streams L^T in panels within PANEL_BYTES (32 rows at
-    4095 points), each drawing its own rows of the normals, and sums the
-    draws once, so beyond its paths a draw holds one panel, that panel's
-    normals and one column block of products.
+    Components are independent; H = 0.5 reduces to Brownian motion.  Each
+    call builds its factor afresh: a uniform grid streams L^T in panels
+    within PANEL_BYTES (32 rows at 4095 points, 128 at 1024), each drawing
+    its own rows of the normals, and sums the draws once, so beyond its
+    paths a draw holds one panel, that panel's normals and one column block
+    of products.  Callers with many seeds pass them as one list.
 
     A list of seeds returns one DriverPath per seed (an empty list, none):
     their normals side by side share each product, so the paths match

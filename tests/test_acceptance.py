@@ -118,7 +118,7 @@ def test_criterion_5_solver_vs_ode_oracle():
 def test_criterion_6_fbm_young_covariance():
     started = time.time()
     hurst, xi = 0.7, 1.0
-    vals = [checks.x1_tilde_value(seed, hurst, 2**10, xi) for seed in range(10_000)]
+    vals = checks.x1_tilde_value(range(10_000), hurst, 2**10, xi)
     rec = checks.a6_fbm_young_covariance(vals, hurst, xi, se_factor=3.0)
     d = rec.details
     elapsed = time.time() - started
@@ -138,11 +138,8 @@ def test_criterion_7_rough_self_convergence():
                        interval_scheme="harmonic", n_start=4)
     fine_grid = TimeGrid.uniform(2**10, 1.0)
     rates = [
-        checks.self_convergence(
-            sample_fbm(0.4, fine_grid, n_dims=1, seed=seed), mea, "tanh",
-            np.array([0.3]), cfg, (7, 8, 9, 10),
-        )[1]
-        for seed in range(20)
+        checks.self_convergence(fine, mea, "tanh", np.array([0.3]), cfg, (7, 8, 9, 10))[1]
+        for fine in sample_fbm(0.4, fine_grid, n_dims=1, seed=list(range(20)))
     ]
     rec = checks.a7_rough_self_convergence(rates, rate_threshold=0.2, min_passing=18)
     elapsed = time.time() - started

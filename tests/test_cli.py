@@ -15,7 +15,7 @@ from roughvolterra.cli import (
     seed_expand,
 )
 from roughvolterra.laplace import KernelMeasure
-from roughvolterra.lift import deterministic_driver
+from roughvolterra.lift import RoughLift, deterministic_driver, sample_fbm
 from roughvolterra.algebra import TimeGrid
 from roughvolterra.oracles import rk4_augmented
 from roughvolterra.sigma import SIGMA_PARAMS, sigma_catalog
@@ -428,7 +428,7 @@ class TestRunFlows:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize=1):
+            def map(self, fn, items):
                 return map(fn, items)
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -504,6 +504,26 @@ class TestRunFlows:
         assert code in (0, 1)
         ens = (out / "ensemble.csv").read_text().splitlines()
         assert len(ens) - 1 == 400
+
+    def test_covariance_check_seed_chunks_agree_across_jobs(self, tmp_path):
+        # 130 unsorted seeds at 1024 cells span two seed chunks (127 seeds each at most)
+        seeds = [int(s) for s in np.random.default_rng(0).permutation(130)]
+        assert len(checks.seed_chunks(seeds, 1024)) == 2
+        doc = {"kind": "covariance-check",
+               "stat": {"name": "x1_tilde_value", "hurst": 0.7, "cells": 1024, "xi": 1.0,
+                        "seeds": seeds}}
+        cfg = write_config(tmp_path, doc)
+        csvs = []
+        for jobs in (1, 2):
+            assert run(cfg, out_dir=str(tmp_path / f"jobs{jobs}"), jobs=jobs) == 0
+            csvs.append((tmp_path / f"jobs{jobs}" / "ensemble.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        rows = [line.split(",") for line in csvs[0].decode().splitlines()[1:]]
+        assert [int(seed) for seed, _ in rows] == list(range(130))
+        grid, measure = TimeGrid.uniform(1024, 1.0), KernelMeasure.from_atoms([(1.0, 1.0)])
+        for seed, value in rows:
+            lift = RoughLift(sample_fbm(0.7, grid, seed=int(seed)), measure, gamma=0.5)
+            assert float(value) == pytest.approx(lift.x1_tilde(0.0, 1.0)[0, 0], rel=1e-12, abs=0)
 
     def test_verify_records_are_the_checks_functions(self, tmp_path):
         # the CLI's verify criteria are the functions of roughvolterra.checks

@@ -114,18 +114,21 @@ class TestSampleFbm:
         assert r[0, 1] == pytest.approx(0.5 * (0.5**1.4 + 1.0 - 0.5**1.4) , rel=1e-12)
 
 
+def schur_path_factor(hurst, n):
+    """C L on n uniform cells of [0, 1]: all of L^T in one Schur panel, then one cumulative sum."""
+    times = TimeGrid.uniform(n, 1.0).points[1:]
+    gamma = lift_mod._fgn_autocovariance(hurst, n, lift_mod._uniform_step(times))
+    return np.cumsum(next(lift_mod._schur_panels(gamma, n))[1], axis=1).T
+
+
 class TestFbmFactorRoutes:
     """Schur route on uniform grids against the dense LAPACK route."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self, monkeypatch):
-        monkeypatch.setattr(lift_mod, "_chol_cache", {})
 
     @pytest.mark.parametrize("n", [8, 257, 1024, 4095])
     @pytest.mark.parametrize("hurst", [0.01, 0.4, 0.5, 0.7, 0.99])
     def test_schur_factor_reproduces_covariance(self, n, hurst):
         times = TimeGrid.uniform(n, 1.0).points[1:]
-        chol = lift_mod._fbm_cholesky(hurst, times)
+        chol = schur_path_factor(hurst, n)
         cov = fbm_covariance(hurst, times)
         # every 16th row (and the last) of P P^T on the largest grid
         rows = np.arange(n) if n <= 1024 else np.r_[0:n:16, n - 1]
@@ -149,24 +152,7 @@ class TestFbmFactorRoutes:
             s = np.sqrt((1.0 - rho) * (1.0 + rho))
             upper[k, k:] = (u - rho * v[k:]) / s
             v[k:] = s * v[k:] - rho * upper[k, k:]
-        assert np.array_equal(lift_mod._fbm_cholesky(hurst, times), np.cumsum(upper, axis=1).T)
-
-    def test_cache_keeps_only_factors_within_the_budget(self, monkeypatch):
-        for hurst in (0.4, 0.7):
-            sample_fbm(hurst, TimeGrid.uniform(4095, 1.0), seed=0)
-        assert not lift_mod._chol_cache                  # streamed, never stored
-        for cells in (1024, 256, 128, 1024, 256):
-            sample_fbm(0.4, TimeGrid.uniform(cells, 1.0), seed=cells)
-            held = sum(c.nbytes for c in lift_mod._chol_cache.values())
-            assert 0 < held <= lift_mod.FACTOR_BYTES
-        builds = []
-        schur = lift_mod._schur_cholesky
-        monkeypatch.setattr(
-            lift_mod, "_schur_cholesky", lambda gamma: builds.append(gamma.size) or schur(gamma)
-        )
-        sample_fbm(0.4, TimeGrid.uniform(1024, 1.0), seed=1)
-        sample_fbm(0.4, TimeGrid.uniform(1024, 1.0), seed=2)
-        assert builds == [1024]
+        assert np.array_equal(schur_path_factor(hurst, n), np.cumsum(upper, axis=1).T)
 
     @pytest.mark.parametrize("n", [8, 257, 1024])
     @pytest.mark.parametrize("rows", [1, 7, "n"])
@@ -176,40 +162,40 @@ class TestFbmFactorRoutes:
         stacked = np.full((n, n), np.nan)
         for k0, panel in lift_mod._schur_panels(gamma, n if rows == "n" else rows):
             stacked[k0 : k0 + len(panel)] = panel            # rows of L^T
-        assert np.array_equal(np.cumsum(stacked, axis=1), lift_mod._schur_cholesky(gamma).T)
+        assert np.array_equal(np.cumsum(stacked, axis=1), schur_path_factor(0.4, n).T)
 
     @pytest.mark.parametrize("hurst", [0.01, 0.4, 0.99])
     def test_streamed_draws_match_the_factor(self, hurst):
-        grid = TimeGrid.uniform(4095, 1.0)
-        gamma = lift_mod._fgn_autocovariance(hurst, 4095, lift_mod._uniform_step(grid.points[1:]))
-        chol = lift_mod._schur_cholesky(gamma)
         seeds = [5, 6, 9]
-        gauss = np.hstack([lift_mod._rng(s).standard_normal((4095, 2)) for s in seeds])
-        expect = chol @ gauss
-        paths = [sample_fbm(hurst, grid, n_dims=2, seed=5)]
-        paths += sample_fbm(hurst, grid, n_dims=2, seed=seeds)
-        got = np.hstack([p.values[1:] for p in paths])
-        ref = np.hstack([expect[:, :2], expect])
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-        (single,) = sample_fbm(hurst, grid, n_dims=2, seed=[5])
-        assert np.array_equal(single.values, paths[0].values)
-        assert not lift_mod._chol_cache
+        for n in (64, 1024, 4095):
+            grid = TimeGrid.uniform(n, 1.0)
+            gauss = np.hstack([lift_mod._rng(s).standard_normal((n, 2)) for s in seeds])
+            expect = schur_path_factor(hurst, n) @ gauss
+            paths = [sample_fbm(hurst, grid, n_dims=2, seed=5)]
+            paths += sample_fbm(hurst, grid, n_dims=2, seed=seeds)
+            got = np.hstack([p.values[1:] for p in paths])
+            ref = np.hstack([expect[:, :2], expect])
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), n
+            (single,) = sample_fbm(hurst, grid, n_dims=2, seed=[5])
+            assert np.array_equal(single.values, paths[0].values), n
 
     def test_streamed_seed_list_holds_its_paths_and_one_panel(self):
         # beyond the one block of paths a streamed draw holds one panel, that
-        # panel's normals, one column block of products, a Philox stream per
-        # seed (under 1 KiB) and a few grid-length vectors: under 5 MiB here
-        n, seeds = 4095, list(range(101))
-        rows, cols = lift_mod.PANEL_BYTES // (8 * n), lift_mod.FACTOR_BYTES // (8 * n)
-        tracemalloc.start()
-        try:
-            paths = sample_fbm(0.4, TimeGrid.uniform(n, 1.0), seed=seeds)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(paths) == 101
-        held = lift_mod.PANEL_BYTES + (n + 1 + rows + cols) * len(seeds) * 8
-        assert peak <= held + 1024 * len(seeds) + 8 * n * 8
+        # panel's normals, one 256-column block of products, a Philox stream
+        # per seed (under 1 KiB) and a few grid-length vectors: under 5 MiB at
+        # 4095 points, and no n x n factor at 1024
+        seeds = list(range(101))
+        for n in (1024, 4095):
+            rows = lift_mod.PANEL_BYTES // (8 * n)
+            tracemalloc.start()
+            try:
+                paths = sample_fbm(0.4, TimeGrid.uniform(n, 1.0), seed=seeds)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(paths) == 101
+            held = lift_mod.PANEL_BYTES + (n + 1 + rows + 256) * len(seeds) * 8
+            assert peak <= held + 1024 * len(seeds) + 8 * n * 8, n
 
     @pytest.mark.parametrize("n", [64, 4095])
     def test_seed_list_paths_share_one_block(self, n):
@@ -259,17 +245,13 @@ class TestFbmFactorRoutes:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
             next(panels)
 
-    def test_repeat_draw_builds_nothing(self, monkeypatch):
-        builds = []
-        schur = lift_mod._schur_cholesky
-        monkeypatch.setattr(
-            lift_mod, "_schur_cholesky", lambda gamma: builds.append(gamma.size) or schur(gamma)
-        )
-        grid = TimeGrid.uniform(64, 1.0)
-        sample_fbm(0.4, grid, seed=1)
-        sample_fbm(0.4, grid, n_dims=2, seed=2)
-        sample_fbm(0.4, grid, seed=[3, 4])
-        assert builds == [64]
+    def test_seed_list_streams_one_factor(self, monkeypatch):
+        passes = []
+        panels = lift_mod._schur_panels
+        monkeypatch.setattr(lift_mod, "_schur_panels",
+                            lambda gamma, rows: passes.append(gamma.size) or panels(gamma, rows))
+        sample_fbm(0.4, TimeGrid.uniform(64, 1.0), n_dims=2, seed=[3, 4, 5])
+        assert passes == [64]
 
     def test_seed_list_draws_each_seed(self):
         grid = TimeGrid.uniform(1024, 1.0)
@@ -296,7 +278,7 @@ class TestFbmFactorRoutes:
         def no_schur(*args):
             raise AssertionError("Schur route used on a non-uniform grid")
 
-        monkeypatch.setattr(lift_mod, "_schur_cholesky", no_schur)
+        monkeypatch.setattr(lift_mod, "_schur_panels", no_schur)
         grid = TimeGrid(np.linspace(0.0, 1.0, 65) ** 1.5)
         drv = sample_fbm(0.4, grid, seed=3)
         dense = np.linalg.cholesky(fbm_covariance(0.4, grid.points[1:]))
@@ -312,14 +294,16 @@ class TestFbmFactorRoutes:
 
     def test_breakdown_falls_back_to_dense(self, monkeypatch):
         # lag-1 correlation 1.5 is not a covariance: rho = 1.5 at step 1
-        assert lift_mod._schur_cholesky(np.array([1.0, 1.5, 0.0])) is None
+        with pytest.raises(np.linalg.LinAlgError):
+            next(lift_mod._schur_panels(np.array([1.0, 1.5, 0.0]), 3))
         monkeypatch.setattr(
             lift_mod, "_fgn_autocovariance",
             lambda hurst, n, h: np.r_[1.0, 1.5, np.zeros(n - 2)],
         )
-        times = TimeGrid.uniform(16, 1.0).points[1:]
-        chol = lift_mod._fbm_cholesky(0.4, times)
-        assert np.array_equal(chol, np.linalg.cholesky(fbm_covariance(0.4, times)))
+        grid = TimeGrid.uniform(16, 1.0)
+        dense = np.linalg.cholesky(fbm_covariance(0.4, grid.points[1:]))
+        gauss = lift_mod._rng(5).standard_normal((16, 1))
+        assert np.array_equal(sample_fbm(0.4, grid, seed=5).values[1:], dense @ gauss)
 
 
 class TestX1:
