@@ -21,6 +21,7 @@ __all__ = [
     "twist",
     "delta_tilde",
     "exp_scan",
+    "exp_scan_blocks",
     "lbeta_norm",
     "estimate_holder_exponent",
 ]
@@ -117,35 +118,56 @@ SCAN_MAX_EXPONENT = 30.0     # xi (t_end - t_start) of a block at the largest xi
 SCAN_BLOCK = 256             # steps per block at most; bounds the temporaries
 
 
+def exp_scan_blocks(points, xis, germ, init):
+    """The twisted scan of ``exp_scan``, one block at a time: yields (b, e,
+    r[b+1 : e+1]) for consecutive blocks covering the len(points) - 1 steps.
+
+    ``germ(b, e)`` returns the block's increments g[b:e], indexed (step,
+    atom, ...), so a caller can build them and keep what it needs of each
+    block, never the whole path.  Blocks hold at most ``SCAN_BLOCK`` steps
+    and span at most ``SCAN_MAX_EXPONENT`` at the largest xi; with weights
+    v_p = exp(-xi (t_e - t_p)) in [e^-30, 1] on block [t_b, t_e],
+    r_q = exp(-xi (t_q - t_b)) r_b + sum_{b<=p<q} v_{p+1} g_p / v_q.
+    A single step longer than the bound is a block of its own (v = 1).
+    The next block starts from a yielded block's last row, so the caller
+    must not change it.
+    """
+    points = np.asarray(points, dtype=float)
+    xis = np.asarray(xis, dtype=float)
+    if (xis < 0).any():
+        raise ValueError("Laplace frequencies must be >= 0")
+    rate = xis.max(initial=0.0)
+    reach = SCAN_MAX_EXPONENT / rate if rate > 0 else np.inf
+    n_steps = points.size - 1
+    last = init
+    b = 0
+    while b < n_steps:
+        e = int(np.searchsorted(points, points[b] + reach, side="right")) - 1
+        e = min(max(e, b + 1), b + SCAN_BLOCK, n_steps)
+        g = np.asarray(germ(b, e), dtype=float)
+        v = _decay(points, xis, slice(b + 1, e + 1), e, g.ndim - 2)
+        blk = g * v
+        np.cumsum(blk, axis=0, out=blk)
+        blk /= v
+        blk += _decay(points, xis, b, slice(b + 1, e + 1), g.ndim - 2) * last
+        yield b, e, blk
+        last = blk[-1]
+        b = e
+
+
 def exp_scan(points, xis, g, init):
     """Twisted scan, inverting consecutive ``delta_tilde``: the path r with r_0 =
     init and r_{p+1} = exp(-xi (t_{p+1} - t_p)) r_p + g_p, t = ``points``.
 
     ``g`` is indexed (step, atom, ...), ``init`` (atom, ...) or a scalar,
-    the result (grid point, atom, ...).  Blocked prefix sum: in a block
-    [t_b, t_e], with weights v_p = exp(-xi (t_e - t_p)) in [e^-30, 1],
-    r_q = exp(-xi (t_q - t_b)) r_b + sum_{b<=p<q} v_{p+1} g_p / v_q.
-    A single step longer than the bound is a block of its own (v = 1).
+    the result (grid point, atom, ...).  A blocked prefix sum, the blocks
+    of ``exp_scan_blocks`` written into one array.
     """
-    points = np.asarray(points, dtype=float)
-    xis = np.asarray(xis, dtype=float)
     g = np.asarray(g, dtype=float)
-    if (xis < 0).any():
-        raise ValueError("Laplace frequencies must be >= 0")
     out = np.empty((g.shape[0] + 1,) + g.shape[1:])
     out[0] = init
-    rate = xis.max(initial=0.0)
-    reach = SCAN_MAX_EXPONENT / rate if rate > 0 else np.inf
-    b = 0
-    while b < g.shape[0]:
-        e = int(np.searchsorted(points, points[b] + reach, side="right")) - 1
-        e = min(max(e, b + 1), b + SCAN_BLOCK, g.shape[0])
-        blk = out[b + 1 : e + 1]
-        v = _decay(points, xis, slice(b + 1, e + 1), e, g.ndim - 2)
-        np.cumsum(np.multiply(g[b:e], v, out=blk), axis=0, out=blk)
-        blk /= v
-        blk += _decay(points, xis, b, slice(b + 1, e + 1), g.ndim - 2) * out[b]
-        b = e
+    for b, e, blk in exp_scan_blocks(points, xis, lambda b, e: g[b:e], out[0]):
+        out[b + 1 : e + 1] = blk
     return out
 
 

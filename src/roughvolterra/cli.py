@@ -369,15 +369,19 @@ class ExperimentConfig:
     def measure(self) -> KernelMeasure:
         return kernel_from_spec(self.doc["kernel"])
 
+    @property
+    def deterministic(self) -> bool:
+        return self.doc["driver"].get("kind", "deterministic") == "deterministic"
+
     def driver(self, seed=None, grid=None) -> DriverPath | list[DriverPath]:
-        """The configured driver on ``grid``; a list of seeds gives one path per seed."""
+        """The configured driver on ``grid``; an fBm driver given a list of seeds
+        is one path per seed, a deterministic one ignores the seed."""
         drv = self.doc["driver"]
         if grid is None:
             grid = TimeGrid.uniform(drv["cells"], drv.get("horizon", 1.0))
-        if drv.get("kind", "deterministic") == "deterministic":
+        if self.deterministic:
             fn = DETERMINISTIC_FUNCTIONS[drv.get("function", "identity")]
-            path = deterministic_driver(grid, fn)
-            return path if np.ndim(seed) == 0 else [path] * len(seed)
+            return deterministic_driver(grid, fn)
         return sample_fbm(drv["hurst"], grid, n_dims=drv.get("n_dims", 1),
                           seed=drv["seed"] if seed is None else seed)
 
@@ -488,8 +492,11 @@ def _run_convergence(cfg: ExperimentConfig, manifest, out_dir, jobs):
         a=doc["initial"], solver=doc["solver"], levels=levels,
         sigma_params=doc["sigma"].get("params"), young=doc.get("mode") == "young",
     )
-    drivers = cfg.driver(seed=list(seeds), grid=fine_grid)
-    results = sorted(zip(seeds, _map(one_seed, drivers, jobs)), key=lambda r: r[0])
+    if cfg.deterministic:   # one path whatever the seed: solve it once, repeat per seed
+        per_seed = _map(one_seed, [cfg.driver(grid=fine_grid)], jobs) * len(seeds)
+    else:
+        per_seed = _map(one_seed, cfg.driver(seed=list(seeds), grid=fine_grid), jobs)
+    results = sorted(zip(seeds, per_seed), key=lambda r: r[0])
     rates = [rate for _, (_, rate) in results]
     rows = [(seed, lev, d) for seed, (diffs, _) in results for lev, d in zip(levels[:-1], diffs)]
     emit_csv(os.path.join(out_dir, "convergence.csv"),

@@ -12,11 +12,16 @@ is detected empirically from the first two sweeps; on failure the interval
 shrinks (constant scheme halves, harmonic scheme doubles N) and is re-run.
 
 The per-cell closed forms of the lift (``RoughLift.cell_tables``) are
-built once per solve and sliced per interval attempt.  A sweep is
-vectorised over the interval mesh: the germ per sub-cell, then the
-forward propagation of ytilde as one twisted scan (``algebra.exp_scan``).
-Picard sweeps are independent across atoms and could be parallelised; a
-single solve is sequential over intervals by data dependency.
+built once per solve; an interval attempt takes views of its rows.  A
+sweep evaluates sigma once over the interval mesh, then walks the blocks
+of the twisted scan (``algebra.exp_scan_blocks``): each block's germ comes
+from its cells' tables, and of the propagated ytilde the sweep keeps only
+the projection y = a + <kernel, ytilde> on the mesh, which is all the next
+sweep reads, and ytilde at the grid points, which is all the norms, the
+commit and the next interval's start read.  No (sub-cells x atoms x d)
+array is held.  Picard sweeps are independent across atoms and could be
+parallelised; a single solve is sequential over intervals by data
+dependency.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import TimeGrid, delta_tilde, exp_scan, lbeta_norm
+from .algebra import SCAN_BLOCK, TimeGrid, delta_tilde, exp_scan_blocks, lbeta_norm
 from .laplace import KernelMeasure
 from .lift import RoughLift
 from .sewing import compensated_sum_tilde
@@ -172,7 +177,7 @@ class _IntervalWorkspace:
     """Mesh and lift tables for one Picard interval [grid index lo, hi].
 
     ``tables`` is ``lift.cell_tables(refine)``, built once per solve; the
-    workspace gathers the interval's rows from it, one per sub-cell.
+    workspace keeps views of the interval's rows and each sub-cell's row.
     """
 
     def __init__(self, pts, tables, lo, hi, refine):
@@ -180,22 +185,58 @@ class _IntervalWorkspace:
         rep = np.repeat(np.arange(lo, hi), refine)
         offs = np.tile(np.arange(refine), hi - lo)
         self.fine_t = np.append(pts[rep] + subw[rep] * offs, pts[hi])
-        self.x1t = x1t[rep]            # (P-1, K, n)
-        self.x2t = x2t[rep]            # (P-1, K, n, n)
+        self.x1t = x1t[lo:hi]          # (M-1, K, n)
+        self.x2t = x2t[lo:hi]          # (M-1, K, n, n)
+        self.cell = rep - lo           # (P-1,) sub-cell -> row of x1t, x2t
+        self.refine = refine
         self.grid_slots = np.arange(0, (hi - lo) * refine + 1, refine)
 
 
-def _sweep(ws, fld, a, measure, ytilde, htilde, rough):
-    """One Picard sweep: germ increments from the current iterate, then
-    forward twisted propagation from the interval-start value."""
-    w = measure.weights
-    y = a[None, :] + np.einsum("pkd,k->pd", ytilde, w)
+def _project(a, vals, weights):
+    """y = a + <w, ytilde> of (..., K, d) values."""
+    return a + np.einsum("pkd,k->pd", vals, weights)
+
+
+def _initial_iterate(ws, a, measure, htilde):
+    """The first iterate exp(-xi (t - t_lo)) htilde as ``_sweep`` returns one:
+    its projection on the mesh, built block by block, and its grid-slot values."""
+    def decayed(t):
+        return np.exp(-np.multiply.outer(t - ws.fine_t[0], measure.xis))[:, :, None] * htilde
+
+    y = np.empty((ws.fine_t.size, a.size))
+    for b in range(0, ws.fine_t.size, SCAN_BLOCK):
+        y[b : b + SCAN_BLOCK] = _project(a, decayed(ws.fine_t[b : b + SCAN_BLOCK]),
+                                         measure.weights)
+    return y, decayed(ws.fine_t[ws.grid_slots])
+
+
+def _sweep(ws, fld, a, measure, y, htilde, rough):
+    """One Picard sweep from the current iterate's projection ``y`` on the mesh.
+
+    Each scan block's germ is built from the cell tables, and of the new
+    ytilde only its projection and its grid-slot values are kept: returns
+    (y on the mesh (P, d), ytilde at the grid slots (M, K, d)).
+    """
     z = fld.batch(y)                                        # (P, n, d)
-    germ = np.einsum("pkn,pnd->pkd", ws.x1t, z[:-1])
-    if rough:
-        ds = fld.dsigma_batch(y[:-1])                       # (P-1, n, d, d)
-        germ = germ + np.einsum("pkmj,pjq,pmiq->pki", ws.x2t, z[:-1], ds)
-    return exp_scan(ws.fine_t, measure.xis, germ, htilde)
+    ds = fld.dsigma_batch(y[:-1]) if rough else None        # (P-1, n, d, d)
+
+    def germ(b, e):
+        c = ws.cell[b:e]
+        g = np.einsum("pkn,pnd->pkd", ws.x1t[c], z[b:e])
+        if rough:
+            g = g + np.einsum("pkmj,pjq,pmiq->pki", ws.x2t[c], z[b:e], ds[b:e])
+        return g
+
+    r = ws.refine
+    y_new = np.empty_like(y)
+    y_new[0] = y[0]                                         # the interval start is fixed
+    slots = np.empty((ws.grid_slots.size,) + htilde.shape)
+    slots[0] = htilde
+    for b, e, blk in exp_scan_blocks(ws.fine_t, measure.xis, germ, htilde):
+        y_new[b + 1 : e + 1] = _project(a, blk, measure.weights)
+        j = b // r + 1                                      # first grid slot in (b, e]
+        slots[j : e // r + 1] = blk[j * r - b - 1 :: r]
+    return y_new, slots
 
 
 def _path_norm(vals, pts_grid, measure, beta, expo):
@@ -256,17 +297,16 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
         hi = min(max(hi, lo + 1), n_pts - 1)
 
         ws = _IntervalWorkspace(pts, tables, lo, hi, refine)
-        yt = np.exp(-np.multiply.outer(ws.fine_t - pts[lo], lift.xis))[:, :, None] * htilde
+        y_mesh, yt = _initial_iterate(ws, a, measure, htilde)
         rho = np.nan
         converged = False
         updates = []
         for _ in range(MAX_PICARD):
-            new = _sweep(ws, fld, a, measure, yt, htilde, rough)
-            diff = new[ws.grid_slots] - yt[ws.grid_slots]
-            upd = _path_norm(diff, pts[lo : hi + 1], measure, beta, expo)[0]
+            y_new, new = _sweep(ws, fld, a, measure, y_mesh, htilde, rough)
+            upd = _path_norm(new - yt, pts[lo : hi + 1], measure, beta, expo)[0]
             updates.append(upd)
-            scale = max(1.0, float(np.max(lbeta_norm(new[ws.grid_slots], measure, beta))))
-            yt = new
+            scale = max(1.0, float(np.max(lbeta_norm(new, measure, beta))))
+            y_mesh, yt = y_new, new
             if upd <= config.picard_tol * scale:
                 converged = True
                 break
@@ -298,18 +338,16 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
                 )
             continue
 
-        # commit the interval
-        ytilde_grid[lo : hi + 1] = yt[ws.grid_slots]
-        y_grid = a[None, :] + np.einsum("pkd,k->pd", yt[ws.grid_slots], measure.weights)
-        zeta_grid[lo : hi + 1] = fld.batch(y_grid)
+        # commit the interval; yt holds ytilde at its grid points
+        ytilde_grid[lo : hi + 1] = yt
+        zeta_grid[lo : hi + 1] = fld.batch(_project(a, yt, measure.weights))
 
         # converged-state residual: one more germ pass, per grid cell
-        final = _sweep(ws, fld, a, measure, yt, htilde, rough)
-        res_grid = final[ws.grid_slots] - yt[ws.grid_slots]
-        residual = float(np.max(lbeta_norm(res_grid, measure, beta)))
+        final = _sweep(ws, fld, a, measure, y_mesh, htilde, rough)[1]
+        residual = float(np.max(lbeta_norm(final - yt, measure, beta)))
 
         q_norm = _interval_q_norm(
-            lift, yt[ws.grid_slots], zeta_grid[lo : hi + 1],
+            lift, yt, zeta_grid[lo : hi + 1],
             pts[lo : hi + 1], measure, beta, config.kappa,
         )
         h_norm = float(lbeta_norm(htilde[None], measure, beta)[0])
@@ -332,7 +370,7 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
         lo = hi
         n_done += 1
 
-    y = a[None, :] + np.einsum("tkd,k->td", ytilde_grid, measure.weights)
+    y = _project(a, ytilde_grid, measure.weights)
     return Solution(
         grid=grid,
         ytilde=ytilde_grid,

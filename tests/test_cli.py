@@ -487,6 +487,33 @@ class TestRunFlows:
         rates = (out / "rates.csv").read_text().splitlines()
         assert len(rates) - 1 == 3
 
+    def test_deterministic_convergence_solves_once(self, tmp_path, monkeypatch):
+        # a deterministic driver is the same path for every seed: one set of
+        # solves, its result repeated per seed
+        calls = []
+        solve = checks.self_convergence
+        monkeypatch.setattr(checks, "self_convergence",
+                            lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        doc = {
+            "kind": "convergence",
+            "kernel": {"atoms": [[1.0, 1.0]]},
+            "driver": {"kind": "deterministic", "function": "sin", "seeds": "0..3"},
+            "sigma": {"name": "tanh"},
+            "solver": {"gamma": 1.0, "kappa": 0.45, "sewing_level": 2,
+                       "picard_tol": 1e-10, "interval_scheme": "harmonic", "n_start": 4},
+            "initial": [0.3],
+            "levels": [4, 5, 6],
+        }
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "conv"
+        assert run(cfg, out_dir=str(out)) == 0
+        assert len(calls) == 1
+        rows = [line.split(",") for line in (out / "rates.csv").read_text().splitlines()[1:]]
+        assert [int(seed) for seed, _ in rows] == [0, 1, 2]
+        assert len({rate for _, rate in rows}) == 1
+        conv = (out / "convergence.csv").read_text().splitlines()[1:]
+        assert len(conv) == 3 * 2 and len({line.split(",", 1)[1] for line in conv}) == 2
+
     def test_ensemble_and_covariance_kinds(self, tmp_path):
         doc = {
             "kind": "covariance-check",

@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -403,3 +404,57 @@ class TestManyAtomSolve:
         sol = solve_rough(lift, fld, a, cfg)
         ref = explicit_solve_from_lift(lift, fld, a, refine=4)
         assert np.max(np.abs(sol.y - ref)) <= 1e-9
+
+
+class TestSweepBlocks:
+    """A sweep streams ytilde through the twisted scan's blocks."""
+
+    @pytest.mark.parametrize("block", [3, 7])
+    @pytest.mark.parametrize("solve", [solve_young, solve_rough])
+    def test_block_size_does_not_move_y(self, solve, block, monkeypatch):
+        drv = sample_fbm(0.7, TimeGrid.uniform(64, 1.0), seed=3)
+        lift = RoughLift(drv, KernelMeasure.from_atoms([(0.5, 0.6), (4.0, 0.4)]), gamma=0.6)
+        fld = sigma_catalog("tanh", n=1, d=1)
+        cfg = base_config(gamma=0.6, sewing_level=2, interval_scheme="harmonic")
+        ref = solve(lift, fld, np.array([0.3]), cfg)
+
+        blocks = []
+        scan = solver_mod.exp_scan_blocks
+
+        def recording(*args):
+            for b, e, blk in scan(*args):
+                blocks.append((b, e))
+                yield b, e, blk
+
+        monkeypatch.setattr(rv.algebra, "SCAN_BLOCK", block)
+        monkeypatch.setattr(solver_mod, "exp_scan_blocks", recording)
+        sol = solve(lift, fld, np.array([0.3]), cfg)
+        assert max(e - b for b, e in blocks) == block
+        # grid slots (every 4th mesh point) fall inside blocks and on block ends
+        assert any((b // 4 + 1) * 4 < e for b, e in blocks)
+        assert any(e % 4 == 0 for b, e in blocks)
+        assert len(sol.diagnostics) == len(ref.diagnostics)
+        assert np.max(np.abs(sol.y - ref.y)) <= 1e-13
+        assert np.max(np.abs(sol.ytilde - ref.ytilde)) <= 1e-13
+
+
+class TestSweepWorkingSet:
+    def test_solve_holds_no_mesh_sized_iterate(self):
+        # 64 atoms, 512 cells at level 4: the first interval's 2048 sub-cells
+        # make a (sub-cells, K, d) array 1 MiB, and a sweep holding the
+        # iterate, the new iterate and the germ whole peaks at 7.6 MiB.
+        # Streamed through the scan blocks the solve peaks at 2.2 MiB; the
+        # bound leaves 35% margin.
+        measure = kernel_from_spec({"density": {"name": "exp"}})
+        lift = RoughLift(sample_fbm(0.4, TimeGrid.uniform(512, 1.0), seed=7), measure,
+                         gamma=0.38)
+        fld = sigma_catalog("tanh", n=1, d=1)
+        cfg = SolverConfig(gamma=0.38, kappa=0.35, sewing_level=4, picard_tol=1e-11,
+                           interval_scheme="harmonic", n_start=4)
+        tracemalloc.start()
+        try:
+            solve_rough(lift, fld, np.array([0.3]), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
