@@ -23,7 +23,7 @@ from .expkernels import e0
 from .laplace import KernelMeasure
 from .lift import (
     DETERMINISTIC_FUNCTIONS,
-    PANEL_BYTES,
+    DRAW_BYTES,
     DriverPath,
     RoughLift,
     deterministic_driver,
@@ -187,8 +187,8 @@ def a5_solver_vs_ode(solutions, y_ref, tol):
 
 
 def seed_chunks(seeds, cells):
-    """``seeds`` in runs of PANEL_BYTES // (8 (cells + 1)): each run's paths fit one panel."""
-    size = PANEL_BYTES // (8 * (cells + 1))
+    """``seeds`` in runs of DRAW_BYTES // (8 (cells + 1)): each run's paths fit the draw budget."""
+    size = DRAW_BYTES // (8 * (cells + 1))
     return [seeds[i : i + size] for i in range(0, len(seeds), size)]
 
 

@@ -8,21 +8,20 @@ Chen defect are computed exactly (to round-off) on arbitrary pairs: each
 is a sum over the cell pieces of [s, t], every piece decayed from its end
 to t, and one walk evaluates it on whole arrays of pairs.
 
-fBm is sampled exactly in law through a Cholesky factor of the covariance,
-capped at desk scale.  On uniform grids every draw streams the Schur
-factor L of the Toeplitz increment covariance, O(n^2), in panels of L^T
-within PANEL_BYTES (1 MiB), each drawing its own rows of normals, and sums
-the draws once, C (L G) (C the cumulative sum): beyond its paths a draw
-holds one panel, its normals and one column block of products.  Other
-grids take the dense factor.  No factor outlives its draw.  Sampling uses
-counter-based Philox streams keyed by the seed, so a fixed seed reproduces
-paths bit for bit; a list of seeds shares one factor pass, each product
-and one read-only block of paths.
+fBm is sampled exactly in law, capped at desk scale.  On uniform grids a
+draw embeds the Toeplitz increment covariance in a circulant of size 2n
+and applies its symmetric square root to normals by real FFTs, O(n log n),
+with seeds taken through the FFTs in sub-batches within DRAW_BYTES
+(1 MiB); other grids take the dense Cholesky factor of the path
+covariance.  No factor outlives its draw.  Sampling uses counter-based
+Philox streams keyed by the seed, so a fixed seed reproduces paths bit for
+bit; a list of seeds shares one eigenvalue pass and one read-only block of
+paths.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,7 +44,7 @@ __all__ = [
 ]
 
 MAX_CHOLESKY_POINTS = 2**12 + 1
-PANEL_BYTES = 1024**2                     # one streamed Schur panel: 32 rows at 4095 points
+DRAW_BYTES = 1024**2                      # one FFT sub-batch's normals and transform
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -133,50 +132,6 @@ def _fgn_autocovariance(hurst: float, n: int, h: float) -> np.ndarray:
     return h**a * gamma
 
 
-def _schur_panels(gamma: np.ndarray, rows: int):
-    """Rows of L^T, the Cholesky factor of Gamma = Toeplitz(gamma), ``rows`` at a time.
-
-    Row k of L^T is the first generator after k hyperbolic rotations of the
-    Schur algorithm, O(n^2), in the mixed form whose stability for SPD
-    Toeplitz matrices is shown by Bojanczyk, Brent, de Hoog & Sweet (1995).
-    Each row is computed in its panel row, which the next step reads; beyond
-    the panel the loop holds the second generator and one scratch vector.
-    Yields (k0, panel), panel[i] being row k0 + i, zero left of its diagonal,
-    in one reused buffer.  Breakdown (|rho| >= 1 or a non-finite value)
-    raises LinAlgError: the matrix is not numerically positive definite.
-    """
-    n = gamma.size
-    if not (np.all(np.isfinite(gamma)) and gamma[0] > 0.0):
-        raise np.linalg.LinAlgError("Schur breakdown")
-    panel = np.zeros((min(rows, n), n))
-    prev = np.divide(gamma, math.sqrt(gamma[0]), out=panel[0])   # row k-1 of L^T
-    v, tmp = np.r_[0.0, prev[1:]], np.empty(n)       # the second generator, a scratch row
-    for k0 in range(0, n, len(panel)):
-        m = min(len(panel), n - k0)
-        for k in range(max(k0, 1), k0 + m):
-            rho = float(v[k] / prev[k - 1])
-            if not abs(rho) < 1.0:
-                raise np.linalg.LinAlgError("Schur breakdown")
-            s = math.sqrt((1.0 - rho) * (1.0 + rho))
-            new, vk = panel[k - k0, k:], v[k:]
-            # row k = (previous generator shifted down - rho v) / s
-            np.multiply(rho, vk, out=new)
-            np.subtract(prev[k - 1 : n - 1], new, out=new)
-            np.divide(new, s, out=new)
-            # v = s v - rho row k
-            np.multiply(rho, new, out=tmp[k:])
-            np.multiply(s, vk, out=vk)
-            np.subtract(vk, tmp[k:], out=vk)
-            prev = panel[k - k0]
-        # every row entry enters v through v -= rho row, and stays non-finite there
-        if not np.all(np.isfinite(v)):
-            raise np.linalg.LinAlgError("Schur breakdown")
-        yield k0, panel[:m]
-        np.copyto(tmp, prev)                         # the zeroing below reaches the last row
-        prev = tmp
-        panel[:, k0 : k0 + 2 * len(panel)] = 0.0    # left of the next rows' diagonals
-
-
 def _dense_cholesky(cov: np.ndarray) -> np.ndarray:
     """LAPACK Cholesky, retried with escalating diagonal jitter."""
     for attempt in range(4):
@@ -190,73 +145,94 @@ def _dense_cholesky(cov: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("fBm covariance not factorisable even with jitter")
 
 
-def _normals(streams, rows: int, n_dims: int) -> np.ndarray:
-    """The next ``rows`` rows of each stream's normals, side by side: (rows, len(streams) n_dims)."""
-    return np.hstack([rng.standard_normal((rows, n_dims)) for rng in streams])
-
-
 def _fbm_draw(hurst: float, times: np.ndarray, seeds: list, n_dims: int) -> np.ndarray:
     """The seeds' fBm paths on 0 and ``times``, side by side in one (n + 1, seeds n_dims) block.
 
-    Row 0, the paths at time 0, is zero; rows 1..n are the path factor on
-    ``times`` times the seeds' normals.  A uniform grid streams Schur panels
-    of L^T within PANEL_BYTES: each panel draws its own rows of the seeds'
-    normals (per-panel calls on a Philox stream give the whole-stream
-    normals) and adds its column blocks of L G, 256 columns each, skipping
-    L's zero upper triangle; one in-place cumulative sum then gives C (L G),
-    (C L) G to round-off.  Beyond the block it holds one panel, its normals
-    and one column block of products.  On other grids, or after a breakdown
-    (whose partial sums are overwritten), the dense factor is built for this
-    call alone and applied to normals from fresh streams.
+    Row 0, the paths at time 0, is zero.  A uniform grid embeds the Toeplitz
+    covariance of the n increments, gamma at lags 0..n, in the circulant of
+    size 2n with first row c = (gamma_0..gamma_n, gamma_{n-1}..gamma_1) and
+    eigenvalues lambda = rfft(c).  Its symmetric square root applied to 2n
+    normals, irfft(sqrt(lambda) rfft(z)), has the circulant as covariance, so
+    its first n entries are the increments, exact in law (Davies & Harte
+    1987; Wood & Chan 1994).  Each seed's stream draws 2n normals per
+    dimension; seeds go through the FFTs in sub-batches whose normals and
+    transform fit DRAW_BYTES, and a cumulative sum writes each sub-batch's
+    increments into the block as paths.  On other grids, or when a lambda
+    is negative or not finite, the dense factor of the path covariance is
+    built for this call alone and applied to n normals per dimension from
+    fresh streams.
     """
     n = times.size
     block = np.zeros((n + 1, len(seeds) * n_dims))
     draws = block[1:]
     h = _uniform_step(times)
     if h is not None:
-        streams, rows = [_rng(s) for s in seeds], PANEL_BYTES // (8 * n)
-        try:
-            for k0, panel in _schur_panels(_fgn_autocovariance(hurst, n, h), rows):
-                gauss = _normals(streams, len(panel), n_dims)
-                for c0 in range(k0, n, 256):
-                    draws[c0 : c0 + 256] += panel[:, c0 : c0 + 256].T @ gauss
-            np.cumsum(draws, axis=0, out=draws)
+        gamma = _fgn_autocovariance(hurst, n + 1, h)
+        lam = np.fft.rfft(np.r_[gamma, gamma[-2:0:-1]]).real
+        if np.all(np.isfinite(lam)) and lam.min() >= 0.0:
+            root = np.sqrt(lam)
+            # seeds per sub-batch: 16 n bytes of normals and 16 (n + 1) of transform per column
+            per = max(1, DRAW_BYTES // ((32 * n + 16) * n_dims))
+            z = np.empty((min(per, len(seeds)) * n_dims, 2 * n))     # normals, then increments
+            f = np.empty((len(z), n + 1), dtype=complex)
+            for i0 in range(0, len(seeds), per):
+                batch = seeds[i0 : i0 + per]
+                m = len(batch) * n_dims
+                for j, s in enumerate(batch):
+                    _rng(s).standard_normal(out=z[j * n_dims : (j + 1) * n_dims])
+                np.fft.rfft(z[:m], out=f[:m])
+                f[:m] *= root
+                np.fft.irfft(f[:m], 2 * n, out=z[:m])
+                np.cumsum(z[:m, :n], axis=1, out=draws[:, i0 * n_dims : i0 * n_dims + m].T)
             return block
-        except np.linalg.LinAlgError:
-            pass
-    np.matmul(_dense_cholesky(fbm_covariance(hurst, times)),
-              _normals([_rng(s) for s in seeds], n, n_dims), out=draws)
+    gauss = np.hstack([_rng(s).standard_normal((n, n_dims)) for s in seeds])
+    np.matmul(_dense_cholesky(fbm_covariance(hurst, times)), gauss, out=draws)
     return block
 
 
+def _int_at_least(value, name: str, low: int) -> int:
+    """``value`` as an int >= ``low``: TypeError for a boolean or non-integer, ValueError below."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be an integer, not a boolean")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def sample_fbm(hurst: float, grid, n_dims: int = 1, seed=0) -> DriverPath | list[DriverPath]:
-    """Exact-in-law fBm sample on the grid via a Cholesky factor.
+    """Exact-in-law fBm sample on the grid from the seed's Philox normals.
 
-    The sample is the path factor (the Schur factor on uniform grids, the
-    dense one, jittered if round-off needs it, elsewhere) applied to the
-    seed's Philox normals; grids are capped at MAX_CHOLESKY_POINTS.
-    Components are independent; H = 0.5 reduces to Brownian motion.  Each
-    call builds its factor afresh: a uniform grid streams L^T in panels
-    within PANEL_BYTES (32 rows at 4095 points, 128 at 1024), each drawing
-    its own rows of the normals, and sums the draws once, so beyond its
-    paths a draw holds one panel, that panel's normals and one column block
-    of products.  Callers with many seeds pass them as one list.
+    A uniform grid takes the circulant embedding of its increment
+    covariance by real FFTs, 2n normals per dimension; any other grid the
+    dense Cholesky factor of the path covariance (jittered if round-off
+    needs it), n normals per dimension.  Grids are capped at
+    MAX_CHOLESKY_POINTS.  Components are independent; H = 0.5 reduces to
+    Brownian motion.  Seeds go through the FFTs in sub-batches within
+    DRAW_BYTES (8 seeds at 4095 points, 31 at 1024), so beyond its paths a
+    draw holds one sub-batch's normals and transform.  Callers with many
+    seeds pass them as one list.
 
-    A list of seeds returns one DriverPath per seed (an empty list, none):
-    their normals side by side share each product, so the paths match
-    single-seed draws to round-off, and a one-seed list matches bit for bit.
-    Every path's values are a read-only view of one block of the batch's
-    draws, so a path kept from a batch keeps the whole block alive.
+    ``n_dims`` is an integer >= 1, and each seed an integer >= 0 (a Python
+    or numpy integer, not a boolean); anything else raises TypeError or
+    ValueError before any draw.  A list, range or array of seeds returns one
+    DriverPath per seed (an empty one, none): the paths match single-seed
+    draws to round-off, and a one-seed list matches bit for bit.  Every
+    path's values are a read-only view of one block of the batch's draws,
+    so a path kept from a batch keeps the whole block alive.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("Hurst parameter must be in (0, 1)")
     if len(grid) > MAX_CHOLESKY_POINTS:
         raise ValueError(
-            f"grid has {len(grid)} points; Cholesky sampling is capped at "
-            f"{MAX_CHOLESKY_POINTS}"
+            f"grid has {len(grid)} points; fBm sampling is capped at {MAX_CHOLESKY_POINTS}"
         )
+    n_dims = _int_at_least(n_dims, "n_dims", 1)
     single = np.ndim(seed) == 0
-    seeds = [seed] if single else list(seed)
+    seeds = [_int_at_least(s, "seed", 0) for s in ([seed] if single else seed)]
     if not seeds:
         return []
     block = _fbm_draw(hurst, grid.points[1:], seeds, n_dims)

@@ -311,7 +311,7 @@ class TestRunFlows:
             doc["checks"] = {}
 
             def broken(*args, **kwargs):
-                raise np.linalg.LinAlgError("Schur breakdown")
+                raise np.linalg.LinAlgError("fBm covariance not factorisable even with jitter")
 
             monkeypatch.setattr(cli, "sample_fbm", broken)
             expected = "LinAlgError"

@@ -1,4 +1,3 @@
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -72,6 +71,10 @@ class TestDriverPath:
         assert drv.slopes is drv.slopes                 # computed once
 
 
+def _no_draw(*args):
+    raise AssertionError("sample_fbm drew before checking its arguments")
+
+
 class TestSampleFbm:
     def test_brownian_increment_independence(self):
         grid = TimeGrid.uniform(2**10, 1.0)
@@ -108,94 +111,152 @@ class TestSampleFbm:
         with pytest.raises(ValueError):
             sample_fbm(1.0, grid, seed=0)
 
+    @pytest.mark.parametrize("n_dims, error", [
+        (0, ValueError), (-1, ValueError), (np.int64(0), ValueError),
+        (1.0, TypeError), (True, TypeError), ("2", TypeError), (None, TypeError),
+    ], ids=["zero", "negative", "numpy-zero", "float", "bool", "str", "none"])
+    def test_bad_n_dims_is_rejected_before_drawing(self, monkeypatch, n_dims, error):
+        monkeypatch.setattr(lift_mod, "_fbm_draw", _no_draw)
+        with pytest.raises(error, match="n_dims"):
+            sample_fbm(0.4, TimeGrid.uniform(8, 1.0), n_dims=n_dims, seed=0)
+
+    @pytest.mark.parametrize("seed, error", [
+        (1.7, TypeError), (1.0, TypeError), (True, TypeError), (np.bool_(True), TypeError),
+        ("1", TypeError), (-1, ValueError), (np.int64(-2), ValueError),
+        ([1, 2.5], TypeError), ([3, False], TypeError), ([0, -4], ValueError),
+        (np.array([1.0, 2.0]), TypeError), ([[1, 2]], TypeError),
+    ], ids=["fraction", "float", "bool", "numpy-bool", "str", "negative", "numpy-negative",
+            "list-fraction", "list-bool", "list-negative", "float-array", "nested-list"])
+    def test_bad_seed_is_rejected_before_drawing(self, monkeypatch, seed, error):
+        monkeypatch.setattr(lift_mod, "_fbm_draw", _no_draw)
+        with pytest.raises(error, match="seed"):
+            sample_fbm(0.4, TimeGrid.uniform(8, 1.0), seed=seed)
+
+    def test_integer_like_seeds_are_accepted(self):
+        grid = TimeGrid.uniform(8, 1.0)
+        ref = [sample_fbm(0.4, grid, n_dims=2, seed=s).values for s in (3, 4, 5)]
+        assert np.array_equal(sample_fbm(0.4, grid, n_dims=np.int64(2), seed=np.uint32(4)).values,
+                              ref[1])
+        assert np.array_equal(sample_fbm(0.4, grid, n_dims=2, seed=np.array(4)).values, ref[1])
+        for seeds in (range(3, 6), np.arange(3, 6), [np.int32(3), 4, np.int64(5)]):
+            drawn = [p.values for p in sample_fbm(0.4, grid, n_dims=2, seed=seeds)]
+            assert all(np.array_equal(a, b) for a, b in zip(drawn, ref))
+
     def test_covariance_matrix_values(self):
         r = fbm_covariance(0.7, np.array([0.5, 1.0]))
         assert r[1, 1] == pytest.approx(1.0)
         assert r[0, 1] == pytest.approx(0.5 * (0.5**1.4 + 1.0 - 0.5**1.4) , rel=1e-12)
 
 
-def schur_path_factor(hurst, n):
-    """C L on n uniform cells of [0, 1]: all of L^T in one Schur panel, then one cumulative sum."""
+class _UnitNormals:
+    """Stands in for a seed's Philox stream: seed k "draws" the unit vector e_k."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def standard_normal(self, out):
+        out[...] = 0.0
+        out[:, self.k] = 1.0
+
+
+def circulant_root(hurst, n):
+    """Rows 0..n-1 of the symmetric square root of the 2n-point circulant, by explicit cosine sums.
+
+    lambda_m = sum_k c_k cos(pi m k / n) and s_j = sum_m sqrt(lambda_m) cos(pi m j / n) / 2n,
+    the angles reduced mod 2n first; row j of the root is s at lags (j - k) mod 2n.
+    """
+    gamma = lift_mod._fgn_autocovariance(hurst, n + 1, 1.0 / n)
+    c = np.r_[gamma, gamma[-2:0:-1]]
+    k = np.arange(2 * n)
+    cos = np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n)
+    s = cos @ np.sqrt(cos @ c) / (2 * n)
+    return s[(k[:n, None] - k[None, :]) % (2 * n)]
+
+
+def two_pass_draw(hurst, n, seeds, n_dims):
+    """The circulant draw in two plain passes: every seed's increments at once, then their sums."""
     times = TimeGrid.uniform(n, 1.0).points[1:]
-    gamma = lift_mod._fgn_autocovariance(hurst, n, lift_mod._uniform_step(times))
-    return np.cumsum(next(lift_mod._schur_panels(gamma, n))[1], axis=1).T
+    gamma = lift_mod._fgn_autocovariance(hurst, n + 1, lift_mod._uniform_step(times))
+    lam = np.fft.rfft(np.r_[gamma, gamma[-2:0:-1]]).real
+    z = np.vstack([lift_mod._rng(s).standard_normal((n_dims, 2 * n)) for s in seeds])
+    increments = np.fft.irfft(np.sqrt(lam) * np.fft.rfft(z), 2 * n)[:, :n]
+    return np.vstack([np.zeros(len(z)), np.cumsum(increments, axis=1).T])
 
 
 class TestFbmFactorRoutes:
-    """Schur route on uniform grids against the dense LAPACK route."""
+    """Circulant route on uniform grids against explicit sums and the exact covariance."""
 
-    @pytest.mark.parametrize("n", [8, 257, 1024, 4095])
+    @pytest.mark.parametrize("n", [1, 8, 257, 1024, 4095])
     @pytest.mark.parametrize("hurst", [0.01, 0.4, 0.5, 0.7, 0.99])
-    def test_schur_factor_reproduces_covariance(self, n, hurst):
+    def test_circulant_draw_reproduces_covariance(self, monkeypatch, n, hurst):
+        # seed k draws e_k, so the draws of seeds 0..2n-1 are the columns of the path
+        # factor P (n x 2n); P P^T is accumulated over seed lists of 256 columns
+        monkeypatch.setattr(lift_mod, "_rng", _UnitNormals)
         times = TimeGrid.uniform(n, 1.0).points[1:]
-        chol = schur_path_factor(hurst, n)
         cov = fbm_covariance(hurst, times)
         # every 16th row (and the last) of P P^T on the largest grid
         rows = np.arange(n) if n <= 1024 else np.r_[0:n:16, n - 1]
-        assert not np.triu(chol, 1).any()
-        err = np.max(np.abs(chol[rows] @ chol.T - cov[rows])) / np.max(np.abs(cov))
-        assert err <= 1e-12
+        implied = np.zeros((rows.size, n))
+        for k0 in range(0, 2 * n, 256):
+            cols = lift_mod._fbm_draw(hurst, times, list(range(k0, min(k0 + 256, 2 * n))), 1)[1:]
+            implied += cols[rows] @ cols.T
+        assert np.max(np.abs(implied - cov[rows])) <= 1e-12 * np.max(np.abs(cov))
 
     @pytest.mark.parametrize("n", [8, 257, 1024, 4095])
     @pytest.mark.parametrize("hurst", [0.01, 0.4, 0.5, 0.7, 0.99])
     def test_one_pass_factor_equals_two_pass_reference(self, n, hurst):
-        # the Schur loop into a full upper factor, then one cumulative sum over its rows
+        # the draw takes sub-batches through FFTs written in place and sums each
+        # straight into the block; the same arithmetic in two plain passes gives its bits
+        seeds = list(range(3, 23))
         times = TimeGrid.uniform(n, 1.0).points[1:]
-        gamma = lift_mod._fgn_autocovariance(hurst, n, lift_mod._uniform_step(times))
-        upper = np.zeros((n, n))
-        upper[0] = gamma / np.sqrt(gamma[0])
-        v = upper[0].copy()
-        v[0] = 0.0
-        for k in range(1, n):
-            u = upper[k - 1, k - 1 : n - 1]
-            rho = v[k] / u[0]
-            s = np.sqrt((1.0 - rho) * (1.0 + rho))
-            upper[k, k:] = (u - rho * v[k:]) / s
-            v[k:] = s * v[k:] - rho * upper[k, k:]
-        assert np.array_equal(schur_path_factor(hurst, n), np.cumsum(upper, axis=1).T)
+        got = lift_mod._fbm_draw(hurst, times, seeds, 2)
+        assert np.array_equal(got, two_pass_draw(hurst, n, seeds, 2))
 
     @pytest.mark.parametrize("n", [8, 257, 1024])
     @pytest.mark.parametrize("rows", [1, 7, "n"])
-    def test_panels_stack_to_the_factor(self, n, rows):
+    def test_panels_stack_to_the_factor(self, monkeypatch, n, rows):
+        # sub-batches of 1, 7 or all 20 seeds (column panels of the block) stack to one draw
+        seeds = list(range(3, 23))
+        per = len(seeds) if rows == "n" else rows
+        monkeypatch.setattr(lift_mod, "DRAW_BYTES", per * (32 * n + 16) * 2)
         times = TimeGrid.uniform(n, 1.0).points[1:]
-        gamma = lift_mod._fgn_autocovariance(0.4, n, lift_mod._uniform_step(times))
-        stacked = np.full((n, n), np.nan)
-        for k0, panel in lift_mod._schur_panels(gamma, n if rows == "n" else rows):
-            stacked[k0 : k0 + len(panel)] = panel            # rows of L^T
-        assert np.array_equal(np.cumsum(stacked, axis=1), schur_path_factor(0.4, n).T)
+        assert np.array_equal(lift_mod._fbm_draw(0.4, times, seeds, 2),
+                              two_pass_draw(0.4, n, seeds, 2))
 
     @pytest.mark.parametrize("hurst", [0.01, 0.4, 0.99])
     def test_streamed_draws_match_the_factor(self, hurst):
-        seeds = [5, 6, 9]
-        for n in (64, 1024, 4095):
+        # 20 seeds in two dimensions take two sub-batches at 1024 points.  Both routes
+        # are float64: each eigenvalue carries an error of about eps max(lambda), and at
+        # H = 0.01 min/max(lambda) ~ 1e-5, so the routes agree to 2.4e-12 at 1024 points
+        # (a longdouble reference is within 1.3e-12 of the FFT and 3.7e-12 of the sums)
+        seeds = list(range(5, 25))
+        for n in (1, 64, 257, 1024):
             grid = TimeGrid.uniform(n, 1.0)
-            gauss = np.hstack([lift_mod._rng(s).standard_normal((n, 2)) for s in seeds])
-            expect = schur_path_factor(hurst, n) @ gauss
+            gauss = np.hstack([lift_mod._rng(s).standard_normal((2, 2 * n)).T for s in seeds])
+            expect = np.cumsum(circulant_root(hurst, n) @ gauss, axis=0)
             paths = [sample_fbm(hurst, grid, n_dims=2, seed=5)]
             paths += sample_fbm(hurst, grid, n_dims=2, seed=seeds)
             got = np.hstack([p.values[1:] for p in paths])
             ref = np.hstack([expect[:, :2], expect])
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), n
+            assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref)), n
             (single,) = sample_fbm(hurst, grid, n_dims=2, seed=[5])
             assert np.array_equal(single.values, paths[0].values), n
 
-    def test_streamed_seed_list_holds_its_paths_and_one_panel(self):
-        # beyond the one block of paths a streamed draw holds one panel, that
-        # panel's normals, one 256-column block of products, a Philox stream
-        # per seed (under 1 KiB) and a few grid-length vectors: under 5 MiB at
-        # 4095 points, and no n x n factor at 1024
+    def test_seed_list_holds_its_paths_and_one_budget(self):
+        # beyond the one block of paths a draw holds one sub-batch's normals and
+        # transform (DRAW_BYTES), a Philox stream and a DriverPath per seed (under
+        # 1 KiB) and a few grid vectors: gamma, c, lambda, its root
         seeds = list(range(101))
-        for n in (1024, 4095):
-            rows = lift_mod.PANEL_BYTES // (8 * n)
+        for n, n_dims in ((1024, 1), (4095, 1), (4095, 2)):
             tracemalloc.start()
             try:
-                paths = sample_fbm(0.4, TimeGrid.uniform(n, 1.0), seed=seeds)
+                paths = sample_fbm(0.4, TimeGrid.uniform(n, 1.0), n_dims=n_dims, seed=seeds)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert len(paths) == 101
-            held = lift_mod.PANEL_BYTES + (n + 1 + rows + 256) * len(seeds) * 8
-            assert peak <= held + 1024 * len(seeds) + 8 * n * 8, n
+            held = lift_mod.DRAW_BYTES + (n + 1) * len(seeds) * n_dims * 8
+            assert peak <= held + 1024 * len(seeds) + 8 * 16 * (n + 1), (n, n_dims)
 
     @pytest.mark.parametrize("n", [64, 4095])
     def test_seed_list_paths_share_one_block(self, n):
@@ -209,49 +270,22 @@ class TestFbmFactorRoutes:
         assert sample_fbm(0.4, TimeGrid.uniform(64, 1.0), seed=[]) == []
 
     @pytest.mark.parametrize("lag", [1, 1000])
-    def test_streamed_breakdown_takes_the_dense_route(self, monkeypatch, lag):
-        # correlation 1.5 at one lag is not a covariance: rho = 1.5 at step `lag`,
-        # which for lag 1000 is in the ninth streamed panel (119 rows at 1100 points)
-        n = 1100
-        rows = lift_mod.PANEL_BYTES // (8 * n)
+    def test_negative_eigenvalue_takes_the_dense_route(self, monkeypatch, lag):
+        # correlation 1.5 at one lag is not a covariance: lambda_m = 1 + 3 cos(pi m lag / n)
         broken = lambda hurst, n, h: np.r_[1.0, np.zeros(lag - 1), 1.5, np.zeros(n - lag - 1)]
-        panels = lift_mod._schur_panels(broken(0.4, n, 1.0), rows)
-        yielded = [k0 for k0, _ in itertools.islice(panels, lag // rows)]
-        assert yielded == list(range(0, lag // rows * rows, rows))
-        with pytest.raises(np.linalg.LinAlgError):
-            next(panels)
         monkeypatch.setattr(lift_mod, "_fgn_autocovariance", broken)
-        grid = TimeGrid.uniform(n, 1.0)
+        grid = TimeGrid.uniform(1100, 1.0)
         dense = np.linalg.cholesky(fbm_covariance(0.4, grid.points[1:]))
-        gauss = lift_mod._rng(5).standard_normal((n, 1))
+        gauss = lift_mod._rng(5).standard_normal((1100, 1))
         assert np.array_equal(sample_fbm(0.4, grid, seed=5).values[1:], dense @ gauss)
-
-    @pytest.mark.parametrize("rows", [1, 256])
-    def test_non_finite_panel_is_never_yielded(self, rows):
-        # a finite gamma whose first factor row overflows, gamma[-1] / sqrt(gamma[0]) = inf,
-        # while every rho of the first panel is 0: only the end-of-panel check catches it
-        gamma = np.r_[1e-300, np.zeros(1098), 1e200]
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
-            next(lift_mod._schur_panels(gamma, rows))
-
-    def test_non_finite_value_in_a_later_panel_is_never_yielded(self):
-        # row 0 is finite; rho_1 = 1 - 2^-52 < 1 gives s_1 ~ 2e-8, so row 1 overflows
-        # to -inf at index 40 of the second one-row panel, while rho_1 passes its check
-        gamma = np.zeros(64)
-        gamma[:2] = 1.0, 1.0 - 2.0**-52
-        gamma[40] = 1e301
-        panels = lift_mod._schur_panels(gamma, 1)
-        assert np.all(np.isfinite(next(panels)[1]))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
-            next(panels)
 
     def test_seed_list_streams_one_factor(self, monkeypatch):
         passes = []
-        panels = lift_mod._schur_panels
-        monkeypatch.setattr(lift_mod, "_schur_panels",
-                            lambda gamma, rows: passes.append(gamma.size) or panels(gamma, rows))
-        sample_fbm(0.4, TimeGrid.uniform(64, 1.0), n_dims=2, seed=[3, 4, 5])
-        assert passes == [64]
+        gamma = lift_mod._fgn_autocovariance
+        monkeypatch.setattr(lift_mod, "_fgn_autocovariance",
+                            lambda hurst, n, h: passes.append(n) or gamma(hurst, n, h))
+        sample_fbm(0.4, TimeGrid.uniform(64, 1.0), n_dims=2, seed=list(range(300)))
+        assert passes == [65]
 
     def test_seed_list_draws_each_seed(self):
         grid = TimeGrid.uniform(1024, 1.0)
@@ -266,19 +300,11 @@ class TestFbmFactorRoutes:
         (single,) = sample_fbm(0.4, grid, n_dims=2, seed=[7])
         assert np.array_equal(single.values, sample_fbm(0.4, grid, n_dims=2, seed=7).values)
 
-    @pytest.mark.parametrize("hurst", [0.4, 0.7])
-    def test_uniform_sample_matches_dense_factor(self, hurst):
-        grid = TimeGrid.uniform(4095, 1.0)
-        dense = np.linalg.cholesky(fbm_covariance(hurst, grid.points[1:]))
-        gauss = lift_mod._rng(7).standard_normal((4095, 2))
-        drv = sample_fbm(hurst, grid, n_dims=2, seed=7)
-        assert np.max(np.abs(drv.values[1:] - dense @ gauss)) <= 1e-9
-
     def test_non_uniform_grid_takes_dense_route(self, monkeypatch):
-        def no_schur(*args):
-            raise AssertionError("Schur route used on a non-uniform grid")
+        def no_fft(*args, **kwargs):
+            raise AssertionError("FFT route used on a non-uniform grid")
 
-        monkeypatch.setattr(lift_mod, "_schur_panels", no_schur)
+        monkeypatch.setattr(np.fft, "rfft", no_fft)
         grid = TimeGrid(np.linspace(0.0, 1.0, 65) ** 1.5)
         drv = sample_fbm(0.4, grid, seed=3)
         dense = np.linalg.cholesky(fbm_covariance(0.4, grid.points[1:]))
@@ -293,12 +319,9 @@ class TestFbmFactorRoutes:
         assert lift_mod._uniform_step(bent) is None
 
     def test_breakdown_falls_back_to_dense(self, monkeypatch):
-        # lag-1 correlation 1.5 is not a covariance: rho = 1.5 at step 1
-        with pytest.raises(np.linalg.LinAlgError):
-            next(lift_mod._schur_panels(np.array([1.0, 1.5, 0.0]), 3))
+        # an infinite gamma_0 makes every lambda +inf: not negative, but not finite
         monkeypatch.setattr(
-            lift_mod, "_fgn_autocovariance",
-            lambda hurst, n, h: np.r_[1.0, 1.5, np.zeros(n - 2)],
+            lift_mod, "_fgn_autocovariance", lambda hurst, n, h: np.r_[np.inf, np.zeros(n - 1)]
         )
         grid = TimeGrid.uniform(16, 1.0)
         dense = np.linalg.cholesky(fbm_covariance(0.4, grid.points[1:]))
