@@ -188,9 +188,11 @@ class TestFbmFactorRoutes:
 
     @pytest.mark.parametrize("n", [1, 8, 257, 1024, 4095])
     @pytest.mark.parametrize("hurst", [0.01, 0.4, 0.5, 0.7, 0.99])
-    def test_circulant_draw_reproduces_covariance(self, monkeypatch, n, hurst):
-        # seed k draws e_k, so the draws of seeds 0..2n-1 are the columns of the path
-        # factor P (n x 2n); P P^T is accumulated over seed lists of 256 columns
+    def test_schur_factor_reproduces_covariance(self, monkeypatch, n, hurst):
+        # the uniform-grid path factor (named for the Schur factor the circulant draw
+        # replaced) reproduces the covariance.  Seed k draws e_k, so the draws of seeds
+        # 0..2n-1 are the columns of the path factor P (n x 2n); P P^T is accumulated
+        # over seed lists of 256 columns
         monkeypatch.setattr(lift_mod, "_rng", _UnitNormals)
         times = TimeGrid.uniform(n, 1.0).points[1:]
         cov = fbm_covariance(hurst, times)
@@ -242,9 +244,9 @@ class TestFbmFactorRoutes:
             (single,) = sample_fbm(hurst, grid, n_dims=2, seed=[5])
             assert np.array_equal(single.values, paths[0].values), n
 
-    def test_seed_list_holds_its_paths_and_one_budget(self):
-        # beyond the one block of paths a draw holds one sub-batch's normals and
-        # transform (DRAW_BYTES), a Philox stream and a DriverPath per seed (under
+    def test_streamed_seed_list_holds_its_paths_and_one_panel(self):
+        # beyond the one block of paths a draw holds one panel of seeds' normals and
+        # their transform (DRAW_BYTES), a Philox stream and a DriverPath per seed (under
         # 1 KiB) and a few grid vectors: gamma, c, lambda, its root
         seeds = list(range(101))
         for n, n_dims in ((1024, 1), (4095, 1), (4095, 2)):
@@ -270,8 +272,9 @@ class TestFbmFactorRoutes:
         assert sample_fbm(0.4, TimeGrid.uniform(64, 1.0), seed=[]) == []
 
     @pytest.mark.parametrize("lag", [1, 1000])
-    def test_negative_eigenvalue_takes_the_dense_route(self, monkeypatch, lag):
+    def test_streamed_breakdown_takes_the_dense_route(self, monkeypatch, lag):
         # correlation 1.5 at one lag is not a covariance: lambda_m = 1 + 3 cos(pi m lag / n)
+        # has negative eigenvalues, so the circulant route breaks down before drawing
         broken = lambda hurst, n, h: np.r_[1.0, np.zeros(lag - 1), 1.5, np.zeros(n - lag - 1)]
         monkeypatch.setattr(lift_mod, "_fgn_autocovariance", broken)
         grid = TimeGrid.uniform(1100, 1.0)
