@@ -348,8 +348,6 @@ def emit_csv(path, columns):
                 v = a[i]
                 if isinstance(v, str):
                     cells.append(v)
-                elif isinstance(v, (np.bool_, bool)):
-                    cells.append("1" if v else "0")
                 elif isinstance(v, (np.integer, int)):
                     cells.append(str(int(v)))
                 else:

@@ -8,12 +8,11 @@ Chen defect are computed exactly (to round-off) on arbitrary pairs: each
 is a sum over the cell pieces of [s, t], every piece decayed from its end
 to t, and one walk evaluates it on whole arrays of pairs.
 
-fBm is sampled exactly in law, capped at desk scale.  On uniform grids a
+fBm is sampled exactly in law on uniform grids, capped at desk scale.  A
 draw embeds the Toeplitz increment covariance in a circulant of size 2n
 and applies its symmetric square root to normals by real FFTs, O(n log n),
 with seeds taken through the FFTs in sub-batches within DRAW_BYTES
-(1 MiB); other grids take the dense Cholesky factor of the path
-covariance.  No factor outlives its draw.  Sampling uses counter-based
+(1 MiB); a non-uniform grid is rejected.  Sampling uses counter-based
 Philox streams keyed by the seed, so a fixed seed reproduces paths bit for
 bit; a list of seeds shares one eigenvalue pass and one read-only block of
 paths.
@@ -119,7 +118,8 @@ def _fgn_autocovariance(hurst: float, n: int, h: float) -> np.ndarray:
     gamma(k) = h^2H/2 (|k+1|^2H - 2|k|^2H + |k-1|^2H).  For k >= 2 the
     second difference is evaluated as 2 k^2H (expm1(S) cosh D + 2
     sinh^2(D/2)), S = H log1p(-1/k^2), D = 2H atanh(1/k), which avoids its
-    cancellation: the path covariance sums each lag up to n times.
+    cancellation: the plain form errs by about eps k^2H at lag k, against
+    gamma(k) ~ k^(2H-2), and every circulant eigenvalue sums all n lags.
     """
     a = 2.0 * hurst
     gamma = np.empty(n)
@@ -132,61 +132,51 @@ def _fgn_autocovariance(hurst: float, n: int, h: float) -> np.ndarray:
     return h**a * gamma
 
 
-def _dense_cholesky(cov: np.ndarray) -> np.ndarray:
-    """LAPACK Cholesky, retried with escalating diagonal jitter."""
-    for attempt in range(4):
-        jitter = 0.0 if attempt == 0 else 1e-13 * float(np.max(np.diag(cov))) * 10**attempt
-        try:
-            return np.linalg.cholesky(
-                cov + jitter * np.eye(cov.shape[0]) if jitter else cov
-            )
-        except np.linalg.LinAlgError:
-            continue
-    raise np.linalg.LinAlgError("fBm covariance not factorisable even with jitter")
-
-
 def _fbm_draw(hurst: float, times: np.ndarray, seeds: list, n_dims: int) -> np.ndarray:
     """The seeds' fBm paths on 0 and ``times``, side by side in one (n + 1, seeds n_dims) block.
 
-    Row 0, the paths at time 0, is zero.  A uniform grid embeds the Toeplitz
-    covariance of the n increments, gamma at lags 0..n, in the circulant of
-    size 2n with first row c = (gamma_0..gamma_n, gamma_{n-1}..gamma_1) and
-    eigenvalues lambda = rfft(c).  Its symmetric square root applied to 2n
-    normals, irfft(sqrt(lambda) rfft(z)), has the circulant as covariance, so
-    its first n entries are the increments, exact in law (Davies & Harte
-    1987; Wood & Chan 1994).  Each seed's stream draws 2n normals per
-    dimension; seeds go through the FFTs in sub-batches whose normals and
-    transform fit DRAW_BYTES, and a cumulative sum writes each sub-batch's
-    increments into the block as paths.  On other grids, or when a lambda
-    is negative or not finite, the dense factor of the path covariance is
-    built for this call alone and applied to n normals per dimension from
-    fresh streams.
+    Row 0, the paths at time 0, is zero.  ``times`` must be uniform: the
+    Toeplitz covariance of the n increments, gamma at lags 0..n, is embedded
+    in the circulant of size 2n with first row c = (gamma_0..gamma_n,
+    gamma_{n-1}..gamma_1) and eigenvalues lambda = rfft(c).  Its symmetric
+    square root applied to 2n normals, irfft(sqrt(lambda) rfft(z)), has the
+    circulant as covariance, so its first n entries are the increments,
+    exact in law (Davies & Harte 1987; Wood & Chan 1994).  For fGn every
+    lambda is >= 0 (Craigmile 2003); a negative or non-finite one raises
+    LinAlgError.  Each seed's stream draws 2n normals per dimension; seeds
+    go through the FFTs in sub-batches whose normals and transform fit
+    DRAW_BYTES, and a cumulative sum writes each sub-batch's increments
+    into the block as paths.
     """
     n = times.size
+    h = _uniform_step(times)
+    if h is None:
+        widths = np.diff(times, prepend=0.0)
+        raise ValueError(f"fBm sampling needs a uniform grid; this grid's {n} cells have "
+                         f"widths {widths.min():.3g} to {widths.max():.3g}")
+    gamma = _fgn_autocovariance(hurst, n + 1, h)
+    lam = np.fft.rfft(np.r_[gamma, gamma[-2:0:-1]]).real
+    if not (np.all(np.isfinite(lam)) and lam.min() >= 0.0):
+        raise np.linalg.LinAlgError(
+            f"circulant embedding of fGn (H = {hurst}, {n} steps) has a negative or "
+            "non-finite eigenvalue"
+        )
+    root = np.sqrt(lam)
     block = np.zeros((n + 1, len(seeds) * n_dims))
     draws = block[1:]
-    h = _uniform_step(times)
-    if h is not None:
-        gamma = _fgn_autocovariance(hurst, n + 1, h)
-        lam = np.fft.rfft(np.r_[gamma, gamma[-2:0:-1]]).real
-        if np.all(np.isfinite(lam)) and lam.min() >= 0.0:
-            root = np.sqrt(lam)
-            # seeds per sub-batch: 16 n bytes of normals and 16 (n + 1) of transform per column
-            per = max(1, DRAW_BYTES // ((32 * n + 16) * n_dims))
-            z = np.empty((min(per, len(seeds)) * n_dims, 2 * n))     # normals, then increments
-            f = np.empty((len(z), n + 1), dtype=complex)
-            for i0 in range(0, len(seeds), per):
-                batch = seeds[i0 : i0 + per]
-                m = len(batch) * n_dims
-                for j, s in enumerate(batch):
-                    _rng(s).standard_normal(out=z[j * n_dims : (j + 1) * n_dims])
-                np.fft.rfft(z[:m], out=f[:m])
-                f[:m] *= root
-                np.fft.irfft(f[:m], 2 * n, out=z[:m])
-                np.cumsum(z[:m, :n], axis=1, out=draws[:, i0 * n_dims : i0 * n_dims + m].T)
-            return block
-    gauss = np.hstack([_rng(s).standard_normal((n, n_dims)) for s in seeds])
-    np.matmul(_dense_cholesky(fbm_covariance(hurst, times)), gauss, out=draws)
+    # seeds per sub-batch: 16 n bytes of normals and 16 (n + 1) of transform per column
+    per = max(1, DRAW_BYTES // ((32 * n + 16) * n_dims))
+    z = np.empty((min(per, len(seeds)) * n_dims, 2 * n))     # normals, then increments
+    f = np.empty((len(z), n + 1), dtype=complex)
+    for i0 in range(0, len(seeds), per):
+        batch = seeds[i0 : i0 + per]
+        m = len(batch) * n_dims
+        for j, s in enumerate(batch):
+            _rng(s).standard_normal(out=z[j * n_dims : (j + 1) * n_dims])
+        np.fft.rfft(z[:m], out=f[:m])
+        f[:m] *= root
+        np.fft.irfft(f[:m], 2 * n, out=z[:m])
+        np.cumsum(z[:m, :n], axis=1, out=draws[:, i0 * n_dims : i0 * n_dims + m].T)
     return block
 
 
@@ -206,15 +196,14 @@ def _int_at_least(value, name: str, low: int) -> int:
 def sample_fbm(hurst: float, grid, n_dims: int = 1, seed=0) -> DriverPath | list[DriverPath]:
     """Exact-in-law fBm sample on the grid from the seed's Philox normals.
 
-    A uniform grid takes the circulant embedding of its increment
-    covariance by real FFTs, 2n normals per dimension; any other grid the
-    dense Cholesky factor of the path covariance (jittered if round-off
-    needs it), n normals per dimension.  Grids are capped at
-    MAX_CHOLESKY_POINTS.  Components are independent; H = 0.5 reduces to
-    Brownian motion.  Seeds go through the FFTs in sub-batches within
-    DRAW_BYTES (8 seeds at 4095 points, 31 at 1024), so beyond its paths a
-    draw holds one sub-batch's normals and transform.  Callers with many
-    seeds pass them as one list.
+    The grid must be uniform (``TimeGrid.uniform``); its increment
+    covariance is embedded in a circulant and applied by real FFTs, 2n
+    normals per dimension.  Any other grid raises ValueError before any
+    draw.  Grids are capped at MAX_CHOLESKY_POINTS.  Components are
+    independent; H = 0.5 reduces to Brownian motion.  Seeds go through the
+    FFTs in sub-batches within DRAW_BYTES (8 seeds at 4095 points, 31 at
+    1024), so beyond its paths a draw holds one sub-batch's normals and
+    transform.  Callers with many seeds pass them as one list.
 
     ``n_dims`` is an integer >= 1, and each seed an integer >= 0 (a Python
     or numpy integer, not a boolean); anything else raises TypeError or

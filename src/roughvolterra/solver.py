@@ -9,7 +9,8 @@ harmonic lengths 1/(N + n), or constant segments T/n_start, in either
 mode), runs a Picard iteration on each interval over a sub-refined mesh,
 and patches intervals through the twisted Chasles relation.  Contraction
 is detected empirically from the first two sweeps; on failure the interval
-shrinks (constant scheme halves, harmonic scheme doubles N) and is re-run.
+shrinks (constant scheme halves, harmonic scheme doubles N) and is re-run,
+unless it already spans a single grid cell, when the solve fails.
 
 The per-cell closed forms of the lift (``RoughLift.cell_tables``) are
 built once per solve; an interval attempt takes views of its rows.  A
@@ -110,11 +111,10 @@ class SolverConfig:
     ``sewing_level`` is the dyadic sub-refinement of each grid cell used
     when evaluating the integral germ.  ``interval_scheme`` is
     ``harmonic`` (lengths 1/(N+n), N doubling on failure up to ``N_CAP``)
-    or ``constant`` (T/n_start segments, halving on failure).  Each
-    interval attempt runs at most ``MAX_PICARD`` sweeps.  Everything else
-    follows from gamma and kappa: the L_beta norms' exponent is 1 in a
-    rough solve and gamma in a Young one, and the invariant-ball window's
-    exponents are ``alpha2`` and ``alpha1``.
+    or ``constant`` (T/n_start segments, halving on failure); in either
+    scheme a failed single-cell interval ends the solve.  Each interval
+    attempt runs at most ``MAX_PICARD`` sweeps.  The L_beta norms' exponent
+    follows from gamma: 1 in a rough solve and gamma in a Young one.
     """
 
     gamma: float
@@ -137,16 +137,6 @@ class SolverConfig:
         if self.n_start < 1:
             raise ValueError("n_start must be >= 1")
 
-    @property
-    def alpha2(self) -> float:
-        """Ball-radius exponent (gamma - kappa)/4."""
-        return (self.gamma - self.kappa) / 4.0
-
-    @property
-    def alpha1(self) -> float:
-        """Initial-norm exponent 1 + alpha2 - (gamma + kappa)/2."""
-        return 1.0 + self.alpha2 - (self.gamma + self.kappa) / 2.0
-
 
 @dataclass
 class IntervalDiagnostics:
@@ -158,8 +148,6 @@ class IntervalDiagnostics:
     q_norm: float
     htilde_norm: float
     picard_residual: float
-    ball_radius_ok: bool
-    initial_norm_ok: bool
 
 
 @dataclass
@@ -323,11 +311,10 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
                 {"interval": (float(pts[lo]), float(pts[hi])),
                  "updates": updates, "n_value": n_value}
             )
+            # an attempt depends only on its interval, so a single cell is not retried
+            if hi == lo + 1:
+                raise SolverFailure("no contraction even on single-cell intervals", failures)
             if config.interval_scheme == "constant":
-                if hi == lo + 1:
-                    raise SolverFailure(
-                        "no contraction even on single-cell intervals", failures
-                    )
                 const_eps /= 2.0
                 continue
             n_value *= 2
@@ -351,7 +338,6 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
             pts[lo : hi + 1], measure, beta, config.kappa,
         )
         h_norm = float(lbeta_norm(htilde[None], measure, beta)[0])
-        base = n_value + n_done
         diagnostics.append(
             IntervalDiagnostics(
                 start=float(pts[lo]),
@@ -362,8 +348,6 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
                 q_norm=q_norm,
                 htilde_norm=h_norm,
                 picard_residual=residual,
-                ball_radius_ok=bool(q_norm <= base**config.alpha2),
-                initial_norm_ok=bool(h_norm <= base**config.alpha1),
             )
         )
         htilde = yt[-1].copy()

@@ -311,7 +311,8 @@ class TestRunFlows:
             doc["checks"] = {}
 
             def broken(*args, **kwargs):
-                raise np.linalg.LinAlgError("fBm covariance not factorisable even with jitter")
+                raise np.linalg.LinAlgError(
+                    "circulant embedding of fGn has a negative or non-finite eigenvalue")
 
             monkeypatch.setattr(cli, "sample_fbm", broken)
             expected = "LinAlgError"

@@ -159,6 +159,10 @@ class _UnitNormals:
         out[:, self.k] = 1.0
 
 
+def _no_normals(seed):
+    raise AssertionError("normals drawn for a draw that must be rejected")
+
+
 def circulant_root(hurst, n):
     """Rows 0..n-1 of the symmetric square root of the 2n-point circulant, by explicit cosine sums.
 
@@ -273,14 +277,14 @@ class TestFbmFactorRoutes:
 
     @pytest.mark.parametrize("lag", [1, 1000])
     def test_streamed_breakdown_takes_the_dense_route(self, monkeypatch, lag):
-        # correlation 1.5 at one lag is not a covariance: lambda_m = 1 + 3 cos(pi m lag / n)
-        # has negative eigenvalues, so the circulant route breaks down before drawing
+        # (the name is historical: there is no dense route left to take.)  Correlation
+        # 1.5 at one lag is not a covariance: lambda_m = 1 + 3 cos(pi m lag / n) has
+        # negative eigenvalues, so the draw raises before drawing any normals
         broken = lambda hurst, n, h: np.r_[1.0, np.zeros(lag - 1), 1.5, np.zeros(n - lag - 1)]
         monkeypatch.setattr(lift_mod, "_fgn_autocovariance", broken)
-        grid = TimeGrid.uniform(1100, 1.0)
-        dense = np.linalg.cholesky(fbm_covariance(0.4, grid.points[1:]))
-        gauss = lift_mod._rng(5).standard_normal((1100, 1))
-        assert np.array_equal(sample_fbm(0.4, grid, seed=5).values[1:], dense @ gauss)
+        monkeypatch.setattr(lift_mod, "_rng", _no_normals)
+        with pytest.raises(np.linalg.LinAlgError, match="negative or non-finite eigenvalue"):
+            sample_fbm(0.4, TimeGrid.uniform(1100, 1.0), seed=5)
 
     def test_seed_list_streams_one_factor(self, monkeypatch):
         passes = []
@@ -304,15 +308,16 @@ class TestFbmFactorRoutes:
         assert np.array_equal(single.values, sample_fbm(0.4, grid, n_dims=2, seed=7).values)
 
     def test_non_uniform_grid_takes_dense_route(self, monkeypatch):
+        # (the name is historical.)  A non-uniform grid is rejected before any
+        # normals are drawn or any FFT runs
         def no_fft(*args, **kwargs):
-            raise AssertionError("FFT route used on a non-uniform grid")
+            raise AssertionError("FFT run on a non-uniform grid")
 
         monkeypatch.setattr(np.fft, "rfft", no_fft)
+        monkeypatch.setattr(lift_mod, "_rng", _no_normals)
         grid = TimeGrid(np.linspace(0.0, 1.0, 65) ** 1.5)
-        drv = sample_fbm(0.4, grid, seed=3)
-        dense = np.linalg.cholesky(fbm_covariance(0.4, grid.points[1:]))
-        gauss = lift_mod._rng(3).standard_normal((64, 1))
-        assert np.array_equal(drv.values[1:], dense @ gauss)
+        with pytest.raises(ValueError, match="needs a uniform grid; this grid's 64 cells"):
+            sample_fbm(0.4, grid, seed=3)
 
     def test_uniform_detection(self):
         times = TimeGrid.uniform(4095, 0.3).points[1:]
@@ -322,14 +327,14 @@ class TestFbmFactorRoutes:
         assert lift_mod._uniform_step(bent) is None
 
     def test_breakdown_falls_back_to_dense(self, monkeypatch):
-        # an infinite gamma_0 makes every lambda +inf: not negative, but not finite
+        # (the name is historical: there is no fallback.)  An infinite gamma_0 makes
+        # every lambda +inf: not negative, but not finite, so the draw raises
         monkeypatch.setattr(
             lift_mod, "_fgn_autocovariance", lambda hurst, n, h: np.r_[np.inf, np.zeros(n - 1)]
         )
-        grid = TimeGrid.uniform(16, 1.0)
-        dense = np.linalg.cholesky(fbm_covariance(0.4, grid.points[1:]))
-        gauss = lift_mod._rng(5).standard_normal((16, 1))
-        assert np.array_equal(sample_fbm(0.4, grid, seed=5).values[1:], dense @ gauss)
+        monkeypatch.setattr(lift_mod, "_rng", _no_normals)
+        with pytest.raises(np.linalg.LinAlgError, match="negative or non-finite eigenvalue"):
+            sample_fbm(0.4, TimeGrid.uniform(16, 1.0), seed=5)
 
 
 class TestX1:
@@ -484,8 +489,11 @@ class TestX3:
 
 
 def graded_lift():
+    # an fBm path on a non-uniform grid, built from the dense factor of its covariance
     grid = TimeGrid(np.linspace(0.0, 1.0, 33) ** 1.3)
-    driver = sample_fbm(0.4, grid, n_dims=2, seed=5)
+    factor = np.linalg.cholesky(fbm_covariance(0.4, grid.points[1:]))
+    values = np.vstack([np.zeros(2), factor @ lift_mod._rng(5).standard_normal((32, 2))])
+    driver = DriverPath(grid, values)
     return RoughLift(driver, KernelMeasure.from_atoms([(0.0, 0.4)] + ATOMS3), gamma=0.38)
 
 
