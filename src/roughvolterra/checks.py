@@ -23,10 +23,10 @@ from .expkernels import e0
 from .laplace import KernelMeasure
 from .lift import (
     DETERMINISTIC_FUNCTIONS,
-    DRAW_BYTES,
     DriverPath,
     RoughLift,
     deterministic_driver,
+    draw_batch,
     sample_fbm,
     wiener_cov_x1,
 )
@@ -129,7 +129,8 @@ def a3_chen_relation(tol, seeds=range(3), hursts=(0.4, 0.7), cells=256, triples=
     The pass value is the worst error over random grid triples relative to
     ``lift.scale**2``; ``details["worst_relative"]`` is the worst error
     relative to each triple's largest oracle value.  Triples are drawn
-    with ``default_rng(10_000 + seed)``.
+    with ``default_rng(10_000 + seed)`` and evaluated one at a time, each by
+    its own ``lift.x3_tilde`` call and its own blocked oracle walk.
     """
     tol = float(tol)
     measure = KernelMeasure.from_atoms(atoms)
@@ -142,8 +143,8 @@ def a3_chen_relation(tol, seeds=range(3), hursts=(0.4, 0.7), cells=256, triples=
             rng = np.random.default_rng(10_000 + seed)
             scale = lift.scale**2
             idx = [np.sort(rng.choice(len(grid), size=3, replace=False)) for _ in range(int(triples))]
-            points = grid.points[np.reshape(idx, (-1, 3))]
-            for (s, u, t), chen in zip(points, lift.x3_tilde(*points.T)):
+            for s, u, t in grid.points[np.reshape(idx, (-1, 3))]:
+                chen = lift.x3_tilde(s, u, t)
                 ref = x3_tilde_riemann_fast(driver, measure, measure.xis, s, u, t, int(sub_mesh))
                 err = float(np.max(np.abs(chen - ref)))
                 worst = max(worst, err / scale)
@@ -187,8 +188,12 @@ def a5_solver_vs_ode(solutions, y_ref, tol):
 
 
 def seed_chunks(seeds, cells):
-    """``seeds`` in runs of DRAW_BYTES // (8 (cells + 1)): each run's paths fit the draw budget."""
-    size = DRAW_BYTES // (8 * (cells + 1))
+    """``seeds`` in runs of ``lift.draw_batch(cells)``, one FFT sub-batch of a draw each.
+
+    8 seeds at 4095 cells and 31 at 1024: a caller that draws one chunk at a
+    time holds one sub-batch's paths beside the draw's DRAW_BYTES of work.
+    """
+    size = draw_batch(cells)
     return [seeds[i : i + size] for i in range(0, len(seeds), size)]
 
 
@@ -275,7 +280,9 @@ def a8_diffusion_degeneration(cells=128, seed=1, hurst=0.4, sigma="tanh", sigma_
 def a9_holder_estimator(tol, seeds=range(100), hursts=(0.4, 0.7), points=4096):
     """A9: the median Holder-exponent estimate of fBm samples lies within ``tol`` of H.
 
-    Each H's samples are drawn in one ``sample_fbm`` call over the seed list.
+    Each H's samples are drawn one ``seed_chunks`` chunk per ``sample_fbm``
+    call, so the check holds one FFT sub-batch of paths (8 at 4096 points)
+    at a time; draws do not depend on the chunking.
     """
     tol = float(tol)
     grid = TimeGrid.uniform(int(points) - 1, 1.0)
@@ -284,7 +291,8 @@ def a9_holder_estimator(tol, seeds=range(100), hursts=(0.4, 0.7), points=4096):
     for hurst in hursts:
         ests = [
             estimate_holder_exponent(grid, driver.values)[0]
-            for driver in sample_fbm(float(hurst), grid, n_dims=1, seed=list(seeds))
+            for chunk in seed_chunks(list(seeds), len(grid) - 1)
+            for driver in sample_fbm(float(hurst), grid, n_dims=1, seed=chunk)
         ]
         med = float(np.median(ests))
         details[str(hurst)] = med

@@ -132,6 +132,15 @@ def _fgn_autocovariance(hurst: float, n: int, h: float) -> np.ndarray:
     return h**a * gamma
 
 
+def draw_batch(n: int, n_dims: int = 1) -> int:
+    """Seeds per FFT sub-batch of a draw of n steps, 8 at 4095 and 31 at 1024.
+
+    A column takes 16 n bytes of normals and 16 (n + 1) of transform; a
+    sub-batch's columns fit DRAW_BYTES.
+    """
+    return max(1, DRAW_BYTES // ((32 * n + 16) * n_dims))
+
+
 def _fbm_draw(hurst: float, times: np.ndarray, seeds: list, n_dims: int) -> np.ndarray:
     """The seeds' fBm paths on 0 and ``times``, side by side in one (n + 1, seeds n_dims) block.
 
@@ -164,8 +173,7 @@ def _fbm_draw(hurst: float, times: np.ndarray, seeds: list, n_dims: int) -> np.n
     root = np.sqrt(lam)
     block = np.zeros((n + 1, len(seeds) * n_dims))
     draws = block[1:]
-    # seeds per sub-batch: 16 n bytes of normals and 16 (n + 1) of transform per column
-    per = max(1, DRAW_BYTES // ((32 * n + 16) * n_dims))
+    per = draw_batch(n, n_dims)
     z = np.empty((min(per, len(seeds)) * n_dims, 2 * n))     # normals, then increments
     f = np.empty((len(z), n + 1), dtype=complex)
     for i0 in range(0, len(seeds), per):

@@ -16,6 +16,10 @@ first-order integral inside ``x2_tilde_riemann`` is the twisted
 recurrence r_{k+1} = e^{-eta h_k} r_k + e^{-eta h_k/2} dx_k of the
 midpoint rule; it is evaluated with ``algebra.exp_scan``, a blocked
 prefix scan, so that 2^16-step meshes stay affordable.
+``x3_tilde_riemann_fast`` walks its two sub-meshes in blocks of _BLOCK
+steps, taking each step's slope from its piece's cell, so its working set
+does not grow with the mesh; its steps are those of ``subdivide`` bit for
+bit.
 """
 
 from __future__ import annotations
@@ -33,6 +37,16 @@ __all__ = [
     "rk4_augmented",
 ]
 
+_BLOCK = 8192                      # sub-mesh steps per block of a blocked walk
+
+
+def _pieces(grid_points, s, t, target):
+    """(knots, per, step): the cell-aligned pieces of [s, t], each ``per`` steps of ``step``."""
+    pts = np.asarray(grid_points, dtype=float)
+    knots = np.concatenate(([s], pts[(pts > s) & (pts < t)], [t]))
+    per = max(1, int(round(target / (knots.size - 1))))
+    return knots, per, np.diff(knots) / per
+
 
 def subdivide(grid_points, s, t, target):
     """Sub-mesh of [s, t] aligned with driver cells, about ``target`` steps.
@@ -43,11 +57,26 @@ def subdivide(grid_points, s, t, target):
     smooth within every sub-step, so midpoint sums retain second-order
     accuracy.
     """
-    pts = np.asarray(grid_points, dtype=float)
-    knots = np.concatenate(([s], pts[(pts > s) & (pts < t)], [t]))
-    per = max(1, int(round(target / (knots.size - 1))))
-    step = np.diff(knots) / per
+    knots, per, step = _pieces(grid_points, s, t, target)
     return np.append(np.arange(per) * step[:, None] + knots[:-1, None], t)
+
+
+def _step_blocks(driver, s, t, target):
+    """The steps of ``subdivide(grid, s, t, target)``, at most _BLOCK at a time.
+
+    Yields (midpoints (B,), driver increments (B, n)) block by block.  Mesh
+    point q is computed as ``subdivide`` computes it, so every midpoint and
+    width is bit-identical to the full mesh's; a step's slope is its piece's,
+    whose cell is the cell of the piece's first knot.
+    """
+    knots, per, step = _pieces(driver.grid.points, s, t, target)
+    slope = driver.slopes[driver.grid.cell_of(knots[:-1])]
+    step = np.append(step, 0.0)              # mesh point P is 0 * 0 + knots[-1] = t
+    n_steps = per * (knots.size - 1)
+    for q0 in range(0, n_steps, _BLOCK):
+        piece, j = np.divmod(np.arange(q0, min(q0 + _BLOCK, n_steps) + 1), per)
+        mesh = j * step[piece] + knots[piece]
+        yield 0.5 * (mesh[:-1] + mesh[1:]), slope[piece[:-1]] * np.diff(mesh)[:, None]
 
 
 def _sub_steps(driver, mesh):
@@ -107,29 +136,25 @@ def x3_tilde_riemann_fast(driver, measure, xi, s, u, t, n_sub=65536):
                      = sum_k w_k (e^{-eta_k (v-u)} - 1) x1~_{us}(eta_k),
     with x1~_{us} a midpoint Riemann sum on a sub-mesh of [s, u] of about
     n_sub/4 steps and the outer integral a midpoint sum on a sub-mesh of
-    [u, t] of about n_sub steps.  ``xi`` scalar or array as in
-    :func:`x2_tilde_riemann`.
+    [u, t] of about n_sub steps.  Both sums walk their sub-mesh in blocks
+    of _BLOCK steps, so a call holds a few (K, _BLOCK) arrays whatever
+    ``n_sub``; only the order of summation differs from one pass over the
+    whole mesh.  ``xi`` scalar or array as in :func:`x2_tilde_riemann`.
     """
     if not s <= u <= t:
         raise ValueError("need s <= u <= t")
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     n = driver.n_dims
-    if t <= u:
-        out = np.zeros((xi_arr.size, n, n))
-        return out if np.ndim(xi) else out[0]
-    if u > s:
-        mid_su, _, dx_su = _sub_steps(
-            driver, subdivide(driver.grid.points, s, u, max(n_sub // 4, 64)))
-        x1t_us = np.einsum(
-            "kp,pn->kn", np.exp(-np.multiply.outer(measure.xis, u - mid_su)), dx_su
-        )
-    else:
+    out = np.zeros((xi_arr.size, n, n))
+    if t > u > s:                     # else (delta x1)_{vus} or the outer interval is 0
         x1t_us = np.zeros((measure.n_atoms, n))
-    mid, _, dx = _sub_steps(driver, subdivide(driver.grid.points, u, t, n_sub))
-    a_vu = np.expm1(-np.multiply.outer(measure.xis, mid - u))     # (K, P)
-    inner = np.einsum("k,kp,kn->pn", measure.weights, a_vu, x1t_us)
-    w_out = np.exp(-np.multiply.outer(xi_arr, t - mid))
-    out = np.einsum("Kp,pj,pd->Kjd", w_out, dx, inner)
+        for mid, dx in _step_blocks(driver, s, u, max(n_sub // 4, 64)):
+            x1t_us += np.exp(-np.multiply.outer(measure.xis, u - mid)) @ dx
+        for mid, dx in _step_blocks(driver, u, t, n_sub):
+            a_vu = np.expm1(-np.multiply.outer(measure.xis, mid - u))     # (K, B)
+            inner = np.einsum("k,kp,kn->pn", measure.weights, a_vu, x1t_us)
+            w_out = np.exp(-np.multiply.outer(xi_arr, t - mid))
+            out += np.einsum("Kp,pj,pd->Kjd", w_out, dx, inner)
     return out if np.ndim(xi) else out[0]
 
 

@@ -5,7 +5,7 @@ twisted increments are fixed points of the integral map
 (delta~ ytilde)_{ts} = J_ts(d~x sigma(y)), y = a + <kernel, ytilde>.
 
 A solve covers [0, T] with consecutive intervals (``interval_scheme``:
-harmonic lengths 1/(N + n), or constant segments T/n_start, in either
+harmonic lengths T/(N + n), or constant segments T/n_start, in either
 mode), runs a Picard iteration on each interval over a sub-refined mesh,
 and patches intervals through the twisted Chasles relation.  Contraction
 is detected empirically from the first two sweeps; on failure the interval
@@ -101,7 +101,6 @@ def rough_integral(lift: RoughLift, z, s: float, t: float, atom: int, level: int
 INTERVAL_SCHEMES = ("harmonic", "constant")
 CONTRACTION_LIMIT = 0.999          # sweep-update ratio that counts as no contraction
 MAX_PICARD = 60                    # Picard sweeps per interval attempt
-N_CAP = 1 << 16                    # harmonic scheme: largest N before a solve fails
 
 
 @dataclass
@@ -110,11 +109,11 @@ class SolverConfig:
 
     ``sewing_level`` is the dyadic sub-refinement of each grid cell used
     when evaluating the integral germ.  ``interval_scheme`` is
-    ``harmonic`` (lengths 1/(N+n), N doubling on failure up to ``N_CAP``)
-    or ``constant`` (T/n_start segments, halving on failure); in either
-    scheme a failed single-cell interval ends the solve.  Each interval
-    attempt runs at most ``MAX_PICARD`` sweeps.  The L_beta norms' exponent
-    follows from gamma: 1 in a rough solve and gamma in a Young one.
+    ``harmonic`` (lengths T/(N+n), N doubling on failure) or ``constant``
+    (T/n_start segments, halving on failure); in either scheme a failed
+    single-cell interval ends the solve.  Each interval attempt runs at
+    most ``MAX_PICARD`` sweeps.  The L_beta norms' exponent follows from
+    gamma: 1 in a rough solve and gamma in a Young one.
     """
 
     gamma: float
@@ -280,7 +279,10 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
     failures: list = []
 
     while lo < n_pts - 1:
-        eps = const_eps if config.interval_scheme == "constant" else 1.0 / (n_value + n_done)
+        if config.interval_scheme == "constant":
+            eps = const_eps
+        else:
+            eps = grid.horizon / (n_value + n_done)
         hi = int(np.searchsorted(pts, pts[lo] + eps * (1 + 1e-12), side="right")) - 1
         hi = min(max(hi, lo + 1), n_pts - 1)
 
@@ -316,13 +318,8 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
                 raise SolverFailure("no contraction even on single-cell intervals", failures)
             if config.interval_scheme == "constant":
                 const_eps /= 2.0
-                continue
-            n_value *= 2
-            if n_value > N_CAP:
-                raise SolverFailure(
-                    f"no contraction below the interval cap (N > {N_CAP})",
-                    failures,
-                )
+            else:
+                n_value *= 2
             continue
 
         # commit the interval; yt holds ytilde at its grid points

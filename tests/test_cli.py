@@ -356,7 +356,6 @@ class TestRunFlows:
 
     def test_solver_failure_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.setattr(solver_mod, "MAX_PICARD", 3)
-        monkeypatch.setattr(solver_mod, "N_CAP", 2)
         doc = solve_config()
         doc["kind"] = "solve-rough"
         doc["sigma"] = {"name": "linear", "params": {"scale": 40.0}}
@@ -534,9 +533,9 @@ class TestRunFlows:
         assert len(ens) - 1 == 400
 
     def test_covariance_check_seed_chunks_agree_across_jobs(self, tmp_path):
-        # 130 unsorted seeds at 1024 cells span two seed chunks (127 seeds each at most)
+        # 130 unsorted seeds at 1024 cells span five seed chunks (31 seeds each at most)
         seeds = [int(s) for s in np.random.default_rng(0).permutation(130)]
-        assert len(checks.seed_chunks(seeds, 1024)) == 2
+        assert len(checks.seed_chunks(seeds, 1024)) == 5
         doc = {"kind": "covariance-check",
                "stat": {"name": "x1_tilde_value", "hurst": 0.7, "cells": 1024, "xi": 1.0,
                         "seeds": seeds}}

@@ -263,7 +263,6 @@ class TestSolveRough:
 
     def test_solver_failure_carries_diagnostics(self, monkeypatch):
         monkeypatch.setattr(solver_mod, "MAX_PICARD", 3)
-        monkeypatch.setattr(solver_mod, "N_CAP", 2)
         lift = identity_lift(cells=64)
         fld = sigma_catalog("linear", n=1, d=1, params={"scale": 40.0})
         cfg = base_config(interval_scheme="harmonic", n_start=1, picard_tol=1e-14)
@@ -452,6 +451,20 @@ class TestSingleCellFailure:
         assert attempts.count((0, 1)) == 1
         assert attempts[-1] == (0, 1)
         assert len(info.value.diagnostics) == len(attempts)
+
+    def test_harmonic_lengths_scale_with_the_horizon(self):
+        # 512 cells on [0, 1e-3], where sigma(y) = 1e7 y does not contract even on one
+        # cell (width 1.95e-6).  Harmonic lengths T/(N + n) halve in cells as N doubles,
+        # so the solve reaches the first cell and ends there; lengths 1/(N + n) in
+        # absolute time still spanned 7.8 cells at N = 2^16
+        grid = TimeGrid.uniform(512, 1e-3)
+        lift = RoughLift(deterministic_driver(grid, lambda t: t),
+                         KernelMeasure.from_atoms([(1.0, 1.0)]), gamma=1.0)
+        fld = sigma_catalog("linear", n=1, d=1, params={"scale": 1e7})
+        cfg = base_config(sewing_level=1, interval_scheme="harmonic", n_start=4)
+        with pytest.raises(SolverFailure, match="single-cell intervals") as info:
+            solve_rough(lift, fld, np.array([1.0]), cfg)
+        assert info.value.diagnostics[-1]["interval"] == (0.0, float(grid.points[1]))
 
 
 def explicit_solve_from_lift(lift, fld, a, refine):
