@@ -26,7 +26,6 @@ from .lift import (
     DriverPath,
     RoughLift,
     deterministic_driver,
-    draw_batch,
     sample_fbm,
     wiener_cov_x1,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "a7_rough_self_convergence",
     "a8_diffusion_degeneration",
     "a9_holder_estimator",
-    "seed_chunks",
     "x1_tilde_value",
     "self_convergence",
 ]
@@ -187,26 +185,16 @@ def a5_solver_vs_ode(solutions, y_ref, tol):
     return CheckResult("A5_solver_vs_ode", err <= tol, err, tol)
 
 
-def seed_chunks(seeds, cells):
-    """``seeds`` in runs of ``lift.draw_batch(cells)``, one FFT sub-batch of a draw each.
-
-    8 seeds at 4095 cells and 31 at 1024: a caller that draws one chunk at a
-    time holds one sub-batch's paths beside the draw's DRAW_BYTES of work.
-    """
-    size = draw_batch(cells)
-    return [seeds[i : i + size] for i in range(0, len(seeds), size)]
-
-
 def x1_tilde_value(seeds, hurst, cells, xi, horizon=1.0):
     """A6's statistic: x1~_{T0}(xi) of the fBm path drawn with each seed, one value per seed.
 
-    The closed-form first-order lift over [0, T], unrolled over the cells.
-    Each of ``seed_chunks`` is one ``sample_fbm`` seed list.
+    The closed-form first-order lift over [0, T], unrolled over the cells,
+    on paths streamed from one ``sample_fbm`` seed list.
     """
     grid = TimeGrid.uniform(cells, horizon)
     w_cells = np.exp(-xi * (horizon - grid.points[1:])) * e0(xi, grid.widths)
-    return [float(w_cells @ driver.slopes[:, 0]) for chunk in seed_chunks(seeds, cells)
-            for driver in sample_fbm(hurst, grid, n_dims=1, seed=chunk)]
+    return [float(w_cells @ driver.slopes[:, 0])
+            for driver in sample_fbm(hurst, grid, n_dims=1, seed=seeds)]
 
 
 def a6_fbm_young_covariance(values, hurst, xi, horizon=1.0, se_factor=3.0):
@@ -280,20 +268,16 @@ def a8_diffusion_degeneration(cells=128, seed=1, hurst=0.4, sigma="tanh", sigma_
 def a9_holder_estimator(tol, seeds=range(100), hursts=(0.4, 0.7), points=4096):
     """A9: the median Holder-exponent estimate of fBm samples lies within ``tol`` of H.
 
-    Each H's samples are drawn one ``seed_chunks`` chunk per ``sample_fbm``
-    call, so the check holds one FFT sub-batch of paths (8 at 4096 points)
-    at a time; draws do not depend on the chunking.
+    Each H's samples are streamed from one ``sample_fbm`` seed list, so the
+    check holds one FFT sub-batch of paths (8 at 4096 points) at a time.
     """
     tol = float(tol)
     grid = TimeGrid.uniform(int(points) - 1, 1.0)
     worst = 0.0
     details = {}
     for hurst in hursts:
-        ests = [
-            estimate_holder_exponent(grid, driver.values)[0]
-            for chunk in seed_chunks(list(seeds), len(grid) - 1)
-            for driver in sample_fbm(float(hurst), grid, n_dims=1, seed=chunk)
-        ]
+        ests = [estimate_holder_exponent(grid, driver.values)[0]
+                for driver in sample_fbm(float(hurst), grid, n_dims=1, seed=seeds)]
         med = float(np.median(ests))
         details[str(hurst)] = med
         worst = max(worst, abs(med - float(hurst)))

@@ -24,6 +24,7 @@ import os
 import sys
 import time
 import traceback
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -109,7 +110,7 @@ Family = NamedTuple("Family", [("params", dict), ("name_key", str), ("at", str)]
 SOLVES = ("solve-young", "solve-rough")
 EQUATION = SOLVES + ("convergence",)            # the kinds that solve the equation
 HURST = "(0, 1)"
-FBM_CELLS = f"[1, {MAX_CHOLESKY_POINTS - 1}]"   # an fBm grid within the Cholesky cap
+FBM_CELLS = f"[1, {MAX_CHOLESKY_POINTS - 1}]"   # an fBm grid within sample_fbm's point cap
 
 # JSON path -> (type, range, required).  Types: float (integers accepted), int, str;
 # a tuple of allowed values; [type], a list; np.ndarray, a list of numbers as a float array;
@@ -371,9 +372,10 @@ class ExperimentConfig:
     def deterministic(self) -> bool:
         return self.doc["driver"].get("kind", "deterministic") == "deterministic"
 
-    def driver(self, seed=None, grid=None) -> DriverPath | list[DriverPath]:
+    def driver(self, seed=None, grid=None) -> DriverPath | Iterator[DriverPath]:
         """The configured driver on ``grid``; an fBm driver given a list of seeds
-        is one path per seed, a deterministic one ignores the seed."""
+        is ``sample_fbm``'s iterator of one path per seed, a deterministic one
+        ignores the seed."""
         drv = self.doc["driver"]
         if grid is None:
             grid = TimeGrid.uniform(drv["cells"], drv.get("horizon", 1.0))
@@ -493,7 +495,7 @@ def _run_convergence(cfg: ExperimentConfig, manifest, out_dir, jobs):
     if cfg.deterministic:   # one path whatever the seed: solve it once, repeat per seed
         per_seed = _map(one_seed, [cfg.driver(grid=fine_grid)], jobs) * len(seeds)
     else:
-        per_seed = _map(one_seed, cfg.driver(seed=list(seeds), grid=fine_grid), jobs)
+        per_seed = _map(one_seed, list(cfg.driver(seed=list(seeds), grid=fine_grid)), jobs)
     results = sorted(zip(seeds, per_seed), key=lambda r: r[0])
     rates = [rate for _, (_, rate) in results]
     rows = [(seed, lev, d) for seed, (diffs, _) in results for lev, d in zip(levels[:-1], diffs)]
@@ -513,8 +515,10 @@ def _run_ensemble(cfg: ExperimentConfig, manifest, out_dir, jobs):
     hurst, xi, horizon = stat["hurst"], stat["xi"], stat.get("horizon", 1.0)
     value = functools.partial(checks.x1_tilde_value, hurst=hurst, cells=stat["cells"], xi=xi,
                               horizon=horizon)
-    chunks = checks.seed_chunks(stat["seeds"], stat["cells"])
-    results = sorted(zip(stat["seeds"], (v for vs in _map(value, chunks, jobs) for v in vs)),
+    seeds = stat["seeds"]
+    size = -(-len(seeds) // jobs)                # one contiguous run of seeds per worker
+    runs = [seeds[i : i + size] for i in range(0, len(seeds), size)]
+    results = sorted(zip(seeds, (v for vs in _map(value, runs, jobs) for v in vs)),
                      key=lambda r: r[0])
     values = [r[1] for r in results]
     emit_csv(os.path.join(out_dir, "ensemble.csv"),
@@ -578,7 +582,7 @@ def main(argv=None) -> int:
     run_p.add_argument("config", help="path to the JSON experiment config")
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (>= 1; at most one per seed chunk and per CPU)")
+                       help="worker processes (>= 1; at most one per seed and per CPU)")
     run_p.add_argument("--check", action="append", default=None,
                        help="run only the named check(s) from the config")
     args = parser.parse_args(argv)

@@ -11,16 +11,17 @@ to t, and one walk evaluates it on whole arrays of pairs.
 fBm is sampled exactly in law on uniform grids, capped at desk scale.  A
 draw embeds the Toeplitz increment covariance in a circulant of size 2n
 and applies its symmetric square root to normals by real FFTs, O(n log n),
-with seeds taken through the FFTs in sub-batches within DRAW_BYTES
-(1 MiB); a non-uniform grid is rejected.  Sampling uses counter-based
-Philox streams keyed by the seed, so a fixed seed reproduces paths bit for
-bit; a list of seeds shares one eigenvalue pass and one read-only block of
-paths.
+and a non-uniform grid is rejected.  Sampling uses counter-based Philox
+streams keyed by the seed, so a fixed seed reproduces its path bit for
+bit.  A list of seeds is an iterator of paths drawn from one eigenvalue
+pass, one FFT sub-batch within DRAW_BYTES (1 MiB) at a time, each
+sub-batch's paths read-only views of its own block.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -132,7 +133,7 @@ def _fgn_autocovariance(hurst: float, n: int, h: float) -> np.ndarray:
     return h**a * gamma
 
 
-def draw_batch(n: int, n_dims: int = 1) -> int:
+def _draw_batch(n: int, n_dims: int) -> int:
     """Seeds per FFT sub-batch of a draw of n steps, 8 at 4095 and 31 at 1024.
 
     A column takes 16 n bytes of normals and 16 (n + 1) of transform; a
@@ -141,21 +142,14 @@ def draw_batch(n: int, n_dims: int = 1) -> int:
     return max(1, DRAW_BYTES // ((32 * n + 16) * n_dims))
 
 
-def _fbm_draw(hurst: float, times: np.ndarray, seeds: list, n_dims: int) -> np.ndarray:
-    """The seeds' fBm paths on 0 and ``times``, side by side in one (n + 1, seeds n_dims) block.
+def _circulant_root(hurst: float, times: np.ndarray) -> np.ndarray:
+    """sqrt(lambda), the n + 1 eigenvalue roots of fGn's circulant embedding on 0 and ``times``.
 
-    Row 0, the paths at time 0, is zero.  ``times`` must be uniform: the
-    Toeplitz covariance of the n increments, gamma at lags 0..n, is embedded
-    in the circulant of size 2n with first row c = (gamma_0..gamma_n,
-    gamma_{n-1}..gamma_1) and eigenvalues lambda = rfft(c).  Its symmetric
-    square root applied to 2n normals, irfft(sqrt(lambda) rfft(z)), has the
-    circulant as covariance, so its first n entries are the increments,
-    exact in law (Davies & Harte 1987; Wood & Chan 1994).  For fGn every
-    lambda is >= 0 (Craigmile 2003); a negative or non-finite one raises
-    LinAlgError.  Each seed's stream draws 2n normals per dimension; seeds
-    go through the FFTs in sub-batches whose normals and transform fit
-    DRAW_BYTES, and a cumulative sum writes each sub-batch's increments
-    into the block as paths.
+    ``times`` must be uniform: the Toeplitz covariance of the n increments,
+    gamma at lags 0..n, is embedded in the circulant of size 2n with first
+    row c = (gamma_0..gamma_n, gamma_{n-1}..gamma_1) and eigenvalues
+    lambda = rfft(c).  For fGn every lambda is >= 0 (Craigmile 2003); a
+    negative or non-finite one raises LinAlgError.
     """
     n = times.size
     h = _uniform_step(times)
@@ -170,10 +164,23 @@ def _fbm_draw(hurst: float, times: np.ndarray, seeds: list, n_dims: int) -> np.n
             f"circulant embedding of fGn (H = {hurst}, {n} steps) has a negative or "
             "non-finite eigenvalue"
         )
-    root = np.sqrt(lam)
-    block = np.zeros((n + 1, len(seeds) * n_dims))
-    draws = block[1:]
-    per = draw_batch(n, n_dims)
+    return np.sqrt(lam)
+
+
+def _fbm_draw(grid, root: np.ndarray, seeds: list, n_dims: int):
+    """The seeds' fBm paths on ``grid``, yielded in order, one FFT sub-batch at a time.
+
+    The circulant's symmetric square root applied to 2n normals,
+    irfft(root rfft(z)), has the circulant as covariance, so its first n
+    entries are the increments, exact in law (Davies & Harte 1987; Wood &
+    Chan 1994).  Each seed's stream draws 2n normals per dimension; seeds
+    go through the FFTs in sub-batches whose normals and transform fit
+    DRAW_BYTES, and a cumulative sum writes a sub-batch's increments into
+    its own (n + 1, batch n_dims) block, row 0 zero, whose column views
+    are the paths.
+    """
+    n = root.size - 1
+    per = _draw_batch(n, n_dims)
     z = np.empty((min(per, len(seeds)) * n_dims, 2 * n))     # normals, then increments
     f = np.empty((len(z), n + 1), dtype=complex)
     for i0 in range(0, len(seeds), per):
@@ -184,8 +191,10 @@ def _fbm_draw(hurst: float, times: np.ndarray, seeds: list, n_dims: int) -> np.n
         np.fft.rfft(z[:m], out=f[:m])
         f[:m] *= root
         np.fft.irfft(f[:m], 2 * n, out=z[:m])
-        np.cumsum(z[:m, :n], axis=1, out=draws[:, i0 * n_dims : i0 * n_dims + m].T)
-    return block
+        block = np.zeros((n + 1, m))
+        np.cumsum(z[:m, :n], axis=1, out=block[1:].T)
+        for j in range(len(batch)):
+            yield DriverPath(grid, block[:, j * n_dims : (j + 1) * n_dims])
 
 
 def _int_at_least(value, name: str, low: int) -> int:
@@ -201,25 +210,26 @@ def _int_at_least(value, name: str, low: int) -> int:
     return value
 
 
-def sample_fbm(hurst: float, grid, n_dims: int = 1, seed=0) -> DriverPath | list[DriverPath]:
+def sample_fbm(hurst: float, grid, n_dims: int = 1, seed=0) -> DriverPath | Iterator[DriverPath]:
     """Exact-in-law fBm sample on the grid from the seed's Philox normals.
 
     The grid must be uniform (``TimeGrid.uniform``); its increment
     covariance is embedded in a circulant and applied by real FFTs, 2n
-    normals per dimension.  Any other grid raises ValueError before any
-    draw.  Grids are capped at MAX_CHOLESKY_POINTS.  Components are
-    independent; H = 0.5 reduces to Brownian motion.  Seeds go through the
-    FFTs in sub-batches within DRAW_BYTES (8 seeds at 4095 points, 31 at
-    1024), so beyond its paths a draw holds one sub-batch's normals and
-    transform.  Callers with many seeds pass them as one list.
+    normals per dimension.  Grids are capped at MAX_CHOLESKY_POINTS.
+    Components are independent; H = 0.5 reduces to Brownian motion.
 
     ``n_dims`` is an integer >= 1, and each seed an integer >= 0 (a Python
-    or numpy integer, not a boolean); anything else raises TypeError or
-    ValueError before any draw.  A list, range or array of seeds returns one
-    DriverPath per seed (an empty one, none): the paths match single-seed
-    draws to round-off, and a one-seed list matches bit for bit.  Every
-    path's values are a read-only view of one block of the batch's draws,
-    so a path kept from a batch keeps the whole block alive.
+    or numpy integer, not a boolean).  A single seed returns one
+    DriverPath.  A list, range or array of seeds returns an iterator of one
+    DriverPath per seed, in order (an empty one, none), drawn from one
+    eigenvalue pass one FFT sub-batch at a time (8 seeds at 4095 points, 31
+    at 1024, within DRAW_BYTES): a caller that streams it holds one
+    sub-batch of paths, and one that needs them all calls ``list()``.  A
+    seed's path matches its single-seed draw bit for bit, whichever seeds
+    share its sub-batch.  Bad arguments (TypeError or ValueError), a
+    non-uniform grid (ValueError) and a negative or non-finite eigenvalue
+    (LinAlgError) raise at the call, before any draw.  Each path's values are a read-only view of its
+    sub-batch's block, so a path kept keeps that block alive.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("Hurst parameter must be in (0, 1)")
@@ -230,12 +240,8 @@ def sample_fbm(hurst: float, grid, n_dims: int = 1, seed=0) -> DriverPath | list
     n_dims = _int_at_least(n_dims, "n_dims", 1)
     single = np.ndim(seed) == 0
     seeds = [_int_at_least(s, "seed", 0) for s in ([seed] if single else seed)]
-    if not seeds:
-        return []
-    block = _fbm_draw(hurst, grid.points[1:], seeds, n_dims)
-    drivers = [DriverPath(grid, block[:, i * n_dims : (i + 1) * n_dims])
-               for i in range(len(seeds))]
-    return drivers[0] if single else drivers
+    paths = _fbm_draw(grid, _circulant_root(hurst, grid.points[1:]), seeds, n_dims)
+    return next(paths) if single else paths
 
 
 def deterministic_driver(grid, fn) -> DriverPath:

@@ -116,9 +116,11 @@ class TestSampleFbm:
         (1.0, TypeError), (True, TypeError), ("2", TypeError), (None, TypeError),
     ], ids=["zero", "negative", "numpy-zero", "float", "bool", "str", "none"])
     def test_bad_n_dims_is_rejected_before_drawing(self, monkeypatch, n_dims, error):
+        # a seed list raises at the call too, not at the iterator's first step
         monkeypatch.setattr(lift_mod, "_fbm_draw", _no_draw)
-        with pytest.raises(error, match="n_dims"):
-            sample_fbm(0.4, TimeGrid.uniform(8, 1.0), n_dims=n_dims, seed=0)
+        for seed in (0, [0, 1]):
+            with pytest.raises(error, match="n_dims"):
+                sample_fbm(0.4, TimeGrid.uniform(8, 1.0), n_dims=n_dims, seed=seed)
 
     @pytest.mark.parametrize("seed, error", [
         (1.7, TypeError), (1.0, TypeError), (True, TypeError), (np.bool_(True), TypeError),
@@ -128,9 +130,12 @@ class TestSampleFbm:
     ], ids=["fraction", "float", "bool", "numpy-bool", "str", "negative", "numpy-negative",
             "list-fraction", "list-bool", "list-negative", "float-array", "nested-list"])
     def test_bad_seed_is_rejected_before_drawing(self, monkeypatch, seed, error):
+        # a bad seed alone and after a good one in a list; a seed list raises at the
+        # call, not at the iterator's first step
         monkeypatch.setattr(lift_mod, "_fbm_draw", _no_draw)
-        with pytest.raises(error, match="seed"):
-            sample_fbm(0.4, TimeGrid.uniform(8, 1.0), seed=seed)
+        for given in (seed,) if np.ndim(seed) else (seed, [0, seed]):
+            with pytest.raises(error, match="seed"):
+                sample_fbm(0.4, TimeGrid.uniform(8, 1.0), seed=given)
 
     def test_integer_like_seeds_are_accepted(self):
         grid = TimeGrid.uniform(8, 1.0)
@@ -177,6 +182,20 @@ def circulant_root(hurst, n):
     return s[(k[:n, None] - k[None, :]) % (2 * n)]
 
 
+def drawn_block(hurst, n, seeds, n_dims):
+    """The seed list's paths on the uniform n-cell grid, side by side in one (n + 1, seeds n_dims) array."""
+    return np.hstack([p.values for p in sample_fbm(hurst, TimeGrid.uniform(n, 1.0),
+                                                   n_dims=n_dims, seed=seeds)])
+
+
+def covariance_rows(hurst, times, rows):
+    """Rows ``rows`` of fbm_covariance(hurst, times), without the other rows."""
+    t, r = np.asarray(times, dtype=float), np.asarray(times, dtype=float)[rows]
+    h2 = 2.0 * hurst
+    return 0.5 * (np.abs(r[:, None]) ** h2 + np.abs(t[None, :]) ** h2
+                  - np.abs(r[:, None] - t[None, :]) ** h2)
+
+
 def two_pass_draw(hurst, n, seeds, n_dims):
     """The circulant draw in two plain passes: every seed's increments at once, then their sums."""
     times = TimeGrid.uniform(n, 1.0).points[1:]
@@ -196,17 +215,28 @@ class TestFbmFactorRoutes:
         # the uniform-grid path factor (named for the Schur factor the circulant draw
         # replaced) reproduces the covariance.  Seed k draws e_k, so the draws of seeds
         # 0..2n-1 are the columns of the path factor P (n x 2n); P P^T is accumulated
-        # over seed lists of 256 columns
+        # over runs of 256 columns of one seed list
         monkeypatch.setattr(lift_mod, "_rng", _UnitNormals)
-        times = TimeGrid.uniform(n, 1.0).points[1:]
-        cov = fbm_covariance(hurst, times)
-        # every 16th row (and the last) of P P^T on the largest grid
+        grid = TimeGrid.uniform(n, 1.0)
+        # every 16th row (and the last) of P P^T on the largest grid, against those
+        # rows of the covariance; its largest entry, R_H(1, 1) = 1, is in the last row
         rows = np.arange(n) if n <= 1024 else np.r_[0:n:16, n - 1]
+        cov = covariance_rows(hurst, grid.points[1:], rows)
         implied = np.zeros((rows.size, n))
+        paths = sample_fbm(hurst, grid, seed=range(2 * n))
         for k0 in range(0, 2 * n, 256):
-            cols = lift_mod._fbm_draw(hurst, times, list(range(k0, min(k0 + 256, 2 * n))), 1)[1:]
-            implied += cols[rows] @ cols.T
-        assert np.max(np.abs(implied - cov[rows])) <= 1e-12 * np.max(np.abs(cov))
+            # columns k0.. of P, one per row
+            cols = np.array([next(paths).values[1:, 0] for _ in range(min(256, 2 * n - k0))])
+            implied += cols[:, rows].T @ cols
+        assert next(paths, None) is None
+        assert np.max(np.abs(implied - cov)) <= 1e-12 * np.max(np.abs(cov))
+
+    @pytest.mark.parametrize("hurst", [0.01, 0.7])
+    def test_covariance_rows_are_rows_of_the_covariance(self, hurst):
+        times = TimeGrid.uniform(257, 1.0).points[1:]
+        rows = np.r_[0:257:16, 256]
+        assert np.array_equal(covariance_rows(hurst, times, rows),
+                              fbm_covariance(hurst, times)[rows])
 
     @pytest.mark.parametrize("n", [8, 257, 1024, 4095])
     @pytest.mark.parametrize("hurst", [0.01, 0.4, 0.5, 0.7, 0.99])
@@ -214,9 +244,7 @@ class TestFbmFactorRoutes:
         # the draw takes sub-batches through FFTs written in place and sums each
         # straight into the block; the same arithmetic in two plain passes gives its bits
         seeds = list(range(3, 23))
-        times = TimeGrid.uniform(n, 1.0).points[1:]
-        got = lift_mod._fbm_draw(hurst, times, seeds, 2)
-        assert np.array_equal(got, two_pass_draw(hurst, n, seeds, 2))
+        assert np.array_equal(drawn_block(hurst, n, seeds, 2), two_pass_draw(hurst, n, seeds, 2))
 
     @pytest.mark.parametrize("n", [8, 257, 1024])
     @pytest.mark.parametrize("rows", [1, 7, "n"])
@@ -225,9 +253,7 @@ class TestFbmFactorRoutes:
         seeds = list(range(3, 23))
         per = len(seeds) if rows == "n" else rows
         monkeypatch.setattr(lift_mod, "DRAW_BYTES", per * (32 * n + 16) * 2)
-        times = TimeGrid.uniform(n, 1.0).points[1:]
-        assert np.array_equal(lift_mod._fbm_draw(0.4, times, seeds, 2),
-                              two_pass_draw(0.4, n, seeds, 2))
+        assert np.array_equal(drawn_block(0.4, n, seeds, 2), two_pass_draw(0.4, n, seeds, 2))
 
     @pytest.mark.parametrize("hurst", [0.01, 0.4, 0.99])
     def test_streamed_draws_match_the_factor(self, hurst):
@@ -256,7 +282,7 @@ class TestFbmFactorRoutes:
         for n, n_dims in ((1024, 1), (4095, 1), (4095, 2)):
             tracemalloc.start()
             try:
-                paths = sample_fbm(0.4, TimeGrid.uniform(n, 1.0), n_dims=n_dims, seed=seeds)
+                paths = list(sample_fbm(0.4, TimeGrid.uniform(n, 1.0), n_dims=n_dims, seed=seeds))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -266,14 +292,26 @@ class TestFbmFactorRoutes:
 
     @pytest.mark.parametrize("n", [64, 4095])
     def test_seed_list_paths_share_one_block(self, n):
-        paths = sample_fbm(0.4, TimeGrid.uniform(n, 1.0), n_dims=2, seed=[1, 2, 3])
+        # three seeds in two dimensions fit one sub-batch (4 seeds at 4095 points);
+        # ten take three there, each sub-batch's paths views of its own block
+        paths = list(sample_fbm(0.4, TimeGrid.uniform(n, 1.0), n_dims=2, seed=[1, 2, 3]))
         block = paths[0].values.base
         assert block.shape == (n + 1, 6)
         assert all(p.values.base is block and np.shares_memory(p.values, block) for p in paths)
         assert not any(p.values.flags.writeable for p in paths)
+        paths = list(sample_fbm(0.4, TimeGrid.uniform(n, 1.0), n_dims=2, seed=range(10)))
+        per = 4 if n == 4095 else 10
+        for i0 in range(0, 10, per):
+            batch = paths[i0 : i0 + per]
+            block = batch[0].values.base
+            assert block.shape == (n + 1, 2 * len(batch))
+            assert all(p.values.base is block for p in batch)
+            assert not any(np.shares_memory(p.values, block) for p in paths[i0 + per :])
 
-    def test_empty_seed_list_draws_nothing(self):
-        assert sample_fbm(0.4, TimeGrid.uniform(64, 1.0), seed=[]) == []
+    def test_empty_seed_list_draws_nothing(self, monkeypatch):
+        monkeypatch.setattr(lift_mod, "_rng", _no_normals)
+        paths = sample_fbm(0.4, TimeGrid.uniform(64, 1.0), seed=[])
+        assert iter(paths) is paths and list(paths) == []
 
     @pytest.mark.parametrize("lag", [1, 1000])
     def test_streamed_breakdown_takes_the_dense_route(self, monkeypatch, lag):
@@ -283,27 +321,35 @@ class TestFbmFactorRoutes:
         broken = lambda hurst, n, h: np.r_[1.0, np.zeros(lag - 1), 1.5, np.zeros(n - lag - 1)]
         monkeypatch.setattr(lift_mod, "_fgn_autocovariance", broken)
         monkeypatch.setattr(lift_mod, "_rng", _no_normals)
-        with pytest.raises(np.linalg.LinAlgError, match="negative or non-finite eigenvalue"):
-            sample_fbm(0.4, TimeGrid.uniform(1100, 1.0), seed=5)
+        for seed in (5, [5, 6]):            # a seed list raises at the call too
+            with pytest.raises(np.linalg.LinAlgError, match="negative or non-finite eigenvalue"):
+                sample_fbm(0.4, TimeGrid.uniform(1100, 1.0), seed=seed)
 
     def test_seed_list_streams_one_factor(self, monkeypatch):
         passes = []
         gamma = lift_mod._fgn_autocovariance
         monkeypatch.setattr(lift_mod, "_fgn_autocovariance",
                             lambda hurst, n, h: passes.append(n) or gamma(hurst, n, h))
-        sample_fbm(0.4, TimeGrid.uniform(64, 1.0), n_dims=2, seed=list(range(300)))
+        # 300 seeds in two dimensions take two FFT sub-batches at 64 points
+        paths = sample_fbm(0.4, TimeGrid.uniform(64, 1.0), n_dims=2, seed=list(range(300)))
         assert passes == [65]
+        assert sum(1 for _ in paths) == 300 and passes == [65]
 
     def test_seed_list_draws_each_seed(self):
+        # one path per seed, in order, each bit for bit its single-seed draw.  At 1024
+        # points in two dimensions a sub-batch holds 15 seeds, so dropping the first
+        # five puts every later seed beside other seeds, and it keeps its bits
         grid = TimeGrid.uniform(1024, 1.0)
-        seeds = [3, 7, 11, 12]
-        paths = sample_fbm(0.4, grid, n_dims=2, seed=seeds)
+        seeds = [3, 7, 11, 12] + list(range(20, 60))
+        paths = list(sample_fbm(0.4, grid, n_dims=2, seed=seeds))
         assert len(paths) == len(seeds)
         for path, seed in zip(paths, seeds):
             one = sample_fbm(0.4, grid, n_dims=2, seed=seed)
             assert path.values.shape == one.values.shape
-            scale = np.max(np.abs(one.values))
-            assert np.max(np.abs(path.values - one.values)) <= 1e-13 * scale
+            assert np.array_equal(path.values, one.values)
+        later = list(sample_fbm(0.4, grid, n_dims=2, seed=seeds[5:]))
+        assert len(later) == len(seeds) - 5
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(later, paths[5:]))
         (single,) = sample_fbm(0.4, grid, n_dims=2, seed=[7])
         assert np.array_equal(single.values, sample_fbm(0.4, grid, n_dims=2, seed=7).values)
 
@@ -316,8 +362,9 @@ class TestFbmFactorRoutes:
         monkeypatch.setattr(np.fft, "rfft", no_fft)
         monkeypatch.setattr(lift_mod, "_rng", _no_normals)
         grid = TimeGrid(np.linspace(0.0, 1.0, 65) ** 1.5)
-        with pytest.raises(ValueError, match="needs a uniform grid; this grid's 64 cells"):
-            sample_fbm(0.4, grid, seed=3)
+        for seed in (3, [3, 4]):            # a seed list raises at the call too
+            with pytest.raises(ValueError, match="needs a uniform grid; this grid's 64 cells"):
+                sample_fbm(0.4, grid, seed=seed)
 
     def test_uniform_detection(self):
         times = TimeGrid.uniform(4095, 0.3).points[1:]
@@ -333,8 +380,9 @@ class TestFbmFactorRoutes:
             lift_mod, "_fgn_autocovariance", lambda hurst, n, h: np.r_[np.inf, np.zeros(n - 1)]
         )
         monkeypatch.setattr(lift_mod, "_rng", _no_normals)
-        with pytest.raises(np.linalg.LinAlgError, match="negative or non-finite eigenvalue"):
-            sample_fbm(0.4, TimeGrid.uniform(16, 1.0), seed=5)
+        for seed in (5, range(5, 9)):       # a seed list raises at the call too
+            with pytest.raises(np.linalg.LinAlgError, match="negative or non-finite eigenvalue"):
+                sample_fbm(0.4, TimeGrid.uniform(16, 1.0), seed=seed)
 
 
 class TestX1:
