@@ -34,7 +34,6 @@ from .lift import (
     RoughLift,
     sample_fbm,
     deterministic_driver,
-    fbm_covariance,
     wiener_cov_x1,
 )
 from .sigma import SigmaField, sigma_catalog

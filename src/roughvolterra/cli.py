@@ -31,10 +31,9 @@ import numpy as np
 
 from . import __version__, checks
 from .algebra import TimeGrid
-from .laplace import DENSITY_CATALOG, KernelMeasure, kernel_from_spec
+from .laplace import DENSITY_CATALOG, N_NODES, KernelMeasure, kernel_from_spec
 from .lift import (
     DETERMINISTIC_FUNCTIONS,
-    MAX_CHOLESKY_POINTS,
     DriverPath,
     RoughLift,
     deterministic_driver,
@@ -110,7 +109,10 @@ Family = NamedTuple("Family", [("params", dict), ("name_key", str), ("at", str)]
 SOLVES = ("solve-young", "solve-rough")
 EQUATION = SOLVES + ("convergence",)            # the kinds that solve the equation
 HURST = "(0, 1)"
-FBM_CELLS = f"[1, {MAX_CHOLESKY_POINTS - 1}]"   # an fBm grid within sample_fbm's point cap
+# The one size rule: a run's largest array within this many bytes, checked before anything is
+# allocated.  A traced peak grew by at most 7.1 bytes a byte of that array, so a run at the
+# budget peaks near 2 GiB, and two --jobs workers near 4 GiB, within a 7 GB 2-core machine.
+WORK_BYTES = 2**28
 
 # JSON path -> (type, range, required).  Types: float (integers accepted), int, str;
 # a tuple of allowed values; [type], a list; np.ndarray, a list of numbers as a float array;
@@ -155,7 +157,7 @@ SCHEMA = {
     "stat": (dict, None, ("covariance-check",)),
     "stat.name": (("x1_tilde_value",), None, True),
     "stat.hurst": (float, HURST, True),
-    "stat.cells": (int, FBM_CELLS, True),
+    "stat.cells": (int, "[1, inf)", True),
     "stat.xi": (float, "[0, inf)", True),
     "stat.seeds": (seed_expand, None, True),
     "stat.horizon": (float, "(0, inf)", False),
@@ -175,19 +177,19 @@ SCHEMA = {
     "checks.A1_algebraic_exactness.atoms": (int, "[1, inf)", False),
     "checks.A2_sewing_bound.mu": (float, "(1, inf)", False),
     "checks.A2_sewing_bound.rho": (float, "(0, inf)", False),
-    "checks.A3_chen_relation.cells": (int, f"[2, {MAX_CHOLESKY_POINTS - 1}]", False),
+    "checks.A3_chen_relation.cells": (int, "[2, inf)", False),
     "checks.A3_chen_relation.triples": (int, "[1, inf)", False),
     "checks.A3_chen_relation.sub_mesh": (int, "[1, inf)", False),
     "checks.A3_chen_relation.atoms": ([[float]], KernelMeasure.from_atoms, False),
     "checks.A4_young_exactness.cells": (int, "[1, inf)", False),
     "checks.A4_young_exactness.functions": ([tuple(DETERMINISTIC_FUNCTIONS)], None, False),
-    "checks.A8_diffusion_degeneration.cells": (int, FBM_CELLS, False),
+    "checks.A8_diffusion_degeneration.cells": (int, "[1, inf)", False),
     "checks.A8_diffusion_degeneration.sigma": (tuple(SIGMA_PARAMS), None, False),
     "checks.A8_diffusion_degeneration.sigma_params":
         (Family(SIGMA_PARAMS, "sigma", "sigma.params"), None, False),
     "checks.A8_diffusion_degeneration.initial": (np.ndarray, None, False),
     "checks.A8_diffusion_degeneration.solver": (SolverConfig, None, False),
-    "checks.A9_holder_estimator.points": (int, f"[32, {MAX_CHOLESKY_POINTS}]", False),
+    "checks.A9_holder_estimator.points": (int, "[32, inf)", False),
     "checks.A5_solver_vs_ode": (dict, None, False),
     "checks.A5_solver_vs_ode.tol": (float, "[0, inf)", True),
     "checks.A5_solver_vs_ode.dt": (float, "(0, inf)", False),
@@ -285,7 +287,7 @@ def _walk(value, row, at, where, kind, siblings=None):
 
 
 def _check_relations(doc):
-    """The rules between keys, once each key is typed."""
+    """The rules between keys, once each key is typed, and the work budget WORK_BYTES."""
     kind, drv, enabled = doc["kind"], doc.get("driver", {}), doc.get("checks", {})
     for name in enabled:
         if name not in KIND_CHECKS[kind]:
@@ -300,12 +302,6 @@ def _check_relations(doc):
         raise ValueError(f"missing key {' or '.join(f'driver.{s}' for s in seeds)} (explicit seeds)")
     if fbm and "hurst" not in drv:
         raise ValueError("missing key(s) ['driver.hurst'] of the fbm driver")
-    key, cells = ("levels", 2 ** max(doc["levels"])) if kind == "convergence" else (
-        "driver.cells", drv.get("cells", 1))
-    if fbm and cells >= MAX_CHOLESKY_POINTS:
-        raise ValueError(f"{key}: fBm grids are capped at {MAX_CHOLESKY_POINTS - 1} cells")
-    if "A5_solver_vs_ode" in enabled and drv.get("kind", "deterministic") != "deterministic":
-        raise ValueError("checks.A5_solver_vs_ode needs a deterministic driver.kind")
     if "A6_fbm_young_covariance" in enabled and not (
             doc["stat"]["hurst"] > 0.5 and len(doc["stat"]["seeds"]) > 1):
         raise ValueError("A6_fbm_young_covariance needs stat.hurst in (0.5, 1) and 2+ stat.seeds")
@@ -323,6 +319,53 @@ def _check_relations(doc):
         if "direction" in params and len(params["direction"]) != n:
             raise ValueError(f"{where}.direction must have one entry per driver dimension "
                              f"({n}), got {len(params['direction'])}")
+    # the work budget: (bytes, what, keys sizing it) of the run's largest arrays (README)
+    work = []
+    if kind in EQUATION:
+        kernel, n = doc["kernel"], drv.get("n_dims", 1)
+        k, k_key = ((len(kernel["atoms"]), "kernel.atoms") if "atoms" in kernel else
+                    (kernel["density"].get("n_nodes", N_NODES), "kernel.density.n_nodes"))
+        at, cells = (("levels", 2 ** min(max(doc["levels"]), 64)) if kind == "convergence"
+                     else ("driver.cells", drv["cells"]))
+        work += _solve_work(cells, k, n, len(doc["initial"]), doc["solver"].sewing_level, fbm,
+                            (at, k_key, "solver.sewing_level"))
+        if kind == "convergence":                   # held through list(): one path per seed
+            paths = len(drv["seeds"]) if fbm and "seeds" in drv else 1
+            work.append((paths * (cells + 1) * n * 8, "the fine paths", ("driver.seeds", at)))
+    if kind == "covariance-check":                  # the draw is streamed, the results held
+        work += [(len(doc["stat"]["seeds"]) * 155, "the per-seed results", ("stat.seeds",)),
+                 _draw_work(doc["stat"]["cells"], 1, "stat.cells")]
+    if "A3_chen_relation" in enabled:
+        a3, at = _check_params(enabled, "A3_chen_relation"), "checks.A3_chen_relation"
+        work += [_draw_work(a3["cells"], 1, f"{at}.cells"), (3 * a3["cells"] * len(
+            a3["atoms"]) ** 2 * 8, "the x3 walk", (f"{at}.cells", f"{at}.atoms"))]
+    if "A8_diffusion_degeneration" in enabled:     # one atom, n = d = 1; the class default level
+        at = "checks.A8_diffusion_degeneration"
+        work += _solve_work(a8["cells"], 1, 1, 1, (a8["solver"] or SolverConfig).sewing_level,
+                            True, (f"{at}.cells",) * 2 + (f"{at}.solver.sewing_level",))
+    if "A9_holder_estimator" in enabled:
+        work.append(_draw_work(_check_params(enabled, "A9_holder_estimator")["points"], 1,
+                               "checks.A9_holder_estimator.points"))
+    size, what, keys = max(work, default=(0, "", ()))
+    if size > WORK_BYTES:
+        raise ValueError(f"{', '.join(dict.fromkeys(keys))}: {what} would need {size:.3g} bytes, "
+                         f"over the work budget of {WORK_BYTES} bytes")
+
+
+def _draw_work(cells, n, key):
+    """An fBm draw's eigenvalue pass, normals and transform on ``cells`` cells in n dimensions."""
+    return cells * n * 64, "the fBm draw", (key,)
+
+
+def _solve_work(cells, k, n, d, level, fbm, keys):
+    """A solve's cell tables, mesh arrays and ytilde on ``cells`` cells with K = k atoms, n
+    driver and d state dimensions, and its fBm draw if ``fbm``; ``keys`` name cells, K, level."""
+    at, k_key, level_key = keys
+    mesh = cells * 2 ** min(level, 64)              # 2^64 steps a cell are past any budget
+    return [(cells * k * n * n * 8, "the cell tables", (at, k_key)),
+            (mesh * n * d * d * 8, "the mesh arrays", (at, level_key)),
+            (cells * k * d * 8, "ytilde on the grid", (at, k_key))] + (
+        [_draw_work(cells, n, at)] if fbm else [])
 
 
 def _check_params(enabled, name):

@@ -76,6 +76,7 @@ def phi_eval(measure: KernelMeasure, v):
 
 
 PROBE_POINTS = (0.1, 1.0, 10.0)     # where build_quadrature checks its reconstruction of phi
+N_NODES = 64                        # kernel_from_spec's default node count, at most that many atoms
 
 
 def build_quadrature(
@@ -127,22 +128,16 @@ def build_quadrature(
 
 
 def _exp_density(rate=1.0):
-    fn = lambda xi: np.exp(-rate * xi)
-    exact = lambda v: 1.0 / (rate + v)
-    return fn, exact, rate
+    return lambda xi: np.exp(-rate * xi), rate
 
 
 def _gamma_density(shape=2.0, rate=1.0):
     if shape < 1.0:
         raise ValueError("gamma-type density needs shape >= 1 for quadrature")
-    from scipy.special import gamma as gamma_fn
-
-    fn = lambda xi: xi ** (shape - 1.0) * np.exp(-rate * xi)
-    exact = lambda v: gamma_fn(shape) / (rate + v) ** shape
-    return fn, exact, rate
+    return lambda xi: xi ** (shape - 1.0) * np.exp(-rate * xi), rate
 
 
-# name -> factory(params) -> (density, exact transform, min decay rate)
+# name -> factory(params) -> (density, min decay rate)
 DENSITY_CATALOG = {
     "exp": _exp_density,
     "gamma": _gamma_density,
@@ -173,11 +168,11 @@ def kernel_from_spec(spec: dict) -> KernelMeasure:
         factory = DENSITY_CATALOG[d["name"]]
     except KeyError:
         raise ValueError(f"unknown density {d.get('name')!r}") from None
-    density, _, decay_rate = factory(**d.get("params", {}))
+    density, decay_rate = factory(**d.get("params", {}))
     tail = float(d.get("tail_cut", 50.0 / decay_rate))
     return build_quadrature(
         density,
-        n_nodes=int(d.get("n_nodes", 64)),
+        n_nodes=int(d.get("n_nodes", N_NODES)),
         tail_cut=tail,
         reconstruction_tol=float(d.get("tol", 1e-8)),
     )

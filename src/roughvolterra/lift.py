@@ -8,9 +8,9 @@ Chen defect are computed exactly (to round-off) on arbitrary pairs: each
 is a sum over the cell pieces of [s, t], every piece decayed from its end
 to t, and one walk evaluates it on whole arrays of pairs.
 
-fBm is sampled exactly in law on uniform grids, capped at desk scale.  A
-draw embeds the Toeplitz increment covariance in a circulant of size 2n
-and applies its symmetric square root to normals by real FFTs, O(n log n),
+fBm is sampled exactly in law on uniform grids of any size.  A draw
+embeds the Toeplitz increment covariance in a circulant of size 2n and
+applies its symmetric square root to normals by real FFTs, O(n log n),
 and a non-uniform grid is rejected.  Sampling uses counter-based Philox
 streams keyed by the seed, so a fixed seed reproduces its path bit for
 bit.  A list of seeds is an iterator of paths drawn from one eigenvalue
@@ -38,12 +38,9 @@ __all__ = [
     "sample_fbm",
     "deterministic_driver",
     "DETERMINISTIC_FUNCTIONS",
-    "fbm_covariance",
     "wiener_cov_x1",
-    "MAX_CHOLESKY_POINTS",
 ]
 
-MAX_CHOLESKY_POINTS = 2**12 + 1
 DRAW_BYTES = 1024**2                      # one FFT sub-batch's normals and transform
 
 
@@ -89,17 +86,6 @@ class DriverPath:
         pts = self.grid.points
         idx = self.grid.cell_of(times)
         return self.values[idx] + self.slopes[idx] * (times - pts[idx])[..., None]
-
-
-def fbm_covariance(hurst: float, times: np.ndarray) -> np.ndarray:
-    """Covariance matrix R_H(t, s) = (|s|^2H + |t|^2H - |t-s|^2H)/2."""
-    t = np.asarray(times, dtype=float)
-    h2 = 2.0 * hurst
-    return 0.5 * (
-        np.abs(t[:, None]) ** h2
-        + np.abs(t[None, :]) ** h2
-        - np.abs(t[:, None] - t[None, :]) ** h2
-    )
 
 
 def _uniform_step(times: np.ndarray) -> float | None:
@@ -215,8 +201,8 @@ def sample_fbm(hurst: float, grid, n_dims: int = 1, seed=0) -> DriverPath | Iter
 
     The grid must be uniform (``TimeGrid.uniform``); its increment
     covariance is embedded in a circulant and applied by real FFTs, 2n
-    normals per dimension.  Grids are capped at MAX_CHOLESKY_POINTS.
-    Components are independent; H = 0.5 reduces to Brownian motion.
+    normals per dimension, on a grid of any size.  Components are
+    independent; H = 0.5 reduces to Brownian motion.
 
     ``n_dims`` is an integer >= 1, and each seed an integer >= 0 (a Python
     or numpy integer, not a boolean).  A single seed returns one
@@ -233,12 +219,8 @@ def sample_fbm(hurst: float, grid, n_dims: int = 1, seed=0) -> DriverPath | Iter
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("Hurst parameter must be in (0, 1)")
-    if len(grid) > MAX_CHOLESKY_POINTS:
-        raise ValueError(
-            f"grid has {len(grid)} points; fBm sampling is capped at {MAX_CHOLESKY_POINTS}"
-        )
     n_dims = _int_at_least(n_dims, "n_dims", 1)
-    single = np.ndim(seed) == 0
+    single = not isinstance(seed, (list, tuple, range)) and np.ndim(seed) == 0
     seeds = [_int_at_least(s, "seed", 0) for s in ([seed] if single else seed)]
     paths = _fbm_draw(grid, _circulant_root(hurst, grid.points[1:]), seeds, n_dims)
     return next(paths) if single else paths
@@ -430,15 +412,6 @@ class RoughLift:
     def scale(self) -> float:
         """Reference magnitude of the first-order lift (for scaled residuals)."""
         return max(float(np.max(np.abs(self._prefix))), 1e-300)
-
-    def chasles_residual(self, n_triples: int = 200, seed: int = 0) -> float:
-        """Max twisted-Chasles residual over random grid triples, scaled."""
-        rng = np.random.default_rng(seed)
-        pts = self.driver.grid.points
-        i, j, k = pts[np.sort(rng.integers(0, pts.size, size=(3, n_triples)), axis=0)]
-        ts, tu, us = self.x1_tilde(np.stack([i, j, i]), np.stack([k, k, j]))
-        res = ts - tu - np.exp(-np.multiply.outer(k - j, self.xis))[..., None] * us
-        return float(np.max(np.abs(res))) / self.scale
 
 
 def wiener_cov_x1(hurst, xi, eta, interval_a, interval_b):

@@ -38,21 +38,6 @@ class SigmaField:
     def dsigma(self, y):
         return self.dsigma_batch(np.asarray(y, dtype=float)[None, :])[0]
 
-    def fd_consistency(self, n_points: int = 10, seed: int = 0, h: float = 1e-6):
-        """Max relative error of Dsigma against central differences of sigma
-        at random points."""
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(n_points):
-            y = rng.uniform(-1.5, 1.5, size=self.d)
-            scale = max(1.0, float(np.max(np.abs(self.dsigma(y)))))
-            for q in range(self.d):
-                e = np.zeros(self.d)
-                e[q] = h
-                fd = (self(y + e) - self(y - e)) / (2 * h)
-                worst = max(worst, float(np.max(np.abs(fd - self.dsigma(y)[..., q]))) / scale)
-        return worst
-
 
 def _separable(name, n, d, u, f, f1):
     """sigma[i, j] = u_i f(y_j) and its diagonal derivative tensor; u None means all ones."""

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from perfbench import workloads
 from roughvolterra import checks, cli, solver as solver_mod
 from roughvolterra.cli import (
     RunManifest,
@@ -125,6 +126,30 @@ def test_shipped_config_validates(name):
         cli.ExperimentConfig(json.load(fh))
 
 
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_benchmark_job_configs_validate(tmp_path, workload):
+    # the benchmark keeps its own frozen copies of the configs: one that stopped
+    # validating would show there only as a failed run
+    for job in workloads.build(workload, 1, str(tmp_path)).jobs:
+        with open(job.config_path) as fh:
+            cli.ExperimentConfig(json.load(fh))
+
+
+@pytest.mark.parametrize("doc", [
+    {**solve_config(), "driver": {"kind": "fbm", "hurst": 0.4, "cells": 8192, "seed": 1}},
+    {**solve_config(), "kind": "convergence", "levels": [11, 12, 13],
+     "driver": {"kind": "fbm", "hurst": 0.4, "seeds": "0..4"}, "checks": {}},
+    {"kind": "covariance-check", "stat": {"name": "x1_tilde_value", "hurst": 0.7,
+                                          "cells": 8192, "xi": 1.0, "seeds": "0..4"}},
+    {"kind": "verify", "checks": {"A3_chen_relation": {"tol": 1e-6, "cells": 8192},
+                                  "A8_diffusion_degeneration": {"cells": 8192},
+                                  "A9_holder_estimator": {"tol": 0.07, "points": 8193}}},
+], ids=["solve", "convergence", "covariance-check", "verify"])
+def test_fbm_grid_past_the_old_point_cap_validates(doc):
+    # fBm grids were capped at 4095 cells; within the work budget they now run
+    cli.ExperimentConfig(doc)
+
+
 class TestRunFlows:
     def test_parse_error_exit_2(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -210,9 +235,9 @@ class TestRunFlows:
             ("solver", {"interval_scheme": "explicit", "boundaries": "x"}, "solver.boundaries"),
             ("sigma", {"params": {"amp": [5]}}, "sigma.params.amp"),
             ("kernel", {"atoms": None}, "kernel.atoms"),
-            ("driver", {"kind": "fbm", "hurst": 0.4, "seed": 1, "cells": 5000}, "driver.cells"),
-            ("config", {"driver": {"kind": "fbm", "hurst": 0.4, "cells": 16, "seed": 1},
-                        "checks": {"A5_solver_vs_ode": {"tol": 1e-4}}}, "A5_solver_vs_ode"),
+            ("driver", {"kind": "fbm", "hurst": 0.4, "seed": 1, "cells": 10**8}, "driver.cells"),
+            ("config", {"kind": "verify", "checks": {"A5_solver_vs_ode": {"tol": 1e-4}}},
+             "A5_solver_vs_ode"),
             ("sigma", {"params": {"direction": [1.0, 2.0]}}, "sigma.params.direction"),
             ("config", {"kind": "verify", "checks": {"A2_sewing_bound": {"rho": 2.0}}},
              "A2_sewing_bound.rho"),
@@ -246,6 +271,27 @@ class TestRunFlows:
                                                      "cells": 16, "xi": 1.0, "seeds": "0..2"}},
              "kind"),
             ("driver", {"kind": "brownian", "seed": 1}, "driver.kind"),
+            # over the work budget, each named by a key of its largest term
+            ("driver", {"cells": 10**9}, "driver.cells"),
+            ("config", {"kind": "convergence", "levels": [24, 25, 26], "driver": {
+                "kind": "deterministic", "cells": 128, "seed": 1}}, "levels"),
+            ("kernel", {"atoms": None, "density": {"name": "exp", "n_nodes": 10**7}},
+             "kernel.density.n_nodes"),
+            ("solver", {"sewing_level": 40}, "solver.sewing_level"),
+            ("config", {"kind": "covariance-check", "stat": {
+                "name": "x1_tilde_value", "hurst": 0.7, "cells": 16, "xi": 1.0,
+                "seeds": "0..100000000"}}, "stat.seeds"),
+            ("config", {"kind": "covariance-check", "stat": {
+                "name": "x1_tilde_value", "hurst": 0.7, "cells": 10**8, "xi": 1.0,
+                "seeds": "0..2"}}, "stat.cells"),
+            ("config", {"kind": "verify", "checks": {"A3_chen_relation": {
+                "tol": 1e-6, "cells": 4000, "atoms": [[x, 1.0] for x in range(400)]}}},
+             "checks.A3_chen_relation.cells"),
+            ("config", {"kind": "verify", "checks": {"A8_diffusion_degeneration": {
+                "cells": 4000, "solver": {"gamma": 0.38, "kappa": 0.35, "sewing_level": 30}}}},
+             "checks.A8_diffusion_degeneration.cells"),
+            ("config", {"kind": "verify", "checks": {"A9_holder_estimator": {
+                "tol": 0.07, "points": 10**8}}}, "checks.A9_holder_estimator.points"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):
@@ -257,9 +303,16 @@ class TestRunFlows:
                 del target[key]
             else:
                 target[key] = value
-        assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "o")) == 2
+        config = write_config(tmp_path, doc)
+        tracemalloc.start()
+        try:
+            assert run(config, out_dir=str(tmp_path / "o")) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+        assert peak < 1 << 20                   # rejected before anything is allocated
 
     def test_verify_sigma_block_checked_before_any_criterion_runs(self, tmp_path, monkeypatch):
         ran = []

@@ -10,11 +10,9 @@ from roughvolterra.algebra import TimeGrid
 from roughvolterra.expkernels import e0, ramp_int
 from roughvolterra.laplace import KernelMeasure
 from roughvolterra.lift import (
-    MAX_CHOLESKY_POINTS,
     DriverPath,
     RoughLift,
     deterministic_driver,
-    fbm_covariance,
     sample_fbm,
     wiener_cov_x1,
 )
@@ -101,10 +99,14 @@ class TestSampleFbm:
         c = sample_fbm(0.4, grid, n_dims=2, seed=124)
         assert not np.array_equal(a.values, c.values)
 
-    def test_grid_cap(self):
-        grid = TimeGrid.uniform(MAX_CHOLESKY_POINTS, 1.0)
-        with pytest.raises(ValueError):
-            sample_fbm(0.5, grid, seed=0)
+    def test_grid_of_8192_cells_draws_and_lifts(self):
+        # no point cap: 2^13 cells, twice the largest grid the CLI once allowed
+        grid = TimeGrid.uniform(2**13, 1.0)
+        driver = sample_fbm(0.4, grid, seed=3)
+        assert driver.values.shape == (2**13 + 1, 1) and np.all(np.isfinite(driver.values))
+        lift = RoughLift(driver, KernelMeasure.from_atoms(ATOMS3), gamma=0.38)
+        full = lift.x1_tilde_pairs(0.0, 1.0)[0]
+        assert np.allclose(full, lift.x1_tilde(0.0, 1.0), rtol=0, atol=1e-12 * lift.scale)
 
     def test_hurst_validation(self):
         grid = TimeGrid.uniform(8, 1.0)
@@ -136,6 +138,12 @@ class TestSampleFbm:
         for given in (seed,) if np.ndim(seed) else (seed, [0, seed]):
             with pytest.raises(error, match="seed"):
                 sample_fbm(0.4, TimeGrid.uniform(8, 1.0), seed=given)
+
+    def test_ragged_seed_list_is_rejected_before_drawing(self, monkeypatch):
+        # np.ndim cannot take a ragged list, so it has a test of its own
+        monkeypatch.setattr(lift_mod, "_fbm_draw", _no_draw)
+        with pytest.raises(TypeError, match="seed"):
+            sample_fbm(0.4, TimeGrid.uniform(8, 1.0), seed=[0, [1, 2]])
 
     def test_integer_like_seeds_are_accepted(self):
         grid = TimeGrid.uniform(8, 1.0)
@@ -186,6 +194,17 @@ def drawn_block(hurst, n, seeds, n_dims):
     """The seed list's paths on the uniform n-cell grid, side by side in one (n + 1, seeds n_dims) array."""
     return np.hstack([p.values for p in sample_fbm(hurst, TimeGrid.uniform(n, 1.0),
                                                    n_dims=n_dims, seed=seeds)])
+
+
+def fbm_covariance(hurst, times):
+    """Covariance matrix R_H(t, s) = (|s|^2H + |t|^2H - |t-s|^2H)/2."""
+    t = np.asarray(times, dtype=float)
+    h2 = 2.0 * hurst
+    return 0.5 * (
+        np.abs(t[:, None]) ** h2
+        + np.abs(t[None, :]) ** h2
+        - np.abs(t[:, None] - t[None, :]) ** h2
+    )
 
 
 def covariance_rows(hurst, times, rows):
@@ -447,7 +466,13 @@ class TestChasles:
         grid = TimeGrid.uniform(64, 1.0)
         driver = sample_fbm(0.4, grid, n_dims=2, seed=8)
         lift = RoughLift(driver, KernelMeasure.from_atoms(ATOMS3), gamma=0.38)
-        assert lift.chasles_residual(n_triples=300) < 1e-12
+        # max twisted-Chasles residual over 300 random grid triples, scaled
+        rng = np.random.default_rng(0)
+        pts = lift.driver.grid.points
+        i, j, k = pts[np.sort(rng.integers(0, pts.size, size=(3, 300)), axis=0)]
+        ts, tu, us = lift.x1_tilde(np.stack([i, j, i]), np.stack([k, k, j]))
+        res = ts - tu - np.exp(-np.multiply.outer(k - j, lift.xis))[..., None] * us
+        assert float(np.max(np.abs(res))) / lift.scale < 1e-12
 
 
 class TestSubMesh:

@@ -51,17 +51,17 @@ class TestCatalog:
 
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("name", ["linear", "sin", "tanh"])
-    def test_fd_consistency_scalar(self, name):
+    def test_fd_consistency_scalar(self, name, fd_consistency):
         fld = sigma_catalog(name, n=1, d=1)
-        assert fld.fd_consistency(n_points=10, seed=1) < 1e-6
+        assert fd_consistency(fld, n_points=10, seed=1) < 1e-6
 
-    def test_fd_consistency_multidim(self):
+    def test_fd_consistency_multidim(self, fd_consistency):
         fld = sigma_catalog("sin", n=3, d=2, params={"freq": 2.0, "direction": [1.0, 0.5, -0.3]})
-        assert fld.fd_consistency(n_points=8, seed=2) < 1e-6
+        assert fd_consistency(fld, n_points=8, seed=2) < 1e-6
 
 
 class TestCustomField:
-    def test_square_field(self):
+    def test_square_field(self, fd_consistency):
         # sigma(y) = y^2 as a custom scalar field
         fld = SigmaField(
             n=1, d=1,
@@ -69,4 +69,4 @@ class TestCustomField:
             dsigma_batch=lambda ys: (2 * ys)[:, None, :, None],
         )
         assert fld(np.array([3.0]))[0, 0] == 9.0
-        assert fld.fd_consistency(n_points=5) < 1e-6
+        assert fd_consistency(fld, n_points=5) < 1e-6

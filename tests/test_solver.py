@@ -365,11 +365,11 @@ class TestNonCommutingWongZakai:
     """
 
     @pytest.mark.parametrize("xi, bound", [(0.0, 5.0e-6), (1.0, 6.0e-5)])
-    def test_matches_rk4_on_2d_fbm(self, xi, bound):
+    def test_matches_rk4_on_2d_fbm(self, xi, bound, fd_consistency):
         driver = sample_fbm(0.4, TimeGrid.uniform(128, 1.0), n_dims=2, seed=1)
         measure = KernelMeasure.from_atoms([(xi, 1.0)])
         fld, a = non_commuting_tanh_field(), np.array([0.1, -0.2])
-        assert fld.fd_consistency() < 1e-8
+        assert fd_consistency(fld) < 1e-8
         y_ref, _ = rk4_augmented(driver, measure, fld, a, dt_max=1e-4)
         lift = RoughLift(driver, measure, gamma=0.38)
 
