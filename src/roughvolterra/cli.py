@@ -31,7 +31,8 @@ import numpy as np
 
 from . import __version__, checks
 from .algebra import TimeGrid
-from .laplace import DENSITY_CATALOG, N_NODES, KernelMeasure, kernel_from_spec
+from .laplace import (DENSITY_CATALOG, N_NODES, KernelMeasure, check_n_nodes, density_tail_cut,
+                      kernel_from_spec)
 from .lift import (
     DETERMINISTIC_FUNCTIONS,
     DriverPath,
@@ -350,6 +351,10 @@ def _check_relations(doc):
     if size > WORK_BYTES:
         raise ValueError(f"{', '.join(dict.fromkeys(keys))}: {what} would need {size:.3g} bytes, "
                          f"over the work budget of {WORK_BYTES} bytes")
+    if "density" in doc.get("kernel", {}):          # before build_quadrature's panels underflow
+        dens = doc["kernel"]["density"]
+        check_n_nodes(dens.get("n_nodes", N_NODES), density_tail_cut(dens)[1],
+                      "kernel.density.n_nodes")
 
 
 def _draw_work(cells, n, key):

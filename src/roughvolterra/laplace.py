@@ -79,6 +79,14 @@ PROBE_POINTS = (0.1, 1.0, 10.0)     # where build_quadrature checks its reconstr
 N_NODES = 64                        # kernel_from_spec's default node count, at most that many atoms
 
 
+def check_n_nodes(n_nodes: int, tail_cut: float, key: str = "n_nodes"):
+    """Raise ValueError naming ``key`` unless the smallest of ``build_quadrature``'s panel
+    edges, tail_cut 2^-k for k < n_nodes // 8, is a normal float: past it nodes collide."""
+    most = 8 * (int(np.frexp(tail_cut)[1]) + 1022) + 7
+    if n_nodes > most:
+        raise ValueError(f"{key} must be at most {most} at tail_cut {tail_cut:g}, got {n_nodes}")
+
+
 def build_quadrature(
     density,
     n_nodes: int,
@@ -90,12 +98,13 @@ def build_quadrature(
     The measure is accepted only if it reproduces phi(v) at PROBE_POINTS
     within ``reconstruction_tol`` of an adaptive-quadrature
     reference over [0, inf); otherwise a QuadratureError reports the
-    achieved error.
+    achieved error.  ``check_n_nodes`` bounds ``n_nodes``.
     """
     if n_nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
     if tail_cut <= 0:
         raise ValueError("tail_cut must be positive")
+    check_n_nodes(n_nodes, tail_cut)
     per_panel = min(8, n_nodes)
     n_panels = max(1, n_nodes // per_panel)
     base_x, base_w = np.polynomial.legendre.leggauss(per_panel)
@@ -147,6 +156,13 @@ DENSITY_CATALOG = {
 DENSITY_KEYS = ("name", "params", "n_nodes", "tail_cut", "tol")
 
 
+def density_tail_cut(d: dict):
+    """A density spec's density and tail cut: ``tail_cut``, by default 50 over the
+    density's slowest decay rate."""
+    density, decay_rate = DENSITY_CATALOG[d["name"]](**d.get("params", {}))
+    return density, float(d.get("tail_cut", 50.0 / decay_rate))
+
+
 def kernel_from_spec(spec: dict) -> KernelMeasure:
     """Build a measure from a config mapping.
 
@@ -164,12 +180,9 @@ def kernel_from_spec(spec: dict) -> KernelMeasure:
     if "atoms" in spec:
         return KernelMeasure.from_atoms(spec["atoms"])
     d = spec["density"]
-    try:
-        factory = DENSITY_CATALOG[d["name"]]
-    except KeyError:
-        raise ValueError(f"unknown density {d.get('name')!r}") from None
-    density, decay_rate = factory(**d.get("params", {}))
-    tail = float(d.get("tail_cut", 50.0 / decay_rate))
+    if d.get("name") not in DENSITY_CATALOG:
+        raise ValueError(f"unknown density {d.get('name')!r}")
+    density, tail = density_tail_cut(d)
     return build_quadrature(
         density,
         n_nodes=int(d.get("n_nodes", N_NODES)),

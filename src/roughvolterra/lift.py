@@ -243,11 +243,11 @@ DETERMINISTIC_FUNCTIONS = {
 class RoughLift:
     """Rough-lift data of a piecewise-linear driver over a kernel measure.
 
-    Stores the first-order lift from 0 to every grid point (the twisted
-    scan of the per-cell closed forms) and is read-only after
-    construction.  ``x1_tilde_pairs`` reconstructs arbitrary pairs from it
-    through the twisted Chasles relation; ``x1_tilde``, ``x2_tilde`` and
-    ``x3_tilde`` walk the cell pieces of scalar or array pairs (triples).
+    Builds the first-order lift from 0 to every grid point (the twisted
+    scan of the per-cell closed forms) on first use; ``x1_tilde_pairs``
+    reconstructs arbitrary pairs from it through the twisted Chasles
+    relation.  ``x1_tilde``, ``x2_tilde`` and ``x3_tilde`` walk the cell
+    pieces of scalar or array pairs (triples).
 
     ``gamma`` is the regularity the lift claims for the driver.
     """
@@ -259,8 +259,11 @@ class RoughLift:
         self.measure = measure
         self.gamma = float(gamma)
 
-        x1t = self._x1_cells(slice(None), driver.grid.widths)
-        self._prefix = exp_scan(driver.grid.points, measure.xis, x1t, 0.0)  # x1t from 0 to point i
+    @cached_property
+    def _prefix(self):
+        """x1 tilde from 0 to every grid point, (points, K, n): the twisted scan of the cells."""
+        grid = self.driver.grid
+        return exp_scan(grid.points, self.xis, self._x1_cells(slice(None), grid.widths), 0.0)
 
     @property
     def xis(self):

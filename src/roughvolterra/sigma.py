@@ -32,12 +32,6 @@ class SigmaField:
     dsigma_batch: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
 
-    def __call__(self, y):
-        return self.batch(np.asarray(y, dtype=float)[None, :])[0]
-
-    def dsigma(self, y):
-        return self.dsigma_batch(np.asarray(y, dtype=float)[None, :])[0]
-
 
 def _separable(name, n, d, u, f, f1):
     """sigma[i, j] = u_i f(y_j) and its diagonal derivative tensor; u None means all ones."""

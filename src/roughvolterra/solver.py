@@ -4,20 +4,21 @@ The unknown is the Laplace-indexed path ytilde with ytilde_0 = 0; its
 twisted increments are fixed points of the integral map
 (delta~ ytilde)_{ts} = J_ts(d~x sigma(y)), y = a + <kernel, ytilde>.
 
-A solve covers [0, T] with consecutive intervals (``interval_scheme``:
-harmonic lengths T/(N + n), or constant segments T/n_start, in either
-mode), runs a Picard iteration on each interval over a sub-refined mesh,
-and patches intervals through the twisted Chasles relation.  Contraction
-is detected empirically from the first two sweeps; on failure the interval
-shrinks (constant scheme halves, harmonic scheme doubles N) and is re-run,
-unless it already spans a single grid cell, when the solve fails.
+A solve covers [0, T] with consecutive intervals of length T/(N + c n)
+after n committed ones (c = 1 in the ``harmonic`` interval scheme, 0 in
+the ``constant`` one; N starts at ``n_start``), runs a Picard iteration on
+each interval over a sub-refined mesh, and patches intervals through the
+twisted Chasles relation.  Contraction is detected empirically from the
+first two sweeps; on failure N doubles and the interval is re-run, unless
+it already spans a single grid cell, when the solve fails.
 
-The per-cell closed forms of the lift (``RoughLift.cell_tables``) are
-built once per solve; an interval attempt takes views of its rows.  A
-sweep evaluates sigma once over the interval mesh, then walks the blocks
-of the twisted scan (``algebra.exp_scan_blocks``): each block's germ comes
-from its cells' tables, and of the propagated ytilde the sweep keeps only
-the projection y = a + <kernel, ytilde> on the mesh, which is all the next
+The sub-cell mesh and the lift's per-cell closed forms
+(``RoughLift.cell_tables``) are built once per solve; an interval attempt
+is a slice of the mesh and views of its cells' rows.  A sweep evaluates
+sigma once over the interval mesh, then walks the blocks of the twisted
+scan (``algebra.exp_scan_blocks``): each block's germ comes from its
+cells' tables, and of the propagated ytilde the sweep keeps only the
+projection y = a + <kernel, ytilde> on the mesh, which is all the next
 sweep reads, and ytilde at the grid points, which is all the norms, the
 commit and the next interval's start read.  No (sub-cells x atoms x d)
 array is held.  Picard sweeps are independent across atoms and could be
@@ -108,11 +109,12 @@ class SolverConfig:
     """Solver parameters: regularities, mesh depth, Picard and interval policy.
 
     ``sewing_level`` is the dyadic sub-refinement of each grid cell used
-    when evaluating the integral germ.  ``interval_scheme`` is
-    ``harmonic`` (lengths T/(N+n), N doubling on failure) or ``constant``
-    (T/n_start segments, halving on failure); in either scheme a failed
-    single-cell interval ends the solve.  Each interval attempt runs at
-    most ``MAX_PICARD`` sweeps.  The L_beta norms' exponent follows from
+    when evaluating the integral germ.  Intervals have length T/(N + c n)
+    after n committed ones, c = 1 for ``interval_scheme`` ``harmonic`` and
+    0 for ``constant``; N starts at ``n_start`` and doubles on every rejected
+    attempt (a diagnostics row's ``n_value`` is the N its interval ran at),
+    and a failed single-cell interval ends the solve.  Each interval attempt
+    runs at most ``MAX_PICARD`` sweeps.  The L_beta norms' exponent follows from
     gamma: 1 in a rough solve and gamma in a Young one.
     """
 
@@ -160,66 +162,48 @@ class Solution:
     diagnostics: list = field(default_factory=list)
 
 
-class _IntervalWorkspace:
-    """Mesh and lift tables for one Picard interval [grid index lo, hi].
-
-    ``tables`` is ``lift.cell_tables(refine)``, built once per solve; the
-    workspace keeps views of the interval's rows and each sub-cell's row.
-    """
-
-    def __init__(self, pts, tables, lo, hi, refine):
-        x1t, x2t, _, subw = tables
-        rep = np.repeat(np.arange(lo, hi), refine)
-        offs = np.tile(np.arange(refine), hi - lo)
-        self.fine_t = np.append(pts[rep] + subw[rep] * offs, pts[hi])
-        self.x1t = x1t[lo:hi]          # (M-1, K, n)
-        self.x2t = x2t[lo:hi]          # (M-1, K, n, n)
-        self.cell = rep - lo           # (P-1,) sub-cell -> row of x1t, x2t
-        self.refine = refine
-        self.grid_slots = np.arange(0, (hi - lo) * refine + 1, refine)
-
-
 def _project(a, vals, weights):
     """y = a + <w, ytilde> of (..., K, d) values."""
     return a + np.einsum("pkd,k->pd", vals, weights)
 
 
-def _initial_iterate(ws, a, measure, htilde):
+def _initial_iterate(fine, r, a, measure, htilde):
     """The first iterate exp(-xi (t - t_lo)) htilde as ``_sweep`` returns one:
-    its projection on the mesh, built block by block, and its grid-slot values."""
+    its projection on the interval mesh ``fine``, built block by block, and
+    its values at the grid slots, every r-th mesh point."""
     def decayed(t):
-        return np.exp(-np.multiply.outer(t - ws.fine_t[0], measure.xis))[:, :, None] * htilde
+        return np.exp(-np.multiply.outer(t - fine[0], measure.xis))[:, :, None] * htilde
 
-    y = np.empty((ws.fine_t.size, a.size))
-    for b in range(0, ws.fine_t.size, SCAN_BLOCK):
-        y[b : b + SCAN_BLOCK] = _project(a, decayed(ws.fine_t[b : b + SCAN_BLOCK]),
-                                         measure.weights)
-    return y, decayed(ws.fine_t[ws.grid_slots])
+    y = np.empty((fine.size, a.size))
+    for b in range(0, fine.size, SCAN_BLOCK):
+        y[b : b + SCAN_BLOCK] = _project(a, decayed(fine[b : b + SCAN_BLOCK]), measure.weights)
+    return y, decayed(fine[::r])
 
 
-def _sweep(ws, fld, a, measure, y, htilde, rough):
+def _sweep(fine, r, x1t, x2t, fld, a, measure, y, htilde, rough):
     """One Picard sweep from the current iterate's projection ``y`` on the mesh.
 
-    Each scan block's germ is built from the cell tables, and of the new
-    ytilde only its projection and its grid-slot values are kept: returns
-    (y on the mesh (P, d), ytilde at the grid slots (M, K, d)).
+    ``fine`` is the interval's mesh, r points a grid cell, and ``x1t``,
+    ``x2t`` its cells' rows of the cell tables.  Each scan block's germ is
+    built from those rows, and of the new ytilde only its projection and its
+    grid-slot values are kept: returns (y on the mesh (P, d), ytilde at the
+    grid slots (M, K, d)).
     """
     z = fld.batch(y)                                        # (P, n, d)
     ds = fld.dsigma_batch(y[:-1]) if rough else None        # (P-1, n, d, d)
 
     def germ(b, e):
-        c = ws.cell[b:e]
-        g = np.einsum("pkn,pnd->pkd", ws.x1t[c], z[b:e])
+        c = np.arange(b, e) // r                            # sub-cell -> row of x1t, x2t
+        g = np.einsum("pkn,pnd->pkd", x1t[c], z[b:e])
         if rough:
-            g = g + np.einsum("pkmj,pjq,pmiq->pki", ws.x2t[c], z[b:e], ds[b:e])
+            g = g + np.einsum("pkmj,pjq,pmiq->pki", x2t[c], z[b:e], ds[b:e])
         return g
 
-    r = ws.refine
     y_new = np.empty_like(y)
     y_new[0] = y[0]                                         # the interval start is fixed
-    slots = np.empty((ws.grid_slots.size,) + htilde.shape)
+    slots = np.empty((len(x1t) + 1,) + htilde.shape)
     slots[0] = htilde
-    for b, e, blk in exp_scan_blocks(ws.fine_t, measure.xis, germ, htilde):
+    for b, e, blk in exp_scan_blocks(fine, measure.xis, germ, htilde):
         y_new[b + 1 : e + 1] = _project(a, blk, measure.weights)
         j = b // r + 1                                      # first grid slot in (b, e]
         slots[j : e // r + 1] = blk[j * r - b - 1 :: r]
@@ -263,8 +247,11 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
     measure = lift.measure
     beta = 1.0 if rough else config.gamma
     n_pts, k_atoms, d = len(grid), measure.n_atoms, fld.d
-    refine = 2**config.sewing_level
-    tables = lift.cell_tables(refine)
+    r = 2**config.sewing_level
+    x1t, x2t, _, subw = lift.cell_tables(r)
+    # the sub-cell mesh; an attempt on grid cells [lo, hi] is fine[lo*r : hi*r + 1]
+    fine = np.append((pts[:-1, None] + subw[:, None] * np.arange(r)).ravel(), pts[-1])
+    harmonic = config.interval_scheme == "harmonic"     # c in eps = T/(N + c n)
     expo = config.gamma if not rough else config.kappa
 
     ytilde_grid = np.zeros((n_pts, k_atoms, d))
@@ -274,25 +261,22 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
     lo = 0
     n_done = 0
     n_value = config.n_start
-    const_eps = grid.horizon / config.n_start
     htilde = np.zeros((k_atoms, d))
     failures: list = []
 
     while lo < n_pts - 1:
-        if config.interval_scheme == "constant":
-            eps = const_eps
-        else:
-            eps = grid.horizon / (n_value + n_done)
+        eps = grid.horizon / (n_value + n_done * harmonic)
         hi = int(np.searchsorted(pts, pts[lo] + eps * (1 + 1e-12), side="right")) - 1
         hi = min(max(hi, lo + 1), n_pts - 1)
 
-        ws = _IntervalWorkspace(pts, tables, lo, hi, refine)
-        y_mesh, yt = _initial_iterate(ws, a, measure, htilde)
+        mesh = fine[lo * r : hi * r + 1]                    # with x1t, x2t[lo:hi]: the attempt
+        y_mesh, yt = _initial_iterate(mesh, r, a, measure, htilde)
         rho = np.nan
         converged = False
         updates = []
         for _ in range(MAX_PICARD):
-            y_new, new = _sweep(ws, fld, a, measure, y_mesh, htilde, rough)
+            y_new, new = _sweep(mesh, r, x1t[lo:hi], x2t[lo:hi], fld, a, measure, y_mesh,
+                                htilde, rough)
             upd = _path_norm(new - yt, pts[lo : hi + 1], measure, beta, expo)[0]
             updates.append(upd)
             scale = max(1.0, float(np.max(lbeta_norm(new, measure, beta))))
@@ -316,10 +300,7 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
             # an attempt depends only on its interval, so a single cell is not retried
             if hi == lo + 1:
                 raise SolverFailure("no contraction even on single-cell intervals", failures)
-            if config.interval_scheme == "constant":
-                const_eps /= 2.0
-            else:
-                n_value *= 2
+            n_value *= 2
             continue
 
         # commit the interval; yt holds ytilde at its grid points
@@ -327,7 +308,8 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
         zeta_grid[lo : hi + 1] = fld.batch(_project(a, yt, measure.weights))
 
         # converged-state residual: one more germ pass, per grid cell
-        final = _sweep(ws, fld, a, measure, y_mesh, htilde, rough)[1]
+        final = _sweep(mesh, r, x1t[lo:hi], x2t[lo:hi], fld, a, measure, y_mesh, htilde,
+                       rough)[1]
         residual = float(np.max(lbeta_norm(final - yt, measure, beta)))
 
         q_norm = _interval_q_norm(

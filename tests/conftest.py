@@ -9,12 +9,13 @@ def _fd_consistency(fld, n_points=10, seed=0, h=1e-6):
     worst = 0.0
     for _ in range(n_points):
         y = rng.uniform(-1.5, 1.5, size=fld.d)
-        scale = max(1.0, float(np.max(np.abs(fld.dsigma(y)))))
+        ds = fld.dsigma_batch(y[None])[0]
+        scale = max(1.0, float(np.max(np.abs(ds))))
         for q in range(fld.d):
             e = np.zeros(fld.d)
             e[q] = h
-            fd = (fld(y + e) - fld(y - e)) / (2 * h)
-            worst = max(worst, float(np.max(np.abs(fd - fld.dsigma(y)[..., q]))) / scale)
+            fd = (fld.batch((y + e)[None])[0] - fld.batch((y - e)[None])[0]) / (2 * h)
+            worst = max(worst, float(np.max(np.abs(fd - ds[..., q]))) / scale)
     return worst
 
 

@@ -2,12 +2,14 @@ import functools
 import inspect
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from perfbench import workloads
+from perfbench import checks as bench_checks, workloads
 from roughvolterra import checks, cli, solver as solver_mod
 from roughvolterra.cli import (
     RunManifest,
@@ -133,6 +135,21 @@ def test_benchmark_job_configs_validate(tmp_path, workload):
     for job in workloads.build(workload, 1, str(tmp_path)).jobs:
         with open(job.config_path) as fh:
             cli.ExperimentConfig(json.load(fh))
+
+
+def test_benchmark_traces_and_checks_the_current_library(tmp_path):
+    # the benchmark wraps library functions by name and checks the solve-k64 job
+    # against its own explicit recursion: a renamed traced function or a drift in
+    # the solver fails here rather than at benchmark time
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    install = ("import perfbench.layers, perfbench.tracer; "
+               "perfbench.layers.install(perfbench.tracer.Tracer())")
+    subprocess.run([sys.executable, "-c", install], cwd=root, check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(["src", "."])})
+    plan = workloads.build("solve-k64", 1, str(tmp_path))
+    codes = [run(job.config_path, out_dir=job.out_dir, checks_filter=job.checks)
+             for job in plan.jobs]
+    assert bench_checks.check_jobs(plan, codes) == [""] * len(plan.jobs)
 
 
 @pytest.mark.parametrize("doc", [
@@ -292,6 +309,9 @@ class TestRunFlows:
              "checks.A8_diffusion_degeneration.cells"),
             ("config", {"kind": "verify", "checks": {"A9_holder_estimator": {
                 "tol": 0.07, "points": 10**8}}}, "checks.A9_holder_estimator.points"),
+            # within the budget, but past the nodes whose quadrature panels stay distinct
+            ("kernel", {"atoms": None, "density": {"name": "exp", "n_nodes": 9000}},
+             "kernel.density.n_nodes"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):

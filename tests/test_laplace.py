@@ -74,6 +74,14 @@ class TestBuildQuadrature:
                              reconstruction_tol=1e-12)
         assert info.value.achieved_error > 1e-12
 
+    def test_node_count_stops_before_the_panels_underflow(self):
+        # panels 50 * 2^-k keep a normal smallest edge up to k = 1027, 1028 panels of 8
+        # nodes: 8231 nodes build distinct atoms, and one more raises naming n_nodes
+        density, _ = DENSITY_CATALOG["exp"]()
+        assert build_quadrature(density, n_nodes=8231, tail_cut=50.0).n_atoms == 8224
+        with pytest.raises(ValueError, match="n_nodes must be at most 8231"):
+            build_quadrature(density, n_nodes=8232, tail_cut=50.0)
+
     def test_default_tail_cut_from_decay_rate(self):
         m = kernel_from_spec(
             {"density": {"name": "exp", "params": {"rate": 2.0}, "n_nodes": 64}}

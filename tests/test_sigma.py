@@ -9,25 +9,25 @@ class TestCatalog:
         for name in SIGMA_PARAMS:
             fld = sigma_catalog(name, n=2, d=3)
             y = np.array([0.1, -0.4, 0.7])
-            assert fld(y).shape == (2, 3)
-            assert fld.dsigma(y).shape == (2, 3, 3)
+            assert fld.batch(y[None])[0].shape == (2, 3)
+            assert fld.dsigma_batch(y[None])[0].shape == (2, 3, 3)
 
     def test_zero(self):
         fld = sigma_catalog("zero", n=1, d=1)
-        assert fld(np.array([2.0]))[0, 0] == 0.0
+        assert fld.batch(np.array([2.0])[None])[0, 0, 0] == 0.0
 
     def test_constant_matrix(self):
         fld = sigma_catalog("constant", n=2, d=2, params={"value": 0.5})
-        assert np.allclose(fld(np.zeros(2)), 0.5)
-        assert np.max(np.abs(fld.dsigma(np.ones(2)))) == 0.0
+        assert np.allclose(fld.batch(np.zeros(2)[None])[0], 0.5)
+        assert np.max(np.abs(fld.dsigma_batch(np.ones(2)[None])[0])) == 0.0
 
     def test_linear_scalar(self):
         fld = sigma_catalog("linear", n=1, d=1, params={"scale": 2.0})
-        assert fld(np.array([0.3]))[0, 0] == pytest.approx(0.6)
+        assert fld.batch(np.array([0.3])[None])[0, 0, 0] == pytest.approx(0.6)
 
     def test_sin_scalar(self):
         fld = sigma_catalog("sin", n=1, d=1)
-        assert fld(np.array([0.5]))[0, 0] == pytest.approx(np.sin(0.5))
+        assert fld.batch(np.array([0.5])[None])[0, 0, 0] == pytest.approx(np.sin(0.5))
 
     def test_tanh_bounded(self):
         fld = sigma_catalog("tanh", n=1, d=1, params={"amp": 0.8})
@@ -68,5 +68,5 @@ class TestCustomField:
             batch=lambda ys: (ys**2)[:, None, :],
             dsigma_batch=lambda ys: (2 * ys)[:, None, :, None],
         )
-        assert fld(np.array([3.0]))[0, 0] == 9.0
+        assert fld.batch(np.array([3.0])[None])[0, 0, 0] == 9.0
         assert fd_consistency(fld, n_points=5) < 1e-6

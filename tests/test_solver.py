@@ -401,6 +401,19 @@ class TestControlledPathDiagnostics:
         assert q == pytest.approx(sup_y + hold_y + 1.0, abs=1e-13)
 
 
+def count_attempts(monkeypatch, lift, attempts):
+    """Record the grid indices (lo, hi) of every interval attempt of a solve on ``lift``:
+    ``_initial_iterate`` runs once per attempt, on the attempt's mesh."""
+    pts = lift.driver.grid.points
+    initial = solver_mod._initial_iterate
+
+    def counting(mesh, *args):
+        attempts.append(tuple(np.searchsorted(pts, mesh[[0, -1]]).tolist()))
+        return initial(mesh, *args)
+
+    monkeypatch.setattr(solver_mod, "_initial_iterate", counting)
+
+
 class TestCellTablesPerSolve:
     """The lift's cell tables are built once per solve, retries included."""
 
@@ -413,20 +426,26 @@ class TestCellTablesPerSolve:
             lambda self, refine=1: calls.append(refine) or tables(self, refine),
         )
 
-        class CountingWorkspace(solver_mod._IntervalWorkspace):
-            def __init__(self, *args):
-                attempts.append(args[2:4])
-                super().__init__(*args)
-
-        monkeypatch.setattr(solver_mod, "_IntervalWorkspace", CountingWorkspace)
         # one interval over [0, 1] does not contract for sigma(y) = 3y, so
-        # the constant scheme rejects it and halves the interval
+        # the constant scheme rejects it and doubles N, halving the interval
         lift = identity_lift(cells=64)
+        count_attempts(monkeypatch, lift, attempts)
         fld = sigma_catalog("linear", n=1, d=1, params={"scale": 3.0})
         sol = solve(lift, fld, np.array([1.0]), base_config(n_start=1, sewing_level=2))
         assert calls == [4]
         assert attempts[0] == (0, 64)
         assert len(attempts) > len(sol.diagnostics)
+
+
+class TestLazyPrefix:
+    def test_a_solve_builds_no_prefix(self):
+        # the solver reads the cell tables only; the prefix serves x1_tilde_pairs and scale
+        lift = RoughLift(sample_fbm(0.4, TimeGrid.uniform(64, 1.0), seed=2),
+                         KernelMeasure.from_atoms([(1.0, 1.0)]), gamma=0.38)
+        cfg = SolverConfig(gamma=0.38, kappa=0.35, sewing_level=2, picard_tol=1e-11)
+        solve_rough(lift, sigma_catalog("tanh", n=1, d=1), np.array([0.3]), cfg)
+        assert "_prefix" not in lift.__dict__
+        assert lift.scale > 0 and "_prefix" in lift.__dict__
 
 
 class TestSingleCellFailure:
@@ -435,19 +454,14 @@ class TestSingleCellFailure:
     @pytest.mark.parametrize("scheme", ["harmonic", "constant"])
     def test_single_cell_is_tried_once(self, scheme, monkeypatch):
         attempts = []
-
-        class CountingWorkspace(solver_mod._IntervalWorkspace):
-            def __init__(self, *args):
-                attempts.append(args[2:4])
-                super().__init__(*args)
-
-        monkeypatch.setattr(solver_mod, "_IntervalWorkspace", CountingWorkspace)
+        lift = identity_lift(cells=64)
+        count_attempts(monkeypatch, lift, attempts)
         # sigma(y) = 200 y does not contract even on one of 64 cells.  Doubling N
         # cannot shrink (0, 1) further, so the harmonic scheme must not retry it either
         fld = sigma_catalog("linear", n=1, d=1, params={"scale": 200.0})
         cfg = base_config(sewing_level=2, interval_scheme=scheme, n_start=4)
         with pytest.raises(SolverFailure, match="single-cell") as info:
-            solve_rough(identity_lift(cells=64), fld, np.array([1.0]), cfg)
+            solve_rough(lift, fld, np.array([1.0]), cfg)
         assert attempts.count((0, 1)) == 1
         assert attempts[-1] == (0, 1)
         assert len(info.value.diagnostics) == len(attempts)
@@ -465,6 +479,19 @@ class TestSingleCellFailure:
         with pytest.raises(SolverFailure, match="single-cell intervals") as info:
             solve_rough(lift, fld, np.array([1.0]), cfg)
         assert info.value.diagnostics[-1]["interval"] == (0.0, float(grid.points[1]))
+
+
+class TestShrinkRule:
+    def test_constant_scheme_reports_the_doubled_n(self):
+        # one shrink rule: N doubles on each rejected attempt in both schemes, and a
+        # constant-scheme interval has length T/N.  In a Young solve [0, 1] and [0, 0.5]
+        # are rejected, so every committed interval is 0.25 wide at N = 4
+        fld = sigma_catalog("linear", n=1, d=1, params={"scale": 3.0})
+        cfg = base_config(sewing_level=2, interval_scheme="constant", n_start=1)
+        sol = solve_young(identity_lift(cells=64), fld, np.array([1.0]), cfg)
+        assert [(d.start, d.end) for d in sol.diagnostics] == [
+            (0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]
+        assert [d.n_value for d in sol.diagnostics] == [4] * 4
 
 
 def explicit_solve_from_lift(lift, fld, a, refine):
