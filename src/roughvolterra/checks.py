@@ -32,7 +32,7 @@ from .lift import (
 from .oracles import x3_tilde_riemann_fast, young_integral_simpson
 from .sewing import c_mu, sewing_bound_check
 from .sigma import sigma_catalog
-from .solver import SolverConfig, solve_rough, solve_rough_ode, solve_young, young_integral
+from .solver import SolverConfig, solve_rough, solve_rough_ode, young_integral
 
 __all__ = [
     "CheckResult",
@@ -215,7 +215,7 @@ def a6_fbm_young_covariance(values, hurst, xi, horizon=1.0, se_factor=3.0):
     )
 
 
-def self_convergence(fine, measure, sigma, a, solver, levels, sigma_params=None, young=False):
+def self_convergence(fine, measure, sigma, a, solver, levels, sigma_params=None):
     """One seed of A7: sup differences of y between consecutive levels, and their rate.
 
     ``fine`` is the driver on 2^max(levels) cells; level L solves on every
@@ -224,12 +224,11 @@ def self_convergence(fine, measure, sigma, a, solver, levels, sigma_params=None,
     """
     top = max(levels)
     fld = sigma_catalog(sigma, n=fine.n_dims, d=np.size(a), params=sigma_params)
-    solve = solve_young if young else solve_rough
     sols = {}
     for lev in levels:
         step = 2 ** (top - lev)
         drv = DriverPath(TimeGrid(fine.grid.points[::step]), fine.values[::step])
-        sols[lev] = solve(RoughLift(drv, measure, gamma=solver.gamma), fld, a, solver)
+        sols[lev] = solve_rough(RoughLift(drv, measure, gamma=solver.gamma), fld, a, solver)
     diffs = [float(np.max(np.abs(sols[lev].y - sols[lev + 1].y[::2]))) for lev in levels[:-1]]
     return diffs, float(-np.polyfit(levels[:-1], np.log2(diffs), 1)[0])
 

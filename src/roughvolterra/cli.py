@@ -154,7 +154,6 @@ SCHEMA = {
     "solver.interval_scheme": (INTERVAL_SCHEMES, None, False),
     "initial": (np.ndarray, None, EQUATION),
     "levels": ([int], _consecutive, ("convergence",)),
-    "mode": (("rough", "young"), None, False),
     "stat": (dict, None, ("covariance-check",)),
     "stat.name": (("x1_tilde_value",), None, True),
     "stat.hurst": (float, HURST, True),
@@ -351,6 +350,9 @@ def _check_relations(doc):
     if size > WORK_BYTES:
         raise ValueError(f"{', '.join(dict.fromkeys(keys))}: {what} would need {size:.3g} bytes, "
                          f"over the work budget of {WORK_BYTES} bytes")
+    if kind == "convergence" and "cells" in drv:
+        raise ValueError("driver.cells is not read by kind 'convergence': its fine grid has "
+                         "2^max(levels) cells")
     if "density" in doc.get("kernel", {}):          # before build_quadrature's panels underflow
         dens = doc["kernel"]["density"]
         check_n_nodes(dens.get("n_nodes", N_NODES), density_tail_cut(dens)[1],
@@ -538,8 +540,7 @@ def _run_convergence(cfg: ExperimentConfig, manifest, out_dir, jobs):
     one_seed = functools.partial(
         checks.self_convergence, measure=cfg.measure(), sigma=doc["sigma"]["name"],
         a=doc["initial"], solver=doc["solver"], levels=levels,
-        sigma_params=doc["sigma"].get("params"), young=doc.get("mode") == "young",
-    )
+        sigma_params=doc["sigma"].get("params"))
     if cfg.deterministic:   # one path whatever the seed: solve it once, repeat per seed
         per_seed = _map(one_seed, [cfg.driver(grid=fine_grid)], jobs) * len(seeds)
     else:

@@ -436,24 +436,16 @@ def wiener_cov_x1(hurst, xi, eta, interval_a, interval_b):
     c_h = hurst * (2.0 * hurst - 1.0)
     expo = 2.0 * hurst - 2.0
 
+    def f(b):
+        return np.exp(-eta * (v - b))
+
     def inner(a):
-        if a <= u:
-            if a == u:
-                return quad(lambda b: np.exp(-eta * (v - b)), u, v,
-                            weight="alg", wvar=(expo, 0.0))[0]
-            return quad(lambda b: np.exp(-eta * (v - b)) * (b - a) ** expo,
-                        u, v, limit=200)[0]
-        if a >= v:
-            if a == v:
-                return quad(lambda b: np.exp(-eta * (v - b)), u, v,
-                            weight="alg", wvar=(0.0, expo))[0]
-            return quad(lambda b: np.exp(-eta * (v - b)) * (a - b) ** expo,
-                        u, v, limit=200)[0]
-        left = quad(lambda b: np.exp(-eta * (v - b)), u, a,
-                    weight="alg", wvar=(0.0, expo))[0]
-        right = quad(lambda b: np.exp(-eta * (v - b)), a, v,
-                     weight="alg", wvar=(expo, 0.0))[0]
-        return left + right
+        if u < a < v:                       # split at the singularity
+            return (quad(f, u, a, weight="alg", wvar=(0.0, expo))[0]
+                    + quad(f, a, v, weight="alg", wvar=(expo, 0.0))[0])
+        if a in (u, v):
+            return quad(f, u, v, weight="alg", wvar=(expo, 0.0) if a == u else (0.0, expo))[0]
+        return quad(lambda b: f(b) * abs(a - b) ** expo, u, v, limit=200)[0]
 
     breaks = sorted({s, t} | {x for x in (u, v) if s < x < t})
     total = 0.0

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from perfbench import checks as bench_checks, workloads
+from perfbench import layers, workloads
 from roughvolterra import checks, cli, solver as solver_mod
 from roughvolterra.cli import (
     RunManifest,
@@ -137,19 +137,22 @@ def test_benchmark_job_configs_validate(tmp_path, workload):
             cli.ExperimentConfig(json.load(fh))
 
 
-def test_benchmark_traces_and_checks_the_current_library(tmp_path):
-    # the benchmark wraps library functions by name and checks the solve-k64 job
-    # against its own explicit recursion: a renamed traced function or a drift in
-    # the solver fails here rather than at benchmark time
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_benchmark_traces_and_checks_the_current_library(tmp_path, workload):
+    # one traced benchmark process per workload: it wraps library functions by
+    # name, needs a call of every layer the workload must reach, and checks each
+    # job's output (solve-k64 against its own explicit recursion), so a renamed
+    # traced function, a lost layer or a drift in the solver fails here rather
+    # than at benchmark time
     root = os.path.join(os.path.dirname(__file__), os.pardir)
-    install = ("import perfbench.layers, perfbench.tracer; "
-               "perfbench.layers.install(perfbench.tracer.Tracer())")
-    subprocess.run([sys.executable, "-c", install], cwd=root, check=True,
+    result = tmp_path / "result.json"
+    subprocess.run([sys.executable, "-m", "perfbench.child", "--workload", workload,
+                    "--seed", "1", "--mode", "trace", "--dir", str(tmp_path / "run"),
+                    "--result", str(result)], cwd=root, check=True,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(["src", "."])})
-    plan = workloads.build("solve-k64", 1, str(tmp_path))
-    codes = [run(job.config_path, out_dir=job.out_dir, checks_filter=job.checks)
-             for job in plan.jobs]
-    assert bench_checks.check_jobs(plan, codes) == [""] * len(plan.jobs)
+    doc = json.loads(result.read_text())
+    assert [s for s in layers.REQUIRED[workload] if not doc["layers"][f"{s}.calls"]] == []
+    assert not any(doc["check_messages"])
 
 
 @pytest.mark.parametrize("doc", [
@@ -312,6 +315,9 @@ class TestRunFlows:
             # within the budget, but past the nodes whose quadrature panels stay distinct
             ("kernel", {"atoms": None, "density": {"name": "exp", "n_nodes": 9000}},
              "kernel.density.n_nodes"),
+            # convergence takes its grid from levels and reads no driver.cells
+            ("config", {"kind": "convergence", "levels": [5, 6, 7], "driver": {
+                "kind": "deterministic", "cells": 128, "seed": 1}}, "driver.cells"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):
@@ -545,7 +551,7 @@ class TestRunFlows:
         doc = {
             "kind": "convergence",
             "kernel": {"atoms": [[1.0, 1.0]]},
-            "driver": {"kind": "fbm", "hurst": 0.4, "cells": 128, "seeds": "0..3"},
+            "driver": {"kind": "fbm", "hurst": 0.4, "seeds": "0..3"},
             "sigma": {"name": "tanh"},
             "solver": {"gamma": 0.38, "kappa": 0.35, "sewing_level": 2,
                        "picard_tol": 1e-10, "interval_scheme": "harmonic", "n_start": 4},

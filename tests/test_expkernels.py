@@ -1,17 +1,25 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from roughvolterra.expkernels import (
-    EXP_SWITCH_THETA,
-    e0,
-    exp_int,
-    phi1,
-    phi2,
-    phi3,
-    phi4,
-    ramp_int,
-)
+from roughvolterra.expkernels import e0, exp_int, phi1, phi2, phi3, phi4, ramp_int
+from roughvolterra.laplace import kernel_from_spec
+
+
+def exact_exp_int(lam, mu, dt):
+    """exp_int in the current decimal context, from the exact binary values of its arguments."""
+    lam, mu, dt = Decimal(lam), Decimal(mu), Decimal(dt)
+    if lam == mu:
+        return dt * (-lam * dt).exp()
+    return ((-mu * dt).exp() - (-lam * dt).exp()) / (lam - mu)
+
+
+def exact_ramp_int(xi, eta, dt):
+    """ramp_int for eta > 0 in the current decimal context."""
+    exact_e0 = Decimal(dt) if xi == 0 else (1 - (-Decimal(xi) * Decimal(dt)).exp()) / Decimal(xi)
+    return (exact_e0 - exact_exp_int(xi, eta, dt)) / Decimal(eta)
 
 
 class TestPhiFunctions:
@@ -65,19 +73,22 @@ class TestExpInt:
         assert val == pytest.approx(ref, rel=1e-10)
 
     def test_series_matches_limit_near_switch(self):
-        # lam ~ mu: series fallback agrees with the lam = mu limit
+        # lam ~ mu agrees with the lam = mu limit
         assert exp_int(1.0, 1.0 + 1e-9, 1.0) == pytest.approx(np.exp(-1.0), rel=1e-8)
 
-    def test_continuity_across_threshold(self):
-        # branch jump measured at the switch point itself: both formulas
-        # evaluated at the same arguments must agree to 1e-10 relative
-        dt = 1.0
-        for mu in (0.0, 1.0, 5.0):
-            z = EXP_SWITCH_THETA
-            lam = mu + z / dt
-            series = np.exp(-mu * dt) * dt * (1 - z / 2 + z**2 / 6 - z**3 / 24)
-            closed = (np.exp(-mu * dt) - np.exp(-lam * dt)) / (lam - mu)
-            assert abs(series - closed) / abs(closed) < 1e-10
+    def test_against_50_digit_reference(self):
+        # |lam - mu| dt from 1e-9 to 50, lam above and below mu, dt from 1e-5 to 1
+        z = np.logspace(-9, np.log10(50.0), 120)
+        worst = 0.0
+        with localcontext(prec=50):
+            for dt in (1e-5, 1e-3, 0.1, 1.0):
+                for mu in (0.0, 0.5, 3.0):
+                    lam, mus = mu + z / dt, np.full_like(z, mu)
+                    for a, b in ((lam, mus), (mus, lam)):
+                        for x, y, v in zip(a, b, exp_int(a, b, dt)):
+                            ref = exact_exp_int(x, y, dt)
+                            worst = max(worst, abs(Decimal(v) - ref) / ref)
+        assert worst < 1e-14
 
     def test_vectorised_mixed_branches(self):
         lam = np.array([1.0, 1.0, 3.0])
@@ -122,3 +133,17 @@ class TestRampInt:
                 lambda r: np.exp(-xi * (dt - r)) * (1 - np.exp(-eta * r)) / eta, 0, dt
             )[0]
             assert ramp_int(xi, eta, dt) == pytest.approx(ref, rel=1e-9)
+
+    def test_exp_density_kernel_against_50_digit_reference(self):
+        # every (xi, eta) pair of the 64-atom exp-density kernel at the sub-cell
+        # width 1/8192 of a 512-cell grid at sewing level 4
+        xis = kernel_from_spec({"density": {"name": "exp"}}).xis
+        dt = 1.0 / 8192
+        got = ramp_int(xis[:, None], xis[None, :], dt)
+        worst = 0.0
+        with localcontext(prec=50):
+            for i, xi in enumerate(xis):
+                for j, eta in enumerate(xis):
+                    ref = exact_ramp_int(xi, eta, dt)
+                    worst = max(worst, abs(Decimal(got[i, j]) - ref) / ref)
+        assert worst < 1e-11

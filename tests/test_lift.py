@@ -720,8 +720,8 @@ CELL_TABLE_GRIDS = {
     "distinct": TimeGrid(np.r_[0.0, np.cumsum(np.arange(1, 33) * 2.0**-9)]),
     "repeating": TimeGrid(np.r_[0.0, np.cumsum(np.tile([3, 5, 3, 2, 5], 6) * 2.0**-6)]),
 }
-# xi = 0, the ramp_int series (eta dt < 1e-4), the exp_int series
-# (|lam - mu| dt < 3e-5) and a fast atom
+# xi = 0, the ramp_int series (eta dt < 1e-4), two near-equal rates
+# (|lam - mu| dt < 2e-6) and a fast atom
 CELL_TABLE_ATOMS = [(0.0, 0.4), (1e-3, 0.3), (2.0, 0.2), (2.0 + 1e-4, 0.1), (500.0, 0.05)]
 
 
