@@ -134,8 +134,6 @@ SCHEMA = {
     "kernel.density.params.rate": (float, "(0, inf)", False),
     "kernel.density.params.shape": (float, "[1, inf)", False),
     "kernel.density.n_nodes": (int, "[2, inf)", False),
-    "kernel.density.tail_cut": (float, "(0, inf)", False),
-    "kernel.density.tol": (float, "(0, inf)", False),
     "driver": (dict, None, EQUATION),
     "driver.kind": (("deterministic", "fbm"), None, False),
     "driver.function": (tuple(DETERMINISTIC_FUNCTIONS), None, False),

@@ -153,14 +153,13 @@ DENSITY_CATALOG = {
 }
 
 
-DENSITY_KEYS = ("name", "params", "n_nodes", "tail_cut", "tol")
+DENSITY_KEYS = ("name", "params", "n_nodes")
 
 
 def density_tail_cut(d: dict):
-    """A density spec's density and tail cut: ``tail_cut``, by default 50 over the
-    density's slowest decay rate."""
+    """A density spec's density and tail cut, 50 over the density's slowest decay rate."""
     density, decay_rate = DENSITY_CATALOG[d["name"]](**d.get("params", {}))
-    return density, float(d.get("tail_cut", 50.0 / decay_rate))
+    return density, 50.0 / decay_rate
 
 
 def kernel_from_spec(spec: dict) -> KernelMeasure:
@@ -168,8 +167,8 @@ def kernel_from_spec(spec: dict) -> KernelMeasure:
 
     Accepts exactly one of ``{"atoms": [[xi, w], ...]}`` and
     ``{"density": {key: value}}`` with keys from DENSITY_KEYS.
-    The default tail cut is 50 over the density's slowest decay rate,
-    validated by the reconstruction check.  Any other key is an error.
+    The tail cut is 50 over the density's slowest decay rate, validated by
+    the reconstruction check.  Any other key is an error.
     """
     unknown = sorted(set(spec) - {"atoms", "density"}) + sorted(
         f"density.{k}" for k in set(spec.get("density", {})) - set(DENSITY_KEYS))
@@ -183,9 +182,4 @@ def kernel_from_spec(spec: dict) -> KernelMeasure:
     if d.get("name") not in DENSITY_CATALOG:
         raise ValueError(f"unknown density {d.get('name')!r}")
     density, tail = density_tail_cut(d)
-    return build_quadrature(
-        density,
-        n_nodes=int(d.get("n_nodes", N_NODES)),
-        tail_cut=tail,
-        reconstruction_tol=float(d.get("tol", 1e-8)),
-    )
+    return build_quadrature(density, n_nodes=int(d.get("n_nodes", N_NODES)), tail_cut=tail)

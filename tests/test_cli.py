@@ -318,6 +318,11 @@ class TestRunFlows:
             # convergence takes its grid from levels and reads no driver.cells
             ("config", {"kind": "convergence", "levels": [5, 6, 7], "driver": {
                 "kind": "deterministic", "cells": 128, "seed": 1}}, "driver.cells"),
+            # the density's tail cut and reconstruction tolerance are not config keys
+            ("kernel", {"atoms": None, "density": {"name": "exp", "tail_cut": 40.0}},
+             "kernel.density.tail_cut"),
+            ("kernel", {"atoms": None, "density": {"name": "exp", "tol": 1e-6}},
+             "kernel.density.tol"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):

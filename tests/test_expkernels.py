@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from roughvolterra.expkernels import e0, exp_int, phi1, phi2, phi3, phi4, ramp_int
+from roughvolterra.expkernels import RAMP_SERIES_CUT, e0, exp_int, ramp_int
 from roughvolterra.laplace import kernel_from_spec
 
 
@@ -16,34 +16,17 @@ def exact_exp_int(lam, mu, dt):
     return ((-mu * dt).exp() - (-lam * dt).exp()) / (lam - mu)
 
 
+def exact_e0(xi, dt):
+    """e0 in the current decimal context."""
+    return Decimal(dt) if xi == 0 else (1 - (-Decimal(xi) * Decimal(dt)).exp()) / Decimal(xi)
+
+
 def exact_ramp_int(xi, eta, dt):
-    """ramp_int for eta > 0 in the current decimal context."""
-    exact_e0 = Decimal(dt) if xi == 0 else (1 - (-Decimal(xi) * Decimal(dt)).exp()) / Decimal(xi)
-    return (exact_e0 - exact_exp_int(xi, eta, dt)) / Decimal(eta)
-
-
-class TestPhiFunctions:
-    def test_values_at_zero(self):
-        assert phi1(0.0) == 1.0
-        assert phi2(0.0) == pytest.approx(0.5, rel=1e-15)
-        assert phi3(0.0) == pytest.approx(1.0 / 6.0, rel=1e-15)
-        assert phi4(0.0) == pytest.approx(1.0 / 24.0, rel=1e-15)
-
-    def test_recurrence_consistency(self):
-        # phi_{k+1}(z) = (phi_k(z) - 1/k!)/z away from the origin
-        for z in (-3.0, -0.7, -0.05, 0.5):
-            assert phi2(z) == pytest.approx((phi1(z) - 1.0) / z, rel=1e-12)
-            assert phi3(z) == pytest.approx((phi2(z) - 0.5) / z, rel=1e-11)
-            assert phi4(z) == pytest.approx((phi3(z) - 1 / 6.0) / z, rel=1e-10)
-
-    def test_taylor_branch_matches_closed_form(self):
-        # same-argument comparison just inside the series region, where the
-        # closed forms are still well conditioned
-        for z in (-0.0999, -0.05, 0.03, 0.0999):
-            assert phi2(z) == pytest.approx((np.expm1(z) - z) / z**2, rel=1e-12)
-            assert phi3(z) == pytest.approx(
-                (np.expm1(z) - z - z**2 / 2) / z**3, rel=1e-11
-            )
+    """ramp_int in the current decimal context; it is symmetric in xi and eta."""
+    xi, eta = min(xi, eta), max(xi, eta)
+    if eta == 0:
+        return Decimal(dt) ** 2 / 2
+    return (exact_e0(xi, dt) - exact_exp_int(xi, eta, dt)) / Decimal(eta)
 
 
 class TestE0:
@@ -123,6 +106,17 @@ class TestRampInt:
             )[0]
             assert inside == pytest.approx(ref_in, rel=1e-10)
             assert abs(inside - outside) / abs(outside) < 1e-3
+        # either side of the series cut max(xi, eta) dt = RAMP_SERIES_CUT, the larger
+        # rate xi or eta, the other 0, half of it or equal to it
+        for fast in (RAMP_SERIES_CUT * (1 - 1e-3), RAMP_SERIES_CUT * (1 + 1e-3)):
+            for slow in (0.0, fast / 2, fast):
+                for xi, eta in ((fast, slow), (slow, fast)):
+                    ref = quad(lambda r: np.exp(-xi * (dt - r)) * (
+                        (1 - np.exp(-eta * r)) / eta if eta else r), 0, dt)[0]
+                    got = ramp_int(xi, eta, dt)
+                    assert got == pytest.approx(ref, rel=1e-10)
+                    other = ramp_int(xi * (1 + 2e-3), eta * (1 + 2e-3), dt)
+                    assert abs(got - other) / abs(other) < 1e-3
 
     def test_against_quadrature_grid(self):
         rng = np.random.default_rng(4)
@@ -146,4 +140,40 @@ class TestRampInt:
                 for j, eta in enumerate(xis):
                     ref = exact_ramp_int(xi, eta, dt)
                     worst = max(worst, abs(Decimal(got[i, j]) - ref) / ref)
-        assert worst < 1e-11
+        assert worst < 1e-14
+
+    def test_against_50_digit_reference(self):
+        # xi dt and eta dt over {0} and 1e-9 to 50, dt from 1e-5 to 1: 3,380 points on
+        # both sides of the series cut and of xi = eta
+        z = np.r_[0.0, np.logspace(-9, np.log10(50.0), 25)]
+        worst = 0.0
+        with localcontext(prec=50):
+            for dt in np.logspace(-5, 0, 5):
+                xi, eta = np.meshgrid(z / dt, z / dt, indexing="ij")
+                for x, y, v in zip(xi.ravel(), eta.ravel(), ramp_int(xi, eta, dt).ravel()):
+                    ref = exact_ramp_int(x, y, dt)
+                    worst = max(worst, abs(Decimal(v) - ref) / ref)
+        assert worst < 2e-14
+
+    def test_drift_table_is_minus_eta_ramp(self):
+        # exp_int(xi, eta) - e0(xi) = -eta ramp_int(xi, eta): the difference cancels
+        # where eta dt is small, the product does not
+        z = np.logspace(-9, np.log10(50.0), 25)
+        worst = 0.0
+        with localcontext(prec=50):
+            for dt in (1e-5, 1.0 / 8192, 1.0):
+                xi, eta = np.meshgrid(np.r_[0.0, z] / dt, z / dt, indexing="ij")
+                got = -eta * ramp_int(xi, eta, dt)
+                for x, y, v in zip(xi.ravel(), eta.ravel(), got.ravel()):
+                    ref = exact_exp_int(x, y, dt) - exact_e0(x, dt)
+                    worst = max(worst, abs(Decimal(v) - ref) / abs(ref))
+        assert worst < 1e-14
+
+    def test_no_floating_point_error_at_any_rate(self):
+        # both branches are computed over every input and one is discarded; neither
+        # overflows, divides by zero or makes a NaN for rates from 0 to 1e6/dt
+        z = np.r_[0.0, np.logspace(-12, 6, 37)]
+        with np.errstate(all="raise", under="ignore"):
+            for dt in (1e-8, 1.0 / 8192, 1.0, 100.0):
+                out = ramp_int(z[:, None] / dt, z[None, :] / dt, dt)
+                assert np.all(np.isfinite(out)) and np.all(out > 0)

@@ -99,8 +99,7 @@ class TestBuildQuadrature:
 class TestKernelFromSpec:
     def test_density_spec(self):
         m = kernel_from_spec(
-            {"density": {"name": "exp", "params": {"rate": 1.0},
-                         "n_nodes": 64, "tail_cut": 40.0}}
+            {"density": {"name": "exp", "params": {"rate": 1.0}, "n_nodes": 64}}
         )
         assert phi_eval(m, 1.0) == pytest.approx(0.5, abs=1e-8)
 

@@ -7,7 +7,7 @@ import roughvolterra as rv
 from roughvolterra import lift as lift_mod
 from roughvolterra import oracles
 from roughvolterra.algebra import TimeGrid
-from roughvolterra.expkernels import e0, ramp_int
+from roughvolterra.expkernels import RAMP_SERIES_CUT, e0, ramp_int
 from roughvolterra.laplace import KernelMeasure
 from roughvolterra.lift import (
     DriverPath,
@@ -720,12 +720,28 @@ CELL_TABLE_GRIDS = {
     "distinct": TimeGrid(np.r_[0.0, np.cumsum(np.arange(1, 33) * 2.0**-9)]),
     "repeating": TimeGrid(np.r_[0.0, np.cumsum(np.tile([3, 5, 3, 2, 5], 6) * 2.0**-6)]),
 }
-# xi = 0, the ramp_int series (eta dt < 1e-4), two near-equal rates
-# (|lam - mu| dt < 2e-6) and a fast atom
+# xi = 0, two near-equal rates (|lam - mu| dt < 2e-6) and a fast atom: the slow pairs
+# take ramp_int's series (max(xi, eta) dt < RAMP_SERIES_CUT), the fast atom's its quotient
 CELL_TABLE_ATOMS = [(0.0, 0.4), (1e-3, 0.3), (2.0, 0.2), (2.0 + 1e-4, 0.1), (500.0, 0.05)]
 
 
 class TestCellTables:
+    @pytest.mark.parametrize("grid_name", sorted(CELL_TABLE_GRIDS))
+    @pytest.mark.parametrize("refine", [1, 4])
+    def test_atoms_reach_both_ramp_int_branches(self, monkeypatch, grid_name, refine):
+        scaled = []
+
+        def spy(xi, eta, dt):
+            scaled.append(np.maximum(xi, eta) * dt)
+            return ramp_int(xi, eta, dt)
+
+        monkeypatch.setattr(lift_mod, "ramp_int", spy)
+        grid = CELL_TABLE_GRIDS[grid_name]
+        RoughLift(DriverPath(grid, np.zeros((len(grid), 2))),
+                  KernelMeasure.from_atoms(CELL_TABLE_ATOMS), gamma=1.0).cell_tables(refine)
+        (scaled,) = scaled
+        assert np.any(scaled < RAMP_SERIES_CUT) and np.any(scaled >= RAMP_SERIES_CUT)
+
     @pytest.mark.parametrize("grid_name", sorted(CELL_TABLE_GRIDS))
     @pytest.mark.parametrize("refine", [1, 4])
     def test_per_width_tables_equal_per_cell_formula(self, grid_name, refine):
