@@ -31,8 +31,8 @@ import numpy as np
 
 from . import __version__, checks
 from .algebra import TimeGrid
-from .laplace import (DENSITY_CATALOG, N_NODES, KernelMeasure, check_n_nodes, density_tail_cut,
-                      kernel_from_spec)
+from .laplace import (DENSITY_CATALOG, N_NODES, KernelMeasure, QuadratureError, check_n_nodes,
+                      density_tail_cut, kernel_from_spec)
 from .lift import (
     DETERMINISTIC_FUNCTIONS,
     DriverPath,
@@ -58,11 +58,6 @@ VERIFY_CHECKS = {
     "A8_diffusion_degeneration": checks.a8_diffusion_degeneration,
     "A9_holder_estimator": checks.a9_holder_estimator,
 }
-
-# acceptance-criterion identifiers each kind can enable
-KIND_CHECKS = {"verify": tuple(VERIFY_CHECKS), "solve-young": ("A5_solver_vs_ode",),
-               "solve-rough": ("A5_solver_vs_ode",), "convergence": ("A7_rough_self_convergence",),
-               "covariance-check": ("A6_fbm_young_covariance",)}
 
 DENSITY_PARAMS = {name: tuple(inspect.signature(factory).parameters)
                   for name, factory in DENSITY_CATALOG.items()}
@@ -115,7 +110,7 @@ HURST = "(0, 1)"
 # budget peaks near 2 GiB, and two --jobs workers near 4 GiB, within a 7 GB 2-core machine.
 WORK_BYTES = 2**28
 
-# JSON path -> (type, range, required).  Types: float (integers accepted), int, str;
+# JSON path -> (type, range, required[, read by]).  Types: float (integers accepted), int, str;
 # a tuple of allowed values; [type], a list; np.ndarray, a list of numbers as a float array;
 # no block key's list may be empty; another function converts the value.  A block's type
 # gives its keys: dict, the rows under it; a signature or a dataclass, their parameters,
@@ -123,7 +118,10 @@ WORK_BYTES = 2**28
 # to None accepts null); a Family, the family named beside it.  "checks.*" rows type the
 # verify criteria's parameters by name.
 # A range is an interval bounding each number, or a function raising ValueError on the
-# typed value.  required is a bool or the kinds that need the key.
+# typed value.  required is a bool, or the kinds that read the key, each of them needing it;
+# read by, the kinds that read an optional key.  A run's kinds are its kind and, inside
+# driver, its driver.kind: a block offers only the rows they read, so a key no run of the
+# document reads exits 2 as unknown.
 SCHEMA = {
     "kind": (KINDS, None, True),
     "kernel": (dict, None, EQUATION),
@@ -136,13 +134,13 @@ SCHEMA = {
     "kernel.density.n_nodes": (int, "[2, inf)", False),
     "driver": (dict, None, EQUATION),
     "driver.kind": (("deterministic", "fbm"), None, False),
-    "driver.function": (tuple(DETERMINISTIC_FUNCTIONS), None, False),
+    "driver.function": (tuple(DETERMINISTIC_FUNCTIONS), None, False, ("deterministic",)),
     "driver.cells": (int, "[1, inf)", SOLVES),
     "driver.horizon": (float, "(0, inf)", False),
-    "driver.n_dims": (int, "[1, inf)", False),
-    "driver.hurst": (float, HURST, False),
-    "driver.seed": (int, "[0, inf)", False),
-    "driver.seeds": (seed_expand, None, False),
+    "driver.n_dims": (int, "[1, inf)", False, ("fbm",)),
+    "driver.hurst": (float, HURST, ("fbm",)),
+    "driver.seed": (int, "[0, inf)", False, ("fbm", "convergence")),
+    "driver.seeds": (seed_expand, None, False, ("convergence",)),
     "sigma": (dict, None, EQUATION),
     "sigma.name": (tuple(SIGMA_PARAMS), None, True),
     "sigma.params": (Family(SIGMA_PARAMS, "name", "sigma.params"), None, False),
@@ -160,7 +158,7 @@ SCHEMA = {
     "stat.seeds": (seed_expand, None, True),
     "stat.horizon": (float, "(0, inf)", False),
     "checks": (dict, None, False),
-    **{f"checks.{name}": (inspect.signature(fn), None, False)
+    **{f"checks.{name}": (inspect.signature(fn), None, False, ("verify",))
        for name, fn in VERIFY_CHECKS.items()},
     "checks.*.tol": (float, "[0, inf)", False),
     "checks.*.trials": (int, "[1, inf)", False),
@@ -188,12 +186,12 @@ SCHEMA = {
     "checks.A8_diffusion_degeneration.initial": (np.ndarray, None, False),
     "checks.A8_diffusion_degeneration.solver": (SolverConfig, None, False),
     "checks.A9_holder_estimator.points": (int, "[32, inf)", False),
-    "checks.A5_solver_vs_ode": (dict, None, False),
+    "checks.A5_solver_vs_ode": (dict, None, False, SOLVES),
     "checks.A5_solver_vs_ode.tol": (float, "[0, inf)", True),
     "checks.A5_solver_vs_ode.dt": (float, "(0, inf)", False),
-    "checks.A6_fbm_young_covariance": (dict, None, False),
+    "checks.A6_fbm_young_covariance": (dict, None, False, ("covariance-check",)),
     "checks.A6_fbm_young_covariance.se_factor": (float, "[0, inf)", False),
-    "checks.A7_rough_self_convergence": (dict, None, False),
+    "checks.A7_rough_self_convergence": (dict, None, False, ("convergence",)),
     "checks.A7_rough_self_convergence.rate_threshold": (float, None, True),
     "checks.A7_rough_self_convergence.min_passing": (int, "[0, inf)", True),
 }
@@ -209,12 +207,13 @@ def _row(path, annotation=inspect.Parameter.empty):
             or (ANNOTATED[annotation], None, False))
 
 
-def _block_keys(typ, at, kind, siblings):
-    """key -> (row, schema path, default) of a block of type ``typ`` at schema path ``at``."""
+def _block_keys(typ, at, kinds, siblings):
+    """key -> (row, schema path, default) of a block of type ``typ`` at schema path ``at``, in a
+    run of ``kinds``: a dict block's rows that the run reads."""
     if typ is dict:
-        return {p.rpartition(".")[2]: (r, p, REQUIRED if r[2] is True or kind in (r[2] or ())
-                                       else OPTIONAL)
-                for p, r in SCHEMA.items() if p.rpartition(".")[0] == at}
+        return {p.rpartition(".")[2]: (r, p, REQUIRED if r[2] else OPTIONAL)
+                for p, r in SCHEMA.items() if p.rpartition(".")[0] == at
+                and (not isinstance(r[-1], tuple) or any(k in r[-1] for k in kinds))}
     if isinstance(typ, Family):
         return {k: (SCHEMA[f"{typ.at}.{k}"], f"{typ.at}.{k}", OPTIONAL)
                 for k in typ.params[siblings[typ.name_key]]}
@@ -230,17 +229,21 @@ def _call(fn, value, where):
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _walk_block(value, typ, at, where, kind, siblings):
+def _walk_block(value, typ, at, where, kinds, siblings):
     if not isinstance(value, dict):
         raise ValueError(f"{where or 'config'!r} must be a JSON object")
-    keys = _block_keys(typ, at, kind, siblings)
-    unknown = [f"{where}.{k}".lstrip(".") for k in sorted(set(value) - set(keys))]
-    if unknown:
-        raise ValueError(f"unknown key(s) {unknown}; {where or 'config'!r} takes {sorted(keys)}")
+    own = f"{at}.kind".lstrip(".")
+    if typ is dict and own in SCHEMA:       # its kind, the first value if absent, joins kinds
+        kinds += (_walk(value.get("kind", SCHEMA[own][0][0]), SCHEMA[own], own,
+                        f"{where}.kind".lstrip("."), kinds),)
+    keys = _block_keys(typ, at, kinds, siblings)
     missing = [f"{where}.{k}".lstrip(".") for k, (*_, default) in keys.items()
                if default is REQUIRED and k not in value]
     if missing:
         raise ValueError(f"missing key(s) {missing}")
+    unknown = [f"{where}.{k}".lstrip(".") for k in sorted(set(value) - set(keys))]
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown}; {where or 'config'!r} takes {sorted(keys)}")
     typed = {}
     for k in sorted(value, key=lambda k: isinstance(keys[k][0][0], Family)):   # families last
         row, path, default = keys[k]
@@ -248,23 +251,24 @@ def _walk_block(value, typ, at, where, kind, siblings):
             raise ValueError(f"{where}.{k} must not be empty".lstrip("."))
         beside = {**{n: d for n, (*_, d) in keys.items()}, **typed}
         typed[k] = None if value[k] is None and default is None else _walk(
-            value[k], row, path, f"{where}.{k}".lstrip("."), kind, beside)
+            value[k], row, path, f"{where}.{k}".lstrip("."), kinds, beside)
     return _call(lambda t: typ(**t), typed, where) if dataclasses.is_dataclass(typ) else typed
 
 
-def _walk(value, row, at, where, kind, siblings=None):
+def _walk(value, row, at, where, kinds, siblings=None):
     """``value`` checked against its schema ``row`` and typed; ``at`` is its schema path,
-    ``where`` its JSON path, which every error names, ``siblings`` the keys beside it."""
-    typ, rng, _ = row
+    ``where`` its JSON path, which every error names, ``kinds`` the run's kinds so far,
+    ``siblings`` the keys beside it."""
+    typ, rng = row[:2]
     if typ is dict or isinstance(typ, (Family, inspect.Signature)) or dataclasses.is_dataclass(typ):
-        return _walk_block(value, typ, at, where, kind, siblings)
+        return _walk_block(value, typ, at, where, kinds, siblings)
     if isinstance(typ, tuple) and value not in typ:
         raise ValueError(f"{where} must be one of {list(typ)}, got {value!r}")
     if isinstance(typ, list) or typ is np.ndarray:
         if not isinstance(value, list):
             raise ValueError(f"{where} must be a list, got {value!r}")
         item = (typ[0] if isinstance(typ, list) else float, None if callable(rng) else rng, False)
-        value = [_walk(v, item, at, f"{where}[{i}]", kind) for i, v in enumerate(value)]
+        value = [_walk(v, item, at, f"{where}[{i}]", kinds) for i, v in enumerate(value)]
         value = value if isinstance(typ, list) else np.array(value, dtype=float)
     elif typ in SCALARS:
         ok = isinstance(value, (int, float) if typ is float else typ) and not isinstance(
@@ -287,19 +291,12 @@ def _walk(value, row, at, where, kind, siblings=None):
 def _check_relations(doc):
     """The rules between keys, once each key is typed, and the work budget WORK_BYTES."""
     kind, drv, enabled = doc["kind"], doc.get("driver", {}), doc.get("checks", {})
-    for name in enabled:
-        if name not in KIND_CHECKS[kind]:
-            raise ValueError(f"check {name!r} not available for kind {kind!r}")
     if "kernel" in doc and len({"atoms", "density"} & set(doc["kernel"])) != 1:
         raise ValueError("kernel needs exactly one of the keys 'kernel.atoms' and 'kernel.density'")
     fbm = drv.get("kind") == "fbm"
-    if "n_dims" in drv and not fbm:
-        raise ValueError("driver.n_dims needs driver.kind fbm")
     seeds = ("seed",) if kind in SOLVES else ("seed", "seeds")
     if (fbm or kind == "convergence") and not set(seeds) & set(drv):
         raise ValueError(f"missing key {' or '.join(f'driver.{s}' for s in seeds)} (explicit seeds)")
-    if fbm and "hurst" not in drv:
-        raise ValueError("missing key(s) ['driver.hurst'] of the fbm driver")
     if "A6_fbm_young_covariance" in enabled and not (
             doc["stat"]["hurst"] > 0.5 and len(doc["stat"]["seeds"]) > 1):
         raise ValueError("A6_fbm_young_covariance needs stat.hurst in (0.5, 1) and 2+ stat.seeds")
@@ -348,9 +345,6 @@ def _check_relations(doc):
     if size > WORK_BYTES:
         raise ValueError(f"{', '.join(dict.fromkeys(keys))}: {what} would need {size:.3g} bytes, "
                          f"over the work budget of {WORK_BYTES} bytes")
-    if kind == "convergence" and "cells" in drv:
-        raise ValueError("driver.cells is not read by kind 'convergence': its fine grid has "
-                         "2^max(levels) cells")
     if "density" in doc.get("kernel", {}):          # before build_quadrature's panels underflow
         dens = doc["kernel"]["density"]
         check_n_nodes(dens.get("n_nodes", N_NODES), density_tail_cut(dens)[1],
@@ -405,16 +399,18 @@ def emit_csv(path, columns):
 
 
 class ExperimentConfig:
-    """One config document typed by SCHEMA into ``doc``; a bad one raises ValueError naming it."""
+    """One config document typed by SCHEMA into ``doc``, with its kernel's atoms ``measure`` where
+    it has a kernel; a bad one raises ValueError naming it."""
 
     def __init__(self, raw):
-        self.kind = raw.get("kind") if isinstance(raw, dict) else None
-        self.doc = _walk(raw, (dict, None, True), "", "", self.kind)
+        self.doc = _walk(raw, (dict, None, True), "", "", ())
+        self.kind, self.checks = self.doc["kind"], self.doc.get("checks", {})
         _check_relations(self.doc)
-        self.checks = self.doc.get("checks", {})
-
-    def measure(self) -> KernelMeasure:
-        return kernel_from_spec(self.doc["kernel"])
+        if "kernel" in self.doc:            # once the budget and the node bound hold
+            try:
+                self.measure = kernel_from_spec(self.doc["kernel"])
+            except (ValueError, QuadratureError) as exc:
+                raise ValueError(f"kernel.density: {exc}") from None
 
     @property
     def deterministic(self) -> bool:
@@ -490,8 +486,7 @@ def _diagnostics_csv(path, sol):
 def _run_solve(cfg: ExperimentConfig, manifest, out_dir, jobs):
     doc = cfg.doc
     driver = cfg.driver()
-    measure = cfg.measure()
-    lift = RoughLift(driver, measure, gamma=doc["solver"].gamma)
+    lift = RoughLift(driver, cfg.measure, gamma=doc["solver"].gamma)
     fld = cfg.sigma_field(driver.n_dims)
     solve = solve_young if cfg.kind == "solve-young" else solve_rough
     sol = solve(lift, fld, doc["initial"], doc["solver"])
@@ -500,7 +495,7 @@ def _run_solve(cfg: ExperimentConfig, manifest, out_dir, jobs):
 
     if "A5_solver_vs_ode" in cfg.checks:
         params = cfg.checks["A5_solver_vs_ode"]
-        y_ref, _ = rk4_augmented(driver, measure, fld, doc["initial"],
+        y_ref, _ = rk4_augmented(driver, cfg.measure, fld, doc["initial"],
                                  dt_max=params.get("dt", 1e-4))
         manifest.add_check(*checks.a5_solver_vs_ode([sol], y_ref, params["tol"]))
         emit_csv(os.path.join(out_dir, "oracle.csv"), [("t", sol.grid.points)]
@@ -536,7 +531,7 @@ def _run_convergence(cfg: ExperimentConfig, manifest, out_dir, jobs):
     seeds = drv["seeds"] if "seeds" in drv else [drv["seed"]]
     fine_grid = TimeGrid.uniform(2 ** max(levels), drv.get("horizon", 1.0))
     one_seed = functools.partial(
-        checks.self_convergence, measure=cfg.measure(), sigma=doc["sigma"]["name"],
+        checks.self_convergence, measure=cfg.measure, sigma=doc["sigma"]["name"],
         a=doc["initial"], solver=doc["solver"], levels=levels,
         sigma_params=doc["sigma"].get("params"))
     if cfg.deterministic:   # one path whatever the seed: solve it once, repeat per seed

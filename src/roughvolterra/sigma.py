@@ -30,10 +30,9 @@ class SigmaField:
     d: int
     batch: Callable[[np.ndarray], np.ndarray]
     dsigma_batch: Callable[[np.ndarray], np.ndarray]
-    name: str = "custom"
 
 
-def _separable(name, n, d, u, f, f1):
+def _separable(n, d, u, f, f1):
     """sigma[i, j] = u_i f(y_j) and its diagonal derivative tensor; u None means all ones."""
     u = np.ones(n) if u is None else np.asarray(u, dtype=float).reshape(n)
     eye = np.eye(d)
@@ -44,7 +43,7 @@ def _separable(name, n, d, u, f, f1):
     def dbatch(ys):
         return u[None, :, None, None] * f1(ys)[:, None, :, None] * eye[None, None, :, :]
 
-    return SigmaField(n=n, d=d, batch=batch, dsigma_batch=dbatch, name=name)
+    return SigmaField(n=n, d=d, batch=batch, dsigma_batch=dbatch)
 
 
 # each family's params are its keyword parameters; it returns (direction, f, f')
@@ -93,4 +92,4 @@ def sigma_catalog(name: str, n: int = 1, d: int = 1, params: dict | None = None)
     if unknown:
         raise ValueError(f"sigma field {name!r} has no param(s) {unknown}; "
                          f"it takes {list(SIGMA_PARAMS[name])}")
-    return _separable(name, n, d, *_FAMILIES[name](**params))
+    return _separable(n, d, *_FAMILIES[name](**params))

@@ -17,7 +17,7 @@ from roughvolterra.cli import (
     run,
     seed_expand,
 )
-from roughvolterra.laplace import KernelMeasure
+from roughvolterra.laplace import KernelMeasure, QuadratureError
 from roughvolterra.lift import RoughLift, deterministic_driver, sample_fbm
 from roughvolterra.algebra import TimeGrid
 from roughvolterra.oracles import rk4_augmented
@@ -109,6 +109,13 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(p)
 
 
+# edits of solve_config() to another kind, deleting the blocks that only the solving kinds read
+SOLVE_BLOCKS = dict.fromkeys(("kernel", "driver", "sigma", "solver", "initial"))
+VERIFY = {"kind": "verify", **SOLVE_BLOCKS}
+COVARIANCE = {"kind": "covariance-check", **SOLVE_BLOCKS}
+STAT = {"name": "x1_tilde_value", "hurst": 0.7, "cells": 16, "xi": 1.0, "seeds": "0..2"}
+
+
 def solve_config(cells=128, tol=1e-4, sigma="sin"):
     return {
         "kind": "solve-young",
@@ -194,14 +201,15 @@ class TestRunFlows:
             ("solver", {"gamma": None}, "gamma"),
             ("solver", {"n_start": 0}, "n_start"),
             ("solver", {"contraction_limit": 0.0}, "contraction_limit"),
-            ("driver", {"kind": "fbm", "hurts": 0.4, "seed": 1}, "hurst"),
+            ("driver", {"kind": "fbm", "function": None, "hurts": 0.4, "seed": 1}, "hurst"),
             ("solver", {"gamma": "0.38"}, "gamma"),
             ("solver", {"kappa": True}, "kappa"),
             ("checks", {"A5_solver_vs_ode": {"dt": 1e-4}}, "tol"),
             ("checks", {"A5_solver_vs_ode": {"tol": "1e-4"}}, "tol"),
-            ("config", {"kind": "convergence", "levels": [5, 6, 7], "checks": {
+            ("config", {"kind": "convergence", "levels": [5, 6, 7], "driver": {
+                "kind": "deterministic", "seed": 1}, "checks": {
                 "A7_rough_self_convergence": {"rate_threshold": 0.2}}}, "min_passing"),
-            ("config", {"kind": "verify", "checks": {
+            ("config", {**VERIFY, "checks": {
                 "A4_young_exactness": {"tol": 1e-8, "functions": ["cos"]}}}, "functions"),
             ("solver", {"max_picard": 2.5}, "solver.max_picard"),
             ("solver", {"n_start": 2.0}, "solver.n_start"),
@@ -212,8 +220,10 @@ class TestRunFlows:
             ("driver", {"cells": None}, "cells"),
             ("driver", {"n_dims": "1"}, "driver.n_dims"),
             ("driver", {"horizon": [1.0]}, "driver.horizon"),
-            ("driver", {"kind": "fbm", "hurst": 0.4, "seed": 1.5}, "driver.seed"),
-            ("driver", {"kind": "fbm", "hurst": "0.4", "seed": 1}, "driver.hurst"),
+            ("driver", {"kind": "fbm", "function": None, "hurst": 0.4, "seed": 1.5},
+             "driver.seed"),
+            ("driver", {"kind": "fbm", "function": None, "hurst": "0.4", "seed": 1},
+             "driver.hurst"),
             ("kernel", {"atomz": [[1.0, 1.0]]}, "atomz"),
             ("kernel", {"atoms": None, "density": {"name": "exp", "n_node": 8}}, "n_node"),
             ("sigma", {"nmae": "tanh"}, "nmae"),
@@ -225,58 +235,60 @@ class TestRunFlows:
             ("kernel", {"atoms": None, "density": {"name": "expo"}}, "kernel.density.name"),
             ("sigma", {"name": "zero", "params": {"direction": [1.0]}}, "sigma.params.direction"),
             ("sigma", {"name": ["tanh"]}, "sigma.name"),
-            ("config", {"kind": "verify", "checks": {
+            ("config", {**VERIFY, "checks": {
                 "A8_diffusion_degeneration": {"sigma_params": {"ampp": 5.0}}}},
              "A8_diffusion_degeneration.sigma_params.ampp"),
-            ("config", {"kind": "verify", "checks": {
+            ("config", {**VERIFY, "checks": {
                 "A8_diffusion_degeneration": {"sigma": "zero", "sigma_params": {"amp": 1.0}}}},
              "A8_diffusion_degeneration.sigma_params.amp"),
-            ("config", {"kind": "verify", "checks": {
+            ("config", {**VERIFY, "checks": {
                 "A8_diffusion_degeneration": {"sigma": "tanhh"}}},
              "A8_diffusion_degeneration.sigma"),
             ("config", {"emit_atom": False}, "emit_atom"),
             ("driver", {"sed": 1}, "driver.sed"),
-            ("config", {"kind": "verify", "checks": {"A1_algebraic_exactness": {
+            ("config", {**VERIFY, "checks": {"A1_algebraic_exactness": {
                 "tol": 1e-12, "trials": "3", "grid_points": 8}}},
              "A1_algebraic_exactness.trials"),
             ("config", {"mode": "yung"}, "mode"),
             ("sigma", {"params": {"amp": "5"}}, "sigma.params.amp"),
             ("sigma", {"params": {"amp": True}}, "sigma.params.amp"),
             ("config", {"kind": "convergence", "levels": [5, "6", 7], "driver": {
-                "kind": "deterministic", "cells": 128, "seed": 1}}, "levels"),
-            ("config", {"kind": "verify", "checks": {"A4_young_exactness": {
+                "kind": "deterministic", "seed": 1}}, "levels"),
+            ("config", {**VERIFY, "checks": {"A4_young_exactness": {
                 "tol": 1e-8, "level": 2.5, "cells": 64, "xis": [1.0]}}},
              "A4_young_exactness.level"),
             ("config", {"initial": 0.3}, "initial"),
-            ("config", {"kind": "convergence", "levels": 7}, "levels"),
-            ("config", {"kind": "verify", "checks": {"A3_chen_relation": {
+            ("config", {"kind": "convergence", "levels": 7, "driver": {
+                "kind": "deterministic", "seed": 1}}, "levels"),
+            ("config", {**VERIFY, "checks": {"A3_chen_relation": {
                 "tol": 1e-6, "hursts": 0.4}}}, "A3_chen_relation.hursts"),
             ("checks", {"A5_solver_vs_ode": {"tol": 1e-4, "dt": 0}}, "A5_solver_vs_ode.dt"),
             ("solver", {"interval_scheme": "explicit", "boundaries": "x"}, "solver.boundaries"),
             ("sigma", {"params": {"amp": [5]}}, "sigma.params.amp"),
             ("kernel", {"atoms": None}, "kernel.atoms"),
-            ("driver", {"kind": "fbm", "hurst": 0.4, "seed": 1, "cells": 10**8}, "driver.cells"),
-            ("config", {"kind": "verify", "checks": {"A5_solver_vs_ode": {"tol": 1e-4}}},
+            ("driver", {"kind": "fbm", "function": None, "hurst": 0.4, "seed": 1,
+                        "cells": 10**8}, "driver.cells"),
+            ("config", {**VERIFY, "checks": {"A5_solver_vs_ode": {"tol": 1e-4}}},
              "A5_solver_vs_ode"),
             ("sigma", {"params": {"direction": [1.0, 2.0]}}, "sigma.params.direction"),
-            ("config", {"kind": "verify", "checks": {"A2_sewing_bound": {"rho": 2.0}}},
+            ("config", {**VERIFY, "checks": {"A2_sewing_bound": {"rho": 2.0}}},
              "A2_sewing_bound.rho"),
-            ("config", {"kind": "verify", "checks": {
+            ("config", {**VERIFY, "checks": {
                 "A8_diffusion_degeneration": {"initial": [0.1, 0.2]}}},
              "A8_diffusion_degeneration.initial"),
-            ("config", {"kind": "verify", "checks": {"A8_diffusion_degeneration": {
+            ("config", {**VERIFY, "checks": {"A8_diffusion_degeneration": {
                 "sigma_params": {"direction": [1.0, 2.0]}}}},
              "A8_diffusion_degeneration.sigma_params.direction"),
             ("solver", {"young": True}, "solver.young"),
-            ("config", {"kind": "verify", "checks": {"A3_chen_relation": {
+            ("config", {**VERIFY, "checks": {"A3_chen_relation": {
                 "tol": 1e-6, "hursts": []}}}, "A3_chen_relation.hursts"),
-            ("config", {"kind": "verify", "checks": {"A3_chen_relation": {
+            ("config", {**VERIFY, "checks": {"A3_chen_relation": {
                 "tol": 1e-6, "atoms": []}}}, "A3_chen_relation.atoms"),
-            ("config", {"kind": "verify", "checks": {"A4_young_exactness": {
+            ("config", {**VERIFY, "checks": {"A4_young_exactness": {
                 "tol": 1e-8, "xis": []}}}, "A4_young_exactness.xis"),
-            ("config", {"kind": "verify", "checks": {"A4_young_exactness": {
+            ("config", {**VERIFY, "checks": {"A4_young_exactness": {
                 "tol": 1e-8, "functions": []}}}, "A4_young_exactness.functions"),
-            ("config", {"kind": "verify", "checks": {"A9_holder_estimator": {
+            ("config", {**VERIFY, "checks": {"A9_holder_estimator": {
                 "tol": 0.05, "hursts": []}}}, "A9_holder_estimator.hursts"),
             ("kernel", {"atoms": []}, "kernel.atoms"),
             ("config", {"initial": []}, "initial"),
@@ -294,23 +306,23 @@ class TestRunFlows:
             # over the work budget, each named by a key of its largest term
             ("driver", {"cells": 10**9}, "driver.cells"),
             ("config", {"kind": "convergence", "levels": [24, 25, 26], "driver": {
-                "kind": "deterministic", "cells": 128, "seed": 1}}, "levels"),
+                "kind": "deterministic", "seed": 1}}, "levels"),
             ("kernel", {"atoms": None, "density": {"name": "exp", "n_nodes": 10**7}},
              "kernel.density.n_nodes"),
             ("solver", {"sewing_level": 40}, "solver.sewing_level"),
-            ("config", {"kind": "covariance-check", "stat": {
+            ("config", {**COVARIANCE, "stat": {
                 "name": "x1_tilde_value", "hurst": 0.7, "cells": 16, "xi": 1.0,
                 "seeds": "0..100000000"}}, "stat.seeds"),
-            ("config", {"kind": "covariance-check", "stat": {
+            ("config", {**COVARIANCE, "stat": {
                 "name": "x1_tilde_value", "hurst": 0.7, "cells": 10**8, "xi": 1.0,
                 "seeds": "0..2"}}, "stat.cells"),
-            ("config", {"kind": "verify", "checks": {"A3_chen_relation": {
+            ("config", {**VERIFY, "checks": {"A3_chen_relation": {
                 "tol": 1e-6, "cells": 4000, "atoms": [[x, 1.0] for x in range(400)]}}},
              "checks.A3_chen_relation.cells"),
-            ("config", {"kind": "verify", "checks": {"A8_diffusion_degeneration": {
+            ("config", {**VERIFY, "checks": {"A8_diffusion_degeneration": {
                 "cells": 4000, "solver": {"gamma": 0.38, "kappa": 0.35, "sewing_level": 30}}}},
              "checks.A8_diffusion_degeneration.cells"),
-            ("config", {"kind": "verify", "checks": {"A9_holder_estimator": {
+            ("config", {**VERIFY, "checks": {"A9_holder_estimator": {
                 "tol": 0.07, "points": 10**8}}}, "checks.A9_holder_estimator.points"),
             # within the budget, but past the nodes whose quadrature panels stay distinct
             ("kernel", {"atoms": None, "density": {"name": "exp", "n_nodes": 9000}},
@@ -323,6 +335,27 @@ class TestRunFlows:
              "kernel.density.tail_cut"),
             ("kernel", {"atoms": None, "density": {"name": "exp", "tol": 1e-6}},
              "kernel.density.tol"),
+            # a block or key that no run of the document reads
+            ("config", {**VERIFY, "solver": solve_config()["solver"]}, "solver"),
+            ("config", {**VERIFY, "kernel": {"atoms": [[1.0, 1.0]]}}, "kernel"),
+            ("config", {**VERIFY, "initial": [1.0]}, "initial"),
+            ("config", {"levels": [5, 6, 7]}, "levels"),
+            ("config", {"stat": STAT}, "stat"),
+            ("config", {**COVARIANCE, "stat": STAT, "driver": solve_config()["driver"]}, "driver"),
+            ("config", {**COVARIANCE, "stat": STAT, "sigma": {"name": "sin"}}, "sigma"),
+            ("config", {"kind": "convergence", "levels": [5, 6, 7], "driver": {
+                "kind": "deterministic", "seed": 1}, "stat": STAT}, "stat"),
+            ("driver", {"kind": "fbm", "function": None, "hurst": 0.4, "seed": 1,
+                        "seeds": "0..2"}, "driver.seeds"),
+            ("driver", {"kind": "fbm", "hurst": 0.4, "seed": 1}, "driver.function"),
+            ("driver", {"hurst": 0.4}, "driver.hurst"),
+            ("driver", {"seed": 1}, "driver.seed"),
+            ("driver", {"seeds": "0..2"}, "driver.seeds"),
+            # a density that misses its reconstruction tolerance
+            ("kernel", {"atoms": None, "density": {"name": "gamma", "n_nodes": 16}},
+             "kernel.density"),
+            ("kernel", {"atoms": None, "density": {"name": "exp", "params": {"rate": 1e-3},
+                                                   "n_nodes": 128}}, "kernel.density"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):
@@ -386,20 +419,23 @@ class TestRunFlows:
 
     @pytest.mark.parametrize("error", ["quadrature", "factorisation"])
     def test_run_error_exit_4_writes_manifest_error(self, tmp_path, capsys, monkeypatch, error):
+        # each error is raised by a stand-in once the run has started: a density that misses
+        # its reconstruction tolerance exits 2 at validation
         doc = solve_config()
         if error == "quadrature":
-            doc["kernel"] = {"density": {"name": "exp", "n_nodes": 2}}
-            expected = "QuadratureError"
-        else:                       # a ValueError subclass, raised once the run has started
+            at, exc = "RoughLift", QuadratureError(
+                "kernel reconstruction error 1.0e-03 exceeds tolerance 1.0e-08 at 2 nodes")
+        else:                       # a ValueError subclass
             doc["driver"] = {"kind": "fbm", "hurst": 0.4, "cells": 16, "seed": 1}
             doc["checks"] = {}
+            at, exc = "sample_fbm", np.linalg.LinAlgError(
+                "circulant embedding of fGn has a negative or non-finite eigenvalue")
 
-            def broken(*args, **kwargs):
-                raise np.linalg.LinAlgError(
-                    "circulant embedding of fGn has a negative or non-finite eigenvalue")
+        def broken(*args, **kwargs):
+            raise exc
 
-            monkeypatch.setattr(cli, "sample_fbm", broken)
-            expected = "LinAlgError"
+        monkeypatch.setattr(cli, at, broken)
+        expected = type(exc).__name__
         out = tmp_path / "o"
         assert run(write_config(tmp_path, doc), out_dir=str(out)) == 4
         err = capsys.readouterr().err

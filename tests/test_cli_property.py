@@ -1,7 +1,8 @@
 """Property test of the CLI boundary.
 
 Each shipped config, cut to test size, has one key at some depth
-dropped, renamed or given a value of another JSON type.  Every such run
+dropped, renamed or given a value of another JSON type, or gains a
+top-level block of another shipped config that it lacks.  Every such run
 exits with a code of the README's table and prints no traceback, and it
 leaves a manifest exactly when it got past validation (exit code not 2).
 """
@@ -49,6 +50,11 @@ def shrink(node):
     return out
 
 
+def load(name):
+    with open(os.path.join(CONFIGS, name)) as fh:
+        return shrink(json.load(fh))
+
+
 def key_paths(node, prefix=()):
     if isinstance(node, dict):
         for key, value in node.items():
@@ -64,10 +70,9 @@ def test_readme_tables_the_exit_codes():
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(data=st.data())
 def test_mutated_config_exits_with_a_documented_code(name, data, tmp_path_factory):
-    with open(os.path.join(CONFIGS, name)) as fh:
-        doc = shrink(json.load(fh))
+    doc = load(name)
     path = data.draw(st.sampled_from(sorted(key_paths(doc))))
-    action = data.draw(st.sampled_from(["drop", "rename", "retype"]))
+    action = data.draw(st.sampled_from(["drop", "rename", "retype", "graft"]))
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -76,6 +81,10 @@ def test_mutated_config_exits_with_a_documented_code(name, data, tmp_path_factor
         del parent[key]
     elif action == "rename":
         parent[key + "_renamed"] = parent.pop(key)
+    elif action == "graft":
+        other, block = data.draw(st.sampled_from(
+            [(other, block) for other in NAMES for block in load(other) if block not in doc]))
+        doc[block] = load(other)[block]
     else:
         parent[key] = data.draw(st.sampled_from(
             [v for v in VALUES if type(v) is not type(parent[key])]))

@@ -230,11 +230,10 @@ class TestFbmFactorRoutes:
 
     @pytest.mark.parametrize("n", [1, 8, 257, 1024, 4095])
     @pytest.mark.parametrize("hurst", [0.01, 0.4, 0.5, 0.7, 0.99])
-    def test_schur_factor_reproduces_covariance(self, monkeypatch, n, hurst):
-        # the uniform-grid path factor (named for the Schur factor the circulant draw
-        # replaced) reproduces the covariance.  Seed k draws e_k, so the draws of seeds
-        # 0..2n-1 are the columns of the path factor P (n x 2n); P P^T is accumulated
-        # over runs of 256 columns of one seed list
+    def test_path_factor_reproduces_covariance(self, monkeypatch, n, hurst):
+        # the uniform-grid path factor reproduces the covariance.  Seed k draws e_k, so
+        # the draws of seeds 0..2n-1 are the columns of the path factor P (n x 2n); P P^T
+        # is accumulated over runs of 256 columns of one seed list
         monkeypatch.setattr(lift_mod, "_rng", _UnitNormals)
         grid = TimeGrid.uniform(n, 1.0)
         # every 16th row (and the last) of P P^T on the largest grid, against those
@@ -267,7 +266,7 @@ class TestFbmFactorRoutes:
 
     @pytest.mark.parametrize("n", [8, 257, 1024])
     @pytest.mark.parametrize("rows", [1, 7, "n"])
-    def test_panels_stack_to_the_factor(self, monkeypatch, n, rows):
+    def test_sub_batches_stack_to_one_draw(self, monkeypatch, n, rows):
         # sub-batches of 1, 7 or all 20 seeds (column panels of the block) stack to one draw
         seeds = list(range(3, 23))
         per = len(seeds) if rows == "n" else rows
@@ -333,10 +332,9 @@ class TestFbmFactorRoutes:
         assert iter(paths) is paths and list(paths) == []
 
     @pytest.mark.parametrize("lag", [1, 1000])
-    def test_streamed_breakdown_takes_the_dense_route(self, monkeypatch, lag):
-        # (the name is historical: there is no dense route left to take.)  Correlation
-        # 1.5 at one lag is not a covariance: lambda_m = 1 + 3 cos(pi m lag / n) has
-        # negative eigenvalues, so the draw raises before drawing any normals
+    def test_negative_eigenvalue_raises_before_drawing(self, monkeypatch, lag):
+        # correlation 1.5 at one lag is not a covariance: lambda_m = 1 + 3 cos(pi m lag / n)
+        # has negative eigenvalues, so the draw raises before drawing any normals
         broken = lambda hurst, n, h: np.r_[1.0, np.zeros(lag - 1), 1.5, np.zeros(n - lag - 1)]
         monkeypatch.setattr(lift_mod, "_fgn_autocovariance", broken)
         monkeypatch.setattr(lift_mod, "_rng", _no_normals)
@@ -344,7 +342,7 @@ class TestFbmFactorRoutes:
             with pytest.raises(np.linalg.LinAlgError, match="negative or non-finite eigenvalue"):
                 sample_fbm(0.4, TimeGrid.uniform(1100, 1.0), seed=seed)
 
-    def test_seed_list_streams_one_factor(self, monkeypatch):
+    def test_seed_list_makes_one_eigenvalue_pass(self, monkeypatch):
         passes = []
         gamma = lift_mod._fgn_autocovariance
         monkeypatch.setattr(lift_mod, "_fgn_autocovariance",
@@ -372,9 +370,8 @@ class TestFbmFactorRoutes:
         (single,) = sample_fbm(0.4, grid, n_dims=2, seed=[7])
         assert np.array_equal(single.values, sample_fbm(0.4, grid, n_dims=2, seed=7).values)
 
-    def test_non_uniform_grid_takes_dense_route(self, monkeypatch):
-        # (the name is historical.)  A non-uniform grid is rejected before any
-        # normals are drawn or any FFT runs
+    def test_non_uniform_grid_is_rejected_before_drawing(self, monkeypatch):
+        # a non-uniform grid is rejected before any normals are drawn or any FFT runs
         def no_fft(*args, **kwargs):
             raise AssertionError("FFT run on a non-uniform grid")
 
@@ -392,9 +389,9 @@ class TestFbmFactorRoutes:
         bent[100] += 1e-6 * (0.3 / 4095)
         assert lift_mod._uniform_step(bent) is None
 
-    def test_breakdown_falls_back_to_dense(self, monkeypatch):
-        # (the name is historical: there is no fallback.)  An infinite gamma_0 makes
-        # every lambda +inf: not negative, but not finite, so the draw raises
+    def test_non_finite_eigenvalue_raises_before_drawing(self, monkeypatch):
+        # an infinite gamma_0 makes every lambda +inf: not negative, but not finite, so the
+        # draw raises before drawing any normals
         monkeypatch.setattr(
             lift_mod, "_fgn_autocovariance", lambda hurst, n, h: np.r_[np.inf, np.zeros(n - 1)]
         )

@@ -351,7 +351,7 @@ def non_commuting_tanh_field():
     def dsigma_batch(ys):
         return np.einsum("ijq,pq->pijq", fields, np.cosh(ys) ** -2)
 
-    return SigmaField(n=2, d=2, batch=batch, dsigma_batch=dsigma_batch, name="A tanh")
+    return SigmaField(n=2, d=2, batch=batch, dsigma_batch=dsigma_batch)
 
 
 class TestNonCommutingWongZakai:
