@@ -23,6 +23,7 @@ __all__ = [
     "exp_scan",
     "exp_scan_blocks",
     "lbeta_norm",
+    "fit_line",
     "estimate_holder_exponent",
 ]
 
@@ -145,11 +146,14 @@ def exp_scan_blocks(points, xis, germ, init):
         e = int(np.searchsorted(points, points[b] + reach, side="right")) - 1
         e = min(max(e, b + 1), b + SCAN_BLOCK, n_steps)
         g = np.asarray(germ(b, e), dtype=float)
-        v = _decay(points, xis, slice(b + 1, e + 1), e, g.ndim - 2)
+        extra = g.ndim - 2
+        v = _decay(points, xis, slice(b + 1, e + 1), e, extra)
         blk = g * v
+        del g                                  # free the germ before the next temporaries
         np.cumsum(blk, axis=0, out=blk)
         blk /= v
-        blk += _decay(points, xis, b, slice(b + 1, e + 1), g.ndim - 2) * last
+        del v
+        blk += _decay(points, xis, b, slice(b + 1, e + 1), extra) * last
         yield b, e, blk
         last = blk[-1]
         b = e
@@ -181,13 +185,30 @@ def lbeta_norm(vals, measure, beta: float):
     return norms @ w
 
 
+def fit_line(x, y):
+    """Least-squares line through the points (x, y): returns (slope, RMS residual).
+
+    Closed form on centred data, slope = sum x~ y~ / sum x~^2, so no
+    linear-algebra library is reached for a handful of points.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sxx = float(xc @ xc)
+    if sxx == 0.0:
+        raise ValueError("a line fit needs at least two distinct x values")
+    slope = float(xc @ yc) / sxx
+    return slope, float(np.sqrt(np.mean((yc - slope * xc) ** 2)))
+
+
 def estimate_holder_exponent(grid: TimeGrid, values):
     """Empirical Holder exponent of a path sampled on ``grid``.
 
-    Least-squares slope of log median|increment| against log lag over dyadic
-    lags.  Returns (exponent, residual) where residual is the RMS misfit of
-    the regression.  Raises on (near-)constant paths, whose exponent is
-    undefined.
+    Least-squares slope (``fit_line``) of log median|increment| against log
+    lag over dyadic lags.  Returns (exponent, residual) where residual is
+    the RMS misfit of the regression.  Raises on (near-)constant paths,
+    whose exponent is undefined.
     """
     n = len(grid)
     vals = np.asarray(values, dtype=float)
@@ -215,8 +236,4 @@ def estimate_holder_exponent(grid: TimeGrid, values):
         meds.append(med)
     if len(lags) < 3:
         raise ValueError("not enough usable lags to fit an exponent")
-    x = np.log(np.asarray(lags))
-    y = np.log(np.asarray(meds))
-    coef = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((np.polyval(coef, x) - y) ** 2)))
-    return float(coef[0]), resid
+    return fit_line(np.log(lags), np.log(meds))

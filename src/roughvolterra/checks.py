@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import TimeGrid, delta_tilde, estimate_holder_exponent, twist
+from .algebra import TimeGrid, delta_tilde, estimate_holder_exponent, fit_line, twist
 from .expkernels import e0
 from .laplace import KernelMeasure
 from .lift import (
@@ -230,7 +230,7 @@ def self_convergence(fine, measure, sigma, a, solver, levels, sigma_params=None)
         drv = DriverPath(TimeGrid(fine.grid.points[::step]), fine.values[::step])
         sols[lev] = solve_rough(RoughLift(drv, measure, gamma=solver.gamma), fld, a, solver)
     diffs = [float(np.max(np.abs(sols[lev].y - sols[lev + 1].y[::2]))) for lev in levels[:-1]]
-    return diffs, float(-np.polyfit(levels[:-1], np.log2(diffs), 1)[0])
+    return diffs, -fit_line(levels[:-1], np.log2(diffs))[0]
 
 
 def a7_rough_self_convergence(rates, rate_threshold, min_passing):

@@ -297,6 +297,8 @@ def _check_relations(doc):
     seeds = ("seed",) if kind in SOLVES else ("seed", "seeds")
     if (fbm or kind == "convergence") and not set(seeds) & set(drv):
         raise ValueError(f"missing key {' or '.join(f'driver.{s}' for s in seeds)} (explicit seeds)")
+    if set(drv) >= {"seed", "seeds"}:
+        raise ValueError("driver needs exactly one of the keys 'driver.seed' and 'driver.seeds'")
     if "A6_fbm_young_covariance" in enabled and not (
             doc["stat"]["hurst"] > 0.5 and len(doc["stat"]["seeds"]) > 1):
         raise ValueError("A6_fbm_young_covariance needs stat.hurst in (0.5, 1) and 2+ stat.seeds")

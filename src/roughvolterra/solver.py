@@ -196,7 +196,7 @@ def _sweep(fine, r, x1t, x2t, fld, a, measure, y, htilde, rough):
         c = np.arange(b, e) // r                            # sub-cell -> row of x1t, x2t
         g = np.einsum("pkn,pnd->pkd", x1t[c], z[b:e])
         if rough:
-            g = g + np.einsum("pkmj,pjq,pmiq->pki", x2t[c], z[b:e], ds[b:e])
+            g += np.einsum("pkmj,pjq,pmiq->pki", x2t[c], z[b:e], ds[b:e])
         return g
 
     y_new = np.empty_like(y)

@@ -8,6 +8,7 @@ from roughvolterra.algebra import (
     delta_tilde,
     estimate_holder_exponent,
     exp_scan,
+    fit_line,
     lbeta_norm,
     twist,
 )
@@ -312,3 +313,34 @@ class TestHolderEstimator:
         drv = sample_fbm(0.7, g, seed=23)
         est, _ = estimate_holder_exponent(g, drv.values)
         assert 0.63 <= est <= 0.77
+
+
+class TestFitLine:
+    """The closed-form line fit against numpy's least-squares polynomial fit."""
+
+    @staticmethod
+    def polyfit_reference(x, y):
+        coef = np.polyfit(x, y, 1)
+        return coef[0], np.sqrt(np.mean((np.polyval(coef, x) - y) ** 2))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_points_match_polyfit(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.uniform(-5.0, 1.0, 3 + seed))
+        y = rng.normal(size=x.size) - 0.3 * x
+        slope, rms = fit_line(x, y)
+        ref_slope, ref_rms = self.polyfit_reference(x, y)
+        assert slope == pytest.approx(ref_slope, rel=EXACT, abs=EXACT)
+        assert rms == pytest.approx(ref_rms, rel=EXACT, abs=EXACT)
+
+    def test_exact_line_has_its_slope_and_no_residual(self):
+        x = np.log([1 / 4096, 2 / 4096, 4 / 4096, 8 / 4096, 16 / 4096, 32 / 4096])
+        y = 0.4 * x - 1.7
+        slope, rms = fit_line(x, y)
+        assert slope == pytest.approx(self.polyfit_reference(x, y)[0], rel=EXACT)
+        assert slope == pytest.approx(0.4, rel=EXACT)
+        assert rms < EXACT
+
+    def test_needs_two_distinct_x(self):
+        with pytest.raises(ValueError, match="two distinct"):
+            fit_line([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])

@@ -356,6 +356,10 @@ class TestRunFlows:
              "kernel.density"),
             ("kernel", {"atoms": None, "density": {"name": "exp", "params": {"rate": 1e-3},
                                                    "n_nodes": 128}}, "kernel.density"),
+            # a convergence driver reads exactly one of seed and seeds
+            ("config", {"kind": "convergence", "levels": [5, 6, 7], "driver": {
+                "kind": "deterministic", "seed": 1, "seeds": "0..2"}},
+             "'driver.seed' and 'driver.seeds'"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):

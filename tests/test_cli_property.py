@@ -5,6 +5,8 @@ dropped, renamed or given a value of another JSON type, or gains a
 top-level block of another shipped config that it lacks.  Every such run
 exits with a code of the README's table and prints no traceback, and it
 leaves a manifest exactly when it got past validation (exit code not 2).
+Each shipped config, cut to test size, also runs as before with numpy's
+dense linear algebra (LAPACK) made to raise.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,3 +101,33 @@ def test_mutated_config_exits_with_a_documented_code(name, data, tmp_path_factor
     assert code in EXIT_CODES
     assert "Traceback" not in err.getvalue()
     assert (out / "run_manifest.json").exists() == (code != 2)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a run path reached dense linear algebra")
+
+
+@pytest.mark.parametrize("name, kernel", [(name, None) for name in NAMES] + [
+    ("solve_rough_fbm.json", {"density": {"name": "exp"}})])
+def test_runs_reach_no_lapack(name, kernel, tmp_path, monkeypatch):
+    doc = load(name)
+    if kernel is not None:
+        doc["kernel"] = kernel
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+
+    def outcome(out):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(str(config), out_dir=str(out))
+        return code, json.loads((out / "run_manifest.json").read_text())["checks"]
+
+    with monkeypatch.context() as patch:        # first, so nothing is cached yet
+        for fn in dir(np.linalg):
+            value = getattr(np.linalg, fn)
+            if callable(value) and not isinstance(value, type) and fn[0] != "_" and fn != "norm":
+                patch.setattr(np.linalg, fn, refuse)
+        patch.setattr(np, "polyfit", refuse)
+        patch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        guarded = outcome(tmp_path / "guarded")
+    assert guarded == outcome(tmp_path / "free")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from roughvolterra import laplace
 from roughvolterra.laplace import (
     DENSITY_CATALOG,
     KernelMeasure,
@@ -94,6 +95,35 @@ class TestBuildQuadrature:
         # point-mass requests skip quadrature entirely
         m = kernel_from_spec({"atoms": [[1.0, 1.0]]})
         assert m.n_atoms == 1
+
+
+class TestGaussLegendre:
+    """Newton-iterated nodes and weights against numpy's eigenvalue-based rule."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_leggauss(self, n):
+        x, w = laplace._gauss_legendre(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert np.all(np.abs(x - ref_x) <= 2 * np.spacing(np.abs(ref_x)))
+        assert np.all(np.abs(w - ref_w) <= 1e-14 * ref_w)
+        assert w.sum() == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_exact_up_to_degree_2n_minus_1(self, n):
+        x, w = laplace._gauss_legendre(n)
+        k = np.arange(2 * n)
+        exact = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)     # int_{-1}^{1} x^k dx
+        assert np.all(np.abs(w @ x[:, None] ** k - exact) <= 1e-15)
+
+    @pytest.mark.parametrize("name", ["exp", "gamma"])
+    def test_default_density_atoms_match_a_leggauss_build(self, name, monkeypatch):
+        spec = {"density": {"name": name}}
+        measure = kernel_from_spec(spec)
+        monkeypatch.setattr(laplace, "_gauss_legendre", np.polynomial.legendre.leggauss)
+        ref = kernel_from_spec(spec)
+        assert measure.n_atoms == ref.n_atoms == 64
+        assert np.all(np.abs(measure.xis - ref.xis) <= 1e-14 * ref.xis)
+        assert np.all(np.abs(measure.weights - ref.weights) <= 1e-14 * np.abs(ref.weights))
 
 
 class TestKernelFromSpec:
