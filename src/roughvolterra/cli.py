@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -58,6 +59,7 @@ VERIFY_CHECKS = {
     "A8_diffusion_degeneration": checks.a8_diffusion_degeneration,
     "A9_holder_estimator": checks.a9_holder_estimator,
 }
+STATS = {"x1_tilde_value": checks.x1_tilde_value}   # the covariance-check kind's statistics
 
 DENSITY_PARAMS = {name: tuple(inspect.signature(factory).parameters)
                   for name, factory in DENSITY_CATALOG.items()}
@@ -110,108 +112,111 @@ HURST = "(0, 1)"
 # budget peaks near 2 GiB, and two --jobs workers near 4 GiB, within a 7 GB 2-core machine.
 WORK_BYTES = 2**28
 
-# JSON path -> (type, range, required[, read by]).  Types: float (integers accepted), int, str;
+REQUIRED, OPTIONAL = inspect.Parameter.empty, object()      # a block key with no default
+# JSON path -> (type, range[, default[, read by]]).  Types: float (integers accepted), int, str;
 # a tuple of allowed values; [type], a list; np.ndarray, a list of numbers as a float array;
 # no block key's list may be empty; another function converts the value.  A block's type
 # gives its keys: dict, the rows under it; a signature or a dataclass, their parameters,
 # defaults and annotations (a dataclass block becomes its instance; a parameter defaulting
-# to None accepts null); a Family, the family named beside it.  "checks.*" rows type the
-# verify criteria's parameters by name.
+# to None accepts null); a Family, the family named beside it, each key optional.  "checks.*"
+# rows type the verify criteria's parameters by name.
 # A range is an interval bounding each number, or a function raising ValueError on the
-# typed value.  required is a bool, or the kinds that read the key, each of them needing it;
-# read by, the kinds that read an optional key.  A run's kinds are its kind and, inside
-# driver, its driver.kind: a block offers only the rows they read, so a key no run of the
-# document reads exits 2 as unknown.
+# typed value.  A dict block's rows alone have a default: REQUIRED; the kinds that read the
+# key, each needing it; OPTIONAL; or the value, never a tuple, that the walk fills in where
+# a run reads the key and the document omits it.  read by: the kinds that read an optional
+# key.  A run's kinds are its kind and, inside driver, its driver.kind: a block offers only
+# the rows they read, so a key no run of the document reads exits 2 as unknown.
 SCHEMA = {
-    "kind": (KINDS, None, True),
+    "kind": (KINDS, None, REQUIRED),
     "kernel": (dict, None, EQUATION),
-    "kernel.atoms": ([[float]], KernelMeasure.from_atoms, False),
-    "kernel.density": (dict, None, False),
-    "kernel.density.name": (tuple(DENSITY_CATALOG), None, True),
-    "kernel.density.params": (Family(DENSITY_PARAMS, "name", "kernel.density.params"), None, False),
-    "kernel.density.params.rate": (float, "(0, inf)", False),
-    "kernel.density.params.shape": (float, "[1, inf)", False),
-    "kernel.density.n_nodes": (int, "[2, inf)", False),
+    "kernel.atoms": ([[float]], KernelMeasure.from_atoms, OPTIONAL),
+    "kernel.density": (dict, None, OPTIONAL),
+    "kernel.density.name": (tuple(DENSITY_CATALOG), None, REQUIRED),
+    "kernel.density.params":
+        (Family(DENSITY_PARAMS, "name", "kernel.density.params"), None, OPTIONAL),
+    "kernel.density.params.rate": (float, "(0, inf)"),
+    "kernel.density.params.shape": (float, "[1, inf)"),
+    "kernel.density.n_nodes": (int, "[2, inf)", N_NODES),
     "driver": (dict, None, EQUATION),
-    "driver.kind": (("deterministic", "fbm"), None, False),
-    "driver.function": (tuple(DETERMINISTIC_FUNCTIONS), None, False, ("deterministic",)),
+    "driver.kind": (("deterministic", "fbm"), None, "deterministic"),
+    "driver.function": (tuple(DETERMINISTIC_FUNCTIONS), None, "identity", ("deterministic",)),
     "driver.cells": (int, "[1, inf)", SOLVES),
-    "driver.horizon": (float, "(0, inf)", False),
-    "driver.n_dims": (int, "[1, inf)", False, ("fbm",)),
+    "driver.horizon": (float, "(0, inf)", 1.0),
+    "driver.n_dims": (int, "[1, inf)", 1, ("fbm",)),
     "driver.hurst": (float, HURST, ("fbm",)),
-    "driver.seed": (int, "[0, inf)", False, ("fbm", "convergence")),
-    "driver.seeds": (seed_expand, None, False, ("convergence",)),
+    "driver.seed": (int, "[0, inf)", OPTIONAL, ("fbm", "convergence")),
+    "driver.seeds": (seed_expand, None, OPTIONAL, ("convergence",)),
     "sigma": (dict, None, EQUATION),
-    "sigma.name": (tuple(SIGMA_PARAMS), None, True),
-    "sigma.params": (Family(SIGMA_PARAMS, "name", "sigma.params"), None, False),
-    **{f"sigma.params.{key}": (np.ndarray if key == "direction" else float, None, False)
+    "sigma.name": (tuple(SIGMA_PARAMS), None, REQUIRED),
+    "sigma.params": (Family(SIGMA_PARAMS, "name", "sigma.params"), None, OPTIONAL),
+    **{f"sigma.params.{key}": (np.ndarray if key == "direction" else float, None)
        for key in dict.fromkeys(k for keys in SIGMA_PARAMS.values() for k in keys)},
     "solver": (SolverConfig, None, EQUATION),
-    "solver.interval_scheme": (INTERVAL_SCHEMES, None, False),
+    "solver.interval_scheme": (INTERVAL_SCHEMES, None),
     "initial": (np.ndarray, None, EQUATION),
     "levels": ([int], _consecutive, ("convergence",)),
     "stat": (dict, None, ("covariance-check",)),
-    "stat.name": (("x1_tilde_value",), None, True),
-    "stat.hurst": (float, HURST, True),
-    "stat.cells": (int, "[1, inf)", True),
-    "stat.xi": (float, "[0, inf)", True),
-    "stat.seeds": (seed_expand, None, True),
-    "stat.horizon": (float, "(0, inf)", False),
-    "checks": (dict, None, False),
-    **{f"checks.{name}": (inspect.signature(fn), None, False, ("verify",))
+    "stat.name": (tuple(STATS), None, REQUIRED),
+    "stat.hurst": (float, HURST, REQUIRED),
+    "stat.cells": (int, "[1, inf)", REQUIRED),
+    "stat.xi": (float, "[0, inf)", REQUIRED),
+    "stat.seeds": (seed_expand, None, REQUIRED),
+    "stat.horizon": (float, "(0, inf)", 1.0),
+    "checks": (dict, None, {}),
+    **{f"checks.{name}": (inspect.signature(fn), None, OPTIONAL, ("verify",))
        for name, fn in VERIFY_CHECKS.items()},
-    "checks.*.tol": (float, "[0, inf)", False),
-    "checks.*.trials": (int, "[1, inf)", False),
-    "checks.*.seed": (int, "[0, inf)", False),
-    "checks.*.seeds": (seed_expand, None, False),
-    "checks.*.hurst": (float, HURST, False),
-    "checks.*.hursts": ([float], HURST, False),
-    "checks.*.level": (int, "[0, inf)", False),
-    "checks.*.xi": (float, "[0, inf)", False),
-    "checks.*.xis": ([float], "[0, inf)", False),
-    "checks.A1_algebraic_exactness.grid_points": (int, "[3, inf)", False),
-    "checks.A1_algebraic_exactness.atoms": (int, "[1, inf)", False),
-    "checks.A2_sewing_bound.mu": (float, "(1, inf)", False),
-    "checks.A2_sewing_bound.rho": (float, "(0, inf)", False),
-    "checks.A3_chen_relation.cells": (int, "[2, inf)", False),
-    "checks.A3_chen_relation.triples": (int, "[1, inf)", False),
-    "checks.A3_chen_relation.sub_mesh": (int, "[1, inf)", False),
-    "checks.A3_chen_relation.atoms": ([[float]], KernelMeasure.from_atoms, False),
-    "checks.A4_young_exactness.cells": (int, "[1, inf)", False),
-    "checks.A4_young_exactness.functions": ([tuple(DETERMINISTIC_FUNCTIONS)], None, False),
-    "checks.A8_diffusion_degeneration.cells": (int, "[1, inf)", False),
-    "checks.A8_diffusion_degeneration.sigma": (tuple(SIGMA_PARAMS), None, False),
+    "checks.*.tol": (float, "[0, inf)"),
+    "checks.*.trials": (int, "[1, inf)"),
+    "checks.*.seed": (int, "[0, inf)"),
+    "checks.*.seeds": (seed_expand, None),
+    "checks.*.hurst": (float, HURST),
+    "checks.*.hursts": ([float], HURST),
+    "checks.*.level": (int, "[0, inf)"),
+    "checks.*.xi": (float, "[0, inf)"),
+    "checks.*.xis": ([float], "[0, inf)"),
+    "checks.A1_algebraic_exactness.grid_points": (int, "[3, inf)"),
+    "checks.A1_algebraic_exactness.atoms": (int, "[1, inf)"),
+    "checks.A2_sewing_bound.mu": (float, "(1, inf)"),
+    "checks.A2_sewing_bound.rho": (float, "(0, inf)"),
+    "checks.A3_chen_relation.cells": (int, "[2, inf)"),
+    "checks.A3_chen_relation.triples": (int, "[1, inf)"),
+    "checks.A3_chen_relation.sub_mesh": (int, "[1, inf)"),
+    "checks.A3_chen_relation.atoms": ([[float]], KernelMeasure.from_atoms),
+    "checks.A4_young_exactness.cells": (int, "[1, inf)"),
+    "checks.A4_young_exactness.functions": ([tuple(DETERMINISTIC_FUNCTIONS)], None),
+    "checks.A8_diffusion_degeneration.cells": (int, "[1, inf)"),
+    "checks.A8_diffusion_degeneration.sigma": (tuple(SIGMA_PARAMS), None),
     "checks.A8_diffusion_degeneration.sigma_params":
-        (Family(SIGMA_PARAMS, "sigma", "sigma.params"), None, False),
-    "checks.A8_diffusion_degeneration.initial": (np.ndarray, None, False),
-    "checks.A8_diffusion_degeneration.solver": (SolverConfig, None, False),
-    "checks.A9_holder_estimator.points": (int, "[32, inf)", False),
-    "checks.A5_solver_vs_ode": (dict, None, False, SOLVES),
-    "checks.A5_solver_vs_ode.tol": (float, "[0, inf)", True),
-    "checks.A5_solver_vs_ode.dt": (float, "(0, inf)", False),
-    "checks.A6_fbm_young_covariance": (dict, None, False, ("covariance-check",)),
-    "checks.A6_fbm_young_covariance.se_factor": (float, "[0, inf)", False),
-    "checks.A7_rough_self_convergence": (dict, None, False, ("convergence",)),
-    "checks.A7_rough_self_convergence.rate_threshold": (float, None, True),
-    "checks.A7_rough_self_convergence.min_passing": (int, "[0, inf)", True),
+        (Family(SIGMA_PARAMS, "sigma", "sigma.params"), None),
+    "checks.A8_diffusion_degeneration.initial": (np.ndarray, None),
+    "checks.A8_diffusion_degeneration.solver": (SolverConfig, None),
+    "checks.A9_holder_estimator.points": (int, "[32, inf)"),
+    "checks.A5_solver_vs_ode": (dict, None, OPTIONAL, SOLVES),
+    "checks.A5_solver_vs_ode.tol": (float, "[0, inf)", REQUIRED),
+    "checks.A5_solver_vs_ode.dt": (float, "(0, inf)", 1e-4),
+    "checks.A6_fbm_young_covariance": (dict, None, OPTIONAL, ("covariance-check",)),
+    "checks.A6_fbm_young_covariance.se_factor": (float, "[0, inf)", inspect.signature(
+        checks.a6_fbm_young_covariance).parameters["se_factor"].default),     # the check's own
+    "checks.A7_rough_self_convergence": (dict, None, OPTIONAL, ("convergence",)),
+    "checks.A7_rough_self_convergence.rate_threshold": (float, None, REQUIRED),
+    "checks.A7_rough_self_convergence.min_passing": (int, "[0, inf)", REQUIRED),
 }
 ANNOTATED = {"float": float, "int": int, "str": str}
 SCALARS = {float: "a finite number", int: "an integer", str: "a string"}
-REQUIRED, OPTIONAL = inspect.Parameter.empty, object()      # a block key's default
 
 
 def _row(path, annotation=inspect.Parameter.empty):
     """The row typing ``path``: its own, the "checks.*" row of its key, or its annotation's."""
     head, _, rest = path.partition(".")
     return (SCHEMA.get(path) or SCHEMA.get(f"{head}.*.{rest.partition('.')[2]}")
-            or (ANNOTATED[annotation], None, False))
+            or (ANNOTATED[annotation], None))
 
 
 def _block_keys(typ, at, kinds, siblings):
     """key -> (row, schema path, default) of a block of type ``typ`` at schema path ``at``, in a
     run of ``kinds``: a dict block's rows that the run reads."""
     if typ is dict:
-        return {p.rpartition(".")[2]: (r, p, REQUIRED if r[2] else OPTIONAL)
+        return {p.rpartition(".")[2]: (r, p, REQUIRED if isinstance(r[2], tuple) else r[2])
                 for p, r in SCHEMA.items() if p.rpartition(".")[0] == at
                 and (not isinstance(r[-1], tuple) or any(k in r[-1] for k in kinds))}
     if isinstance(typ, Family):
@@ -233,9 +238,9 @@ def _walk_block(value, typ, at, where, kinds, siblings):
     if not isinstance(value, dict):
         raise ValueError(f"{where or 'config'!r} must be a JSON object")
     own = f"{at}.kind".lstrip(".")
-    if typ is dict and own in SCHEMA:       # its kind, the first value if absent, joins kinds
-        kinds += (_walk(value.get("kind", SCHEMA[own][0][0]), SCHEMA[own], own,
-                        f"{where}.kind".lstrip("."), kinds),)
+    if typ is dict and own in SCHEMA and ("kind" in value or SCHEMA[own][2] is not REQUIRED):
+        kinds += (_walk(value.setdefault("kind", SCHEMA[own][2]), SCHEMA[own], own,
+                        f"{where}.kind".lstrip("."), kinds),)       # given or by default
     keys = _block_keys(typ, at, kinds, siblings)
     missing = [f"{where}.{k}".lstrip(".") for k, (*_, default) in keys.items()
                if default is REQUIRED and k not in value]
@@ -245,13 +250,15 @@ def _walk_block(value, typ, at, where, kinds, siblings):
     if unknown:
         raise ValueError(f"unknown key(s) {unknown}; {where or 'config'!r} takes {sorted(keys)}")
     typed = {}
+    for k, (*_, default) in keys.items():   # fill defaults in: a row's, JSON, is typed as given
+        if k not in value and default is not REQUIRED and default is not OPTIONAL:
+            (value if typ is dict else typed)[k] = copy.deepcopy(default)  # a parameter's is typed
     for k in sorted(value, key=lambda k: isinstance(keys[k][0][0], Family)):   # families last
         row, path, default = keys[k]
         if value[k] == []:
             raise ValueError(f"{where}.{k} must not be empty".lstrip("."))
-        beside = {**{n: d for n, (*_, d) in keys.items()}, **typed}
         typed[k] = None if value[k] is None and default is None else _walk(
-            value[k], row, path, f"{where}.{k}".lstrip("."), kinds, beside)
+            value[k], row, path, f"{where}.{k}".lstrip("."), kinds, typed)
     return _call(lambda t: typ(**t), typed, where) if dataclasses.is_dataclass(typ) else typed
 
 
@@ -267,7 +274,7 @@ def _walk(value, row, at, where, kinds, siblings=None):
     if isinstance(typ, list) or typ is np.ndarray:
         if not isinstance(value, list):
             raise ValueError(f"{where} must be a list, got {value!r}")
-        item = (typ[0] if isinstance(typ, list) else float, None if callable(rng) else rng, False)
+        item = (typ[0] if isinstance(typ, list) else float, None if callable(rng) else rng)
         value = [_walk(v, item, at, f"{where}[{i}]", kinds) for i, v in enumerate(value)]
         value = value if isinstance(typ, list) else np.array(value, dtype=float)
     elif typ in SCALARS:
@@ -290,10 +297,11 @@ def _walk(value, row, at, where, kinds, siblings=None):
 
 def _check_relations(doc):
     """The rules between keys, once each key is typed, and the work budget WORK_BYTES."""
-    kind, drv, enabled = doc["kind"], doc.get("driver", {}), doc.get("checks", {})
+    kind, drv, enabled = doc["kind"], doc.get("driver", {}), doc["checks"]
     if "kernel" in doc and len({"atoms", "density"} & set(doc["kernel"])) != 1:
         raise ValueError("kernel needs exactly one of the keys 'kernel.atoms' and 'kernel.density'")
     fbm = drv.get("kind") == "fbm"
+    n = drv["n_dims"] if fbm else 1                 # a deterministic driver has one dimension
     seeds = ("seed",) if kind in SOLVES else ("seed", "seeds")
     if (fbm or kind == "convergence") and not set(seeds) & set(drv):
         raise ValueError(f"missing key {' or '.join(f'driver.{s}' for s in seeds)} (explicit seeds)")
@@ -302,26 +310,16 @@ def _check_relations(doc):
     if "A6_fbm_young_covariance" in enabled and not (
             doc["stat"]["hurst"] > 0.5 and len(doc["stat"]["seeds"]) > 1):
         raise ValueError("A6_fbm_young_covariance needs stat.hurst in (0.5, 1) and 2+ stat.seeds")
-    a2 = _check_params(enabled, "A2_sewing_bound")
-    a8 = _check_params(enabled, "A8_diffusion_degeneration")
-    if not a2["rho"] < a2["mu"]:
-        raise ValueError(f"checks.A2_sewing_bound.rho must be < mu = {a2['mu']}, got {a2['rho']}")
-    if len(a8["initial"]) != 1:                 # A8's sigma has one column
-        raise ValueError(f"checks.A8_diffusion_degeneration.initial must have 1 entry, "
-                         f"got {len(a8['initial'])}")
-    for where, params, n in (("sigma.params", doc.get("sigma", {}).get("params", {}),
-                              drv.get("n_dims", 1)),
-                             ("checks.A8_diffusion_degeneration.sigma_params",
-                              a8["sigma_params"] or {}, 1)):
-        if "direction" in params and len(params["direction"]) != n:
-            raise ValueError(f"{where}.direction must have one entry per driver dimension "
-                             f"({n}), got {len(params['direction'])}")
+    if "A2_sewing_bound" in enabled:
+        mu, rho = enabled["A2_sewing_bound"]["mu"], enabled["A2_sewing_bound"]["rho"]
+        if not rho < mu:
+            raise ValueError(f"checks.A2_sewing_bound.rho must be < mu = {mu}, got {rho}")
+    directions = [("sigma.params", doc.get("sigma", {}).get("params", {}), n)]
     # the work budget: (bytes, what, keys sizing it) of the run's largest arrays (README)
     work = []
     if kind in EQUATION:
-        kernel, n = doc["kernel"], drv.get("n_dims", 1)
-        k, k_key = ((len(kernel["atoms"]), "kernel.atoms") if "atoms" in kernel else
-                    (kernel["density"].get("n_nodes", N_NODES), "kernel.density.n_nodes"))
+        k, k_key = ((len(doc["kernel"]["atoms"]), "kernel.atoms") if "atoms" in doc["kernel"]
+                    else (doc["kernel"]["density"]["n_nodes"], "kernel.density.n_nodes"))
         at, cells = (("levels", 2 ** min(max(doc["levels"]), 64)) if kind == "convergence"
                      else ("driver.cells", drv["cells"]))
         work += _solve_work(cells, k, n, len(doc["initial"]), doc["solver"].sewing_level, fbm,
@@ -333,24 +331,30 @@ def _check_relations(doc):
         work += [(len(doc["stat"]["seeds"]) * 155, "the per-seed results", ("stat.seeds",)),
                  _draw_work(doc["stat"]["cells"], 1, "stat.cells")]
     if "A3_chen_relation" in enabled:
-        a3, at = _check_params(enabled, "A3_chen_relation"), "checks.A3_chen_relation"
+        a3, at = enabled["A3_chen_relation"], "checks.A3_chen_relation"
         work += [_draw_work(a3["cells"], 1, f"{at}.cells"), (3 * a3["cells"] * len(
             a3["atoms"]) ** 2 * 8, "the x3 walk", (f"{at}.cells", f"{at}.atoms"))]
     if "A8_diffusion_degeneration" in enabled:     # one atom, n = d = 1; the class default level
-        at = "checks.A8_diffusion_degeneration"
+        a8, at = enabled["A8_diffusion_degeneration"], "checks.A8_diffusion_degeneration"
+        if len(a8["initial"]) != 1:                 # A8's sigma has one column
+            raise ValueError(f"{at}.initial must have 1 entry, got {len(a8['initial'])}")
+        directions.append((f"{at}.sigma_params", a8["sigma_params"] or {}, 1))
         work += _solve_work(a8["cells"], 1, 1, 1, (a8["solver"] or SolverConfig).sewing_level,
                             True, (f"{at}.cells",) * 2 + (f"{at}.solver.sewing_level",))
     if "A9_holder_estimator" in enabled:
-        work.append(_draw_work(_check_params(enabled, "A9_holder_estimator")["points"], 1,
+        work.append(_draw_work(enabled["A9_holder_estimator"]["points"], 1,
                                "checks.A9_holder_estimator.points"))
+    for where, params, dims in directions:
+        if "direction" in params and len(params["direction"]) != dims:
+            raise ValueError(f"{where}.direction must have one entry per driver dimension "
+                             f"({dims}), got {len(params['direction'])}")
     size, what, keys = max(work, default=(0, "", ()))
     if size > WORK_BYTES:
         raise ValueError(f"{', '.join(dict.fromkeys(keys))}: {what} would need {size:.3g} bytes, "
                          f"over the work budget of {WORK_BYTES} bytes")
     if "density" in doc.get("kernel", {}):          # before build_quadrature's panels underflow
         dens = doc["kernel"]["density"]
-        check_n_nodes(dens.get("n_nodes", N_NODES), density_tail_cut(dens)[1],
-                      "kernel.density.n_nodes")
+        check_n_nodes(dens["n_nodes"], density_tail_cut(dens)[1], "kernel.density.n_nodes")
 
 
 def _draw_work(cells, n, key):
@@ -367,12 +371,6 @@ def _solve_work(cells, k, n, d, level, fbm, keys):
             (mesh * n * d * d * 8, "the mesh arrays", (at, level_key)),
             (cells * k * d * 8, "ytilde on the grid", (at, k_key))] + (
         [_draw_work(cells, n, at)] if fbm else [])
-
-
-def _check_params(enabled, name):
-    """Verify criterion ``name``'s parameters as it runs: the document's over its defaults."""
-    params = inspect.signature(VERIFY_CHECKS[name]).parameters.values()
-    return {**{p.name: p.default for p in params}, **enabled.get(name, {})}
 
 
 def emit_csv(path, columns):
@@ -401,12 +399,13 @@ def emit_csv(path, columns):
 
 
 class ExperimentConfig:
-    """One config document typed by SCHEMA into ``doc``, with its kernel's atoms ``measure`` where
-    it has a kernel; a bad one raises ValueError naming it."""
+    """One config document, as JSON with SCHEMA's defaults in ``config`` and typed in ``doc``, and
+    its kernel's atoms ``measure`` where it has a kernel; a bad one raises ValueError naming it."""
 
     def __init__(self, raw):
-        self.doc = _walk(raw, (dict, None, True), "", "", ())
-        self.kind, self.checks = self.doc["kind"], self.doc.get("checks", {})
+        self.config = copy.deepcopy(raw)
+        self.doc = _walk(self.config, (dict, None), "", "", ())
+        self.kind, self.checks = self.doc["kind"], self.doc["checks"]
         _check_relations(self.doc)
         if "kernel" in self.doc:            # once the budget and the node bound hold
             try:
@@ -416,7 +415,7 @@ class ExperimentConfig:
 
     @property
     def deterministic(self) -> bool:
-        return self.doc["driver"].get("kind", "deterministic") == "deterministic"
+        return self.doc["driver"]["kind"] == "deterministic"
 
     def driver(self, seed=None, grid=None) -> DriverPath | Iterator[DriverPath]:
         """The configured driver on ``grid``; an fBm driver given a list of seeds
@@ -424,11 +423,10 @@ class ExperimentConfig:
         ignores the seed."""
         drv = self.doc["driver"]
         if grid is None:
-            grid = TimeGrid.uniform(drv["cells"], drv.get("horizon", 1.0))
+            grid = TimeGrid.uniform(drv["cells"], drv["horizon"])
         if self.deterministic:
-            fn = DETERMINISTIC_FUNCTIONS[drv.get("function", "identity")]
-            return deterministic_driver(grid, fn)
-        return sample_fbm(drv["hurst"], grid, n_dims=drv.get("n_dims", 1),
+            return deterministic_driver(grid, DETERMINISTIC_FUNCTIONS[drv["function"]])
+        return sample_fbm(drv["hurst"], grid, n_dims=drv["n_dims"],
                           seed=drv["seed"] if seed is None else seed)
 
     def sigma_field(self, n_dims: int):
@@ -438,11 +436,12 @@ class ExperimentConfig:
 
 
 class RunManifest:
-    """Per-run record: config hash, version, wall clock, check outcomes and any run error."""
+    """Per-run record: config with defaults, raw config hash, version, wall clock, checks, error."""
 
-    def __init__(self, config_raw: dict):
+    def __init__(self, config_raw: dict, config=None):
         canon = json.dumps(config_raw, sort_keys=True, separators=(",", ":"))
         self.config_hash = hashlib.sha256(canon.encode()).hexdigest()
+        self.config = config
         self.version = __version__
         self.wall_clock = self.error = None
         self.checks = []
@@ -459,8 +458,8 @@ class RunManifest:
         return all(c["passed"] for c in self.checks)
 
     def write(self, path):
-        doc = {"config_hash": self.config_hash, "library_version": self.version,
-               "wall_clock_seconds": self.wall_clock, "checks": self.checks}
+        doc = {"config": self.config, "config_hash": self.config_hash, "library_version":
+               self.version, "wall_clock_seconds": self.wall_clock, "checks": self.checks}
         if self.error is not None:
             doc["error"] = self.error
         with open(path, "w", newline="") as fh:
@@ -497,8 +496,7 @@ def _run_solve(cfg: ExperimentConfig, manifest, out_dir, jobs):
 
     if "A5_solver_vs_ode" in cfg.checks:
         params = cfg.checks["A5_solver_vs_ode"]
-        y_ref, _ = rk4_augmented(driver, cfg.measure, fld, doc["initial"],
-                                 dt_max=params.get("dt", 1e-4))
+        y_ref, _ = rk4_augmented(driver, cfg.measure, fld, doc["initial"], dt_max=params["dt"])
         manifest.add_check(*checks.a5_solver_vs_ode([sol], y_ref, params["tol"]))
         emit_csv(os.path.join(out_dir, "oracle.csv"), [("t", sol.grid.points)]
                  + [(f"y_ref_{j+1}", y_ref[:, j]) for j in range(y_ref.shape[1])])
@@ -531,7 +529,7 @@ def _map(fn, items, jobs):
 def _run_convergence(cfg: ExperimentConfig, manifest, out_dir, jobs):
     doc, drv, levels = cfg.doc, cfg.doc["driver"], cfg.doc["levels"]
     seeds = drv["seeds"] if "seeds" in drv else [drv["seed"]]
-    fine_grid = TimeGrid.uniform(2 ** max(levels), drv.get("horizon", 1.0))
+    fine_grid = TimeGrid.uniform(2 ** max(levels), drv["horizon"])
     one_seed = functools.partial(
         checks.self_convergence, measure=cfg.measure, sigma=doc["sigma"]["name"],
         a=doc["initial"], solver=doc["solver"], levels=levels,
@@ -556,9 +554,8 @@ def _run_convergence(cfg: ExperimentConfig, manifest, out_dir, jobs):
 def _run_ensemble(cfg: ExperimentConfig, manifest, out_dir, jobs):
     """The covariance-check kind: ensemble.csv, then A6 where the config enables it."""
     stat = cfg.doc["stat"]
-    hurst, xi, horizon = stat["hurst"], stat["xi"], stat.get("horizon", 1.0)
-    value = functools.partial(checks.x1_tilde_value, hurst=hurst, cells=stat["cells"], xi=xi,
-                              horizon=horizon)
+    value = functools.partial(STATS[stat["name"]], hurst=stat["hurst"], cells=stat["cells"],
+                              xi=stat["xi"], horizon=stat["horizon"])
     seeds = stat["seeds"]
     size = -(-len(seeds) // jobs)                # one contiguous run of seeds per worker
     runs = [seeds[i : i + size] for i in range(0, len(seeds), size)]
@@ -570,7 +567,7 @@ def _run_ensemble(cfg: ExperimentConfig, manifest, out_dir, jobs):
     if "A6_fbm_young_covariance" in cfg.checks:
         params = cfg.checks["A6_fbm_young_covariance"]
         manifest.add_check(*checks.a6_fbm_young_covariance(
-            values, hurst, xi, horizon, params.get("se_factor", 3.0)))
+            values, stat["hurst"], stat["xi"], stat["horizon"], params["se_factor"]))
 
 
 RUNS = {"verify": _run_verify, "solve-young": _run_solve, "solve-rough": _run_solve,
@@ -593,14 +590,15 @@ def run(config_path, out_dir=None, jobs=1, checks_filter=None) -> int:
             unknown = set(checks_filter) - set(cfg.checks)
             if unknown:
                 raise ValueError(f"--check names not in config: {sorted(unknown)}")
-            cfg.checks = {k: v for k, v in cfg.checks.items() if k in checks_filter}
+            for name in set(cfg.checks) - set(checks_filter):     # the manifest's config too
+                del cfg.checks[name], cfg.config["checks"][name]
         target = out_dir or os.getcwd()
         os.makedirs(target, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(f"config validation error: {exc}", file=sys.stderr)
         return 2
 
-    manifest = RunManifest(raw)
+    manifest = RunManifest(raw, cfg.config)
     start = time.perf_counter()
     try:
         RUNS[cfg.kind](cfg, manifest, target, jobs)

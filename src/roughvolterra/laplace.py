@@ -76,13 +76,16 @@ def phi_eval(measure: KernelMeasure, v):
 
 
 PROBE_POINTS = (0.1, 1.0, 10.0)     # where build_quadrature checks its reconstruction of phi
-N_NODES = 64                        # kernel_from_spec's default node count, at most that many atoms
+N_NODES = 64                        # kernel_from_spec's default node count, one atom a node
 
 
 def check_n_nodes(n_nodes: int, tail_cut: float, key: str = "n_nodes"):
-    """Raise ValueError naming ``key`` unless the smallest of ``build_quadrature``'s panel
-    edges, tail_cut 2^-k for k < n_nodes // 8, is a normal float: past it nodes collide."""
-    most = 8 * (int(np.frexp(tail_cut)[1]) + 1022) + 7
+    """Raise ValueError naming ``key`` unless ``n_nodes`` fills whole panels of 8 nodes (2 to 7,
+    one panel) and the smallest of ``build_quadrature``'s panel edges, tail_cut 2^-k for
+    k < n_nodes // 8, is a normal float: past it nodes collide."""
+    if n_nodes < 2 or n_nodes >= 8 and n_nodes % 8:
+        raise ValueError(f"{key} must be 2 to 7 or a multiple of 8, got {n_nodes}")
+    most = 8 * (int(np.frexp(tail_cut)[1]) + 1022)
     if n_nodes > most:
         raise ValueError(f"{key} must be at most {most} at tail_cut {tail_cut:g}, got {n_nodes}")
 
@@ -128,13 +131,11 @@ def build_quadrature(
     reference over [0, inf); otherwise a QuadratureError reports the
     achieved error.  ``check_n_nodes`` bounds ``n_nodes``.
     """
-    if n_nodes < 2:
-        raise ValueError("need at least 2 quadrature nodes")
     if tail_cut <= 0:
         raise ValueError("tail_cut must be positive")
     check_n_nodes(n_nodes, tail_cut)
     per_panel = min(8, n_nodes)
-    n_panels = max(1, n_nodes // per_panel)
+    n_panels = n_nodes // per_panel
     base_x, base_w = _gauss_legendre(per_panel)
     # panels graded geometrically toward 0, where e^{-v xi} needs resolution
     edges = np.concatenate(

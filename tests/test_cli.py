@@ -1,3 +1,4 @@
+import ast
 import functools
 import inspect
 import json
@@ -175,6 +176,22 @@ def test_benchmark_traces_and_checks_the_current_library(tmp_path, workload):
 def test_fbm_grid_past_the_old_point_cap_validates(doc):
     # fBm grids were capped at 4095 cells; within the work budget they now run
     cli.ExperimentConfig(doc)
+
+
+def test_no_get_supplies_a_schema_default():
+    # SCHEMA's rows hold the CLI's defaults, and the walk fills them in: a .get(key, default)
+    # in cli.py on a key whose row has a default would be a second home for it
+    defaulted = {p.rpartition(".")[2] for p, r in cli.SCHEMA.items() if len(r) > 2 and not
+                 isinstance(r[2], tuple) and r[2] is not cli.REQUIRED and r[2] is not cli.OPTIONAL}
+    assert defaulted == {"kind", "function", "horizon", "n_dims", "n_nodes", "dt", "se_factor",
+                         "checks"}
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    seconds = [f"line {node.lineno}: .get({node.args[0].value!r}, ...)" for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "get" and len(node.args) == 2
+               and isinstance(node.args[0], ast.Constant) and node.args[0].value in defaulted]
+    assert seconds == []
 
 
 class TestRunFlows:
@@ -360,6 +377,9 @@ class TestRunFlows:
             ("config", {"kind": "convergence", "levels": [5, 6, 7], "driver": {
                 "kind": "deterministic", "seed": 1, "seeds": "0..2"}},
              "'driver.seed' and 'driver.seeds'"),
+            # nodes come in panels of 8, so 60 would build 56 atoms
+            ("kernel", {"atoms": None, "density": {"name": "exp", "n_nodes": 60}},
+             "kernel.density.n_nodes must be 2 to 7 or a multiple of 8"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):
@@ -574,6 +594,8 @@ class TestRunFlows:
         assert run(cfg, out_dir=str(out), checks_filter=["A1_algebraic_exactness"]) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert [c["name"] for c in manifest["checks"]] == ["A1_algebraic_exactness"]
+        assert manifest["config"]["checks"] == {"A1_algebraic_exactness": doc["checks"][
+            "A1_algebraic_exactness"]}                  # the document of the run it records
         assert run(cfg, out_dir=str(out), checks_filter=["missing"]) == 2
 
     def test_manifest_names_cover_enabled_criteria(self, tmp_path):

@@ -6,7 +6,8 @@ top-level block of another shipped config that it lacks.  Every such run
 exits with a code of the README's table and prints no traceback, and it
 leaves a manifest exactly when it got past validation (exit code not 2).
 Each shipped config, cut to test size, also runs as before with numpy's
-dense linear algebra (LAPACK) made to raise.
+dense linear algebra (LAPACK) made to raise, and runs again, byte for byte,
+from the document its manifest records.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughvolterra import cli
 from roughvolterra.cli import run
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -131,3 +133,32 @@ def test_runs_reach_no_lapack(name, kernel, tmp_path, monkeypatch):
         patch.setattr(np.polynomial.legendre, "leggauss", refuse)
         guarded = outcome(tmp_path / "guarded")
     assert guarded == outcome(tmp_path / "free")
+
+
+def run_doc(doc, out):
+    """``doc`` run into ``out``: its exit code, its CSVs' bytes and its manifest."""
+    config = out.parent / f"{out.name}.json"
+    config.write_text(json.dumps(doc))
+    code = run(str(config), out_dir=str(out))
+    csvs = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+    return code, csvs, json.loads((out / "run_manifest.json").read_text())
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_manifest_config_reruns_the_run(name, tmp_path):
+    # the manifest's config, the document with SCHEMA's defaults filled in, is the run it records
+    code, csvs, manifest = run_doc(load(name), tmp_path / "raw")
+    again, csvs_again, manifest_again = run_doc(manifest["config"], tmp_path / "filled")
+    assert csvs and (again, csvs_again) == (code, csvs)
+    assert json.dumps(manifest_again["checks"]) == json.dumps(manifest["checks"])
+    assert manifest_again["config"] == manifest["config"]       # filling in is idempotent
+
+
+def test_a_schema_default_reaches_the_run_and_the_manifest(tmp_path, monkeypatch):
+    row = cli.SCHEMA["driver.horizon"]
+    monkeypatch.setitem(cli.SCHEMA, "driver.horizon", row[:2] + (2.0,) + row[3:])
+    doc = load("solve_young_sin.json")
+    assert "horizon" not in doc["driver"]
+    _, csvs, manifest = run_doc(doc, tmp_path / "out")
+    assert csvs["solution.csv"].splitlines()[-1].split(b",")[0] == b"2"
+    assert manifest["config"]["driver"]["horizon"] == 2.0

@@ -77,11 +77,15 @@ class TestBuildQuadrature:
 
     def test_node_count_stops_before_the_panels_underflow(self):
         # panels 50 * 2^-k keep a normal smallest edge up to k = 1027, 1028 panels of 8
-        # nodes: 8231 nodes build distinct atoms, and one more raises naming n_nodes
+        # nodes: 8224 nodes build distinct atoms, and the next multiple of 8 raises naming
+        # n_nodes; a count between, which would fill no whole panel, raises too
         density, _ = DENSITY_CATALOG["exp"]()
-        assert build_quadrature(density, n_nodes=8231, tail_cut=50.0).n_atoms == 8224
-        with pytest.raises(ValueError, match="n_nodes must be at most 8231"):
+        assert build_quadrature(density, n_nodes=8224, tail_cut=50.0).n_atoms == 8224
+        with pytest.raises(ValueError, match="n_nodes must be at most 8224"):
             build_quadrature(density, n_nodes=8232, tail_cut=50.0)
+        for n_nodes in (1, 8231):
+            with pytest.raises(ValueError, match="n_nodes must be 2 to 7 or a multiple of 8"):
+                build_quadrature(density, n_nodes=n_nodes, tail_cut=50.0)
 
     def test_default_tail_cut_from_decay_rate(self):
         m = kernel_from_spec(
