@@ -32,8 +32,8 @@ import numpy as np
 
 from . import __version__, checks
 from .algebra import TimeGrid
-from .laplace import (DENSITY_CATALOG, N_NODES, KernelMeasure, QuadratureError, check_n_nodes,
-                      density_tail_cut, kernel_from_spec)
+from .laplace import (DENSITY_CATALOG, MAX_NODES, N_NODES, KernelMeasure, QuadratureError,
+                      kernel_from_spec)
 from .lift import (
     DETERMINISTIC_FUNCTIONS,
     DriverPath,
@@ -135,8 +135,8 @@ SCHEMA = {
     "kernel.density.params":
         (Family(DENSITY_PARAMS, "name", "kernel.density.params"), None, OPTIONAL),
     "kernel.density.params.rate": (float, "(0, inf)"),
-    "kernel.density.params.shape": (float, "[1, inf)"),
-    "kernel.density.n_nodes": (int, "[2, inf)", N_NODES),
+    "kernel.density.params.shape": (float, "(0, inf)"),
+    "kernel.density.n_nodes": (int, f"[2, {MAX_NODES}]", N_NODES),
     "driver": (dict, None, EQUATION),
     "driver.kind": (("deterministic", "fbm"), None, "deterministic"),
     "driver.function": (tuple(DETERMINISTIC_FUNCTIONS), None, "identity", ("deterministic",)),
@@ -352,9 +352,6 @@ def _check_relations(doc):
     if size > WORK_BYTES:
         raise ValueError(f"{', '.join(dict.fromkeys(keys))}: {what} would need {size:.3g} bytes, "
                          f"over the work budget of {WORK_BYTES} bytes")
-    if "density" in doc.get("kernel", {}):          # before build_quadrature's panels underflow
-        dens = doc["kernel"]["density"]
-        check_n_nodes(dens["n_nodes"], density_tail_cut(dens)[1], "kernel.density.n_nodes")
 
 
 def _draw_work(cells, n, key):
@@ -407,7 +404,7 @@ class ExperimentConfig:
         self.doc = _walk(self.config, (dict, None), "", "", ())
         self.kind, self.checks = self.doc["kind"], self.doc["checks"]
         _check_relations(self.doc)
-        if "kernel" in self.doc:            # once the budget and the node bound hold
+        if "kernel" in self.doc:            # once the budget holds
             try:
                 self.measure = kernel_from_spec(self.doc["kernel"])
             except (ValueError, QuadratureError) as exc:

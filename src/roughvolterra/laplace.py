@@ -2,18 +2,20 @@
 
 A kernel phi(v) = int_0^inf e^{-v xi} phihat(xi) dxi is carried at runtime
 as a finite signed atomic measure {(xi_k, w_k)}; continuous densities exist
-only at construction time, where they are discretised by composite
-Gauss-Legendre quadrature on [0, tail_cut] and validated by reconstructing
-phi at a few probe points.  Every downstream xi-integral is then an exact
-finite sum relative to the chosen measure.
+only at construction time, where they are discretised by a generalized
+Gauss-Laguerre rule and validated by reconstructing phi at a few probe
+points.  Every downstream xi-integral is then an exact finite sum relative
+to the chosen measure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gamma
 
 __all__ = [
     "KernelMeasure",
@@ -77,83 +79,78 @@ def phi_eval(measure: KernelMeasure, v):
 
 PROBE_POINTS = (0.1, 1.0, 10.0)     # where build_quadrature checks its reconstruction of phi
 N_NODES = 64                        # kernel_from_spec's default node count, one atom a node
+# build_quadrature's most nodes: its smallest weight, about 1e-298 at 180 nodes for alpha in
+# [-0.8, 3], is subnormal by 190
+MAX_NODES = 180
+START_STEPS = 6         # Newton steps on the start angles, residual below 1e-7 at 180 nodes
+ABERTH_STEPS = 20       # a cap: from those starts the nodes converge within 6 for alpha <= 5
+ABERTH_TOL = 1e-8       # a relative step this small leaves round-off, as convergence is cubic
 
 
-def check_n_nodes(n_nodes: int, tail_cut: float, key: str = "n_nodes"):
-    """Raise ValueError naming ``key`` unless ``n_nodes`` fills whole panels of 8 nodes (2 to 7,
-    one panel) and the smallest of ``build_quadrature``'s panel edges, tail_cut 2^-k for
-    k < n_nodes // 8, is a normal float: past it nodes collide."""
-    if n_nodes < 2 or n_nodes >= 8 and n_nodes % 8:
-        raise ValueError(f"{key} must be 2 to 7 or a multiple of 8, got {n_nodes}")
-    most = 8 * (int(np.frexp(tail_cut)[1]) + 1022)
-    if n_nodes > most:
-        raise ValueError(f"{key} must be at most {most} at tail_cut {tail_cut:g}, got {n_nodes}")
+def _laguerre(n: int, alpha: float, x):
+    """p_{n-1}(x), p_n(x) and sum_{k<n} p_k(x)^2 for the polynomials p_k orthonormal under
+    xi^alpha e^{-xi} / Gamma(alpha + 1) on [0, inf), by their three-term recurrence."""
+    p0, p1, total = np.zeros_like(x), np.ones_like(x), np.zeros_like(x)
+    for k in range(n):
+        total += p1 * p1
+        p0, p1 = p1, ((x - 2 * k - 1 - alpha) * p1 - math.sqrt(k * (k + alpha)) * p0) \
+            / math.sqrt((k + 1) * (k + 1 + alpha))
+    return p0, p1, total
 
 
-GL_NEWTON_STEPS = 6     # from _gauss_legendre's guesses, enough for round-off at n <= 8
+def _gauss_laguerre(n: int, alpha: float):
+    """n-point Gauss rule for the weight xi^alpha e^{-xi} on [0, inf): nodes (ascending), weights.
 
-
-def _gauss_legendre(n: int):
-    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
-
-    Newton's method on P_n, evaluated with its three-term recurrence, from
-    the guesses -cos(pi (4k - 1) / (4n + 2)) (as in Hale & Townsend 2013);
-    the weights are 2 / ((1 - x^2) P_n'(x)^2), and both are symmetrised.
+    Aberth-Ehrlich iteration on p_n, evaluated with its three-term recurrence, not an
+    eigenvalue solve.  It starts from the zeros' asymptotics nu sin^2(phi_i / 2), where
+    phi_i + sin(phi_i) = pi (4i - 1 + 2 alpha) / nu and nu = 4n + 2 alpha + 2 (the
+    Bessel-corrected quantiles of the zeros' density sqrt((nu - x) / x)).  The weights are the
+    Christoffel numbers Gamma(alpha + 1) / sum_{k<n} p_k(x_i)^2.
     """
-    k = np.arange(1, n + 1)
-    x = -np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
-    for _ in range(GL_NEWTON_STEPS):
-        p, dp = _legendre(n, x)
-        x = x - p / dp
-    _, dp = _legendre(n, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
-
-
-def _legendre(n: int, x):
-    """P_n(x) and P_n'(x) for |x| < 1 by the three-term recurrence."""
-    p0, p1 = np.ones_like(x), x
-    for m in range(2, n + 1):
-        p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+    nu = 4 * n + 2 * alpha + 2
+    c = np.pi * (4 * np.arange(1, n + 1) - 1 + 2 * alpha) / nu
+    phi = c / 2                 # below the root of the concave phi + sin(phi) = c, Newton rises
+    for _ in range(START_STEPS):
+        phi = phi + (c - phi - np.sin(phi)) / (1 + np.cos(phi))
+    x = nu * np.sin(phi / 2) ** 2
+    b_n = math.sqrt(n * (n + alpha))
+    with np.errstate(all="ignore"):     # from alpha near 20 the recurrence may overflow
+        for _ in range(ABERTH_STEPS):
+            p0, p1, _ = _laguerre(n, alpha, x)
+            newton = x * p1 / (n * p1 + b_n * p0)   # p_n / p_n': x p_n' = n p_n + b_n p_{n-1}
+            gaps = x[:, None] - x
+            np.fill_diagonal(gaps, np.inf)
+            step = newton / (1 - newton * (1 / gaps).sum(axis=1))
+            x = x - step
+            if np.all(np.abs(step) <= ABERTH_TOL * x):
+                break
+        x = np.sort(x)
+        return x, gamma(alpha + 1) / _laguerre(n, alpha, x)[2]
 
 
 def build_quadrature(
-    density,
+    alpha: float,
+    rate: float,
     n_nodes: int,
-    tail_cut: float,
     reconstruction_tol: float = 1e-8,
 ) -> KernelMeasure:
-    """Discretise a kernel density into composite Gauss-Legendre atoms.
+    """Discretise the kernel density xi^alpha e^{-rate xi} into Gauss-Laguerre atoms.
 
-    The measure is accepted only if it reproduces phi(v) at PROBE_POINTS
-    within ``reconstruction_tol`` of an adaptive-quadrature
-    reference over [0, inf); otherwise a QuadratureError reports the
-    achieved error.  ``check_n_nodes`` bounds ``n_nodes``.
+    The n_nodes atoms are x_i / rate with weights w_i / rate^(alpha + 1), for the Gauss rule
+    (x_i, w_i) of the weight xi^alpha e^{-xi}, so the weights carry the density.  The measure
+    is accepted only if it reproduces phi(v) at PROBE_POINTS within ``reconstruction_tol`` of an
+    adaptive-quadrature reference over [0, inf); otherwise a QuadratureError reports the
+    achieved error.  ``n_nodes`` is 2 to MAX_NODES, checked before the rule is built.
     """
-    if tail_cut <= 0:
-        raise ValueError("tail_cut must be positive")
-    check_n_nodes(n_nodes, tail_cut)
-    per_panel = min(8, n_nodes)
-    n_panels = n_nodes // per_panel
-    base_x, base_w = _gauss_legendre(per_panel)
-    # panels graded geometrically toward 0, where e^{-v xi} needs resolution
-    edges = np.concatenate(
-        [[0.0], tail_cut * 2.0 ** -np.arange(n_panels - 1, -1.0, -1.0)]
-    )
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    xis = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    ws = (half[:, None] * base_w[None, :]).ravel() * np.asarray(
-        [density(x) for x in xis], dtype=float
-    )
-    order = np.argsort(xis)
-    measure = KernelMeasure(xis[order], ws[order])
+    if not 2 <= n_nodes <= MAX_NODES:
+        raise ValueError(f"n_nodes must be 2 to {MAX_NODES}, got {n_nodes}")
+    x, w = _gauss_laguerre(n_nodes, alpha)
+    measure = KernelMeasure(x / rate, w / rate ** (alpha + 1))
 
     worst = 0.0
     for v in PROBE_POINTS:
         ref, _ = quad(
-            lambda x: np.exp(-v * x) * density(x), 0.0, np.inf, limit=400
+            lambda xi: xi ** alpha * np.exp(-(v + rate) * xi), 0.0, np.inf, limit=400
         )
         worst = max(worst, abs(phi_eval(measure, v) - ref))
     if worst > reconstruction_tol:
@@ -166,16 +163,18 @@ def build_quadrature(
 
 
 def _exp_density(rate=1.0):
-    return lambda xi: np.exp(-rate * xi), rate
+    return _gamma_density(1.0, rate)
 
 
 def _gamma_density(shape=2.0, rate=1.0):
-    if shape < 1.0:
-        raise ValueError("gamma-type density needs shape >= 1 for quadrature")
-    return lambda xi: xi ** (shape - 1.0) * np.exp(-rate * xi), rate
+    if not 0 < rate < np.inf:
+        raise ValueError(f"density rate must be positive and finite, got {rate}")
+    if not 0 < shape < np.inf:
+        raise ValueError(f"density shape must be positive and finite, got {shape}")
+    return shape - 1.0, rate
 
 
-# name -> factory(params) -> (density, min decay rate)
+# name -> factory(params) -> (alpha, rate) of the density xi^alpha e^{-rate xi}
 DENSITY_CATALOG = {
     "exp": _exp_density,
     "gamma": _gamma_density,
@@ -185,19 +184,12 @@ DENSITY_CATALOG = {
 DENSITY_KEYS = ("name", "params", "n_nodes")
 
 
-def density_tail_cut(d: dict):
-    """A density spec's density and tail cut, 50 over the density's slowest decay rate."""
-    density, decay_rate = DENSITY_CATALOG[d["name"]](**d.get("params", {}))
-    return density, 50.0 / decay_rate
-
-
 def kernel_from_spec(spec: dict) -> KernelMeasure:
     """Build a measure from a config mapping.
 
     Accepts exactly one of ``{"atoms": [[xi, w], ...]}`` and
     ``{"density": {key: value}}`` with keys from DENSITY_KEYS.
-    The tail cut is 50 over the density's slowest decay rate, validated by
-    the reconstruction check.  Any other key is an error.
+    Any other key is an error.
     """
     unknown = sorted(set(spec) - {"atoms", "density"}) + sorted(
         f"density.{k}" for k in set(spec.get("density", {})) - set(DENSITY_KEYS))
@@ -210,5 +202,5 @@ def kernel_from_spec(spec: dict) -> KernelMeasure:
     d = spec["density"]
     if d.get("name") not in DENSITY_CATALOG:
         raise ValueError(f"unknown density {d.get('name')!r}")
-    density, tail = density_tail_cut(d)
-    return build_quadrature(density, n_nodes=int(d.get("n_nodes", N_NODES)), tail_cut=tail)
+    alpha, rate = DENSITY_CATALOG[d["name"]](**d.get("params", {}))
+    return build_quadrature(alpha, rate, n_nodes=int(d.get("n_nodes", N_NODES)))

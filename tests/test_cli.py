@@ -341,7 +341,7 @@ class TestRunFlows:
              "checks.A8_diffusion_degeneration.cells"),
             ("config", {**VERIFY, "checks": {"A9_holder_estimator": {
                 "tol": 0.07, "points": 10**8}}}, "checks.A9_holder_estimator.points"),
-            # within the budget, but past the nodes whose quadrature panels stay distinct
+            # within the budget, but past the nodes whose Gauss-Laguerre weights stay normal
             ("kernel", {"atoms": None, "density": {"name": "exp", "n_nodes": 9000}},
              "kernel.density.n_nodes"),
             # convergence takes its grid from levels and reads no driver.cells
@@ -377,9 +377,9 @@ class TestRunFlows:
             ("config", {"kind": "convergence", "levels": [5, 6, 7], "driver": {
                 "kind": "deterministic", "seed": 1, "seeds": "0..2"}},
              "'driver.seed' and 'driver.seeds'"),
-            # nodes come in panels of 8, so 60 would build 56 atoms
-            ("kernel", {"atoms": None, "density": {"name": "exp", "n_nodes": 60}},
-             "kernel.density.n_nodes must be 2 to 7 or a multiple of 8"),
+            # one past MAX_NODES, the most nodes of the Gauss-Laguerre rule
+            ("kernel", {"atoms": None, "density": {"name": "exp", "n_nodes": 181}},
+             "kernel.density.n_nodes must be in [2, 180]"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):
@@ -632,6 +632,19 @@ class TestRunFlows:
         assert run(cfg, out_dir=str(out)) == 0
         rates = (out / "rates.csv").read_text().splitlines()
         assert len(rates) - 1 == 3
+
+    def test_gamma_density_below_shape_one_solves(self, tmp_path):
+        # shape 0.5 is alpha = -1/2, a weight the generalized Gauss-Laguerre rule takes
+        doc = {
+            "kind": "solve-rough",
+            "kernel": {"density": {"name": "gamma", "params": {"shape": 0.5}}},
+            "driver": {"kind": "fbm", "hurst": 0.4, "cells": 64, "seed": 7},
+            "sigma": {"name": "tanh"},
+            "solver": {"gamma": 0.38, "kappa": 0.35, "sewing_level": 2, "picard_tol": 1e-10,
+                       "interval_scheme": "harmonic", "n_start": 4},
+            "initial": [0.3],
+        }
+        assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "o")) == 0
 
     def test_deterministic_convergence_solves_once(self, tmp_path, monkeypatch):
         # a deterministic driver is the same path for every seed: one set of

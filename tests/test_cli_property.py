@@ -6,7 +6,8 @@ top-level block of another shipped config that it lacks.  Every such run
 exits with a code of the README's table and prints no traceback, and it
 leaves a manifest exactly when it got past validation (exit code not 2).
 Each shipped config, cut to test size, also runs as before with numpy's
-dense linear algebra (LAPACK) made to raise, and runs again, byte for byte,
+dense linear algebra (LAPACK), scipy's eigen solvers and scipy's eigenvalue-based
+Gauss-Laguerre rules made to raise, and runs again, byte for byte,
 from the document its manifest records.
 """
 
@@ -18,6 +19,8 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -129,8 +132,13 @@ def test_runs_reach_no_lapack(name, kernel, tmp_path, monkeypatch):
             value = getattr(np.linalg, fn)
             if callable(value) and not isinstance(value, type) and fn[0] != "_" and fn != "norm":
                 patch.setattr(np.linalg, fn, refuse)
+        for fn in dir(scipy.linalg):             # scipy's eigen solvers
+            if fn.startswith("eig"):
+                patch.setattr(scipy.linalg, fn, refuse)
         patch.setattr(np, "polyfit", refuse)
         patch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        patch.setattr(scipy.special, "roots_genlaguerre", refuse)
+        patch.setattr(scipy.special, "roots_laguerre", refuse)
         guarded = outcome(tmp_path / "guarded")
     assert guarded == outcome(tmp_path / "free")
 

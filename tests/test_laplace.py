@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import gamma, roots_genlaguerre
 
 from roughvolterra import laplace
 from roughvolterra.laplace import (
@@ -57,43 +58,41 @@ class TestPhiEval:
 
 class TestBuildQuadrature:
     def test_exponential_density(self):
-        density, _ = DENSITY_CATALOG["exp"]()
-        m = build_quadrature(density, n_nodes=64, tail_cut=40.0)
+        alpha, rate = DENSITY_CATALOG["exp"]()
+        m = build_quadrature(alpha, rate, n_nodes=64)
         assert phi_eval(m, 1.0) == pytest.approx(0.5, abs=1e-8)
         for v in (0.1, 1.0, 10.0):          # phi(v) = int e^{-v xi} e^{-xi} dxi = 1/(1 + v)
             assert phi_eval(m, v) == pytest.approx(1.0 / (1.0 + v), abs=1e-8)
 
     def test_gamma_density(self):
-        density, _ = DENSITY_CATALOG["gamma"](shape=2.0, rate=1.0)
-        m = build_quadrature(density, n_nodes=64, tail_cut=40.0)
+        alpha, rate = DENSITY_CATALOG["gamma"](shape=2.0, rate=1.0)
+        m = build_quadrature(alpha, rate, n_nodes=64)
         assert phi_eval(m, 1.0) == pytest.approx(0.25, abs=1e-8)
 
     def test_failure_reports_achieved_error(self):
-        density, _ = DENSITY_CATALOG["exp"]()
+        alpha, rate = DENSITY_CATALOG["exp"]()
         with pytest.raises(QuadratureError) as info:
-            build_quadrature(density, n_nodes=2, tail_cut=40.0,
-                             reconstruction_tol=1e-12)
+            build_quadrature(alpha, rate, n_nodes=2, reconstruction_tol=1e-12)
         assert info.value.achieved_error > 1e-12
 
-    def test_node_count_stops_before_the_panels_underflow(self):
-        # panels 50 * 2^-k keep a normal smallest edge up to k = 1027, 1028 panels of 8
-        # nodes: 8224 nodes build distinct atoms, and the next multiple of 8 raises naming
-        # n_nodes; a count between, which would fill no whole panel, raises too
-        density, _ = DENSITY_CATALOG["exp"]()
-        assert build_quadrature(density, n_nodes=8224, tail_cut=50.0).n_atoms == 8224
-        with pytest.raises(ValueError, match="n_nodes must be at most 8224"):
-            build_quadrature(density, n_nodes=8232, tail_cut=50.0)
-        for n_nodes in (1, 8231):
-            with pytest.raises(ValueError, match="n_nodes must be 2 to 7 or a multiple of 8"):
-                build_quadrature(density, n_nodes=n_nodes, tail_cut=50.0)
+    def test_node_count_bound(self):
+        # every count from 2 to MAX_NODES builds that many atoms; the bound is checked before
+        # any n x n array of the rule is built, and at MAX_NODES every weight is a normal float
+        assert build_quadrature(0.0, 1.0, n_nodes=60).n_atoms == 60
+        assert build_quadrature(0.0, 1.0, n_nodes=laplace.MAX_NODES).n_atoms == laplace.MAX_NODES
+        for n_nodes in (1, laplace.MAX_NODES + 1, 10**9):
+            with pytest.raises(ValueError, match=f"n_nodes must be 2 to {laplace.MAX_NODES}"):
+                build_quadrature(0.0, 1.0, n_nodes=n_nodes)
+        for alpha in (-0.8, 0.0, 3.0):
+            assert laplace._gauss_laguerre(laplace.MAX_NODES, alpha)[1].min() > np.finfo(float).tiny
 
-    def test_default_tail_cut_from_decay_rate(self):
-        m = kernel_from_spec(
-            {"density": {"name": "exp", "params": {"rate": 2.0}, "n_nodes": 64}}
-        )
-        # tail defaults to 50/rate = 25
-        assert m.xis.max() < 25.0
-        assert m.xis.max() > 20.0
+    def test_atoms_scale_with_the_rate(self):
+        # the rate r maps the rule's nodes x_i to x_i / r and its weights w_i to w_i / r^shape,
+        # here at the default shape 2
+        one = kernel_from_spec({"density": {"name": "gamma", "params": {"rate": 1.0}}})
+        two = kernel_from_spec({"density": {"name": "gamma", "params": {"rate": 2.0}}})
+        assert np.array_equal(two.xis, one.xis / 2.0)
+        assert np.array_equal(two.weights, one.weights / 4.0)
 
     def test_native_atoms_pass_through(self):
         # point-mass requests skip quadrature entirely
@@ -101,33 +100,35 @@ class TestBuildQuadrature:
         assert m.n_atoms == 1
 
 
-class TestGaussLegendre:
-    """Newton-iterated nodes and weights against numpy's eigenvalue-based rule."""
+ALPHAS = (-0.8, -0.5, 0.0, 1.0, 3.0)
 
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_matches_leggauss(self, n):
-        x, w = laplace._gauss_legendre(n)
-        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
-        assert np.all(np.abs(x - ref_x) <= 2 * np.spacing(np.abs(ref_x)))
-        assert np.all(np.abs(w - ref_w) <= 1e-14 * ref_w)
-        assert w.sum() == pytest.approx(2.0, rel=1e-15)
+
+class TestGaussLaguerre:
+    """Recurrence-iterated nodes and weights against scipy's eigenvalue-based rule."""
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_matches_roots_genlaguerre(self, alpha):
+        for n in range(1, laplace.MAX_NODES + 1):
+            x, w = laplace._gauss_laguerre(n, alpha)
+            ref_x, ref_w = roots_genlaguerre(n, alpha)
+            assert np.all(np.abs(x - ref_x) <= 1e-12 * ref_x), n
+            assert np.all(np.abs(w - ref_w) <= 1e-10 * ref_w), n
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_exact_up_to_degree_2n_minus_1(self, n):
-        x, w = laplace._gauss_legendre(n)
         k = np.arange(2 * n)
-        exact = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)     # int_{-1}^{1} x^k dx
-        assert np.all(np.abs(w @ x[:, None] ** k - exact) <= 1e-15)
+        for alpha in ALPHAS:
+            x, w = laplace._gauss_laguerre(n, alpha)
+            exact = gamma(k + alpha + 1)        # int_0^inf xi^k xi^alpha e^{-xi} dxi
+            assert np.all(np.abs(w @ x[:, None] ** k - exact) <= 1e-13 * exact), alpha
 
-    @pytest.mark.parametrize("name", ["exp", "gamma"])
-    def test_default_density_atoms_match_a_leggauss_build(self, name, monkeypatch):
-        spec = {"density": {"name": name}}
-        measure = kernel_from_spec(spec)
-        monkeypatch.setattr(laplace, "_gauss_legendre", np.polynomial.legendre.leggauss)
-        ref = kernel_from_spec(spec)
-        assert measure.n_atoms == ref.n_atoms == 64
-        assert np.all(np.abs(measure.xis - ref.xis) <= 1e-14 * ref.xis)
-        assert np.all(np.abs(measure.weights - ref.weights) <= 1e-14 * np.abs(ref.weights))
+    @pytest.mark.parametrize("name, power", [("exp", 1), ("gamma", 2)], ids=["exp", "gamma"])
+    def test_default_density_kernels_match_phi(self, name, power):
+        # the default densities e^{-xi} and xi e^{-xi} have phi(v) = 1 / (1 + v)^power
+        measure = kernel_from_spec({"density": {"name": name}})
+        v = np.linspace(0.0, 1.0, 201)
+        assert measure.n_atoms == 64
+        assert np.max(np.abs(phi_eval(measure, v) - 1.0 / (1.0 + v) ** power)) <= 1e-14
 
 
 class TestKernelFromSpec:
@@ -157,3 +158,20 @@ class TestKernelFromSpec:
     def test_atoms_and_density_together_rejected(self):
         with pytest.raises(ValueError, match="exactly one"):
             kernel_from_spec({"atoms": [[1.0, 1.0]], "density": {"name": "exp"}})
+
+    @pytest.mark.parametrize(
+        "name, params, named",
+        [("exp", {"rate": 0.0}, "rate"), ("exp", {"rate": -1.0}, "rate"),
+         ("gamma", {"shape": 0.0}, "shape"), ("gamma", {"shape": -0.5}, "shape")],
+    )
+    def test_density_params_validated(self, name, params, named):
+        with pytest.raises(ValueError, match=named):
+            kernel_from_spec({"density": {"name": name, "params": params}})
+
+    @pytest.mark.parametrize("shape", [0.2, 0.5, 0.9])
+    def test_gamma_shape_below_one(self, shape):
+        # the generalized rule takes any alpha = shape - 1 > -1; phi(v) = Gamma(s) / (1 + v)^s
+        measure = kernel_from_spec({"density": {"name": "gamma", "params": {"shape": shape}}})
+        v = np.linspace(0.0, 1.0, 201)
+        assert measure.n_atoms == 64
+        assert np.max(np.abs(phi_eval(measure, v) - gamma(shape) / (1.0 + v) ** shape)) <= 1e-12
