@@ -406,7 +406,7 @@ class ExperimentConfig:
         _check_relations(self.doc)
         if "kernel" in self.doc:            # once the budget holds
             try:
-                self.measure = kernel_from_spec(self.doc["kernel"])
+                self.measure = kernel_from_spec(self.doc["kernel"], self.doc["driver"]["horizon"])
             except (ValueError, QuadratureError) as exc:
                 raise ValueError(f"kernel.density: {exc}") from None
 

@@ -368,8 +368,8 @@ class TestRunFlows:
             ("driver", {"hurst": 0.4}, "driver.hurst"),
             ("driver", {"seed": 1}, "driver.seed"),
             ("driver", {"seeds": "0..2"}, "driver.seeds"),
-            # a density that misses its reconstruction tolerance
-            ("kernel", {"atoms": None, "density": {"name": "gamma", "n_nodes": 16}},
+            # a density that misses its reconstruction tolerance on [0, driver.horizon]
+            ("kernel", {"atoms": None, "density": {"name": "gamma", "n_nodes": 8}},
              "kernel.density"),
             ("kernel", {"atoms": None, "density": {"name": "exp", "params": {"rate": 1e-3},
                                                    "n_nodes": 128}}, "kernel.density"),
@@ -380,6 +380,13 @@ class TestRunFlows:
             # one past MAX_NODES, the most nodes of the Gauss-Laguerre rule
             ("kernel", {"atoms": None, "density": {"name": "exp", "n_nodes": 181}},
              "kernel.density.n_nodes must be in [2, 180]"),
+            # 64 nodes are within tolerance on [0, 1] but not on [0, 50]
+            ("config", {"kernel": {"density": {"name": "exp"}}, "driver": {
+                "kind": "deterministic", "function": "identity", "cells": 128, "horizon": 50.0}},
+             "kernel.density: kernel reconstruction error"),
+            # a rule that does not converge, at gamma shape 100
+            ("kernel", {"atoms": None, "density": {"name": "gamma", "params": {"shape": 100.0}}},
+             "kernel.density: the Gauss-Laguerre rule did not converge"),
         ],
     )
     def test_bad_block_key_exit_2_names_it(self, tmp_path, capsys, block, edit, named):
@@ -639,6 +646,20 @@ class TestRunFlows:
             "kind": "solve-rough",
             "kernel": {"density": {"name": "gamma", "params": {"shape": 0.5}}},
             "driver": {"kind": "fbm", "hurst": 0.4, "cells": 64, "seed": 7},
+            "sigma": {"name": "tanh"},
+            "solver": {"gamma": 0.38, "kappa": 0.35, "sewing_level": 2, "picard_tol": 1e-10,
+                       "interval_scheme": "harmonic", "n_start": 4},
+            "initial": [0.3],
+        }
+        assert run(write_config(tmp_path, doc), out_dir=str(tmp_path / "o")) == 0
+
+    def test_small_rate_density_solves(self, tmp_path):
+        # exp at rate 0.2 has 64 atoms within tolerance on the run's [0, 1], though not on
+        # [0, 10]
+        doc = {
+            "kind": "solve-rough",
+            "kernel": {"density": {"name": "exp", "params": {"rate": 0.2}}},
+            "driver": {"kind": "fbm", "hurst": 0.4, "cells": 512, "seed": 7},
             "sigma": {"name": "tanh"},
             "solver": {"gamma": 0.38, "kappa": 0.35, "sewing_level": 2, "picard_tol": 1e-10,
                        "interval_scheme": "harmonic", "n_start": 4},

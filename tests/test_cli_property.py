@@ -7,7 +7,8 @@ exits with a code of the README's table and prints no traceback, and it
 leaves a manifest exactly when it got past validation (exit code not 2).
 Each shipped config, cut to test size, also runs as before with numpy's
 dense linear algebra (LAPACK), scipy's eigen solvers and scipy's eigenvalue-based
-Gauss-Laguerre rules made to raise, and runs again, byte for byte,
+Gauss-Laguerre rules made to raise (and, for a density kernel, adaptive quadrature),
+and runs again, byte for byte,
 from the document its manifest records.
 """
 
@@ -19,6 +20,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 import scipy.special
 from hypothesis import given, settings
@@ -109,7 +111,7 @@ def test_mutated_config_exits_with_a_documented_code(name, data, tmp_path_factor
 
 
 def refuse(*args, **kwargs):
-    raise AssertionError("a run path reached dense linear algebra")
+    raise AssertionError("a run path reached dense linear algebra or adaptive quadrature")
 
 
 @pytest.mark.parametrize("name, kernel", [(name, None) for name in NAMES] + [
@@ -139,6 +141,10 @@ def test_runs_reach_no_lapack(name, kernel, tmp_path, monkeypatch):
         patch.setattr(np.polynomial.legendre, "leggauss", refuse)
         patch.setattr(scipy.special, "roots_genlaguerre", refuse)
         patch.setattr(scipy.special, "roots_laguerre", refuse)
+        if kernel is not None:      # nor adaptive quadrature, however a module bound quad
+            patch.setattr(scipy.integrate, "quad", refuse)
+            for fn in ("_quad", "_quad_weight"):        # what every quad call goes through
+                patch.setattr(scipy.integrate._quadpack_py, fn, refuse)
         guarded = outcome(tmp_path / "guarded")
     assert guarded == outcome(tmp_path / "free")
 

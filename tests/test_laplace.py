@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gamma, roots_genlaguerre
 
 from roughvolterra import laplace
@@ -72,8 +73,52 @@ class TestBuildQuadrature:
     def test_failure_reports_achieved_error(self):
         alpha, rate = DENSITY_CATALOG["exp"]()
         with pytest.raises(QuadratureError) as info:
-            build_quadrature(alpha, rate, n_nodes=2, reconstruction_tol=1e-12)
+            build_quadrature(alpha, rate, n_nodes=2)
         assert info.value.achieved_error > 1e-12
+
+    @pytest.mark.parametrize("alpha", [-0.8, -0.5, 0.0, 1.0, 3.0, 19.0])
+    @pytest.mark.parametrize("rate", [0.1, 1.0, 2.0])
+    def test_closed_form_matches_adaptive_quadrature(self, alpha, rate):
+        # the check's reference phi(v) = Gamma(alpha + 1) / (v + rate)^(alpha + 1), against
+        # int_0^inf xi^alpha e^{-(v + rate) xi} dxi by adaptive quadrature, its singular end
+        # at 0 taken by quad's algebraic weight
+        for v in np.linspace(0.0, 10.0, 11):
+            s = v + rate
+            ref = (quad(lambda xi: np.exp(-s * xi), 0.0, 1.0, weight="alg", wvar=(alpha, 0.0),
+                        epsabs=0.0, epsrel=1e-13)[0]
+                   + quad(lambda xi: xi ** alpha * np.exp(-s * xi), 1.0, np.inf,
+                          epsabs=0.0, epsrel=1e-13, limit=200)[0])
+            assert gamma(alpha + 1) / s ** (alpha + 1) == pytest.approx(ref, rel=1e-12)
+
+    def test_checked_on_the_horizon(self):
+        # exp at rate 0.1 is within the relative tolerance on [0, 1] from 58 nodes; a default
+        # exp kernel, within it on [0, 1], is 4.8% off at v = 50
+        alpha, rate = DENSITY_CATALOG["exp"](rate=0.1)
+        with pytest.raises(QuadratureError):
+            build_quadrature(alpha, rate, n_nodes=57, horizon=1.0)
+        m = build_quadrature(alpha, rate, n_nodes=58, horizon=1.0)
+        v = np.linspace(0.0, 1.0, 1001)     # finer than the check's grid
+        assert np.max(np.abs(phi_eval(m, v) * (v + rate) - 1)) <= laplace.RECONSTRUCTION_TOL
+        with pytest.raises(QuadratureError, match=r"on \[0, 50\]") as info:
+            kernel_from_spec({"density": {"name": "exp"}}, horizon=50.0)
+        assert info.value.achieved_error > 0.04
+
+    def test_large_mass_builds(self):
+        # the tolerance is relative: gamma at shape 20 has phi(0) = 19! = 1.2e17
+        m = kernel_from_spec({"density": {"name": "gamma", "params": {"shape": 20.0}}})
+        assert phi_eval(m, 0.0) == pytest.approx(gamma(20.0), rel=1e-8)
+
+    @pytest.mark.parametrize("alpha, n_nodes", [(19.0, 152), (99.0, 64), (199.0, 64)])
+    def test_rule_failure_is_a_quadrature_error(self, alpha, n_nodes):
+        # at these (alpha, n) the iteration leaves non-finite or negative nodes; shapes 100
+        # and 200 reach it through kernel_from_spec at the default node count
+        named = f"Gauss-Laguerre rule did not converge at {n_nodes} nodes, alpha {alpha}"
+        with pytest.raises(QuadratureError, match=named):
+            build_quadrature(alpha, 1.0, n_nodes=n_nodes)
+        if n_nodes == laplace.N_NODES:
+            spec = {"density": {"name": "gamma", "params": {"shape": alpha + 1}}}
+            with pytest.raises(QuadratureError, match=named):
+                kernel_from_spec(spec)
 
     def test_node_count_bound(self):
         # every count from 2 to MAX_NODES builds that many atoms; the bound is checked before
@@ -137,6 +182,12 @@ class TestKernelFromSpec:
             {"density": {"name": "exp", "params": {"rate": 1.0}, "n_nodes": 64}}
         )
         assert phi_eval(m, 1.0) == pytest.approx(0.5, abs=1e-8)
+
+    @pytest.mark.parametrize("n_nodes", [16.9, 16.0, "16", True])
+    def test_n_nodes_must_be_an_integer(self, n_nodes):
+        with pytest.raises(TypeError):
+            kernel_from_spec({"density": {"name": "exp", "n_nodes": n_nodes}})
+        assert kernel_from_spec({"density": {"name": "exp", "n_nodes": np.int64(16)}}).n_atoms == 16
 
     def test_unknown_density(self):
         with pytest.raises(ValueError):
