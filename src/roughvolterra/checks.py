@@ -268,7 +268,7 @@ def a9_holder_estimator(tol, seeds=range(100), hursts=(0.4, 0.7), points=4096):
     """A9: the median Holder-exponent estimate of fBm samples lies within ``tol`` of H.
 
     Each H's samples are streamed from one ``sample_fbm`` seed list, so the
-    check holds one FFT sub-batch of paths (8 at 4096 points) at a time.
+    check holds one FFT sub-batch of paths (1 at 4096 points) at a time.
     """
     tol = float(tol)
     grid = TimeGrid.uniform(int(points) - 1, 1.0)

@@ -14,8 +14,9 @@ applies its symmetric square root to normals by real FFTs, O(n log n),
 and a non-uniform grid is rejected.  Sampling uses counter-based Philox
 streams keyed by the seed, so a fixed seed reproduces its path bit for
 bit.  A list of seeds is an iterator of paths drawn from one eigenvalue
-pass, one FFT sub-batch within DRAW_BYTES (1 MiB) at a time, each
-sub-batch's paths read-only views of its own block.
+pass, one FFT sub-batch at a time, each sub-batch's normals, transform and
+block of paths within DRAW_BYTES (256 KiB) and its paths read-only views of
+that block.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ __all__ = [
     "wiener_cov_x1",
 ]
 
-DRAW_BYTES = 1024**2                      # one FFT sub-batch's normals and transform
+DRAW_BYTES = 256 * 1024                   # one FFT sub-batch's normals, transform and paths
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -120,12 +121,13 @@ def _fgn_autocovariance(hurst: float, n: int, h: float) -> np.ndarray:
 
 
 def _draw_batch(n: int, n_dims: int) -> int:
-    """Seeds per FFT sub-batch of a draw of n steps, 8 at 4095 and 31 at 1024.
+    """Seeds per FFT sub-batch of a draw of n steps, 6 at 1024 and 1 at 4095.
 
-    A column takes 16 n bytes of normals and 16 (n + 1) of transform; a
-    sub-batch's columns fit DRAW_BYTES.
+    A column takes 16 n bytes of normals, 16 (n + 1) of transform and
+    8 (n + 1) of path block; a sub-batch's columns fit DRAW_BYTES, and a
+    seed whose columns exceed it is drawn alone.
     """
-    return max(1, DRAW_BYTES // ((32 * n + 16) * n_dims))
+    return max(1, DRAW_BYTES // ((40 * n + 24) * n_dims))
 
 
 def _circulant_root(hurst: float, times: np.ndarray) -> np.ndarray:
@@ -160,10 +162,10 @@ def _fbm_draw(grid, root: np.ndarray, seeds: list, n_dims: int):
     irfft(root rfft(z)), has the circulant as covariance, so its first n
     entries are the increments, exact in law (Davies & Harte 1987; Wood &
     Chan 1994).  Each seed's stream draws 2n normals per dimension; seeds
-    go through the FFTs in sub-batches whose normals and transform fit
-    DRAW_BYTES, and a cumulative sum writes a sub-batch's increments into
-    its own (n + 1, batch n_dims) block, row 0 zero, whose column views
-    are the paths.
+    go through the FFTs in sub-batches whose normals, transform and paths
+    fit DRAW_BYTES, and a cumulative sum writes a sub-batch's increments
+    into its own (n + 1, batch n_dims) block, row 0 zero, whose column
+    views are the paths.
     """
     n = root.size - 1
     per = _draw_batch(n, n_dims)
@@ -208,8 +210,8 @@ def sample_fbm(hurst: float, grid, n_dims: int = 1, seed=0) -> DriverPath | Iter
     or numpy integer, not a boolean).  A single seed returns one
     DriverPath.  A list, range or array of seeds returns an iterator of one
     DriverPath per seed, in order (an empty one, none), drawn from one
-    eigenvalue pass one FFT sub-batch at a time (8 seeds at 4095 points, 31
-    at 1024, within DRAW_BYTES): a caller that streams it holds one
+    eigenvalue pass one FFT sub-batch at a time (6 seeds at 1024 points, 1
+    at 4095, within DRAW_BYTES): a caller that streams it holds one
     sub-batch of paths, and one that needs them all calls ``list()``.  A
     seed's path matches its single-seed draw bit for bit, whichever seeds
     share its sub-batch.  Bad arguments (TypeError or ValueError), a

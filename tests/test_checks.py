@@ -41,9 +41,9 @@ def test_x1_tilde_value_makes_one_eigenvalue_pass(eigenvalue_passes):
 
 
 def test_a9_holds_one_chunk_of_paths():
-    # one FFT sub-batch's paths (8 at 4096 points), the draw's DRAW_BYTES of normals
-    # and transform, and slack for its grid vectors (gamma, c, lambda, root) and the
-    # estimator's increments: 1.66 MB measured against 4.72 MB for one held 101-seed draw
+    # one FFT sub-batch's normals, transform and paths (DRAW_BYTES), and slack for the
+    # draw's grid vectors (gamma, c, lambda, root) and the estimator's increments:
+    # 0.40 MB measured against 4.72 MB for one held 101-seed draw
     points = 4096
     checks.a9_holder_estimator(1.0, seeds=range(2), hursts=(0.4,), points=points)
     tracemalloc.start()
@@ -53,5 +53,23 @@ def test_a9_holds_one_chunk_of_paths():
     finally:
         tracemalloc.stop()
     assert rec.passed
-    chunk = 8 * points * 8
-    assert peak <= chunk + lift_mod.DRAW_BYTES + 24 * 8 * points
+    assert peak <= lift_mod.DRAW_BYTES + 24 * 8 * points
+
+
+def test_x1_tilde_value_holds_one_sub_batch():
+    # one sub-batch's normals, transform and paths (DRAW_BYTES), two more blocks (the
+    # last path's block lives on while the next is drawn; one is slack), a result
+    # float and a seed int per seed (each with its list slot) and the grid vectors:
+    # 0.55 MB measured, 1.71 MB with the block uncounted in a 1 MiB budget
+    seeds, cells = range(2000), 1024
+    checks.x1_tilde_value(range(2), 0.7, cells, 1.0)
+    tracemalloc.start()
+    try:
+        values = checks.x1_tilde_value(seeds, 0.7, cells, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(values) == len(seeds)
+    block = 8 * (cells + 1) * lift_mod._draw_batch(cells, 1)
+    bound = lift_mod.DRAW_BYTES + 2 * block + 2 * 36 * len(seeds) + 16 * 8 * (cells + 1)
+    assert peak <= min(bound, 0.75e6)

@@ -270,7 +270,7 @@ class TestFbmFactorRoutes:
         # sub-batches of 1, 7 or all 20 seeds (column panels of the block) stack to one draw
         seeds = list(range(3, 23))
         per = len(seeds) if rows == "n" else rows
-        monkeypatch.setattr(lift_mod, "DRAW_BYTES", per * (32 * n + 16) * 2)
+        monkeypatch.setattr(lift_mod, "_draw_batch", lambda n, n_dims: per)
         assert np.array_equal(drawn_block(0.4, n, seeds, 2), two_pass_draw(0.4, n, seeds, 2))
 
     @pytest.mark.parametrize("hurst", [0.01, 0.4, 0.99])
@@ -293,9 +293,9 @@ class TestFbmFactorRoutes:
             assert np.array_equal(single.values, paths[0].values), n
 
     def test_streamed_seed_list_holds_its_paths_and_one_panel(self):
-        # beyond the one block of paths a draw holds one panel of seeds' normals and
-        # their transform (DRAW_BYTES), a Philox stream and a DriverPath per seed (under
-        # 1 KiB) and a few grid vectors: gamma, c, lambda, its root
+        # a draw holds one sub-batch's normals, transform and block of paths
+        # (DRAW_BYTES), the blocks of the sub-batches before it, a Philox stream and a
+        # DriverPath per seed (under 1 KiB) and a few grid vectors: gamma, c, lambda, its root
         seeds = list(range(101))
         for n, n_dims in ((1024, 1), (4095, 1), (4095, 2)):
             tracemalloc.start()
@@ -305,26 +305,37 @@ class TestFbmFactorRoutes:
             finally:
                 tracemalloc.stop()
             assert len(paths) == 101
-            held = lift_mod.DRAW_BYTES + (n + 1) * len(seeds) * n_dims * 8
+            earlier = len(seeds) - lift_mod._draw_batch(n, n_dims)
+            held = lift_mod.DRAW_BYTES + (n + 1) * earlier * n_dims * 8
             assert peak <= held + 1024 * len(seeds) + 8 * 16 * (n + 1), (n, n_dims)
 
-    @pytest.mark.parametrize("n", [64, 4095])
+    @pytest.mark.parametrize("n", [64, 1024, 4095])
     def test_seed_list_paths_share_one_block(self, n):
-        # three seeds in two dimensions fit one sub-batch (4 seeds at 4095 points);
-        # ten take three there, each sub-batch's paths views of its own block
-        paths = list(sample_fbm(0.4, TimeGrid.uniform(n, 1.0), n_dims=2, seed=[1, 2, 3]))
-        block = paths[0].values.base
-        assert block.shape == (n + 1, 6)
-        assert all(p.values.base is block and np.shares_memory(p.values, block) for p in paths)
-        assert not any(p.values.flags.writeable for p in paths)
+        # ten seeds in two dimensions take one sub-batch at 64 points, four at 1024
+        # and ten at 4095; each sub-batch's paths are read-only views of its own
+        # block, which no later path shares
+        per = lift_mod._draw_batch(n, 2)
         paths = list(sample_fbm(0.4, TimeGrid.uniform(n, 1.0), n_dims=2, seed=range(10)))
-        per = 4 if n == 4095 else 10
+        assert not any(p.values.flags.writeable for p in paths)
         for i0 in range(0, 10, per):
             batch = paths[i0 : i0 + per]
             block = batch[0].values.base
             assert block.shape == (n + 1, 2 * len(batch))
-            assert all(p.values.base is block for p in batch)
+            assert all(p.values.base is block and np.shares_memory(p.values, block) for p in batch)
             assert not any(np.shares_memory(p.values, block) for p in paths[i0 + per :])
+
+    def test_seed_over_the_budget_is_drawn_alone(self):
+        # at 4095 points in two dimensions one seed's normals, transform and paths
+        # exceed DRAW_BYTES: each seed is a sub-batch of its own and keeps its bits
+        n = 4095
+        assert lift_mod._draw_batch(n, 2) == 1
+        grid = TimeGrid.uniform(n, 1.0)
+        seeds = [8, 3, 5]
+        paths = list(sample_fbm(0.4, grid, n_dims=2, seed=seeds))
+        assert len(paths) == len(seeds)
+        for path, seed in zip(paths, seeds):
+            assert path.values.base.shape == (n + 1, 2)
+            assert np.array_equal(path.values, sample_fbm(0.4, grid, n_dims=2, seed=seed).values)
 
     def test_empty_seed_list_draws_nothing(self, monkeypatch):
         monkeypatch.setattr(lift_mod, "_rng", _no_normals)
@@ -354,8 +365,11 @@ class TestFbmFactorRoutes:
 
     def test_seed_list_draws_each_seed(self):
         # one path per seed, in order, each bit for bit its single-seed draw.  At 1024
-        # points in two dimensions a sub-batch holds 15 seeds, so dropping the first
-        # five puts every later seed beside other seeds, and it keeps its bits
+        # points in two dimensions a sub-batch holds two or more seeds but not five,
+        # so dropping the first five puts every later seed beside other seeds, and it
+        # keeps its bits
+        per = lift_mod._draw_batch(1024, 2)
+        assert per >= 2 and 5 % per
         grid = TimeGrid.uniform(1024, 1.0)
         seeds = [3, 7, 11, 12] + list(range(20, 60))
         paths = list(sample_fbm(0.4, grid, n_dims=2, seed=seeds))
