@@ -42,7 +42,6 @@ from .solver import (
     Solution,
     SolverFailure,
     young_integral,
-    rough_integral,
     solve_young,
     solve_rough,
     solve_rough_ode,

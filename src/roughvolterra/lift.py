@@ -396,18 +396,27 @@ class RoughLift:
 
         All ``refine`` equal sub-cells of one cell share the same slope and
         width, hence the same closed forms, in which the slope is a rank-one
-        factor; the x2 ramp factor and the decay depend on the width alone and
-        are evaluated once per distinct width.  Returns (x1t, x2t, decay, sub_widths) with shapes
-        (C, K, n), (C, K, n, n), (C, K), (C,).
+        factor; the e0 factor, the x2 ramp factor and the decay depend on the
+        width alone and are evaluated once per distinct width.  Each run of
+        cells of one width is written into the tables as one broadcast
+        product, so no (C, K) array is built besides the decay.  Returns
+        (x1t, x2t, decay, sub_widths) with shapes (C, K, n), (C, K, n, n),
+        (C, K), (C,).
         """
         if refine < 1:
             raise ValueError("refine must be >= 1")
         widths = self.driver.grid.widths / refine
         uniq, inv = np.unique(widths, return_inverse=True)
         m = self.driver.slopes
-        x1t = self._x1_cells(slice(None), widths)
-        x2t = (self._ramp_weights(uniq)[inv][:, :, None, None]
-               * np.einsum("cj,cd->cjd", m, m)[:, None])
+        mm = np.einsum("cj,cd->cjd", m, m)
+        e0_w = e0(self.xis[None, :], uniq[:, None])              # (U, K)
+        ramp_w = self._ramp_weights(uniq)                         # (U, K)
+        (c, n), k = m.shape, self.xis.size
+        x1t, x2t = np.empty((c, k, n)), np.empty((c, k, n, n))
+        cuts = (np.flatnonzero(inv[1:] != inv[:-1]) + 1).tolist()  # where the width changes
+        for b, e in zip([0] + cuts, cuts + [c]):
+            np.multiply(e0_w[inv[b], :, None], m[b:e, None], out=x1t[b:e])
+            np.multiply(ramp_w[inv[b], :, None, None], mm[b:e, None], out=x2t[b:e])
         decay = np.exp(-self.xis[None, :] * uniq[:, None])[inv]
         return x1t, x2t, decay, widths
 

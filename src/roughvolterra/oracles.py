@@ -30,7 +30,6 @@ from .algebra import exp_scan
 
 __all__ = [
     "subdivide",
-    "x1_tilde_riemann",
     "x2_tilde_riemann",
     "x3_tilde_riemann_fast",
     "young_integral_simpson",
@@ -84,14 +83,6 @@ def _sub_steps(driver, mesh):
     mid = 0.5 * (mesh[:-1] + mesh[1:])
     slope = driver.slopes[driver.grid.cell_of(mid)]
     return mid, slope, slope * np.diff(mesh)[:, None]
-
-
-def x1_tilde_riemann(driver, xi, s, t, n_sub=4096):
-    """Midpoint Riemann value of int_s^t e^{-xi(t-v)} dx_v, shape (n,)."""
-    if t <= s:
-        return np.zeros(driver.n_dims)
-    mid, _, dx = _sub_steps(driver, subdivide(driver.grid.points, s, t, n_sub))
-    return np.einsum("p,pn->n", np.exp(-np.asarray(xi) * (t - mid)), dx)
 
 
 def _x1_scan(mesh, dx, xis):

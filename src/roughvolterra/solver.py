@@ -16,14 +16,15 @@ The sub-cell mesh and the lift's per-cell closed forms
 (``RoughLift.cell_tables``) are built once per solve; an interval attempt
 is a slice of the mesh and views of its cells' rows.  A sweep evaluates
 sigma once over the interval mesh, then walks the blocks of the twisted
-scan (``algebra.exp_scan_blocks``): each block's germ comes from its
-cells' tables, and of the propagated ytilde the sweep keeps only the
-projection y = a + <kernel, ytilde> on the mesh, which is all the next
-sweep reads, and ytilde at the grid points, which is all the norms, the
-commit and the next interval's start read.  No (sub-cells x atoms x d)
-array is held.  Picard sweeps are independent across atoms and could be
-parallelised; a single solve is sequential over intervals by data
-dependency.
+scan (``algebra.exp_scan_blocks``): each block's germ comes from the
+cell rows that cover it, read as views against the mesh values grouped
+by cell, with no per-sub-cell copy of the tables.  Of the propagated
+ytilde the sweep keeps only the projection y = a + <kernel, ytilde> on
+the mesh, which is all the next sweep reads, and ytilde at the grid
+points, which is all the norms, the commit and the next interval's start
+read.  No (sub-cells x atoms x d) array is held.  Picard sweeps are
+independent across atoms and could be parallelised; a single solve is
+sequential over intervals by data dependency.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "Solution",
     "SolverFailure",
     "young_integral",
-    "rough_integral",
     "solve_young",
     "solve_rough",
     "solve_rough_ode",
@@ -85,18 +85,6 @@ def young_integral(lift: RoughLift, z, s: float, t: float, atom: int, level: int
     if not lift.gamma > 0.5:
         raise ValueError("Young integration requires lift regularity > 1/2")
     return _sewn_integral(lift, z, None, s, t, atom, level)
-
-
-def rough_integral(lift: RoughLift, z, s: float, t: float, atom: int, level: int = 10, *, zeta):
-    """Rough convolutional integral of a controlled integrand.
-
-    As in ``young_integral``, ``z(times)`` must return values with shape
-    (len(times), n); ``zeta(times)`` returns its Gubinelli derivative,
-    (len(times), n, n).  The germ is the compensated second-order
-    expression x1~ z + x2~ . zeta*, summed with exponential weights; the
-    sewing construction supplies the remaining correction in the limit.
-    """
-    return _sewn_integral(lift, z, zeta, s, t, atom, level)
 
 
 INTERVAL_SCHEMES = ("harmonic", "constant")
@@ -185,19 +173,25 @@ def _sweep(fine, r, x1t, x2t, fld, a, measure, y, htilde, rough):
 
     ``fine`` is the interval's mesh, r points a grid cell, and ``x1t``,
     ``x2t`` its cells' rows of the cell tables.  Each scan block's germ is
-    built from those rows, and of the new ytilde only its projection and its
-    grid-slot values are kept: returns (y on the mesh (P, d), ytilde at the
-    grid slots (M, K, d)).
+    built from the rows of the cells that cover it, less the sub-cells
+    outside the block where it starts or ends mid-cell, and of the new
+    ytilde only its projection and its grid-slot values are kept: returns
+    (y on the mesh (P, d), ytilde at the grid slots (M, K, d)).
     """
     z = fld.batch(y)                                        # (P, n, d)
     ds = fld.dsigma_batch(y[:-1]) if rough else None        # (P-1, n, d, d)
 
     def germ(b, e):
-        c = np.arange(b, e) // r                            # sub-cell -> row of x1t, x2t
-        g = np.einsum("pkn,pnd->pkd", x1t[c], z[b:e])
+        c0, c1 = b // r, -(-e // r)                         # the cells covering [b, e)
+        p = slice(c0 * r, c1 * r)
+
+        def by_cell(v):                                     # (cells, r, ...) view
+            return v[p].reshape((c1 - c0, r) + v.shape[1:])
+
+        g = np.einsum("ckn,cpnd->cpkd", x1t[c0:c1], by_cell(z))
         if rough:
-            g += np.einsum("pkmj,pjq,pmiq->pki", x2t[c], z[b:e], ds[b:e])
-        return g
+            g += np.einsum("ckmj,cpjq,cpmiq->cpki", x2t[c0:c1], by_cell(z), by_cell(ds))
+        return g.reshape((-1,) + g.shape[2:])[b - c0 * r : e - c0 * r]
 
     y_new = np.empty_like(y)
     y_new[0] = y[0]                                         # the interval start is fixed
@@ -248,7 +242,8 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
     beta = 1.0 if rough else config.gamma
     n_pts, k_atoms, d = len(grid), measure.n_atoms, fld.d
     r = 2**config.sewing_level
-    x1t, x2t, _, subw = lift.cell_tables(r)
+    x1t, x2t, decay, subw = lift.cell_tables(r)
+    del decay                                           # the scan computes its own decay
     # the sub-cell mesh; an attempt on grid cells [lo, hi] is fine[lo*r : hi*r + 1]
     fine = np.append((pts[:-1, None] + subw[:, None] * np.arange(r)).ravel(), pts[-1])
     harmonic = config.interval_scheme == "harmonic"     # c in eps = T/(N + c n)
@@ -311,6 +306,7 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
         final = _sweep(mesh, r, x1t[lo:hi], x2t[lo:hi], fld, a, measure, y_mesh, htilde,
                        rough)[1]
         residual = float(np.max(lbeta_norm(final - yt, measure, beta)))
+        del final                                           # not held into the next interval
 
         q_norm = _interval_q_norm(
             lift, yt, zeta_grid[lo : hi + 1],

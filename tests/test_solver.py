@@ -15,12 +15,18 @@ from roughvolterra.sigma import SigmaField, sigma_catalog
 from roughvolterra.solver import (
     SolverConfig,
     SolverFailure,
-    rough_integral,
     solve_rough,
     solve_rough_ode,
     solve_young,
     young_integral,
 )
+
+
+def rough_integral(lift, z, s, t, atom, level=10, *, zeta):
+    """Rough convolutional integral of a controlled integrand: the compensated
+    second-order germ x1~ z + x2~ . zeta*, ``zeta`` z's Gubinelli derivative
+    (len(times), n, n), summed with the exponential weights of ``atom``."""
+    return solver_mod._sewn_integral(lift, z, zeta, s, t, atom, level)
 
 
 def identity_lift(cells=64, atoms=((1.0, 1.0),), gamma=1.0):
@@ -546,6 +552,20 @@ class TestManyAtomSolve:
         assert np.max(np.abs(sol.y - ref)) <= 1e-9
 
 
+def record_blocks(monkeypatch):
+    """The (b, e) of every twisted-scan block the solver walks from now on."""
+    blocks = []
+    scan = solver_mod.exp_scan_blocks
+
+    def recording(*args):
+        for b, e, blk in scan(*args):
+            blocks.append((b, e))
+            yield b, e, blk
+
+    monkeypatch.setattr(solver_mod, "exp_scan_blocks", recording)
+    return blocks
+
+
 class TestSweepBlocks:
     """A sweep streams ytilde through the twisted scan's blocks."""
 
@@ -558,16 +578,8 @@ class TestSweepBlocks:
         cfg = base_config(gamma=0.6, sewing_level=2, interval_scheme="harmonic")
         ref = solve(lift, fld, np.array([0.3]), cfg)
 
-        blocks = []
-        scan = solver_mod.exp_scan_blocks
-
-        def recording(*args):
-            for b, e, blk in scan(*args):
-                blocks.append((b, e))
-                yield b, e, blk
-
         monkeypatch.setattr(rv.algebra, "SCAN_BLOCK", block)
-        monkeypatch.setattr(solver_mod, "exp_scan_blocks", recording)
+        blocks = record_blocks(monkeypatch)
         sol = solve(lift, fld, np.array([0.3]), cfg)
         assert max(e - b for b, e in blocks) == block
         # grid slots (every 4th mesh point) fall inside blocks and on block ends
@@ -578,13 +590,51 @@ class TestSweepBlocks:
         assert np.max(np.abs(sol.ytilde - ref.ytilde)) <= 1e-13
 
 
+def gathered_sweep(mesh, r, x1t, x2t, fld, a, measure, y, htilde):
+    """A rough sweep with a per-sub-cell germ: every sub-cell's rows of ``x1t``,
+    ``x2t`` gathered, the whole germ scanned at once.  Returns (y on the mesh
+    from its second point, ytilde at the grid slots)."""
+    z, ds = fld.batch(y)[:-1], fld.dsigma_batch(y[:-1])
+    c = np.arange(mesh.size - 1) // r
+    g = np.einsum("pkn,pnd->pkd", x1t[c], z)
+    g += np.einsum("pkmj,pjq,pmiq->pki", x2t[c], z, ds)
+    ytilde = rv.algebra.exp_scan(mesh, measure.xis, g, htilde)
+    return solver_mod._project(a, ytilde[1:], measure.weights), ytilde[::r]
+
+
+class TestCellRowGerm:
+    def test_blocks_starting_mid_cell_match_a_gathered_germ(self, monkeypatch):
+        # at xi = 5000 a scan block spans 30/5000 = 0.006, about 3 sub-cells of
+        # width 1/512, so blocks start and end inside the level-3 cells
+        drv = sample_fbm(0.4, TimeGrid.uniform(64, 1.0), n_dims=2, seed=1)
+        measure = KernelMeasure.from_atoms([(0.0, 0.5), (3.0, 0.3), (5000.0, 0.2)])
+        lift = RoughLift(drv, measure, gamma=0.38)
+        r, lo, hi = 8, 5, 41
+        x1t, x2t, _, subw = lift.cell_tables(r)
+        pts = drv.grid.points
+        mesh = np.append((pts[:-1, None] + subw[:, None] * np.arange(r)).ravel(),
+                         pts[-1])[lo * r : hi * r + 1]
+        rng = np.random.default_rng(6)
+        fld, a = non_commuting_tanh_field(), np.array([0.1, -0.2])
+        y, htilde = rng.standard_normal((mesh.size, 2)), 0.1 * rng.standard_normal((3, 2))
+
+        blocks = record_blocks(monkeypatch)
+        y_new, slots = solver_mod._sweep(mesh, r, x1t[lo:hi], x2t[lo:hi], fld, a, measure,
+                                         y, htilde, True)
+        assert any(b % r and e % r for b, e in blocks)
+        y_ref, slots_ref = gathered_sweep(mesh, r, x1t[lo:hi], x2t[lo:hi], fld, a, measure,
+                                          y, htilde)
+        for got, ref in [(y_new[1:], y_ref), (slots, slots_ref)]:
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 class TestSweepWorkingSet:
     def test_solve_holds_no_mesh_sized_iterate(self):
         # 64 atoms, 512 cells at level 4: the first interval's 2048 sub-cells
         # make a (sub-cells, K, d) array 1 MiB, and a sweep holding the
         # iterate, the new iterate and the germ whole peaks at 7.6 MiB.
-        # Streamed through the scan blocks the solve peaks at 2.2 MiB; the
-        # bound leaves 35% margin.
+        # Streamed through the scan blocks, with each block's germ read from
+        # its cells' rows, the solve peaks at 1.6 MiB.
         measure = kernel_from_spec({"density": {"name": "exp"}})
         lift = RoughLift(sample_fbm(0.4, TimeGrid.uniform(512, 1.0), seed=7), measure,
                          gamma=0.38)
