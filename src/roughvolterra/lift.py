@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 DRAW_BYTES = 256 * 1024                   # one FFT sub-batch's normals, transform and paths
+TABLE_BYTES = 64 * 1024                   # one cell_tables chunk's gathered (cells, K) factor
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -265,7 +266,8 @@ class RoughLift:
     def _prefix(self):
         """x1 tilde from 0 to every grid point, (points, K, n): the twisted scan of the cells."""
         grid = self.driver.grid
-        return exp_scan(grid.points, self.xis, self._x1_cells(slice(None), grid.widths), 0.0)
+        return exp_scan(grid.points, self.xis,
+                        self._x1_cells(slice(None), e0(self.xis, grid.widths[:, None])), 0.0)
 
     @property
     def xis(self):
@@ -275,9 +277,9 @@ class RoughLift:
     def n_dims(self):
         return self.driver.n_dims
 
-    def _x1_cells(self, cells, dt):
-        """x1 tilde over a piece of width dt of each cell: e0(xi, dt) times its slope, (C, K, n)."""
-        return e0(self.xis, dt[:, None])[:, :, None] * self.driver.slopes[cells][:, None, :]
+    def _x1_cells(self, cells, e0_rows, out=None):
+        """x1 tilde over a piece of each cell: its e0(xi, width) row times the slope, (C, K, n)."""
+        return np.multiply(e0_rows[:, :, None], self.driver.slopes[cells][:, None, :], out=out)
 
     def _ramp_weights(self, dt):
         """The x2 tilde ramp factor sum_k w_k ramp_int(xi, xi_k, dt) per width, (C, K)."""
@@ -326,7 +328,8 @@ class RoughLift:
         e0(xi, b - a) times its slope, so there is no cancellation against
         large prefixes.
         """
-        return self._walk(s, t, lambda s, cells, a, b: self._x1_cells(cells, b - a))
+        return self._walk(
+            s, t, lambda s, cells, a, b: self._x1_cells(cells, e0(self.xis, (b - a)[:, None])))
 
     def _prefix_at(self, v):
         """x1 tilde from 0 to each time in v, shape (len(v), K, n)."""
@@ -335,7 +338,7 @@ class RoughLift:
         cells = self.driver.grid.cell_of(v)
         dt = v - pts[cells]
         decay = np.exp(-self.xis[None, :] * dt[:, None])[:, :, None]
-        return self._x1_cells(cells, dt) + decay * self._prefix[cells]
+        return self._x1_cells(cells, e0(self.xis, dt[:, None])) + decay * self._prefix[cells]
 
     def x1_tilde_pairs(self, u, v):
         """Vectorised x1 tilde on pairs (u_i, v_i): shape (npairs, K, n).
@@ -396,27 +399,25 @@ class RoughLift:
 
         All ``refine`` equal sub-cells of one cell share the same slope and
         width, hence the same closed forms, in which the slope is a rank-one
-        factor; the e0 factor, the x2 ramp factor and the decay depend on the
-        width alone and are evaluated once per distinct width.  Each run of
-        cells of one width is written into the tables as one broadcast
-        product, so no (C, K) array is built besides the decay.  Returns
-        (x1t, x2t, decay, sub_widths) with shapes (C, K, n), (C, K, n, n),
-        (C, K), (C,).
+        factor; e0, the x2 ramp factor and the decay depend on the width alone,
+        are evaluated once per distinct width and gathered into the tables a
+        chunk of ``TABLE_BYTES`` at a time.  Returns (x1t, x2t, decay,
+        sub_widths) with shapes (C, K, n), (C, K, n, n), (C, K), (C,).
         """
         if refine < 1:
             raise ValueError("refine must be >= 1")
         widths = self.driver.grid.widths / refine
         uniq, inv = np.unique(widths, return_inverse=True)
         m = self.driver.slopes
-        mm = np.einsum("cj,cd->cjd", m, m)
-        e0_w = e0(self.xis[None, :], uniq[:, None])              # (U, K)
-        ramp_w = self._ramp_weights(uniq)                         # (U, K)
+        mm = np.einsum("cj,cd->cjd", m, m)[:, None]
+        e0_w, ramp_w = e0(self.xis[None, :], uniq[:, None]), self._ramp_weights(uniq)  # (U, K)
         (c, n), k = m.shape, self.xis.size
         x1t, x2t = np.empty((c, k, n)), np.empty((c, k, n, n))
-        cuts = (np.flatnonzero(inv[1:] != inv[:-1]) + 1).tolist()  # where the width changes
-        for b, e in zip([0] + cuts, cuts + [c]):
-            np.multiply(e0_w[inv[b], :, None], m[b:e, None], out=x1t[b:e])
-            np.multiply(ramp_w[inv[b], :, None, None], mm[b:e, None], out=x2t[b:e])
+        step = max(1, TABLE_BYTES // (8 * k))                     # cells per chunk
+        for b in range(0, c, step):
+            w, e = inv[b : b + step], slice(b, b + step)
+            self._x1_cells(e, e0_w[w], out=x1t[e])
+            np.multiply(ramp_w[w][:, :, None, None], mm[e], out=x2t[e])
         decay = np.exp(-self.xis[None, :] * uniq[:, None])[inv]
         return x1t, x2t, decay, widths
 

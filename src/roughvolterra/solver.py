@@ -16,15 +16,14 @@ The sub-cell mesh and the lift's per-cell closed forms
 (``RoughLift.cell_tables``) are built once per solve; an interval attempt
 is a slice of the mesh and views of its cells' rows.  A sweep evaluates
 sigma once over the interval mesh, then walks the blocks of the twisted
-scan (``algebra.exp_scan_blocks``): each block's germ comes from the
-cell rows that cover it, read as views against the mesh values grouped
-by cell, with no per-sub-cell copy of the tables.  Of the propagated
-ytilde the sweep keeps only the projection y = a + <kernel, ytilde> on
-the mesh, which is all the next sweep reads, and ytilde at the grid
-points, which is all the norms, the commit and the next interval's start
-read.  No (sub-cells x atoms x d) array is held.  Picard sweeps are
-independent across atoms and could be parallelised; a single solve is
-sequential over intervals by data dependency.
+scan (``algebra.exp_scan_blocks``): each block's germ comes from views
+of the cell rows that cover it, with no per-sub-cell copy, and of the
+propagated ytilde the sweep keeps only the projection y = a + <kernel,
+ytilde> on the mesh, which is all the next sweep reads, and ytilde at
+the grid points, which is all the norms, the commit and the next
+interval's start read.  No (sub-cells x atoms x d) array is held.  Picard
+sweeps are independent across atoms and could be parallelised; a single
+solve is sequential over intervals by data dependency.
 """
 
 from __future__ import annotations
@@ -173,25 +172,30 @@ def _sweep(fine, r, x1t, x2t, fld, a, measure, y, htilde, rough):
 
     ``fine`` is the interval's mesh, r points a grid cell, and ``x1t``,
     ``x2t`` its cells' rows of the cell tables.  Each scan block's germ is
-    built from the rows of the cells that cover it, less the sub-cells
-    outside the block where it starts or ends mid-cell, and of the new
-    ytilde only its projection and its grid-slot values are kept: returns
-    (y on the mesh (P, d), ytilde at the grid slots (M, K, d)).
+    built from the rows of the cells that cover it, one part cell at a time
+    where it starts or ends mid-cell, and of the new ytilde only its
+    projection and its grid-slot values are kept: returns (y on the mesh
+    (P, d), ytilde at the grid slots (M, K, d)).
     """
     z = fld.batch(y)                                        # (P, n, d)
     ds = fld.dsigma_batch(y[:-1]) if rough else None        # (P-1, n, d, d)
 
+    def by_cell(v, cells):                                  # (cells, sub-cells, ...) view
+        return v.reshape((cells, -1) + v.shape[1:])
+
     def germ(b, e):
-        c0, c1 = b // r, -(-e // r)                         # the cells covering [b, e)
-        p = slice(c0 * r, c1 * r)
-
-        def by_cell(v):                                     # (cells, r, ...) view
-            return v[p].reshape((c1 - c0, r) + v.shape[1:])
-
-        g = np.einsum("ckn,cpnd->cpkd", x1t[c0:c1], by_cell(z))
-        if rough:
-            g += np.einsum("ckmj,cpjq,cpmiq->cpki", x2t[c0:c1], by_cell(z), by_cell(ds))
-        return g.reshape((-1,) + g.shape[2:])[b - c0 * r : e - c0 * r]
+        g = np.empty((e - b, x1t.shape[1], z.shape[2]))
+        head = min(-(-b // r) * r, e)                       # [b, head) lies in one cell
+        tail = max(e // r * r, head)                        # [head, tail) is whole cells
+        for lo, hi in ((b, head), (head, tail), (tail, e)):
+            if hi > lo:
+                c0, c1 = lo // r, (hi - 1) // r + 1         # the cells covering [lo, hi)
+                zc, out = by_cell(z[lo:hi], c1 - c0), by_cell(g[lo - b : hi - b], c1 - c0)
+                np.einsum("ckn,cpnd->cpkd", x1t[c0:c1], zc, out=out)
+                if rough:
+                    out += np.einsum("ckmj,cpjq,cpmiq->cpki", x2t[c0:c1], zc,
+                                     by_cell(ds[lo:hi], c1 - c0))
+        return g
 
     y_new = np.empty_like(y)
     y_new[0] = y[0]                                         # the interval start is fixed
@@ -303,10 +307,9 @@ def _solve(lift: RoughLift, fld: SigmaField, a, config: SolverConfig, rough: boo
         zeta_grid[lo : hi + 1] = fld.batch(_project(a, yt, measure.weights))
 
         # converged-state residual: one more germ pass, per grid cell
-        final = _sweep(mesh, r, x1t[lo:hi], x2t[lo:hi], fld, a, measure, y_mesh, htilde,
-                       rough)[1]
-        residual = float(np.max(lbeta_norm(final - yt, measure, beta)))
-        del final                                           # not held into the next interval
+        residual = float(np.max(lbeta_norm(
+            _sweep(mesh, r, x1t[lo:hi], x2t[lo:hi], fld, a, measure, y_mesh, htilde, rough)[1]
+            - yt, measure, beta)))
 
         q_norm = _interval_q_norm(
             lift, yt, zeta_grid[lo : hi + 1],

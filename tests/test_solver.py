@@ -628,6 +628,50 @@ class TestCellRowGerm:
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
+    def test_germ_traces_its_own_rows_where_a_cell_outgrows_a_block(self, monkeypatch):
+        # at level 9 a cell holds 512 sub-cells, twice SCAN_BLOCK, so every
+        # block lies inside one cell.  A block's germ is its own 256 rows,
+        # 128 KiB at K = 64, and the rough term's three-operand einsum traces
+        # 2.5x its output: 3.5x the rows.  Gathering every sub-cell's table
+        # rows traced 4.0x, and building the covering cell whole and slicing
+        # it 5.5x
+        measure = kernel_from_spec({"density": {"name": "exp"}})
+        lift = RoughLift(sample_fbm(0.4, TimeGrid.uniform(4, 1.0), seed=7), measure,
+                         gamma=0.38)
+        r = 2**9
+        x1t, x2t, _, subw = lift.cell_tables(r)
+        pts = lift.driver.grid.points
+        mesh = np.append((pts[:-1, None] + subw[:, None] * np.arange(r)).ravel(), pts[-1])
+        rng = np.random.default_rng(3)
+        fld, a = sigma_catalog("tanh", n=1, d=1), np.array([0.3])
+        y, htilde = 0.3 + 0.1 * rng.standard_normal((mesh.size, 1)), np.zeros((64, 1))
+
+        ratios = []
+        scan = solver_mod.exp_scan_blocks
+
+        def traced_germs(points, xis, germ, init):
+            def traced(b, e):
+                tracemalloc.start()
+                try:
+                    g = germ(b, e)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert len(g) == e - b
+                ratios.append(peak / g.nbytes)
+                return g
+
+            return scan(points, xis, traced, init)
+
+        monkeypatch.setattr(solver_mod, "exp_scan_blocks", traced_germs)
+        y_new, slots = solver_mod._sweep(mesh, r, x1t, x2t, fld, a, measure, y, htilde, True)
+        assert len(ratios) == 4 * r // rv.algebra.SCAN_BLOCK
+        assert max(ratios) <= 3.75
+        y_ref, slots_ref = gathered_sweep(mesh, r, x1t, x2t, fld, a, measure, y, htilde)
+        for got, ref in [(y_new[1:], y_ref), (slots, slots_ref)]:
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 class TestSweepWorkingSet:
     def test_solve_holds_no_mesh_sized_iterate(self):
         # 64 atoms, 512 cells at level 4: the first interval's 2048 sub-cells
